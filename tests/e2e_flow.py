@@ -38,14 +38,23 @@ GOLDEN_FILES = [
     "vocab/1980-1989.lemma.tsv",
     "stats.json",
     "reports/jaccard.csv",
+    "reports/jaccard.json",
     "reports/jsd.csv",
+    "reports/jsd.json",
     "reports/jsd_contributions_1930-1939_1980-1989.csv",
+    "reports/jsd_contributions_1930-1939_1980-1989.json",
     "reports/survived_1930-1939.csv",
+    "reports/survived_1930-1939.json",
     "reports/ortho_ratio_b-p.csv",
+    "reports/ortho_ratio_b-p.json",
     "reports/ortho_ratio_d-t.csv",
+    "reports/ortho_ratio_d-t.json",
     "reports/circumflex.csv",
+    "reports/circumflex.json",
     "reports/crossover.csv",
+    "reports/crossover.json",
     "reports/freq_belge.csv",
+    "reports/freq_belge.json",
     "reports/aligned_most_similar_televizyon_1980-1989_1930-1939.json",
 ]
 
