@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TimePeriod, TimeSeriesResult
+from .corpus import TimePeriod, TimeSeriesResult, write_artifact
 from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
 
@@ -223,9 +223,7 @@ def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
     for row in transform.matrix:
         lines.append(" ".join(repr(float(x)) for x in row))
     lines.append("#shared=" + " ".join(transform.shared_vocab))
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_transform(path: str | Path) -> AlignmentTransform:

@@ -50,6 +50,7 @@ def train_cbow(
         raise ParameterError("negatives must be at least 1")
     if epochs < 1:
         raise ParameterError("epochs must be at least 1")
+    leaf.require_preprocessed()
     vocab = create_vocabulary(leaf)
     if not vocab.entries or vocab.token_total == 0:
         raise ComputationUndefinedError(
@@ -64,7 +65,7 @@ def train_cbow(
     # word2vec-style training.
     sentences = [
         np.array([index[w] for w in seq if w in index], dtype=np.int64)
-        for seq in (leaf.lemma_sequences or [])
+        for seq in leaf.lemma_sequences
     ]
     sentences = [s for s in sentences if len(s) > 1]
     if not sentences:

@@ -31,7 +31,9 @@ from .corpus import (
     PeriodCorpus,
     TimePeriod,
     build_corpus_tree,
+    csv_table,
     load_manifest,
+    write_artifact,
 )
 from .dictionary import (
     crossover_period,
@@ -85,7 +87,6 @@ class RunConfig:
     analyzer_tsv: Path | None = None
     ngram_orders: tuple[int, ...] = (1, 2, 3)
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    workers: int = 1
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -117,7 +118,6 @@ class RunConfig:
             analyzer_tsv=_resolve(analyzer_tsv) if analyzer_tsv else None,
             ngram_orders=tuple(raw.get("ngram_orders", (1, 2, 3))),
             embedding=embedding,
-            workers=int(raw.get("workers", 1)),
         )
 
     def analyzer(self) -> LookupAnalyzer | None:
@@ -152,17 +152,16 @@ class _Lock:
             self._path.unlink(missing_ok=True)
 
 
-def _write_text(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
-
-
 def to_json(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
 
 
 def ranking_to_json(ranking: list[tuple[str, float]]) -> str:
     return to_json([{"lemma": w, "cosine": v} for w, v in ranking])
+
+
+def series_to_csv(series, value_column: str) -> str:
+    return csv_table(["period", value_column], ((p.label, v) for p, v in series))
 
 
 def series_to_json(series) -> str:
@@ -191,7 +190,7 @@ def contributions_to_json(ranking) -> str:
             {
                 "lemma": lemma,
                 "contribution": value,
-                "side": (ranking.period_a if value < 0 else ranking.period_b).label,
+                "side": ranking.side(value).label,
             }
             for lemma, value in ranking.pairs
         ]
@@ -206,7 +205,6 @@ def _ingest_tree(config: RunConfig) -> DiachronicCorpus:
         corpus_root=config.corpus_root,
         filter_config=config.filter,
         analyzer=config.analyzer(),
-        workers=config.workers,
     )
 
 
@@ -244,15 +242,11 @@ def _stats_payload(tree: DiachronicCorpus) -> dict:
 
 
 def _stats_csv(payload: dict) -> str:
-    lines = ["period," + ",".join(STATS_FIELDS)]
-    rows = list(payload["periods"].items()) + [("total", payload["total"])]
-    for label, fields in rows:
-        rendered = [
-            repr(fields[name]) if isinstance(fields[name], float) else str(fields[name])
-            for name in STATS_FIELDS
-        ]
-        lines.append(f"{label}," + ",".join(rendered))
-    return "\n".join(lines) + "\n"
+    rows = [*payload["periods"].items(), ("total", payload["total"])]
+    return csv_table(
+        ["period", *STATS_FIELDS],
+        ([label, *(fields[name] for name in STATS_FIELDS)] for label, fields in rows),
+    )
 
 
 def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
@@ -271,40 +265,40 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
                     table, out / "ngrams" / f"{label}.n{order}.{level}.tsv"
                 )
     payload = _stats_payload(tree)
-    _write_text(out / "stats.json", to_json(payload))
-    _write_text(out / "stats.csv", _stats_csv(payload))
+    write_artifact(out / "stats.json", to_json(payload))
+    write_artifact(out / "stats.csv", _stats_csv(payload))
     print(to_json({"ingested_periods": [l.period.label for l in tree.leaves()]}), end="")
     return EXIT_OK
 
 
-def _load_vocab_artifacts(config: RunConfig, level: str = "lemma") -> DiachronicCorpus:
-    """Rebuild a query-ready tree from the vocabulary files written by ingest."""
+def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
+    """Rebuild a tree of vocabulary-only leaves from the files written by ingest."""
     vocab_dir = config.output_dir / "vocab"
-    files = sorted(vocab_dir.glob(f"*.{level}.tsv")) if vocab_dir.is_dir() else []
+    files = sorted(vocab_dir.glob("*.lemma.tsv")) if vocab_dir.is_dir() else []
     if not files:
         raise MissingArtifactError(
-            f"no {level} vocabulary artifacts under {vocab_dir}", needed_command="ingest"
+            f"no lemma vocabulary artifacts under {vocab_dir}", needed_command="ingest"
         )
     leaves = []
     for path in files:
-        vocab = lexicon_mod.read_vocabulary(path, level=level)
+        vocab = lexicon_mod.read_vocabulary(path)
         leaf = PeriodCorpus(vocab.period)
-        leaf.lemma_sequences = []  # mark preprocessed; queries only need tables
-        leaf.surface_sequences = []
-        if level == "lemma":
-            leaf.vocabulary = vocab
-            surface_path = vocab_dir / f"{vocab.period.label}.surface.tsv"
-            if surface_path.is_file():
-                leaf.surface_vocabulary = lexicon_mod.read_vocabulary(
-                    surface_path, level="surface"
-                )
-        else:
-            leaf.surface_vocabulary = vocab
-            lemma_path = vocab_dir / f"{vocab.period.label}.lemma.tsv"
-            if lemma_path.is_file():
-                leaf.vocabulary = lexicon_mod.read_vocabulary(lemma_path, level="lemma")
+        leaf.vocabulary = vocab
+        surface_path = vocab_dir / f"{leaf.period.label}.surface.tsv"
+        if surface_path.is_file():
+            leaf.surface_vocabulary = lexicon_mod.read_vocabulary(surface_path, level="surface")
         leaves.append(leaf)
     return DiachronicCorpus(leaves)
+
+
+def _word_report_name(kind: str, word: str, *labels: str) -> str:
+    """File stem of a word-derived report, e.g. ``freq_belge``.
+
+    ``%``, ``/`` and ``\\`` in the word are percent-encoded so the name stays
+    one file inside ``reports/``; every other character is kept as is.
+    """
+    encoded = word.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+    return "_".join((kind, encoded, *labels))
 
 
 def _parse_periods(labels: list[str] | None) -> list[TimePeriod] | None:
@@ -322,15 +316,15 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
         jsd = divergence_mod.jsd_matrix(tree, periods)
         written = []
         for matrix, name in ((jaccard, "jaccard"), (jsd, "jsd")):
-            _write_text(reports / f"{name}.csv", matrix.to_csv())
-            _write_text(reports / f"{name}.json", matrix_to_json(matrix))
+            write_artifact(reports / f"{name}.csv", matrix.to_csv())
+            write_artifact(reports / f"{name}.json", matrix_to_json(matrix))
             written += [f"{name}.csv", f"{name}.json"]
         if args.pair:
             a, b = (TimePeriod.parse(p) for p in args.pair)
             ranking = divergence_mod.contributions_between(tree, a, b, args.top_k)
             name = f"jsd_contributions_{a.label}_{b.label}"
-            _write_text(reports / f"{name}.csv", ranking.to_csv())
-            _write_text(reports / f"{name}.json", contributions_to_json(ranking))
+            write_artifact(reports / f"{name}.csv", ranking.to_csv())
+            write_artifact(reports / f"{name}.json", contributions_to_json(ranking))
             written += [f"{name}.csv", f"{name}.json"]
         print(to_json({"written": [reports.joinpath(n).as_posix() for n in written]}), end="")
     elif args.analysis == "survived":
@@ -338,16 +332,24 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
             raise ParameterError("survived analysis needs --base-period")
         base = TimePeriod.parse(args.base_period)
         series = divergence_mod.survived_words(tree, base, periods)
-        csv_text = divergence_mod.series_to_csv(series, "survived_words")
-        _write_text(reports / f"survived_{base.label}.csv", csv_text)
-        _write_text(reports / f"survived_{base.label}.json", series_to_json(series))
+        write_artifact(
+            reports / f"survived_{base.label}.csv", series_to_csv(series, "survived_words")
+        )
+        write_artifact(reports / f"survived_{base.label}.json", series_to_json(series))
         print(series_to_json(series), end="")
     elif args.analysis == "ortho":
-        for pair_class in args.classes:
-            csv_text = orthography_mod.ending_ratio_csv(tree, pair_class, periods)
-            _write_text(reports / f"ortho_ratio_{pair_class}.csv", csv_text)
-            rows = orthography_mod.ending_ratio_rows(tree, pair_class, periods)
-            _write_text(
+        # compute every analysis first, so a failing class writes no report
+        class_rows = {
+            pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)
+            for pair_class in args.classes
+        }
+        raw, per_million = orthography_mod.circumflex_frequency(tree, periods)
+        for pair_class, rows in class_rows.items():
+            write_artifact(
+                reports / f"ortho_ratio_{pair_class}.csv",
+                orthography_mod.ending_ratio_csv(pair_class, rows),
+            )
+            write_artifact(
                 reports / f"ortho_ratio_{pair_class}.json",
                 to_json(
                     [
@@ -362,11 +364,10 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
                     ]
                 ),
             )
-        _write_text(
-            reports / "circumflex.csv", orthography_mod.circumflex_csv(tree, periods)
+        write_artifact(
+            reports / "circumflex.csv", orthography_mod.circumflex_csv(raw, per_million)
         )
-        raw, per_million = orthography_mod.circumflex_frequency(tree, periods)
-        _write_text(
+        write_artifact(
             reports / "circumflex.json",
             to_json(
                 [
@@ -382,25 +383,29 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
             if args.dictionary
             else load_sample_dictionary()
         )
-        lines = ["modern,old,crossover_period"]
         results = []
         for entry in entries:
             for old in entry.old_forms:
                 period = crossover_period(tree, entry.modern, old, periods, mode=args.mode)
                 label = period.label if period else "none"
-                lines.append(f"{entry.modern},{old},{label}")
                 results.append({"modern": entry.modern, "old": old, "crossover": label})
-        _write_text(reports / "crossover.csv", "\n".join(lines) + "\n")
-        _write_text(reports / "crossover.json", to_json(results))
+        write_artifact(
+            reports / "crossover.csv",
+            csv_table(
+                ["modern", "old", "crossover_period"],
+                ((r["modern"], r["old"], r["crossover"]) for r in results),
+            ),
+        )
+        write_artifact(reports / "crossover.json", to_json(results))
         print(to_json(results), end="")
     elif args.analysis == "freq":
         if not args.word:
             raise ParameterError("freq analysis needs --word")
         series = lexicon_mod.frequency(tree, args.word, periods, normalize=args.normalize)
         column = "normalized_frequency" if args.normalize else "frequency"
-        csv_text = divergence_mod.series_to_csv(series, column)
-        _write_text(reports / f"freq_{args.word}.csv", csv_text)
-        _write_text(reports / f"freq_{args.word}.json", series_to_json(series))
+        name = _word_report_name("freq", args.word)
+        write_artifact(reports / f"{name}.csv", series_to_csv(series, column))
+        write_artifact(reports / f"{name}.json", series_to_json(series))
         print(series_to_json(series), end="")
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown analysis {args.analysis!r}")
@@ -421,13 +426,11 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
         if args.kind == "ppmi":
             ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
             path = out / "ppmi" / f"{label}.tsv"
-            path.parent.mkdir(parents=True, exist_ok=True)
             embeddings_mod.write_ppmi(ppmi, path)
         elif args.kind == "svd":
             ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
             word_set, _ = embeddings_mod.svd_embeddings(ppmi, cfg.dim)
             path = _embedding_path(config, leaf.period, "svd")
-            path.parent.mkdir(parents=True, exist_ok=True)
             embeddings_mod.write_embeddings(word_set, path)
         elif args.kind == "cbow":
             seed = args.seed if args.seed is not None else cfg.seed
@@ -442,7 +445,6 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
                 epochs=cfg.epochs,
             )
             path = _embedding_path(config, leaf.period, "cbow")
-            path.parent.mkdir(parents=True, exist_ok=True)
             embeddings_mod.write_embeddings(word_set, path)
         else:  # pragma: no cover - argparse restricts choices
             raise ParameterError(f"unknown embedding kind {args.kind!r}")
@@ -478,7 +480,6 @@ def cmd_align(config: RunConfig, args: argparse.Namespace) -> int:
     target_set = _read_embedding_artifact(config, target, args.kind)
     transform = alignment_mod.procrustes_align(source_set, target_set)
     path = _transform_path(config, source, target, args.kind)
-    path.parent.mkdir(parents=True, exist_ok=True)
     alignment_mod.write_transform(transform, path)
     print(to_json({"written": path.as_posix(), "shared_words": len(transform.shared_vocab)}), end="")
     return EXIT_OK
@@ -505,7 +506,8 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         embedding_set = _read_embedding_artifact(config, period, args.kind)
         ranking = embeddings_mod.most_similar(args.word, args.top_k, embedding_set)
         text = ranking_to_json(ranking)
-        _write_text(reports / f"most_similar_{args.word}_{period.label}.json", text)
+        name = _word_report_name("most_similar", args.word, period.label)
+        write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     elif args.query == "aligned-most-similar":
         target = TimePeriod.parse(args.target)
@@ -517,10 +519,8 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
             args.word, args.top_k, target_set, base_set, transform
         )
         text = ranking_to_json(ranking)
-        _write_text(
-            reports / f"aligned_most_similar_{args.word}_{target.label}_{base.label}.json",
-            text,
-        )
+        name = _word_report_name("aligned_most_similar", args.word, target.label, base.label)
+        write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     elif args.query == "semantic-change":
         periods = _parse_periods(args.periods)
@@ -534,7 +534,8 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         ]
         series = alignment_mod.semantic_change(args.word, ordered, transforms)
         text = series_to_json(series)
-        _write_text(reports / f"semantic_change_{args.word}.json", text)
+        name = _word_report_name("semantic_change", args.word)
+        write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     elif args.query == "collocations":
         period = TimePeriod.parse(args.period)
@@ -554,7 +555,8 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         ppmi = embeddings_mod.read_ppmi(ppmi_path, vocab)
         ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)
         text = to_json([{"lemma": w, "association": v} for w, v in ranking])
-        _write_text(reports / f"collocations_{args.word}_{period.label}.json", text)
+        name = _word_report_name("collocations", args.word, period.label)
+        write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown query {args.query!r}")

@@ -19,10 +19,9 @@ import json
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .errors import IngestError, MissingArtifactError, ParameterError
 from .preprocess import (
@@ -199,12 +198,9 @@ class PeriodCorpus(CorpusNode):
     def leaves(self) -> list["PeriodCorpus"]:
         return [self]
 
-    @property
-    def is_preprocessed(self) -> bool:
-        return self.lemma_sequences is not None
-
     def require_preprocessed(self) -> None:
-        if not self.is_preprocessed:
+        """Raise unless the leaf holds the token sequences that ingest builds."""
+        if self.lemma_sequences is None:
             raise MissingArtifactError(
                 f"period {self.period.label} has not been preprocessed", needed_command="ingest"
             )
@@ -350,17 +346,11 @@ def _ingest_leaf(
     raw_texts: Sequence[str],
     filter_config: FilterConfig,
     analyzer: MorphAnalyzer | None,
-    workers: int = 1,
 ) -> None:
     """Preprocess a leaf's documents and populate stats, sequences and vocabularies."""
     from .lexicon import Vocabulary  # deferred: lexicon imports corpus types
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            processed = list(pool.map(lambda t: _preprocess_document(t, analyzer), raw_texts))
-    else:
-        processed = [_preprocess_document(t, analyzer) for t in raw_texts]
-
+    processed = [_preprocess_document(t, analyzer) for t in raw_texts]
     raw_surface_types: set[str] = set()
     folded_sequences: list[list[str]] = []
     lemma_sequences: list[list[str]] = []
@@ -412,7 +402,6 @@ def build_corpus_tree(
     corpus_root: str | Path | None = None,
     filter_config: FilterConfig = FilterConfig(),
     analyzer: MorphAnalyzer | None = None,
-    workers: int = 1,
 ) -> DiachronicCorpus:
     """Ingest documents into a preprocessed two-level corpus tree.
 
@@ -467,7 +456,7 @@ def build_corpus_tree(
                 texts.append(path.read_text(encoding="utf-8"))
             except OSError as exc:
                 raise IngestError(f"cannot read document {doc.doc_id!r}: {exc}") from exc
-        _ingest_leaf(leaf, texts, filter_config, analyzer, workers=workers)
+        _ingest_leaf(leaf, texts, filter_config, analyzer)
         children.append(leaf)
 
     if not children:
@@ -475,3 +464,28 @@ def build_corpus_tree(
     tree = DiachronicCorpus(children)
     tree.unbucketed_documents = unbucketed
     return tree
+
+
+def _csv_cell(value: Any) -> str:
+    """One CSV cell: None is empty, booleans are true/false, reals round-trip."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))  # float() drops the numpy scalar repr
+    return str(value)
+
+
+def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Render a header and rows as unquoted comma-separated lines."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_artifact(path: str | Path, text: str) -> None:
+    """Write a UTF-8 text artifact, creating its parent directories."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf-8")

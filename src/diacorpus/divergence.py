@@ -17,15 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (
-    CorpusNode,
-    DiachronicCorpus,
-    Operation,
-    PeriodCorpus,
-    TimePeriod,
-    TimeSeriesResult,
-    select_leaves,
-)
+from .corpus import CorpusNode, TimePeriod, TimeSeriesResult, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary
 
@@ -43,11 +35,9 @@ class DivergenceMatrix:
 
     def to_csv(self) -> str:
         labels = [p.label for p in self.periods]
-        lines = ["period," + ",".join(labels)]
-        for i, label in enumerate(labels):
-            row = ",".join(repr(float(v)) for v in self.values[i])
-            lines.append(f"{label},{row}")
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            ["period", *labels], ([label, *row] for label, row in zip(labels, self.values))
+        )
 
 
 @dataclass
@@ -58,12 +48,15 @@ class ContributionRanking:
     period_a: TimePeriod
     period_b: TimePeriod
 
+    def side(self, value: float) -> TimePeriod:
+        """The period a signed contribution favors: negative values the first."""
+        return self.period_a if value < 0 else self.period_b
+
     def to_csv(self) -> str:
-        lines = ["lemma,contribution,side"]
-        for lemma, value in self.pairs:
-            side = self.period_a.label if value < 0 else self.period_b.label
-            lines.append(f"{lemma},{repr(value)},{side}")
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            ["lemma", "contribution", "side"],
+            ((lemma, value, self.side(value).label) for lemma, value in self.pairs),
+        )
 
 
 def jaccard_similarity(vocab_a: Vocabulary, vocab_b: Vocabulary) -> float:
@@ -142,30 +135,6 @@ def _pairwise_matrix(vocabularies: list[Vocabulary], metric: str) -> DivergenceM
     )
 
 
-class JaccardMatrix(Operation):
-    """Pairwise Jaccard similarity of vocabularies under a node."""
-
-    value_kind = "matrix-row"
-
-    def on_period(self, corpus: PeriodCorpus) -> DivergenceMatrix:
-        return _pairwise_matrix([create_vocabulary(corpus)], "jaccard")
-
-    def on_diachronic(self, corpus: DiachronicCorpus) -> DivergenceMatrix:
-        return _pairwise_matrix([create_vocabulary(l) for l in corpus.leaves()], "jaccard")
-
-
-class JsdMatrix(Operation):
-    """Pairwise Jensen-Shannon divergence of vocabularies under a node."""
-
-    value_kind = "matrix-row"
-
-    def on_period(self, corpus: PeriodCorpus) -> DivergenceMatrix:
-        return _pairwise_matrix([create_vocabulary(corpus)], "jsd")
-
-    def on_diachronic(self, corpus: DiachronicCorpus) -> DivergenceMatrix:
-        return _pairwise_matrix([create_vocabulary(l) for l in corpus.leaves()], "jsd")
-
-
 def jaccard_matrix(
     node: CorpusNode, periods: Sequence[TimePeriod] | None = None
 ) -> DivergenceMatrix:
@@ -205,19 +174,3 @@ def survived_words(
         later_words = set(create_vocabulary(leaf).entries)
         entries.append((leaf.period, len(base_words & later_words)))
     return TimeSeriesResult(entries=entries, value_kind="count")
-
-
-def series_to_csv(series: TimeSeriesResult, value_column: str) -> str:
-    """Generic period,value CSV for numeric time series."""
-    lines = [f"period,{value_column}"]
-    for period, value in series:
-        if value is None:
-            rendered = ""
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{period.label},{rendered}")
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
-from .corpus import PeriodCorpus, TimePeriod
+from .corpus import PeriodCorpus, TimePeriod, write_artifact
 from .errors import (
     ComputationUndefinedError,
     OutOfVocabularyError,
@@ -122,6 +122,7 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     """
     if window < 1:
         raise ParameterError("window must be at least 1")
+    leaf.require_preprocessed()
     vocab = create_vocabulary(leaf)
     order = vocabulary_order(vocab)
     index = {w: i for i, w in enumerate(order)}
@@ -129,7 +130,7 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     # vectorized pair extraction: for each offset, align the sequence with a
     # shifted copy of itself and keep pairs where both sides are in-vocabulary
     forward: list[np.ndarray] = []
-    for seq in leaf.lemma_sequences or []:
+    for seq in leaf.lemma_sequences:
         ids = np.fromiter((index.get(w, -1) for w in seq), dtype=np.int64, count=len(seq))
         for offset in range(1, window + 1):
             if len(ids) <= offset:
@@ -315,9 +316,7 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
     for word in embedding_set.words():
         row = embedding_set.matrix[embedding_set.vocab_index[word]]
         lines.append(word + " " + " ".join(repr(float(x)) for x in row))
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
@@ -358,9 +357,7 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
     ]
     for k in order:
         lines.append(f"{inverse[int(coo.row[k])]}\t{inverse[int(coo.col[k])]}\t{repr(float(coo.data[k]))}")
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:

@@ -20,6 +20,7 @@ from .corpus import (
     TimePeriod,
     TimeSeriesResult,
     select_leaves,
+    write_artifact,
 )
 from .errors import MissingArtifactError, ParameterError
 
@@ -94,8 +95,7 @@ def _vocabulary_for_level(leaf: PeriodCorpus, level: str) -> Vocabulary:
 
 
 def create_vocabulary(leaf: PeriodCorpus, level: str = "lemma") -> Vocabulary:
-    """Return the leaf's filtered vocabulary, requiring prior preprocessing."""
-    leaf.require_preprocessed()
+    """Return the leaf's filtered vocabulary, built by ingest or read from its artifact."""
     return _vocabulary_for_level(leaf, level)
 
 
@@ -114,7 +114,7 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
     vocab = _vocabulary_for_level(leaf, level).entries
     sequences = leaf.lemma_sequences if level == "lemma" else leaf.surface_sequences
     counts: Counter[tuple[str, ...]] = Counter()
-    for seq in sequences or []:
+    for seq in sequences:
         for i in range(len(seq) - order + 1):
             gram = tuple(seq[i : i + order])
             if all(w in vocab for w in gram):
@@ -299,19 +299,16 @@ class MergeVocabulary(PerPeriodOperation):
 # ---------------------------------------------------------------------------
 
 
-def _ranged(node: CorpusNode, periods: Sequence[TimePeriod] | None) -> CorpusNode:
-    if periods is None:
-        return node
+def _ranged(node: CorpusNode, periods: Sequence[TimePeriod] | None) -> DiachronicCorpus:
+    """A composite over the selected leaves, so per-period operations always
+    return a time series, even for a bare leaf."""
     return DiachronicCorpus(select_leaves(node, periods))
 
 
 def exists(
     node: CorpusNode, word: str, periods: Sequence[TimePeriod] | None = None
 ) -> TimeSeriesResult:
-    result = _ranged(node, periods).perform(Exists(word))
-    if not isinstance(result, TimeSeriesResult):
-        result = TimeSeriesResult([(node.period, result)], value_kind="count")
-    return result
+    return _ranged(node, periods).perform(Exists(word))
 
 
 def frequency(
@@ -320,11 +317,7 @@ def frequency(
     periods: Sequence[TimePeriod] | None = None,
     normalize: bool = False,
 ) -> TimeSeriesResult:
-    op = Frequency(word, normalize=normalize)
-    result = _ranged(node, periods).perform(op)
-    if not isinstance(result, TimeSeriesResult):
-        result = TimeSeriesResult([(node.period, result)], value_kind=op.value_kind)
-    return result
+    return _ranged(node, periods).perform(Frequency(word, normalize=normalize))
 
 
 def merge_vocabulary(
@@ -368,10 +361,7 @@ def words_matching(
     periods: Sequence[TimePeriod] | None = None,
     level: str = "lemma",
 ) -> TimeSeriesResult:
-    result = _ranged(node, periods).perform(WordsMatching(kind, pattern, level))
-    if not isinstance(result, TimeSeriesResult):
-        result = TimeSeriesResult([(node.period, result)], value_kind="set")
-    return result
+    return _ranged(node, periods).perform(WordsMatching(kind, pattern, level))
 
 
 def morpheme_frequency(
@@ -382,10 +372,7 @@ def morpheme_frequency(
     level: str = "lemma",
 ) -> TimeSeriesResult:
     op = MorphemeFrequency(pattern, level=level, per_million=per_million)
-    result = _ranged(node, periods).perform(op)
-    if not isinstance(result, TimeSeriesResult):
-        result = TimeSeriesResult([(node.period, result)], value_kind=op.value_kind)
-    return result
+    return _ranged(node, periods).perform(op)
 
 
 def cofrequency(
@@ -395,10 +382,7 @@ def cofrequency(
     periods: Sequence[TimePeriod] | None = None,
     window: int = 2,
 ) -> TimeSeriesResult:
-    result = _ranged(node, periods).perform(CoFrequency(word_u, word_v, window))
-    if not isinstance(result, TimeSeriesResult):
-        result = TimeSeriesResult([(node.period, result)], value_kind="count")
-    return result
+    return _ranged(node, periods).perform(CoFrequency(word_u, word_v, window))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +399,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     lines = [_header_line(vocab.period, vocab.token_total)]
     for word, freq in sorted(vocab.entries.items(), key=lambda kv: (-kv[1], kv[0])):
         lines.append(f"{word}\t{freq}")
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_vocabulary(path: str | Path, level: str = "lemma") -> Vocabulary:
@@ -441,9 +423,7 @@ def write_ngrams(table: NgramTable, path: str | Path) -> None:
     lines = [_header_line(table.period, table.total())]
     for gram, freq in sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0])):
         lines.append(f"{' '.join(gram)}\t{freq}")
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:

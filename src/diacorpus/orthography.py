@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import CorpusNode, TimePeriod, TimeSeriesResult, select_leaves
+from .corpus import CorpusNode, TimePeriod, TimeSeriesResult, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary, merge_vocabulary
 
@@ -135,20 +135,13 @@ def ending_ratio(
 
 
 def ending_ratio_csv(
-    node: CorpusNode,
-    pair_class: str,
-    periods: Sequence[TimePeriod] | None = None,
-    level: str = "surface",
-    weighting: str = "tokens",
-    exclusions: frozenset[str] = DEFAULT_EXCLUSIONS,
+    pair_class: str, rows: Sequence[tuple[TimePeriod, int, int, float | None]]
 ) -> str:
-    lines = ["period,class,soft_total,hard_total,ratio"]
-    for period, soft_total, hard_total, ratio in ending_ratio_rows(
-        node, pair_class, periods, level, weighting, exclusions
-    ):
-        rendered = "" if ratio is None else repr(ratio)
-        lines.append(f"{period.label},{pair_class},{soft_total},{hard_total},{rendered}")
-    return "\n".join(lines) + "\n"
+    """CSV of the ``ending_ratio_rows`` of one pair class."""
+    return csv_table(
+        ["period", "class", "soft_total", "hard_total", "ratio"],
+        ((period.label, pair_class, soft, hard, ratio) for period, soft, hard, ratio in rows),
+    )
 
 
 def circumflex_frequency(
@@ -181,15 +174,9 @@ def circumflex_frequency(
     )
 
 
-def circumflex_csv(
-    node: CorpusNode,
-    periods: Sequence[TimePeriod] | None = None,
-    letters: frozenset[str] = CIRCUMFLEX_LETTERS,
-    level: str = "lemma",
-) -> str:
-    raw, per_million = circumflex_frequency(node, periods, letters, level)
-    lines = ["period,circumflex_raw,circumflex_per_million"]
-    for (period, count), (_, rate) in zip(raw, per_million):
-        rendered = "" if rate is None else repr(rate)
-        lines.append(f"{period.label},{count},{rendered}")
-    return "\n".join(lines) + "\n"
+def circumflex_csv(raw: TimeSeriesResult, per_million: TimeSeriesResult) -> str:
+    """CSV of the two ``circumflex_frequency`` series."""
+    return csv_table(
+        ["period", "circumflex_raw", "circumflex_per_million"],
+        ((period.label, count, rate) for (period, count), (_, rate) in zip(raw, per_million)),
+    )

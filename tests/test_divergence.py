@@ -156,16 +156,6 @@ class TestMatrices:
         expected = jaccard_similarity(leaves[0].vocabulary, leaves[1].vocabulary)
         assert jac.value(PERIOD_1930, PERIOD_1980) == expected
 
-    def test_matrix_operations_dispatch_through_tree(self, fixture_tree):
-        from diacorpus.divergence import JaccardMatrix, JsdMatrix
-
-        full = fixture_tree.perform(JaccardMatrix())
-        assert np.array_equal(full.values, jaccard_matrix(fixture_tree).values)
-        leaf = fixture_tree.leaves()[0]
-        single = leaf.perform(JsdMatrix())
-        assert single.values.shape == (1, 1)
-        assert single.values[0, 0] == 0.0
-
     def test_divergence_nondecreasing_from_base(self, fixture_tree):
         jsd = jsd_matrix(fixture_tree)
         row = jsd.values[0]

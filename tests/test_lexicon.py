@@ -107,6 +107,23 @@ class TestCreateVocabulary:
         with pytest.raises(MissingArtifactError):
             create_vocabulary(leaf)
 
+    def test_vocabulary_only_leaf(self):
+        # the shape of a leaf rebuilt from ingest's vocabulary artifact
+        from diacorpus.cbow import train_cbow
+        from diacorpus.embeddings import count_cooccurrences
+
+        leaf = PeriodCorpus(PERIOD_1930)
+        leaf.vocabulary = Vocabulary(PERIOD_1930, {"yıl": 2, "sene": 1}, token_total=3)
+        assert create_vocabulary(leaf) is leaf.vocabulary
+        for build in (
+            lambda: create_ngrams(leaf, 1),
+            lambda: count_cooccurrences(leaf),
+            lambda: train_cbow(leaf, dim=4),
+        ):
+            with pytest.raises(MissingArtifactError) as info:
+                build()
+            assert info.value.needed_command == "ingest"
+
     @pytest.mark.parametrize("tag,period", [("1930s", PERIOD_1930), ("1980s", PERIOD_1980)])
     def test_fixture_matches_independent_recount(self, fixture_tree, tag, period):
         expected_entries, expected_total = oracle_vocabulary(tag)
@@ -225,6 +242,15 @@ class TestVocabMetrics:
         create_ngrams(leaf, 1)
         metrics = vocab_metrics(_tree_of(leaf))
         assert metrics["average_word_length"].values() == [2.5]
+
+    def test_bare_leaf_gives_one_entry_series(self):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
+        create_ngrams(leaf, 1)
+        metrics = vocab_metrics(leaf)
+        assert metrics["unique_word_count"].entries == [(PERIOD_1930, 2)]
+        assert metrics["average_word_length"].entries == [(PERIOD_1930, 2.5)]
+        assert metrics["ngram_count"].entries == [(PERIOD_1930, 3)]
+        assert metrics["common_words"] == {"ab", "abc"}
 
     def test_common_words_disjoint(self):
         tree = _tree_of(
