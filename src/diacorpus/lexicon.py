@@ -82,7 +82,8 @@ class NgramTable:
         return sum(self.entries.values())
 
 
-def _vocabulary_for_level(leaf: PeriodCorpus, level: str) -> Vocabulary:
+def create_vocabulary(leaf: PeriodCorpus, level: str = "lemma") -> Vocabulary:
+    """Return the leaf's filtered vocabulary, built by ingest or read from its artifact."""
     if level == "lemma":
         return leaf.require_vocabulary()
     if level == "surface":
@@ -92,11 +93,6 @@ def _vocabulary_for_level(leaf: PeriodCorpus, level: str) -> Vocabulary:
             )
         return leaf.surface_vocabulary
     raise ParameterError(f"unknown level {level!r} (expected surface or lemma)")
-
-
-def create_vocabulary(leaf: PeriodCorpus, level: str = "lemma") -> Vocabulary:
-    """Return the leaf's filtered vocabulary, built by ingest or read from its artifact."""
-    return _vocabulary_for_level(leaf, level)
 
 
 def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> NgramTable:
@@ -111,7 +107,7 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
     cached = leaf.ngram_tables.get((order, level))
     if cached is not None:
         return cached
-    vocab = _vocabulary_for_level(leaf, level).entries
+    vocab = create_vocabulary(leaf, level).entries
     sequences = leaf.lemma_sequences if level == "lemma" else leaf.surface_sequences
     counts: Counter[tuple[str, ...]] = Counter()
     for seq in sequences:
@@ -139,7 +135,7 @@ class Exists(PerPeriodOperation):
         self.level = level
 
     def on_period(self, corpus: PeriodCorpus) -> bool:
-        return self.word in _vocabulary_for_level(corpus, self.level).entries
+        return self.word in create_vocabulary(corpus, self.level).entries
 
 
 class Frequency(PerPeriodOperation):
@@ -152,7 +148,7 @@ class Frequency(PerPeriodOperation):
         self.value_kind = "frequency" if normalize else "count"
 
     def on_period(self, corpus: PeriodCorpus):
-        vocab = _vocabulary_for_level(corpus, self.level)
+        vocab = create_vocabulary(corpus, self.level)
         if self.normalize:
             return vocab.normalized_frequency(self.word)
         return vocab.frequency(self.word)
@@ -165,7 +161,7 @@ class UniqueWordCount(PerPeriodOperation):
         self.level = level
 
     def on_period(self, corpus: PeriodCorpus) -> int:
-        return len(_vocabulary_for_level(corpus, self.level).entries)
+        return len(create_vocabulary(corpus, self.level).entries)
 
 
 class AverageWordLength(PerPeriodOperation):
@@ -177,7 +173,7 @@ class AverageWordLength(PerPeriodOperation):
         self.level = level
 
     def on_period(self, corpus: PeriodCorpus) -> float:
-        entries = _vocabulary_for_level(corpus, self.level).entries
+        entries = create_vocabulary(corpus, self.level).entries
         if not entries:
             return 0.0
         return sum(len(w) for w in entries) / len(entries)
@@ -220,7 +216,7 @@ class WordsMatching(PerPeriodOperation):
         self.level = level
 
     def on_period(self, corpus: PeriodCorpus) -> set[str]:
-        entries = _vocabulary_for_level(corpus, self.level).entries
+        entries = create_vocabulary(corpus, self.level).entries
         if self.kind == "prefix":
             return {w for w in entries if w.startswith(self.pattern)}
         if self.kind == "suffix":
@@ -246,7 +242,7 @@ class MorphemeFrequency(PerPeriodOperation):
         self.value_kind = "frequency" if per_million else "count"
 
     def on_period(self, corpus: PeriodCorpus):
-        vocab = _vocabulary_for_level(corpus, self.level)
+        vocab = create_vocabulary(corpus, self.level)
         raw = sum(word.count(self.pattern) * freq for word, freq in vocab.entries.items())
         if not self.per_million:
             return raw
@@ -283,7 +279,7 @@ class MergeVocabulary(PerPeriodOperation):
         self.level = level
 
     def on_period(self, corpus: PeriodCorpus) -> Vocabulary:
-        return _vocabulary_for_level(corpus, self.level)
+        return create_vocabulary(corpus, self.level)
 
     def on_diachronic(self, corpus: DiachronicCorpus) -> Vocabulary:
         merged: Vocabulary | None = None
@@ -331,7 +327,7 @@ def common_words(
 ) -> set[str]:
     """Words present in every period of the range (set intersection)."""
     leaves = select_leaves(node, periods)
-    sets = [set(_vocabulary_for_level(leaf, level).entries) for leaf in leaves]
+    sets = [set(create_vocabulary(leaf, level).entries) for leaf in leaves]
     out = sets[0].copy()
     for s in sets[1:]:
         out &= s
