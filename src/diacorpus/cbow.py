@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import PeriodCorpus
-from .embeddings import EmbeddingSet, vocabulary_order
+from .embeddings import EmbeddingSet
 from .errors import ComputationUndefinedError, ParameterError
-from .lexicon import create_vocabulary
+from .lexicon import create_vocabulary, vocabulary_order
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ def train_cbow(
         raise ParameterError("negatives must be at least 1")
     if epochs < 1:
         raise ParameterError("epochs must be at least 1")
-    leaf.require_preprocessed()
+    ids = leaf.require_token_ids()
     vocab = create_vocabulary(leaf)
     if not vocab.entries or vocab.token_total == 0:
         raise ComputationUndefinedError(
@@ -63,9 +63,9 @@ def train_cbow(
 
     # Out-of-vocabulary tokens are dropped before windowing, as usual for
     # word2vec-style training.
+    bounds = leaf.doc_offsets.tolist()
     sentences = [
-        np.array([index[w] for w in seq if w in index], dtype=np.int64)
-        for seq in leaf.lemma_sequences
+        ids[a:b][ids[a:b] >= 0].astype(np.int64) for a, b in zip(bounds, bounds[1:])
     ]
     sentences = [s for s in sentences if len(s) > 1]
     if not sentences:

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import alignment as alignment_mod
@@ -53,6 +53,10 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_MISSING_ARTIFACT = 3
+
+# the file-name length limit, in bytes, of common file systems such as ext4
+_MAX_REPORT_NAME_BYTES = 255
+_LONGEST_REPORT_SUFFIX = ".json"
 
 STATS_FIELDS = (
     "The number of documents",
@@ -97,6 +101,8 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
         base = Path(path).parent
+        if not isinstance(raw, dict):
+            raise ParameterError(f"config {path} is not a JSON object")
         if "corpus_root" not in raw or "output_dir" not in raw:
             raise ParameterError("config must set corpus_root and output_dir")
 
@@ -104,11 +110,9 @@ class RunConfig:
             candidate = Path(p)
             return candidate if candidate.is_absolute() else base / candidate
 
-        bucketing = None
-        if raw.get("bucketing") not in (None, "decades"):
-            bucketing = [TimePeriod(int(a), int(b)) for a, b in raw["bucketing"]]
-        filter_cfg = FilterConfig(**raw.get("filter", {}))
-        embedding = EmbeddingConfig(**raw.get("embedding", {}))
+        bucketing = _parse_bucketing(raw.get("bucketing"))
+        filter_cfg = _config_section(raw, "filter", FilterConfig)
+        embedding = _config_section(raw, "embedding", EmbeddingConfig)
         analyzer_tsv = raw.get("analyzer_tsv")
         return cls(
             corpus_root=_resolve(raw["corpus_root"]),
@@ -116,7 +120,7 @@ class RunConfig:
             bucketing=bucketing,
             filter=filter_cfg,
             analyzer_tsv=_resolve(analyzer_tsv) if analyzer_tsv else None,
-            ngram_orders=tuple(raw.get("ngram_orders", (1, 2, 3))),
+            ngram_orders=_parse_ngram_orders(raw.get("ngram_orders", [1, 2, 3])),
             embedding=embedding,
         )
 
@@ -124,6 +128,59 @@ class RunConfig:
         if self.analyzer_tsv is None:
             return None
         return load_analyzer_tsv(self.analyzer_tsv)
+
+
+def _parse_bucketing(value) -> list[TimePeriod] | None:
+    """``None`` or ``"decades"`` for calendar decades, else a list of [start, end] year pairs."""
+    if value in (None, "decades"):
+        return None
+    if not isinstance(value, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(y) is int for y in pair)
+        for pair in value
+    ):
+        raise ParameterError(
+            'config "bucketing" must be "decades" or a list of [start, end] integer year pairs'
+        )
+    return [TimePeriod(start, end) for start, end in value]
+
+
+def _parse_ngram_orders(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        type(order) is int and order in lexicon_mod.NGRAM_ORDERS for order in value
+    ):
+        raise ParameterError(
+            f'config "ngram_orders" must be a list drawn from {list(lexicon_mod.NGRAM_ORDERS)}'
+        )
+    return tuple(value)
+
+
+def _same_kind(default, value) -> bool:
+    """Whether a JSON value fits a setting whose default is ``default`` (ints pass as reals)."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _config_section(raw: dict, key: str, cls):
+    """Build the dataclass ``cls`` from the optional JSON object ``raw[key]``.
+
+    Keys the dataclass does not define, and values of another type than the
+    key's default, are rejected, so a misspelt setting is reported instead of
+    silently falling back to its default or failing deep inside a command.
+    """
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ParameterError(f"config {key!r} must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise ParameterError(f"config {key!r} has unknown keys: {', '.join(unknown)}")
+    mistyped = sorted(k for k, v in section.items() if not _same_kind(defaults[k], v))
+    if mistyped:
+        raise ParameterError(f"config {key!r} has values of the wrong type: {', '.join(mistyped)}")
+    return cls(**section)
 
 
 class _Lock:
@@ -258,6 +315,7 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
         lexicon_mod.write_vocabulary(
             leaf.surface_vocabulary, out / "vocab" / f"{label}.surface.tsv"
         )
+        lexicon_mod.write_token_ids(leaf, _token_path(config, leaf.period))
         for order in config.ngram_orders:
             for level in lexicon_mod.LEVELS:
                 table = lexicon_mod.create_ngrams(leaf, order, level)
@@ -269,6 +327,10 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
     write_artifact(out / "stats.csv", _stats_csv(payload))
     print(to_json({"ingested_periods": [l.period.label for l in tree.leaves()]}), end="")
     return EXIT_OK
+
+
+def _token_path(config: RunConfig, period: TimePeriod) -> Path:
+    return config.output_dir / "tokens" / f"{period.label}.npz"
 
 
 def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
@@ -295,10 +357,20 @@ def _word_report_name(kind: str, word: str, *labels: str) -> str:
     """File stem of a word-derived report, e.g. ``freq_belge``.
 
     ``%``, ``/`` and ``\\`` in the word are percent-encoded so the name stays
-    one file inside ``reports/``; every other character is kept as is.
+    one file inside ``reports/``; every other character is kept as is. A word
+    with a NUL character, or one whose report file name would exceed 255
+    bytes, is rejected with ParameterError before any work is done.
     """
+    if "\0" in word:
+        raise ParameterError("--word must not contain a NUL character")
     encoded = word.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
-    return "_".join((kind, encoded, *labels))
+    name = "_".join((kind, encoded, *labels))
+    if len(os.fsencode(name + _LONGEST_REPORT_SUFFIX)) > _MAX_REPORT_NAME_BYTES:
+        raise ParameterError(
+            f"--word is too long: its report file name would exceed "
+            f"{_MAX_REPORT_NAME_BYTES} bytes"
+        )
+    return name
 
 
 def _parse_periods(labels: list[str] | None) -> list[TimePeriod] | None:
@@ -401,9 +473,9 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
     elif args.analysis == "freq":
         if not args.word:
             raise ParameterError("freq analysis needs --word")
+        name = _word_report_name("freq", args.word)
         series = lexicon_mod.frequency(tree, args.word, periods, normalize=args.normalize)
         column = "normalized_frequency" if args.normalize else "frequency"
-        name = _word_report_name("freq", args.word)
         write_artifact(reports / f"{name}.csv", series_to_csv(series, column))
         write_artifact(reports / f"{name}.json", series_to_json(series))
         print(series_to_json(series), end="")
@@ -417,11 +489,14 @@ def _embedding_path(config: RunConfig, period: TimePeriod, kind: str) -> Path:
 
 
 def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
-    tree = _ingest_tree(config)
+    leaves = _load_vocab_artifacts(config).leaves()
+    # load every store before writing anything, so a missing one leaves no output
+    for leaf in leaves:
+        lexicon_mod.read_token_ids(_token_path(config, leaf.period), leaf)
     cfg = config.embedding
     out = config.output_dir
     written = []
-    for leaf in tree.leaves():
+    for leaf in leaves:
         label = leaf.period.label
         if args.kind == "ppmi":
             ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
@@ -503,15 +578,16 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         raise ParameterError("aligned-most-similar needs --target and --base")
     if args.query == "most-similar":
         period = TimePeriod.parse(args.period)
+        name = _word_report_name("most_similar", args.word, period.label)
         embedding_set = _read_embedding_artifact(config, period, args.kind)
         ranking = embeddings_mod.most_similar(args.word, args.top_k, embedding_set)
         text = ranking_to_json(ranking)
-        name = _word_report_name("most_similar", args.word, period.label)
         write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     elif args.query == "aligned-most-similar":
         target = TimePeriod.parse(args.target)
         base = TimePeriod.parse(args.base)
+        name = _word_report_name("aligned_most_similar", args.word, target.label, base.label)
         target_set = _read_embedding_artifact(config, target, args.kind)
         base_set = _read_embedding_artifact(config, base, args.kind)
         transform = _read_transform_artifact(config, target, base, args.kind)
@@ -519,13 +595,13 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
             args.word, args.top_k, target_set, base_set, transform
         )
         text = ranking_to_json(ranking)
-        name = _word_report_name("aligned_most_similar", args.word, target.label, base.label)
         write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     elif args.query == "semantic-change":
         periods = _parse_periods(args.periods)
         if not periods:
             raise ParameterError("semantic-change needs --periods")
+        name = _word_report_name("semantic_change", args.word)
         sets = [_read_embedding_artifact(config, p, args.kind) for p in periods]
         ordered = sorted(sets, key=lambda s: s.period)
         transforms = [
@@ -534,11 +610,11 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         ]
         series = alignment_mod.semantic_change(args.word, ordered, transforms)
         text = series_to_json(series)
-        name = _word_report_name("semantic_change", args.word)
         write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     elif args.query == "collocations":
         period = TimePeriod.parse(args.period)
+        name = _word_report_name("collocations", args.word, period.label)
         ppmi_path = config.output_dir / "ppmi" / f"{period.label}.tsv"
         if not ppmi_path.is_file():
             raise MissingArtifactError(
@@ -555,7 +631,6 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         ppmi = embeddings_mod.read_ppmi(ppmi_path, vocab)
         ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)
         text = to_json([{"lemma": w, "association": v} for w, v in ranking])
-        name = _word_report_name("collocations", args.word, period.label)
         write_artifact(reports / f"{name}.json", text)
         print(text, end="")
     else:  # pragma: no cover - argparse restricts choices

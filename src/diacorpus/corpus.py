@@ -18,10 +18,11 @@ import datetime as dt
 import json
 import re
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import IngestError, MissingArtifactError, ParameterError
 from .preprocess import (
@@ -182,9 +183,16 @@ class PeriodCorpus(CorpusNode):
         self.stats: CorpusStats | None = None
         self.filter_config: FilterConfig | None = None
         # Per-document token sequences; surfaces are case-folded, lemmas are
-        # analyzer output or F5 stems. Both include every raw token.
+        # analyzer output or F5 stems. Both include every raw token. Filled
+        # only on leaves built from text; the analyses read ``token_ids``.
         self.surface_sequences: list[list[str]] | None = None
         self.lemma_sequences: list[list[str]] | None = None
+        # Per level ("lemma", "surface"): one int32 id per raw token, the row
+        # of its word in ``vocabulary_order`` of that level's vocabulary, or
+        # -1 for a token filtered out. Document d holds the tokens
+        # ``doc_offsets[d]:doc_offsets[d + 1]``.
+        self.token_ids: dict[str, np.ndarray] = {}
+        self.doc_offsets: np.ndarray | None = None
         self.vocabulary: "Vocabulary | None" = None
         self.surface_vocabulary: "Vocabulary | None" = None
         self.ngram_tables: dict[tuple[int, str], "NgramTable"] = {}
@@ -198,12 +206,14 @@ class PeriodCorpus(CorpusNode):
     def leaves(self) -> list["PeriodCorpus"]:
         return [self]
 
-    def require_preprocessed(self) -> None:
-        """Raise unless the leaf holds the token sequences that ingest builds."""
-        if self.lemma_sequences is None:
+    def require_token_ids(self, level: str = "lemma") -> np.ndarray:
+        """The leaf's token ids at ``level``; raise unless ingest built or stored them."""
+        ids = self.token_ids.get(level)
+        if ids is None or self.doc_offsets is None:
             raise MissingArtifactError(
-                f"period {self.period.label} has not been preprocessed", needed_command="ingest"
+                f"period {self.period.label} has no {level} token ids", needed_command="ingest"
             )
+        return ids
 
     def require_vocabulary(self) -> "Vocabulary":
         if self.vocabulary is None:
@@ -333,64 +343,84 @@ def load_manifest(corpus_root: str | Path) -> list[DocumentRecord]:
     return parse_manifest(manifest_path.read_text(encoding="utf-8"))
 
 
-def _preprocess_document(raw: str, analyzer: MorphAnalyzer | None) -> tuple[list[str], list[str], list[str]]:
-    """One document's (raw surfaces, folded surfaces, lemmas)."""
-    surfaces = token_surfaces(normalize_text(raw))
-    folded = [turkish_lower(s) for s in surfaces]
-    lemmas = lemma_surfaces(surfaces, analyzer)
-    return surfaces, folded, lemmas
-
-
 def _ingest_leaf(
     leaf: PeriodCorpus,
     raw_texts: Sequence[str],
     filter_config: FilterConfig,
     analyzer: MorphAnalyzer | None,
 ) -> None:
-    """Preprocess a leaf's documents and populate stats, sequences and vocabularies."""
-    from .lexicon import Vocabulary  # deferred: lexicon imports corpus types
+    """Preprocess a leaf's documents and populate stats, token ids and vocabularies.
 
-    processed = [_preprocess_document(t, analyzer) for t in raw_texts]
-    raw_surface_types: set[str] = set()
-    folded_sequences: list[list[str]] = []
-    lemma_sequences: list[list[str]] = []
-    lemma_counts: Counter[str] = Counter()
-    surface_counts: Counter[str] = Counter()
-    n_raw = 0
-    for surfaces, folded, lemmas in processed:
-        raw_surface_types.update(surfaces)
-        folded_sequences.append(folded)
-        lemma_sequences.append(lemmas)
-        lemma_counts.update(lemmas)
-        surface_counts.update(folded)
-        n_raw += len(surfaces)
+    Normalization and tokenization run per document; case folding and
+    lemmatization run once per distinct surface of the leaf, which relies on
+    the analyzer being pure (see ``MorphAnalyzer``).
+    """
+    from .lexicon import Vocabulary, vocabulary_order  # deferred: lexicon imports corpus types
 
-    filtered_lemmas = filter_vocabulary(lemma_counts, n_raw, filter_config)
-    filtered_surfaces = filter_vocabulary(surface_counts, n_raw, filter_config)
+    # surface type -> type number, in order of first occurrence
+    type_numbers: dict[str, int] = {}
+    token_types: list[int] = []
+    offsets = [0]
+    for text in raw_texts:
+        token_types.extend(
+            type_numbers.setdefault(s, len(type_numbers))
+            for s in token_surfaces(normalize_text(text))
+        )
+        offsets.append(len(token_types))
+    types = list(type_numbers)
+    unique = sorted(types)
+    folded_of = dict(zip(unique, (turkish_lower(s) for s in unique)))
+    lemma_of = dict(zip(unique, lemma_surfaces(unique, analyzer)))
+    type_words = {
+        "surface": [folded_of[s] for s in types],
+        "lemma": [lemma_of[s] for s in types],
+    }
+    token_types_arr = np.array(token_types, dtype=np.int64)
+    type_counts = np.bincount(token_types_arr, minlength=len(types)).tolist()
+    doc_offsets = np.array(offsets, dtype=np.int64)
+    n_raw = len(token_types)
+
+    # Types are in first-occurrence order, so each word's key is inserted
+    # where a per-token count would insert it.
+    vocabularies: dict[str, Vocabulary] = {}
+    unique_words: dict[str, int] = {}
+    for level, words in type_words.items():
+        counts: dict[str, int] = {}
+        for word, count in zip(words, type_counts):
+            counts[word] = counts.get(word, 0) + count
+        filtered = filter_vocabulary(counts, n_raw, filter_config)
+        vocab = Vocabulary(
+            period=leaf.period,
+            entries=filtered,
+            token_total=sum(filtered.values()),
+            level=level,
+        )
+        row = {w: i for i, w in enumerate(vocabulary_order(vocab))}
+        type_ids = np.array([row.get(w, -1) for w in words], dtype=np.int32)
+        leaf.token_ids[level] = type_ids[token_types_arr]
+        vocabularies[level] = vocab
+        unique_words[level] = len(counts)
+
+    def sequences(words: list[str]) -> list[list[str]]:
+        by_type = np.array(words, dtype=object)
+        return [
+            by_type[token_types_arr[a:b]].tolist() for a, b in zip(offsets, offsets[1:])
+        ]
 
     leaf.filter_config = filter_config
-    leaf.surface_sequences = folded_sequences
-    leaf.lemma_sequences = lemma_sequences
-    leaf.vocabulary = Vocabulary(
-        period=leaf.period,
-        entries=filtered_lemmas,
-        token_total=sum(filtered_lemmas.values()),
-        level="lemma",
-    )
-    leaf.surface_vocabulary = Vocabulary(
-        period=leaf.period,
-        entries=filtered_surfaces,
-        token_total=sum(filtered_surfaces.values()),
-        level="surface",
-    )
+    leaf.doc_offsets = doc_offsets
+    leaf.surface_sequences = sequences(type_words["surface"])
+    leaf.lemma_sequences = sequences(type_words["lemma"])
+    leaf.vocabulary = vocabularies["lemma"]
+    leaf.surface_vocabulary = vocabularies["surface"]
     docs = len(raw_texts)
     leaf.stats = CorpusStats(
         document_count=docs,
         token_count_raw=n_raw,
         token_count_filtered=leaf.vocabulary.token_total,
-        unique_surface_count=len(raw_surface_types),
-        unique_lemma_count=len(lemma_counts),
-        unique_lemma_count_filtered=len(filtered_lemmas),
+        unique_surface_count=len(types),
+        unique_lemma_count=unique_words["lemma"],
+        unique_lemma_count_filtered=len(leaf.vocabulary.entries),
         avg_tokens_per_document=(n_raw / docs) if docs else 0.0,
     )
 
@@ -484,8 +514,11 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_artifact(path: str | Path, text: str) -> None:
-    """Write a UTF-8 text artifact, creating its parent directories."""
+def write_artifact(path: str | Path, content: str | bytes) -> None:
+    """Write an artifact, text as UTF-8 or bytes as is, creating its parent directories."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
+    if isinstance(content, bytes):
+        target.write_bytes(content)
+    else:
+        target.write_text(content, encoding="utf-8")

@@ -23,16 +23,11 @@ from .errors import (
     OutOfVocabularyError,
     ParameterError,
 )
-from .lexicon import Vocabulary, create_vocabulary
+from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_order
 
 # Dense factorization is exact and deterministic; only fall back to sparse
 # iterative SVD for vocabularies too large to densify comfortably.
 _DENSE_SVD_LIMIT = 1024
-
-
-def vocabulary_order(vocab: Vocabulary) -> list[str]:
-    """Canonical row order used by all matrix artifacts: frequency-descending, then lexicographic."""
-    return [w for w, _ in sorted(vocab.entries.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
 @dataclass
@@ -122,25 +117,22 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     """
     if window < 1:
         raise ParameterError("window must be at least 1")
-    leaf.require_preprocessed()
     vocab = create_vocabulary(leaf)
+    ids = leaf.require_token_ids().astype(np.int64)
     order = vocabulary_order(vocab)
     index = {w: i for i, w in enumerate(order)}
     size = len(order)
-    # vectorized pair extraction: for each offset, align the sequence with a
-    # shifted copy of itself and keep pairs where both sides are in-vocabulary
+    # vectorized pair extraction: for each offset, align the id array with a
+    # shifted copy of itself and keep pairs inside one document where both
+    # sides are in-vocabulary
     forward: list[np.ndarray] = []
-    for seq in leaf.lemma_sequences:
-        ids = np.fromiter((index.get(w, -1) for w in seq), dtype=np.int64, count=len(seq))
-        for offset in range(1, window + 1):
-            if len(ids) <= offset:
-                break
-            left, right = ids[:-offset], ids[offset:]
-            mask = (left >= 0) & (right >= 0)
-            if mask.any():
-                forward.append(np.stack((left[mask], right[mask]), axis=1))
-    if forward and size:
-        directed = np.concatenate(forward + [p[:, ::-1] for p in forward])
+    for offset in range(1, min(window, len(ids) - 1) + 1):
+        left, right = ids[:-offset], ids[offset:]
+        mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
+        forward.append(np.stack((left[mask], right[mask]), axis=1))
+    pairs = np.concatenate(forward) if forward else np.empty((0, 2), dtype=np.int64)
+    if len(pairs):
+        directed = np.concatenate((pairs, pairs[:, ::-1]))
         keys = directed[:, 0] * size + directed[:, 1]
         unique_keys, key_counts = np.unique(keys, return_counts=True)
         rows, cols = np.divmod(unique_keys, size)

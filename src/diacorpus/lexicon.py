@@ -7,10 +7,14 @@ here are read-only over tables created at ingest time.
 
 from __future__ import annotations
 
+import io
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import (
     CorpusNode,
@@ -82,6 +86,21 @@ class NgramTable:
         return sum(self.entries.values())
 
 
+def vocabulary_order(vocab: Vocabulary) -> list[str]:
+    """Canonical row order of a vocabulary: frequency-descending, then lexicographic.
+
+    It is the row order of the vocabulary TSV, of token ids and of every
+    matrix artifact.
+    """
+    return [w for w, _ in sorted(vocab.entries.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+def same_document(doc_offsets: np.ndarray, shift: int) -> np.ndarray:
+    """Mask over token positions i < n - shift: tokens i and i + shift share a document."""
+    document = np.repeat(np.arange(len(doc_offsets) - 1), np.diff(doc_offsets))
+    return document[: max(len(document) - shift, 0)] == document[shift:]
+
+
 def create_vocabulary(leaf: PeriodCorpus, level: str = "lemma") -> Vocabulary:
     """Return the leaf's filtered vocabulary, built by ingest or read from its artifact."""
     if level == "lemma":
@@ -99,23 +118,41 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
     """Build (and cache) the sliding-window n-gram table of one leaf.
 
     Windows never cross document boundaries, and an n-gram is counted only if
-    every member survived vocabulary filtering.
+    every member survived vocabulary filtering. Entries are in written order:
+    frequency-descending, then by gram.
     """
     if order not in NGRAM_ORDERS:
         raise ParameterError(f"n-gram order must be one of {NGRAM_ORDERS}, got {order}")
-    leaf.require_preprocessed()
     cached = leaf.ngram_tables.get((order, level))
     if cached is not None:
         return cached
-    vocab = create_vocabulary(leaf, level).entries
-    sequences = leaf.lemma_sequences if level == "lemma" else leaf.surface_sequences
-    counts: Counter[tuple[str, ...]] = Counter()
-    for seq in sequences:
-        for i in range(len(seq) - order + 1):
-            gram = tuple(seq[i : i + order])
-            if all(w in vocab for w in gram):
-                counts[gram] += 1
-    table = NgramTable(period=leaf.period, order=order, entries=dict(counts), level=level)
+    words = vocabulary_order(create_vocabulary(leaf, level))
+    ids = leaf.require_token_ids(level)
+    # ranks follow the words' lexicographic order, so sorting rank columns
+    # sorts the grams as tuples of strings
+    lexicographic = sorted(range(len(words)), key=words.__getitem__)
+    rank = np.empty(len(words), dtype=np.int64)
+    rank[lexicographic] = np.arange(len(words))
+    by_rank = np.array([words[i] for i in lexicographic], dtype=object)
+
+    windows = max(len(ids) - order + 1, 0)
+    keep = same_document(leaf.doc_offsets, order - 1)
+    for k in range(order):
+        keep &= ids[k : k + windows] >= 0
+    starts = np.flatnonzero(keep)
+    columns = [rank[ids[starts + k]] for k in range(order)]
+    sort = np.lexsort(columns[::-1])
+    columns = [c[sort] for c in columns]
+    run_start = np.zeros(len(starts), dtype=bool)
+    run_start[:1] = True
+    for c in columns:
+        run_start[1:] |= c[1:] != c[:-1]
+    firsts = np.flatnonzero(run_start)
+    counts = np.diff(np.append(firsts, len(starts)))
+    by_count = np.argsort(-counts, kind="stable")
+    grams = zip(*(by_rank[c[firsts[by_count]]].tolist() for c in columns))
+    entries = dict(zip(grams, counts[by_count].tolist()))
+    table = NgramTable(period=leaf.period, order=order, entries=entries, level=level)
     leaf.ngram_tables[(order, level)] = table
     return table
 
@@ -399,19 +436,89 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path, level: str = "lemma") -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Load a vocabulary TSV; a malformed file raises ParameterError naming it and the line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a UTF-8 vocabulary file: {exc}") from exc
     if not lines or not lines[0].startswith("#period="):
         raise ParameterError(f"{path}: not a vocabulary file (missing header)")
-    head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
-    period = TimePeriod.parse(head["period"])
-    token_total = int(head["tokens"])
+    try:
+        head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
+        period = TimePeriod.parse(head["period"])
+        token_total = int(head["tokens"])
+    except (KeyError, ValueError) as exc:
+        raise ParameterError(f"{path}: line 1: bad vocabulary header {lines[0]!r}") from exc
     entries: dict[str, int] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        word, freq = line.split("\t")
-        entries[word] = int(freq)
+        try:
+            word, freq = line.split("\t")
+            entries[word] = int(freq)
+        except ValueError as exc:
+            raise ParameterError(
+                f"{path}: line {lineno} is not 'word<TAB>count': {line!r}"
+            ) from exc
     return Vocabulary(period=period, entries=entries, token_total=token_total, level=level)
+
+
+def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
+    """Store the leaf's lemma ids and document offsets as an ``.npz`` archive.
+
+    The archive holds two arrays: ``lemma`` (int32, one id per raw token,
+    -1 for a filtered-out token) and ``offsets`` (int64, document starts plus
+    the token count). ``np.savez`` stamps no time, so the bytes depend only on
+    the arrays.
+    """
+    buffer = io.BytesIO()
+    np.savez(buffer, lemma=leaf.require_token_ids("lemma"), offsets=leaf.doc_offsets)
+    write_artifact(path, buffer.getvalue())
+
+
+def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
+    """Load a stored lemma id array into a leaf that holds its lemma vocabulary.
+
+    The ids must index that vocabulary's rows and reproduce its counts; any
+    other content raises ParameterError naming the file.
+    """
+    path = Path(path)
+    vocab = create_vocabulary(leaf)
+    if not path.is_file():
+        raise MissingArtifactError(
+            f"no token ids for period {leaf.period.label} at {path}", needed_command="ingest"
+        )
+    try:
+        store = np.load(path, allow_pickle=False)
+        if not isinstance(store, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with store:
+            ids, offsets = store["lemma"], store["offsets"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParameterError(f"{path}: unreadable token store: {exc}") from exc
+    if ids.ndim != 1 or ids.dtype != np.int32:
+        raise ParameterError(
+            f"{path}: lemma ids must be a 1-D int32 array, not {ids.dtype} of shape {ids.shape}"
+        )
+    if (
+        offsets.ndim != 1
+        or offsets.dtype.kind not in "iu"
+        or len(offsets) == 0
+        or offsets[0] != 0
+        or offsets[-1] != len(ids)
+        or np.any(offsets[1:] < offsets[:-1])
+    ):
+        raise ParameterError(f"{path}: document offsets must rise from 0 to {len(ids)}")
+    size = len(vocab.entries)
+    if len(ids) and (ids.min() < -1 or ids.max() >= size):
+        raise ParameterError(f"{path}: lemma ids outside [-1, {size})")
+    expected = [vocab.entries[w] for w in vocabulary_order(vocab)]
+    if np.bincount(ids[ids >= 0], minlength=size).tolist() != expected:
+        raise ParameterError(
+            f"{path}: lemma ids do not reproduce the counts of the {leaf.period.label} vocabulary"
+        )
+    leaf.token_ids["lemma"] = ids
+    leaf.doc_offsets = offsets.astype(np.int64)
 
 
 def write_ngrams(table: NgramTable, path: str | Path) -> None:

@@ -120,7 +120,12 @@ def tokenize(text: str, doc_id: str = "") -> list[Token]:
 
 
 class MorphAnalyzer(Protocol):
-    """Anything that can propose a stem for a surface form (or decline with None)."""
+    """Anything that can propose a stem for a surface form (or decline with None).
+
+    ``stem`` must be pure: its answer depends on the surface alone and calling
+    it has no side effect. Ingest relies on this to stem each distinct surface
+    of a period once, not each token.
+    """
 
     def stem(self, surface: str) -> str | None:  # pragma: no cover - protocol
         ...

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,7 @@ class TestIngest:
         assert run_cli(second, "ingest") == 0
         digest_first = _tree_digest(first)
         digest_second = _tree_digest(second)
+        assert {"tokens/1930-1939.npz", "tokens/1980-1989.npz"} <= set(digest_first)
         assert digest_first == digest_second
         assert run_cli(first, "ingest") == 0  # overwrite in place
         assert _tree_digest(first) == digest_first
@@ -233,6 +235,136 @@ class TestAnalyze:
             _word_report_name("aligned_most_similar", "televizyon", "1980-1989", "1930-1939")
             == "aligned_most_similar_televizyon_1980-1989_1930-1939"
         )
+
+
+    @pytest.mark.parametrize(
+        "command", [["analyze", "freq"], ["query", "most-similar", "--period", "1930-1939"]]
+    )
+    @pytest.mark.parametrize(
+        "word,reason",
+        [("a\x00b", "NUL"), ("k" * 300, "255 bytes"), ("ğ" * 123, "255 bytes")],
+        ids=["nul", "300-chars", "256-bytes"],
+    )
+    def test_unusable_word_is_usage_error(self, workspace, capsys, command, word, reason):
+        before = set(workspace.rglob("*"))
+        code = main(
+            ["--config", CONFIG, "--output-dir", str(workspace), *command, "--word", word]
+        )
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert payload["error"] == 2
+        assert reason in payload["message"]
+        assert set(workspace.rglob("*")) == before
+
+    def test_longest_word_that_fits_a_file_name(self, tmp_path):
+        # freq_ + 122 two-byte letters + .json is 254 bytes
+        assert run_cli(tmp_path, "ingest") == 0
+        assert run_cli(tmp_path, "analyze", "freq", "--word", "ğ" * 122) == 0
+        assert (tmp_path / "reports" / f"freq_{'ğ' * 122}.json").is_file()
+
+
+class TestConfigErrors:
+    def _config(self, tmp_path, **changes):
+        raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+        raw.update(changes)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"filter": {"threshold_divisor": 2500, "alphabetic": True}},
+            {"embedding": {"dims": 16}},
+            {"filter": 5},
+            {"embedding": [16]},
+            {"bucketing": "centuries"},
+            {"bucketing": [1930, 1939]},
+            {"bucketing": [[1930, 1939, 1949]]},
+            {"bucketing": [["1930", "1939"]]},
+            {"bucketing": [[1930.5, 1939]]},
+            {"bucketing": [[True, 1939]]},
+            {"bucketing": {"1930": 1939}},
+            {"filter": {"threshold_divisor": "2500"}},
+            {"filter": {"alphabetic_only": 1}},
+            {"embedding": {"dim": "16"}},
+            {"embedding": {"alpha": True}},
+            {"embedding": {"seed": 1.5}},
+            {"ngram_orders": 3},
+            {"ngram_orders": [1, 4]},
+        ],
+        ids=lambda changes: json.dumps(changes),
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, changes):
+        code = main(["--config", self._config(tmp_path, **changes), "dict"])
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert payload["error"] == 2
+        assert payload["context"] == {"command": "dict"}
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("5", encoding="utf-8")
+        assert main(["--config", str(path), "dict"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == 2
+
+    def test_unknown_top_level_keys_are_ignored(self, tmp_path, capsys):
+        assert main(["--config", self._config(tmp_path, workers=1), "dict"]) == 0
+
+    def test_integer_for_a_real_setting_is_accepted(self, tmp_path, capsys):
+        changes = {"embedding": {"alpha": 1, "downsample": 0}, "ngram_orders": []}
+        assert main(["--config", self._config(tmp_path, **changes), "dict"]) == 0
+
+
+class TestEmbedReadsTokenStore:
+    def test_embed_does_not_need_the_corpus(self, tmp_path):
+        shutil.copytree(FIXTURES / "mini_corpus", tmp_path / "mini_corpus")
+        for name in ("analyzer_stub.tsv", "fixture_config.json"):
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        config = str(tmp_path / "fixture_config.json")
+
+        def run(out, *args):
+            with_out = ["--config", config, "--output-dir", str(out), *args]
+            assert main(with_out) == 0, args
+
+        run(tmp_path / "present", "ingest")
+        run(tmp_path / "moved", "ingest")
+        for kind in ("ppmi", "svd", "cbow"):
+            run(tmp_path / "present", "embed", kind)
+        (tmp_path / "mini_corpus").rename(tmp_path / "elsewhere")
+        for kind in ("ppmi", "svd", "cbow"):
+            run(tmp_path / "moved", "embed", kind)
+        assert _tree_digest(tmp_path / "moved") == _tree_digest(tmp_path / "present")
+
+    def test_embed_before_ingest_is_missing_artifact(self, tmp_path, capsys):
+        code = main(["--config", CONFIG, "--output-dir", str(tmp_path), "embed", "svd"])
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert payload["context"]["run_first"] == "ingest"
+
+    def test_missing_store_is_missing_artifact_and_writes_nothing(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "ingest") == 0
+        (tmp_path / "tokens" / "1980-1989.npz").unlink()
+        code, _, err = run_cli(tmp_path, "embed", "cbow", capsys=capsys)
+        assert code == 3
+        assert json.loads(err)["context"]["run_first"] == "ingest"
+        assert not (tmp_path / "embeddings").exists()
+
+    def test_corrupt_store_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "ingest") == 0
+        store = tmp_path / "tokens" / "1930-1939.npz"
+        store.write_bytes(store.read_bytes()[:100])
+        code, _, err = run_cli(tmp_path, "embed", "ppmi", capsys=capsys)
+        assert code == 2
+        assert "1930-1939.npz" in json.loads(err)["message"]
+
+    def test_corrupt_vocabulary_is_usage_error_naming_the_line(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "ingest") == 0
+        vocab = tmp_path / "vocab" / "1930-1939.lemma.tsv"
+        vocab.write_text(vocab.read_text(encoding="utf-8") + "broken line\n", encoding="utf-8")
+        code, _, err = run_cli(tmp_path, "embed", "svd", capsys=capsys)
+        assert code == 2
+        assert "1930-1939.lemma.tsv: line" in json.loads(err)["message"]
 
 
 class TestEmbedAlignQuery:

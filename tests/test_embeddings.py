@@ -275,6 +275,27 @@ class TestSvd:
         assert residual == pytest.approx(optimal, rel=1e-9)
 
 
+    def test_sparse_path_artifact_is_byte_identical(self, tmp_path):
+        # a leaf whose vocabulary is above the dense cutoff: svds must write
+        # the same embedding file on every run
+        from diacorpus.embeddings import _DENSE_SVD_LIMIT
+
+        rng = random.Random(1031)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = [f"w{a}{b}{c}" for a in letters[:3] for b in letters for c in letters]
+        words = words[: _DENSE_SVD_LIMIT + 76]
+        tokens = [w for w in words for _ in range(rng.randint(1, 6))]
+        rng.shuffle(tokens)
+        docs = {f"d{i}": " ".join(tokens[i : i + 200]) for i in range(0, len(tokens), 200)}
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, docs)
+        assert len(leaf.vocabulary.entries) > _DENSE_SVD_LIMIT
+        ppmi = build_ppmi(count_cooccurrences(leaf, window=2))
+        for name in ("first.vec", "second.vec"):
+            words_set, _ = svd_embeddings(ppmi, dim=8)
+            write_embeddings(words_set, tmp_path / name)
+        assert (tmp_path / "first.vec").read_bytes() == (tmp_path / "second.vec").read_bytes()
+
+
 class TestQueries:
     @pytest.fixture()
     def toy(self):
