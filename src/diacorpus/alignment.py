@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TimePeriod, TimeSeriesResult, write_artifact
+from .corpus import TimePeriod, TimeSeriesResult, read_artifact_lines, write_artifact
 from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
 
@@ -227,24 +227,32 @@ def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
 
 
 def read_transform(path: str | Path) -> AlignmentTransform:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Load a transform file; a malformed file raises ParameterError naming it (and the line)."""
+    lines = read_artifact_lines(path)
     if not lines:
         raise ParameterError(f"{path}: empty transform file")
-    head = dict(item.split("=", 1) for item in lines[0].split(" "))
     try:
+        head = dict(item.split("=", 1) for item in lines[0].split(" "))
         dim = int(head["d"])
         source = TimePeriod.parse(head["from"])
         target = TimePeriod.parse(head["to"])
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"{path}: bad transform header: {exc}") from exc
+    except (KeyError, ValueError, ParameterError) as exc:
+        raise ParameterError(f"{path}: line 1: bad transform header {lines[0]!r}") from exc
     rows = []
     shared: list[str] = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("#shared="):
             shared = [w for w in line[len("#shared=") :].split(" ") if w]
             continue
-        if line:
-            rows.append([float(x) for x in line.split(" ")])
+        if not line:
+            continue
+        values = line.split(" ")
+        if len(values) != dim:
+            raise ParameterError(f"{path}: line {lineno} has {len(values)} values, not {dim}")
+        try:
+            rows.append([float(x) for x in values])
+        except ValueError as exc:
+            raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
     matrix = np.array(rows)
     if matrix.shape != (dim, dim):
         raise ParameterError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")

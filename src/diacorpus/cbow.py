@@ -4,23 +4,91 @@ Self-contained single-worker trainer: context vectors inside a fixed window
 are averaged to predict the center word against ``negatives`` noise words
 drawn from the alpha-smoothed unigram distribution. Frequent words are
 dropped with the classic rate-based rule (keep probability
-``min(1, sqrt(rate / fraction))``). Given a seed, training is bit-identical
-across runs; multi-worker modes would waive that contract and are not
-offered.
+``min(1, sqrt(rate / fraction))``).
+
+Each sentence (document) is trained in blocks of at most
+``BLOCK_POSITIONS`` consecutive kept positions, one minibatch per block:
+every position reads the vectors as they stood at the start of its block,
+and the block's summed gradients are applied once. Context windows span the
+whole kept sentence, so they are not cut at block edges. A negative draw
+equal to its center word gets weight 0. Per sentence the random stream is
+the keep-mask draw, ``rng.random(len(sentence))``, then every position's
+negatives, ``rng.random((kept, negatives))`` in row-major order, the same
+doubles in the same order as a one-position-at-a-time trainer consumes.
+
+Updates use einsum and scipy sparse products, never BLAS, so given a seed
+training is bit-identical across runs and BLAS thread counts; multi-worker
+modes would waive that contract and are not offered.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import PeriodCorpus
 from .embeddings import EmbeddingSet
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import create_vocabulary, vocabulary_order
 
+# Consecutive kept positions of one sentence trained as one minibatch; the
+# cap is word2vec's MAX_SENTENCE_LENGTH.
+BLOCK_POSITIONS = 1000
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _train_block(
+    vectors_in: np.ndarray,
+    vectors_out: np.ndarray,
+    kept: np.ndarray,
+    windows: np.ndarray,
+    targets: np.ndarray,
+    lr: float,
+) -> float:
+    """Apply one block's summed CBOW updates in place and return its loss sum.
+
+    ``windows`` holds, per position, the kept-sentence indices of its context
+    slots (out-of-range slots at sentence edges are masked); ``targets`` holds
+    the center word followed by its negative draws. Every position reads the
+    vectors as they stood before the block.
+    """
+    rows = len(windows)
+    valid = (windows >= 0) & (windows < len(kept))
+    position, slot = np.nonzero(valid)
+    context_ids, context_col = np.unique(kept[windows[position, slot]], return_inverse=True)
+    mean = sp.csr_matrix(
+        (1.0 / valid.sum(axis=1)[position], (position, context_col)),
+        shape=(rows, len(context_ids)),
+    )
+    hidden = mean @ vectors_in[context_ids]
+
+    # A negative equal to its center word carries weight 0 (word2vec skips it).
+    weight = np.ones(targets.shape)
+    weight[:, 1:] = targets[:, 1:] != targets[:, :1]
+    labels = np.zeros(targets.shape)
+    labels[:, 0] = 1.0
+
+    out_rows = vectors_out[targets]
+    predictions = _sigmoid(np.einsum("bkd,bd->bk", out_rows, hidden))
+    loss = -np.sum(np.log(predictions[:, 0] + 1e-12)) - np.sum(
+        weight[:, 1:] * np.log(1.0 - predictions[:, 1:] + 1e-12)
+    )
+
+    # The sparse products sum the updates of a word id that repeats among
+    # the targets or the contexts of the block.
+    gradient = (predictions - labels) * lr * weight
+    hidden_error = np.einsum("bk,bkd->bd", gradient, out_rows)
+    target_ids, target_col = np.unique(targets, return_inverse=True)
+    scatter = sp.csr_matrix(
+        (gradient.ravel(), (target_col.ravel(), np.repeat(np.arange(rows), targets.shape[1]))),
+        shape=(len(target_ids), rows),
+    )
+    vectors_out[target_ids] -= scatter @ hidden
+    vectors_in[context_ids] -= mean.T @ hidden_error
+    return float(loss)
 
 
 def train_cbow(
@@ -86,6 +154,7 @@ def train_cbow(
     size = len(order)
     vectors_in = (rng.random((size, dim)) - 0.5) / dim
     vectors_out = np.zeros((size, dim))
+    window_offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
 
     budget = float(epochs) * sum(len(s) for s in sentences)
     consumed = 0
@@ -99,36 +168,18 @@ def train_cbow(
             consumed += len(sentence)
             kept = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
             n = len(kept)
-            for pos in range(n):
-                lo = max(0, pos - window)
-                hi = min(n, pos + window + 1)
-                context = np.concatenate((kept[lo:pos], kept[pos + 1 : hi]))
-                if len(context) == 0:
-                    continue
-                center = kept[pos]
-                hidden = vectors_in[context].mean(axis=0)
-
-                draws = np.searchsorted(noise_cdf, rng.random(negatives))
-                np.clip(draws, 0, size - 1, out=draws)
-                draws = draws[draws != center]
-                targets = np.concatenate(([center], draws))
-                labels = np.zeros(len(targets))
-                labels[0] = 1.0
-
-                out_rows = vectors_out[targets]
-                scores = out_rows @ hidden
-                predictions = _sigmoid(scores)
-                loss_sum += -np.log(predictions[0] + 1e-12) - np.sum(
-                    np.log(1.0 - predictions[1:] + 1e-12)
+            if n < 2:
+                continue  # no position has a context, so no negatives are drawn
+            draws = np.searchsorted(noise_cdf, rng.random((n, negatives)))
+            np.clip(draws, 0, size - 1, out=draws)
+            targets = np.column_stack((kept, draws))
+            windows = np.arange(n)[:, None] + window_offsets
+            for start in range(0, n, BLOCK_POSITIONS):
+                block = slice(start, start + BLOCK_POSITIONS)
+                loss_sum += _train_block(
+                    vectors_in, vectors_out, kept, windows[block], targets[block], lr
                 )
-                loss_examples += 1
-
-                # subtract.at accumulates correctly when a word id repeats
-                # among the negatives or inside the context window.
-                gradient = (predictions - labels) * lr
-                hidden_error = gradient @ out_rows
-                np.subtract.at(vectors_out, targets, np.outer(gradient, hidden))
-                np.subtract.at(vectors_in, context, hidden_error / len(context))
+            loss_examples += n
         epoch_losses.append(loss_sum / max(1, loss_examples))
 
     return EmbeddingSet(

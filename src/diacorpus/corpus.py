@@ -514,6 +514,14 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_artifact_lines(path: str | Path) -> list[str]:
+    """Read a text artifact's lines; bytes that are not UTF-8 raise ParameterError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a UTF-8 text file: {exc}") from exc
+
+
 def write_artifact(path: str | Path, content: str | bytes) -> None:
     """Write an artifact, text as UTF-8 or bytes as is, creating its parent directories."""
     target = Path(path)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
-from .corpus import PeriodCorpus, TimePeriod, write_artifact
+from .corpus import PeriodCorpus, TimePeriod, read_artifact_lines, write_artifact
 from .errors import (
     ComputationUndefinedError,
     OutOfVocabularyError,
@@ -312,28 +312,32 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Load an embedding file; a malformed file raises ParameterError naming it (and the line)."""
+    lines = read_artifact_lines(path)
     if not lines:
         raise ParameterError(f"{path}: empty embedding file")
-    head = dict(item.split("=", 1) for item in lines[0].split(" "))
     try:
+        head = dict(item.split("=", 1) for item in lines[0].split(" "))
         dim = int(head["dim"])
         vocab_size = int(head["vocab"])
         provenance = head["provenance"]
         period = TimePeriod.parse(head["period"])
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"{path}: bad embedding header: {exc}") from exc
+    except (KeyError, ValueError, ParameterError) as exc:
+        raise ParameterError(f"{path}: line 1: bad embedding header {lines[0]!r}") from exc
     vocab_index: dict[str, int] = {}
     rows = np.empty((vocab_size, dim), dtype=np.float64)
-    body = [line for line in lines[1:] if line]
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
     if len(body) != vocab_size:
         raise ParameterError(f"{path}: header says {vocab_size} words, found {len(body)}")
-    for i, line in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         parts = line.split(" ")
         if len(parts) != dim + 1:
-            raise ParameterError(f"{path}: row {i} does not have {dim} values")
+            raise ParameterError(f"{path}: line {lineno} does not have a word and {dim} values")
         vocab_index[parts[0]] = i
-        rows[i] = [float(x) for x in parts[1:]]
+        try:
+            rows[i] = [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
     return EmbeddingSet(
         period=period, vocab_index=vocab_index, matrix=rows, dim=dim, provenance=provenance
     )
@@ -353,26 +357,42 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
 
 
 def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
-    """Load a coordinate TSV back against the vocabulary that defines row order."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Load a coordinate TSV back against the vocabulary that defines row order.
+
+    A malformed file raises ParameterError naming it and the line.
+    """
+    lines = read_artifact_lines(path)
     if not lines or not lines[0].startswith("#period="):
         raise ParameterError(f"{path}: not an association file (missing header)")
-    head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
-    period = TimePeriod.parse(head["period"])
-    window = int(head.get("window", 2))
-    alpha = float(head.get("alpha", 0.75))
+    try:
+        head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
+        period = TimePeriod.parse(head["period"])
+        window = int(head.get("window", 2))
+        alpha = float(head.get("alpha", 0.75))
+    except (KeyError, ValueError, ParameterError) as exc:
+        raise ParameterError(f"{path}: line 1: bad association header {lines[0]!r}") from exc
     order = vocabulary_order(vocabulary)
     index = {w: i for i, w in enumerate(order)}
     rows, cols, data = [], [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        row_word, col_word, value = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParameterError(
+                f"{path}: line {lineno} is not 'word<TAB>word<TAB>value': {line!r}"
+            )
+        row_word, col_word, value = fields
         if row_word not in index or col_word not in index:
-            raise ParameterError(f"{path}: word not in vocabulary: {row_word!r}/{col_word!r}")
+            raise ParameterError(
+                f"{path}: line {lineno}: word not in vocabulary: {row_word!r}/{col_word!r}"
+            )
+        try:
+            data.append(float(value))
+        except ValueError as exc:
+            raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
         rows.append(index[row_word])
         cols.append(index[col_word])
-        data.append(float(value))
     size = len(order)
     values = sp.csr_matrix((data, (rows, cols)), shape=(size, size))
     return PPMIMatrix(period=period, vocab_index=index, values=values, alpha=alpha, window=window)

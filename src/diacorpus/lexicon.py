@@ -23,6 +23,7 @@ from .corpus import (
     PerPeriodOperation,
     TimePeriod,
     TimeSeriesResult,
+    read_artifact_lines,
     select_leaves,
     write_artifact,
 )
@@ -75,7 +76,12 @@ class Vocabulary:
 
 @dataclass
 class NgramTable:
-    """Exact n-gram counts of one period at one level (surface or lemma)."""
+    """Exact n-gram counts of one period at one level (surface or lemma).
+
+    ``entries`` is in written order: count descending, then gram. Both
+    ``create_ngrams`` and ``read_ngrams`` produce it so, and ``write_ngrams``
+    writes the entries in that order without sorting them again.
+    """
 
     period: TimePeriod
     order: int
@@ -437,10 +443,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def read_vocabulary(path: str | Path, level: str = "lemma") -> Vocabulary:
     """Load a vocabulary TSV; a malformed file raises ParameterError naming it and the line."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: not a UTF-8 vocabulary file: {exc}") from exc
+    lines = read_artifact_lines(path)
     if not lines or not lines[0].startswith("#period="):
         raise ParameterError(f"{path}: not a vocabulary file (missing header)")
     try:
@@ -522,26 +525,38 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
 
 
 def write_ngrams(table: NgramTable, path: str | Path) -> None:
-    """TSV export: header line, then space-joined gram<TAB>frequency."""
+    """TSV export: header line, then space-joined gram<TAB>frequency in entry order."""
     lines = [_header_line(table.period, table.total())]
-    for gram, freq in sorted(table.entries.items(), key=lambda kv: (-kv[1], kv[0])):
+    for gram, freq in table.entries.items():
         lines.append(f"{' '.join(gram)}\t{freq}")
     write_artifact(path, "\n".join(lines) + "\n")
 
 
 def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Load an n-gram TSV; a malformed file raises ParameterError naming it and the line."""
+    lines = read_artifact_lines(path)
     if not lines or not lines[0].startswith("#period="):
         raise ParameterError(f"{path}: not an n-gram file (missing header)")
-    head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
-    period = TimePeriod.parse(head["period"])
+    try:
+        head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
+        period = TimePeriod.parse(head["period"])
+    except (KeyError, ValueError, ParameterError) as exc:
+        raise ParameterError(f"{path}: line 1: bad n-gram header {lines[0]!r}") from exc
     entries: dict[tuple[str, ...], int] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        gram_text, freq = line.split("\t")
+        try:
+            gram_text, freq = line.split("\t")
+            count = int(freq)
+        except ValueError as exc:
+            raise ParameterError(
+                f"{path}: line {lineno} is not 'gram<TAB>count': {line!r}"
+            ) from exc
         gram = tuple(gram_text.split(" "))
         if len(gram) != order:
-            raise ParameterError(f"{path}: gram {gram_text!r} does not have order {order}")
-        entries[gram] = int(freq)
+            raise ParameterError(
+                f"{path}: line {lineno}: gram {gram_text!r} does not have order {order}"
+            )
+        entries[gram] = count
     return NgramTable(period=period, order=order, entries=entries, level=level)

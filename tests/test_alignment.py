@@ -223,6 +223,27 @@ class TestTransformFiles:
         assert loaded.target_period == PERIOD_1930
         assert loaded.shared_vocab == transform.shared_vocab
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda values: values[:1] + ["notanumber"] + values[2:],  # non-numeric value
+            lambda values: values[:-1],  # a value missing
+            lambda values: values + ["0.5"],  # a value too many
+        ],
+    )
+    def test_corrupt_row_names_file_and_line(self, tmp_path, corrupt):
+        rng = np.random.default_rng(13)
+        transform = procrustes_align(
+            _set(rng.normal(size=(20, 5)), PERIOD_1980), _set(rng.normal(size=(20, 5)))
+        )
+        path = tmp_path / "transform.txt"
+        write_transform(transform, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = " ".join(corrupt(lines[2].split(" ")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"transform\.txt: line 3\b"):
+            read_transform(path)
+
     def test_composition_order(self):
         sets = TestSemanticChange()._three_rotated_sets()
         step1 = procrustes_align(sets[1], sets[0])

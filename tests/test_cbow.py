@@ -1,10 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diacorpus import cbow
 from diacorpus.cbow import train_cbow
 from diacorpus.corpus import PeriodCorpus
 from diacorpus.embeddings import cosine
 from diacorpus.errors import ComputationUndefinedError, ParameterError
+from diacorpus.lexicon import vocabulary_order
+from diacorpus.preprocess import FilterConfig
 
 from conftest import PERIOD_1930
 
@@ -103,3 +110,152 @@ class TestValidation:
             train_cbow(leaf, dim=4, window=0)
         with pytest.raises(ParameterError):
             train_cbow(leaf, dim=4, epochs=0)
+
+
+def reference_cbow(
+    leaf, block, dim, window, negatives, downsample, seed, epochs, alpha=0.75, lr=(0.025, 0.0001)
+):
+    """The per-position loop with the block rule, over the lemma strings of each document.
+
+    Each position draws its own negatives, reads the vectors as they stood at
+    the start of its block of ``block`` kept positions, and subtracts its
+    update at once (so a block's updates are summed). Returns None when no
+    sentence is trainable, else the input vectors, the per-epoch losses, the
+    kept sentence lengths and the number of negative draws equal to their
+    center.
+    """
+    order = vocabulary_order(leaf.vocabulary)
+    index = {w: i for i, w in enumerate(order)}
+    counts = np.array([leaf.vocabulary.entries[w] for w in order], dtype=np.float64)
+    sentences = [
+        np.array([index[w] for w in seq if w in index], dtype=np.int64)
+        for seq in leaf.lemma_sequences
+    ]
+    sentences = [s for s in sentences if len(s) > 1]
+    if not sentences:
+        return None
+    fraction = counts / counts.sum()
+    keep_prob = np.minimum(1.0, np.sqrt(downsample / fraction)) if downsample > 0 else fraction**0
+    noise = counts**alpha
+    noise_cdf = np.cumsum(noise / noise.sum())
+
+    rng = np.random.default_rng(seed)
+    size = len(order)
+    vectors_in = (rng.random((size, dim)) - 0.5) / dim
+    vectors_out = np.zeros((size, dim))
+    budget = float(epochs) * sum(len(s) for s in sentences)
+    consumed = 0
+    losses, kept_lengths, center_draws = [], [], 0
+    for _ in range(epochs):
+        loss_sum, examples = 0.0, 0
+        for sentence in sentences:
+            rate = max(lr[1], lr[0] + (lr[1] - lr[0]) * (consumed / budget))
+            consumed += len(sentence)
+            kept = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
+            n = len(kept)
+            kept_lengths.append(n)
+            for start in range(0, n, block):
+                stale_in, stale_out = vectors_in.copy(), vectors_out.copy()
+                for pos in range(start, min(n, start + block)):
+                    context = [
+                        kept[j]
+                        for j in range(pos - window, pos + window + 1)
+                        if j != pos and 0 <= j < n
+                    ]
+                    if not context:
+                        continue
+                    center = kept[pos]
+                    draws = np.searchsorted(noise_cdf, rng.random(negatives))
+                    draws = np.minimum(draws, size - 1)
+                    center_draws += int(np.sum(draws == center))
+                    targets = [center] + [d for d in draws if d != center]
+                    hidden = stale_in[context].mean(axis=0)
+                    out_rows = stale_out[targets]
+                    predictions = 1.0 / (1.0 + np.exp(-(out_rows @ hidden)))
+                    loss_sum += -np.log(predictions[0] + 1e-12) - np.sum(
+                        np.log(1.0 - predictions[1:] + 1e-12)
+                    )
+                    examples += 1
+                    labels = np.zeros(len(targets))
+                    labels[0] = 1.0
+                    gradient = (predictions - labels) * rate
+                    np.subtract.at(vectors_out, targets, np.outer(gradient, hidden))
+                    np.subtract.at(vectors_in, context, (gradient @ out_rows) / len(context))
+        losses.append(loss_sum / max(1, examples))
+    return vectors_in, losses, kept_lengths, center_draws
+
+
+_WORDS = ["aa", "bb", "cc", "dd", "x1"]  # x1 fails the alphabetic filter
+
+
+def _leaf(documents):
+    texts = {f"d{i}": " ".join(doc) for i, doc in enumerate(documents)}
+    return PeriodCorpus.from_texts(PERIOD_1930, texts, FilterConfig(threshold_divisor=10_000_000))
+
+
+def _check_against_reference(documents, block, window, negatives, downsample, seed, epochs=2):
+    """Train with the given block cap and require the reference's vectors and losses."""
+    leaf = _leaf(documents)
+    params = dict(
+        dim=3, window=window, negatives=negatives, downsample=downsample, seed=seed, epochs=epochs
+    )
+    expected = reference_cbow(leaf, block, **params)
+    with mock.patch.object(cbow, "BLOCK_POSITIONS", block):
+        if expected is None:
+            with pytest.raises(ComputationUndefinedError):
+                train_cbow(leaf, **params)
+            return None
+        trained = train_cbow(leaf, **params)
+    vectors, losses, _, _ = expected
+    assert trained.matrix.shape == vectors.shape
+    np.testing.assert_allclose(trained.matrix, vectors, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trained.training_loss, losses, rtol=0, atol=1e-12)
+    return expected
+
+
+class TestBlockRuleAgainstLoopReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        documents=st.lists(st.lists(st.sampled_from(_WORDS), max_size=12), min_size=1, max_size=6),
+        block=st.sampled_from([1, 2, 3, cbow.BLOCK_POSITIONS]),
+        window=st.integers(1, 3),
+        negatives=st.integers(1, 4),
+        downsample=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    # windows that reach across block edges
+    @example([["aa", "bb", "cc", "dd", "aa", "bb", "cc"]], 2, 2, 3, 0.0, 7)
+    def test_matches_reference(self, documents, block, window, negatives, downsample, seed):
+        _check_against_reference(documents, block, window, negatives, downsample, seed)
+
+    def test_one_token_sentences(self):
+        documents = [["aa"], ["bb", "cc", "aa"], ["dd"], ["cc", "x1"]]
+        _, _, kept_lengths, _ = _check_against_reference(documents, 2, 2, 3, 0.0, seed=1)
+        assert kept_lengths == [3, 3]  # the one-token documents are not sentences
+
+    def test_sentences_shorter_than_window(self):
+        documents = [["aa", "bb"], ["cc", "dd", "aa"], ["bb", "x1", "cc"]]
+        _check_against_reference(documents, cbow.BLOCK_POSITIONS, 5, 2, 0.0, seed=2)
+
+    def test_negatives_equal_to_center(self):
+        documents = [["aa", "bb"] * 6, ["bb", "aa", "aa", "bb"]]
+        _, _, _, center_draws = _check_against_reference(
+            documents, cbow.BLOCK_POSITIONS, 2, 8, 0.0, seed=3
+        )
+        assert center_draws > 0
+
+    def test_downsampling_that_leaves_one_token(self):
+        documents = [["aa", "bb", "cc", "dd"] * 2, ["aa", "bb", "aa"], ["cc", "dd", "cc", "aa"]]
+        _, _, kept_lengths, _ = _check_against_reference(
+            documents, cbow.BLOCK_POSITIONS, 2, 2, 0.05, seed=1
+        )
+        assert 1 in kept_lengths
+
+    def test_sentence_longer_than_block_cap(self):
+        rng = np.random.default_rng(11)
+        documents = [[str(w) for w in rng.choice(_WORDS[:4], size=2 * cbow.BLOCK_POSITIONS + 300)]]
+        _, _, kept_lengths, _ = _check_against_reference(
+            documents, cbow.BLOCK_POSITIONS, 2, 3, 0.0, seed=4, epochs=1
+        )
+        assert cbow.BLOCK_POSITIONS == 1000
+        assert kept_lengths[0] > 2 * cbow.BLOCK_POSITIONS

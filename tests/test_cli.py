@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import diacorpus
 from diacorpus.cli import main, ranking_to_json
 from diacorpus.embeddings import most_similar, read_embeddings
 
@@ -367,6 +369,29 @@ class TestEmbedReadsTokenStore:
         assert "1930-1939.lemma.tsv: line" in json.loads(err)["message"]
 
 
+class TestBlasThreads:
+    def test_embeddings_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """Dense SVD and CBOW vectors are byte-identical with one and two BLAS threads."""
+        src = str(Path(diacorpus.__file__).parents[1])
+        vectors = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            for args in (["ingest"], ["embed", "svd"], ["embed", "cbow"]):
+                result = subprocess.run(
+                    [sys.executable, "-m", "diacorpus.cli", "--config", CONFIG,
+                     "--output-dir", str(out), *args],
+                    capture_output=True, text=True, env=env, timeout=300,
+                )
+                assert result.returncode == 0, (args, result.stderr)
+            vectors[threads] = {p.name: p.read_bytes() for p in (out / "embeddings").glob("*.vec")}
+        assert sorted(vectors["1"]) == [
+            "1930-1939.cbow.vec", "1930-1939.svd.vec", "1980-1989.cbow.vec", "1980-1989.svd.vec",
+        ]
+        assert vectors["1"] == vectors["2"]
+
+
 class TestEmbedAlignQuery:
     def test_cli_query_equals_library_bytes(self, workspace):
         embedding_set = read_embeddings(workspace / "embeddings" / "1930-1939.svd.vec")
@@ -430,6 +455,24 @@ class TestEmbedAlignQuery:
         captured = capsys.readouterr()
         assert code == 2
         assert "bilgisayar" in json.loads(captured.err)["message"]
+
+    def test_corrupt_ppmi_value_is_usage_error_naming_the_line(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "ingest") == 0
+        assert run_cli(tmp_path, "embed", "ppmi") == 0
+        ppmi = tmp_path / "ppmi" / "1930-1939.tsv"
+        lines = ppmi.read_text(encoding="utf-8").splitlines()
+        row, col, _ = lines[1].split("\t")
+        lines[1] = f"{row}\t{col}\tnotanumber"
+        ppmi.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run_cli(
+            tmp_path, "query", "collocations", "--word", "kanun", "--period", "1930-1939",
+            capsys=capsys,
+        )
+        assert code == 2
+        assert err.count("\n") <= 1
+        payload = json.loads(err)
+        assert payload["error"] == 2
+        assert "1930-1939.tsv: line 2" in payload["message"]
 
 
 class TestDictCommand:

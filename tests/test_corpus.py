@@ -18,7 +18,9 @@ from diacorpus.corpus import (
     parse_manifest,
 )
 from diacorpus.errors import IngestError, ParameterError
-from diacorpus.lexicon import UniqueWordCount
+from diacorpus.alignment import read_transform
+from diacorpus.embeddings import read_embeddings, read_ppmi
+from diacorpus.lexicon import UniqueWordCount, Vocabulary, read_ngrams, read_vocabulary
 
 from conftest import FIXTURES, PERIOD_1930, PERIOD_1980
 
@@ -186,3 +188,22 @@ class TestCsvTable:
         assert csv_table(["period", "value"], [("1930-1939", value)]) == (
             f"period,value\n1930-1939,{cell}\n"
         )
+
+
+class TestReadArtifactLines:
+    @pytest.mark.parametrize(
+        "read",
+        [
+            read_vocabulary,
+            lambda path: read_ngrams(path, 1),
+            lambda path: read_ppmi(path, Vocabulary(PERIOD_1930, {"aa": 1}, 1)),
+            read_embeddings,
+            read_transform,
+        ],
+        ids=["vocabulary", "ngrams", "ppmi", "embeddings", "transform"],
+    )
+    def test_non_utf8_artifact_is_parameter_error_naming_the_file(self, tmp_path, read):
+        path = tmp_path / "artifact.txt"
+        path.write_bytes(b"#period=1930-1939 #tokens=1\naa\xff\t1\n")
+        with pytest.raises(ParameterError, match=r"artifact\.txt: not a UTF-8 text file"):
+            read(path)

@@ -388,3 +388,47 @@ class TestFileFormats:
         loaded = read_ppmi(path, leaf.vocabulary)
         assert np.array_equal(loaded.values.toarray(), ppmi.values.toarray())
         assert loaded.vocab_index == ppmi.vocab_index
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda fields: fields[:1] + ["notanumber"] + fields[2:],  # non-numeric value
+            lambda fields: fields[:-1],  # a value missing
+            lambda fields: fields + ["0.5"],  # a value too many
+        ],
+    )
+    def test_corrupt_embedding_row_names_file_and_line(self, tmp_path, corrupt):
+        original = EmbeddingSet(
+            period=PERIOD_1930,
+            vocab_index={f"w{i}": i for i in range(3)},
+            matrix=np.arange(12.0).reshape(3, 4),
+            dim=4,
+            provenance="svd",
+        )
+        path = tmp_path / "emb.vec"
+        write_embeddings(original, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = " ".join(corrupt(lines[2].split(" ")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"emb\.vec: line 3\b"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda fields: fields[:2] + ["notanumber"],  # non-numeric value
+            lambda fields: fields[:2],  # the value missing
+            lambda fields: fields + ["0.5"],  # a field too many
+        ],
+    )
+    def test_corrupt_ppmi_entry_names_file_and_line(self, tmp_path, corrupt):
+        leaf = PeriodCorpus.from_texts(
+            PERIOD_1930, {"d1": "aa bb cc aa bb", "d2": "bb cc bb aa cc"}
+        )
+        path = tmp_path / "assoc.tsv"
+        write_ppmi(build_ppmi(count_cooccurrences(leaf, window=2)), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = "\t".join(corrupt(lines[1].split("\t")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"assoc\.tsv: line 2\b"):
+            read_ppmi(path, leaf.vocabulary)

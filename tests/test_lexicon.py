@@ -350,6 +350,25 @@ class TestFileFormats:
         loaded = read_ngrams(path, 2)
         assert loaded.entries == table.entries
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda line: line.replace("\t", "\tnotanumber"),  # non-numeric count
+            lambda line: line.replace("\t", " "),  # the count field missing
+            lambda line: line + "\t1",  # a field too many
+            lambda line: "aa\t" + line.split("\t")[1],  # a gram of the wrong order
+        ],
+    )
+    def test_corrupt_ngram_line_names_file_and_line(self, tmp_path, corrupt):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb aa bb"})
+        path = tmp_path / "grams.tsv"
+        write_ngrams(create_ngrams(leaf, 2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = corrupt(lines[1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"grams\.tsv: line 2\b"):
+            read_ngrams(path, 2)
+
 
 def _tree_of(*leaves):
     from diacorpus.corpus import DiachronicCorpus
