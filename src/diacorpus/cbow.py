@@ -24,7 +24,6 @@ modes would waive that contract and are not offered.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import PeriodCorpus
 from .embeddings import EmbeddingSet
@@ -55,6 +54,8 @@ def _train_block(
     the center word followed by its negative draws. Every position reads the
     vectors as they stood before the block.
     """
+    import scipy.sparse as sp  # here, not at module level: see embeddings.py
+
     rows = len(windows)
     valid = (windows >= 0) & (windows < len(kept))
     position, slot = np.nonzero(valid)

@@ -184,21 +184,48 @@ def _config_section(raw: dict, key: str, cls):
 
 
 class _Lock:
-    """One command at a time per output directory."""
+    """One command at a time per output directory.
+
+    The lock file holds the PID of its command. A lock whose PID names no
+    running process was left by a command that died, and is reclaimed once;
+    a live PID, or content that is not a PID, keeps the lock held.
+    """
 
     def __init__(self, output_dir: Path):
         self._path = output_dir / ".lock"
         self._acquired = False
 
+    def _holder_is_dead(self) -> bool:
+        """True only when the lock file holds the PID of no running process."""
+        if os.name != "posix":  # elsewhere os.kill(pid, 0) terminates the process
+            return False
+        try:
+            pid = int(self._path.read_text(encoding="ascii"))
+        except (OSError, ValueError):
+            return False
+        if pid <= 0:  # os.kill would signal a process group, not a process
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except PermissionError:  # alive, under another user
+            return False
+        return False
+
     def __enter__(self) -> "_Lock":
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise DiacorpusError(
-                f"another command holds the lock {self._path}; "
-                "remove the file if no command is running"
-            ) from None
+        for attempt in (1, 2):
+            try:
+                fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt == 2 or not self._holder_is_dead():
+                    raise DiacorpusError(
+                        f"another command holds the lock {self._path}; "
+                        "remove the file if no command is running"
+                    ) from None
+                self._path.unlink(missing_ok=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         self._acquired = True
@@ -754,6 +781,18 @@ def main(argv: list[str] | None = None) -> int:
         print(
             _error_json(EXIT_INTERNAL, str(exc), {"command": args.command}), file=sys.stderr
         )
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # the process boundary: any other failure (say, an OSError from the
+        # file system) leaves as the same one-line error object
+        import traceback
+
+        context = {
+            "command": args.command,
+            "exception": type(exc).__name__,
+            "traceback": traceback.format_exc(),
+        }
+        print(_error_json(EXIT_INTERNAL, str(exc), context), file=sys.stderr)
         return EXIT_INTERNAL
 
 

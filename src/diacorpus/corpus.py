@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
 import re
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -523,10 +525,24 @@ def read_artifact_lines(path: str | Path) -> list[str]:
 
 
 def write_artifact(path: str | Path, content: str | bytes) -> None:
-    """Write an artifact, text as UTF-8 or bytes as is, creating its parent directories."""
+    """Write an artifact, text as UTF-8 or bytes as is, creating its parent directories.
+
+    The bytes go to a temp file in the target's directory, which then
+    replaces the target in one step, so a write that fails, or a process
+    killed mid-write, leaves the previous artifact intact. A write that
+    raises removes its temp file.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(content, bytes):
-        target.write_bytes(content)
-    else:
-        target.write_text(content, encoding="utf-8")
+    # a fixed-length name, so a target name at the file-system limit still
+    # fits; pid and thread keep concurrent writers into one directory apart
+    temp = target.with_name(f".{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        if isinstance(content, bytes):
+            temp.write_bytes(content)
+        else:
+            temp.write_text(content, encoding="utf-8")
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
 from .corpus import PeriodCorpus, TimePeriod, read_artifact_lines, write_artifact
 from .errors import (
@@ -24,6 +24,12 @@ from .errors import (
     ParameterError,
 )
 from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_order
+
+# scipy is imported inside the functions that build or factor sparse
+# matrices: it costs more start-up time than the rest of the package, and most
+# commands (ingest, analyze, align, the embedding queries) never need it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Dense factorization is exact and deterministic; only fall back to sparse
 # iterative SVD for vocabularies too large to densify comfortably.
@@ -115,6 +121,8 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     pairs. Pairs touching a filtered-out token are skipped; positions are
     counted over the full token sequence.
     """
+    import scipy.sparse as sp
+
     if window < 1:
         raise ParameterError("window must be at least 1")
     vocab = create_vocabulary(leaf)
@@ -150,6 +158,8 @@ def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
     Entries with zero count are never materialized; entries whose log ratio
     is negative are clamped to zero and dropped from the sparse structure.
     """
+    import scipy.sparse as sp
+
     if cooc.grand_total == 0:
         raise ComputationUndefinedError(
             f"no co-occurrence mass in period {cooc.period.label}; association undefined"
@@ -213,6 +223,8 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
         u, s, vt = np.linalg.svd(dense, full_matrices=False)
         u, s, v = u[:, :dim], s[:dim], vt.T[:, :dim]
     else:
+        from scipy.sparse.linalg import svds
+
         # svds returns ascending singular values; v0 pins the start vector so
         # repeated runs agree.
         u, s, vt = svds(ppmi.values.astype(np.float64), k=dim, v0=np.ones(min(ppmi.values.shape)))
@@ -361,6 +373,8 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
 
     A malformed file raises ParameterError naming it and the line.
     """
+    import scipy.sparse as sp
+
     lines = read_artifact_lines(path)
     if not lines or not lines[0].startswith("#period="):
         raise ParameterError(f"{path}: not an association file (missing header)")

@@ -392,6 +392,64 @@ class TestBlasThreads:
         assert vectors["1"] == vectors["2"]
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import diacorpus.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import diacorpus.cli": [0, scipy_modules()]}
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = diacorpus.cli.main(args)
+    loaded[" ".join(args[4:])] = [code, scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+class TestScipyImports:
+    def test_only_embed_and_collocations_load_scipy(self, workspace, tmp_path):
+        """A fresh interpreter runs the non-embed commands without loading scipy.
+
+        The pytest process has scipy loaded already, so the probe is a new
+        process; the commands run in order, so a later entry sees what every
+        earlier command loaded.
+        """
+        out = tmp_path / "out"
+        shutil.copytree(workspace, out)
+        prefix = ["--config", CONFIG, "--output-dir", str(out)]
+        commands = [
+            ["ingest"],
+            ["analyze", "freq", "--word", "belge"],
+            ["analyze", "divergence", "--pair", "1930-1939", "1980-1989"],
+            ["align", "--from", "1980-1989", "--to", "1930-1939", "--kind", "svd"],
+            ["query", "most-similar", "--word", "kanun", "--period", "1930-1939"],
+            ["query", "aligned-most-similar", "--word", "televizyon",
+             "--target", "1980-1989", "--base", "1930-1939"],
+            ["query", "semantic-change", "--word", "piyasa", "--periods", "1930-1939", "1980-1989"],
+            ["dict"],
+            ["query", "collocations", "--word", "kanun", "--period", "1930-1939"],
+        ]
+        src = str(Path(diacorpus.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps([prefix + c for c in commands])],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        *without_scipy, collocations = loaded.items()
+        for command, (code, modules) in without_scipy:
+            assert code == 0, command
+            assert modules == [], command
+        code, modules = collocations[1]
+        assert code == 0
+        assert "scipy.sparse" in modules
+        assert not any(m.startswith(("scipy.sparse.linalg", "scipy.linalg")) for m in modules)
+
+
 class TestEmbedAlignQuery:
     def test_cli_query_equals_library_bytes(self, workspace):
         embedding_set = read_embeddings(workspace / "embeddings" / "1930-1939.svd.vec")
@@ -503,6 +561,36 @@ class TestProcessSurface:
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.err)["error"] == 1
+
+    def test_stale_lock_of_a_dead_process_is_reclaimed(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(child.pid), encoding="utf-8")
+        assert run_cli(out, "dict") == 0
+        assert not (out / ".lock").exists()
+
+    def test_lock_of_a_live_process_is_kept(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()), encoding="utf-8")
+        code, _, err = run_cli(out, "dict", capsys=capsys)
+        assert code == 1
+        assert "holds the lock" in json.loads(err)["message"]
+        assert (out / ".lock").read_text(encoding="utf-8") == str(os.getpid())
+
+    def test_unexpected_exception_is_json_error(self, tmp_path, capsys):
+        regular_file = tmp_path / "file"
+        regular_file.write_text("", encoding="utf-8")
+        code, out, err = run_cli(regular_file / "out", "dict", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == 1
+        assert payload["context"]["command"] == "dict"
+        assert payload["context"]["exception"] == "NotADirectoryError"
 
     def test_lock_released_after_run(self, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,7 @@
 import datetime as dt
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from diacorpus.corpus import (
     decade_bucket,
     load_manifest,
     parse_manifest,
+    write_artifact,
 )
 from diacorpus.errors import IngestError, ParameterError
 from diacorpus.alignment import read_transform
@@ -207,3 +210,25 @@ class TestReadArtifactLines:
         path.write_bytes(b"#period=1930-1939 #tokens=1\naa\xff\t1\n")
         with pytest.raises(ParameterError, match=r"artifact\.txt: not a UTF-8 text file"):
             read(path)
+
+
+class TestWriteArtifact:
+    @pytest.mark.parametrize(
+        "content", ["new text\n" * 100, b"new bytes\n" * 100], ids=["text", "bytes"]
+    )
+    def test_write_failing_partway_keeps_previous_artifact(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "reports" / "artifact.csv"
+        write_artifact(path, "previous\n")
+
+        def fail_partway(self, data, *args, **kwargs):
+            raw = data.encode("utf-8") if isinstance(data, str) else data
+            with open(self, "wb") as fh:
+                fh.write(raw[: len(raw) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail_partway)
+        monkeypatch.setattr(Path, "write_bytes", fail_partway)
+        with pytest.raises(OSError, match="No space left"):
+            write_artifact(path, content)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in path.parent.iterdir()] == ["artifact.csv"]
