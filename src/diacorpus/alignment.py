@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TimePeriod, TimeSeriesResult, read_artifact_lines, write_artifact
+from .corpus import TimePeriod, TimeSeriesResult, read_artifact, write_artifact
 from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
 
@@ -227,25 +227,22 @@ def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
 
 
 def read_transform(path: str | Path) -> AlignmentTransform:
-    """Load a transform file; a malformed file raises ParameterError naming it (and the line)."""
-    lines = read_artifact_lines(path)
-    if not lines:
-        raise ParameterError(f"{path}: empty transform file")
-    try:
-        head = dict(item.split("=", 1) for item in lines[0].split(" "))
-        dim = int(head["d"])
-        source = TimePeriod.parse(head["from"])
-        target = TimePeriod.parse(head["to"])
-    except (KeyError, ValueError, ParameterError) as exc:
-        raise ParameterError(f"{path}: line 1: bad transform header {lines[0]!r}") from exc
+    """Load a transform file; a malformed file raises ParameterError naming it (and the line).
+
+    The ``#shared=`` line comes once, as the last line.
+    """
+    head, body = read_artifact(
+        path, "transform", d=int, **{"from": TimePeriod.parse, "to": TimePeriod.parse}
+    )
+    dim = head["d"]
+    if not body or not body[-1].startswith("#shared="):
+        raise ParameterError(f"{path}: the last line is not the '#shared=' line")
     rows = []
-    shared: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("#shared="):
-            shared = [w for w in line[len("#shared=") :].split(" ") if w]
-            continue
+    for lineno, line in enumerate(body[:-1], start=2):
         if not line:
             continue
+        if line.startswith("#shared="):
+            raise ParameterError(f"{path}: line {lineno}: a second '#shared=' line")
         values = line.split(" ")
         if len(values) != dim:
             raise ParameterError(f"{path}: line {lineno} has {len(values)} values, not {dim}")
@@ -256,6 +253,7 @@ def read_transform(path: str | Path) -> AlignmentTransform:
     matrix = np.array(rows)
     if matrix.shape != (dim, dim):
         raise ParameterError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
+    shared = [w for w in body[-1][len("#shared=") :].split(" ") if w]
     return AlignmentTransform(
-        source_period=source, target_period=target, matrix=matrix, shared_vocab=shared
+        source_period=head["from"], target_period=head["to"], matrix=matrix, shared_vocab=shared
     )

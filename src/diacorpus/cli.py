@@ -555,13 +555,19 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
-    path = _embedding_path(config, period, kind)
+def _existing(path: Path, what: str, run_first: str) -> Path:
+    """``path``, or MissingArtifactError naming ``what`` and the command that writes it."""
     if not path.is_file():
-        raise MissingArtifactError(
-            f"no {kind} embeddings for period {period.label} at {path}",
-            needed_command=f"embed {kind}",
-        )
+        raise MissingArtifactError(f"no {what} at {path}", needed_command=run_first)
+    return path
+
+
+def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
+    path = _existing(
+        _embedding_path(config, period, kind),
+        f"{kind} embeddings for period {period.label}",
+        f"embed {kind}",
+    )
     return embeddings_mod.read_embeddings(path)
 
 
@@ -588,12 +594,11 @@ def cmd_align(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _read_transform_artifact(config: RunConfig, source: TimePeriod, target: TimePeriod, kind: str):
-    path = _transform_path(config, source, target, kind)
-    if not path.is_file():
-        raise MissingArtifactError(
-            f"no transform {source.label}->{target.label} at {path}",
-            needed_command=f"align --from {source.label} --to {target.label}",
-        )
+    path = _existing(
+        _transform_path(config, source, target, kind),
+        f"transform {source.label}->{target.label}",
+        f"align --from {source.label} --to {target.label}",
+    )
     return alignment_mod.read_transform(path)
 
 
@@ -642,18 +647,16 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
     elif args.query == "collocations":
         period = TimePeriod.parse(args.period)
         name = _word_report_name("collocations", args.word, period.label)
-        ppmi_path = config.output_dir / "ppmi" / f"{period.label}.tsv"
-        if not ppmi_path.is_file():
-            raise MissingArtifactError(
-                f"no association matrix for period {period.label} at {ppmi_path}",
-                needed_command="embed ppmi",
-            )
-        vocab_path = config.output_dir / "vocab" / f"{period.label}.lemma.tsv"
-        if not vocab_path.is_file():
-            raise MissingArtifactError(
-                f"no vocabulary for period {period.label} at {vocab_path}",
-                needed_command="ingest",
-            )
+        ppmi_path = _existing(
+            config.output_dir / "ppmi" / f"{period.label}.tsv",
+            f"association matrix for period {period.label}",
+            "embed ppmi",
+        )
+        vocab_path = _existing(
+            config.output_dir / "vocab" / f"{period.label}.lemma.tsv",
+            f"vocabulary for period {period.label}",
+            "ingest",
+        )
         vocab = lexicon_mod.read_vocabulary(vocab_path)
         ppmi = embeddings_mod.read_ppmi(ppmi_path, vocab)
         ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)

@@ -22,7 +22,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -184,11 +184,6 @@ class PeriodCorpus(CorpusNode):
         self.documents: list[DocumentRecord] = list(documents)
         self.stats: CorpusStats | None = None
         self.filter_config: FilterConfig | None = None
-        # Per-document token sequences; surfaces are case-folded, lemmas are
-        # analyzer output or F5 stems. Both include every raw token. Filled
-        # only on leaves built from text; the analyses read ``token_ids``.
-        self.surface_sequences: list[list[str]] | None = None
-        self.lemma_sequences: list[list[str]] | None = None
         # Per level ("lemma", "surface"): one int32 id per raw token, the row
         # of its word in ``vocabulary_order`` of that level's vocabulary, or
         # -1 for a token filtered out. Document d holds the tokens
@@ -403,16 +398,8 @@ def _ingest_leaf(
         vocabularies[level] = vocab
         unique_words[level] = len(counts)
 
-    def sequences(words: list[str]) -> list[list[str]]:
-        by_type = np.array(words, dtype=object)
-        return [
-            by_type[token_types_arr[a:b]].tolist() for a, b in zip(offsets, offsets[1:])
-        ]
-
     leaf.filter_config = filter_config
     leaf.doc_offsets = doc_offsets
-    leaf.surface_sequences = sequences(type_words["surface"])
-    leaf.lemma_sequences = sequences(type_words["lemma"])
     leaf.vocabulary = vocabularies["lemma"]
     leaf.surface_vocabulary = vocabularies["surface"]
     docs = len(raw_texts)
@@ -516,12 +503,34 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_artifact_lines(path: str | Path) -> list[str]:
-    """Read a text artifact's lines; bytes that are not UTF-8 raise ParameterError naming it."""
+def read_artifact(
+    path: str | Path, kind: str, **parsers: Callable[[str], Any]
+) -> tuple[dict[str, Any], list[str]]:
+    """Read a UTF-8 text artifact: its typed line-1 header and the lines after it.
+
+    Line 1 is space-separated ``key=value`` fields, each optionally prefixed
+    by one ``#``. Every key of ``parsers`` must appear exactly once, and no
+    other; each value is converted by its parser. A file that is not UTF-8,
+    is empty or breaks these rules raises ParameterError naming it.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path}: not a UTF-8 text file: {exc}") from exc
+    if not lines:
+        raise ParameterError(f"{path}: empty {kind} file")
+    header: dict[str, Any] = {}
+    try:
+        for field in lines[0].split(" "):
+            key, value = field.removeprefix("#").split("=", 1)
+            if key in header or key not in parsers:
+                raise ValueError(f"{'repeated' if key in header else 'unknown'} key {key!r}")
+            header[key] = parsers[key](value)
+        if len(header) != len(parsers):
+            raise ValueError(f"keys missing: {sorted(parsers.keys() - header.keys())}")
+    except (ValueError, ParameterError) as exc:
+        raise ParameterError(f"{path}: line 1: bad {kind} header {lines[0]!r}: {exc}") from exc
+    return header, lines[1:]
 
 
 def write_artifact(path: str | Path, content: str | bytes) -> None:

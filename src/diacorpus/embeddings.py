@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import PeriodCorpus, TimePeriod, read_artifact_lines, write_artifact
+from .corpus import PeriodCorpus, TimePeriod, read_artifact, write_artifact
 from .errors import (
     ComputationUndefinedError,
     OutOfVocabularyError,
@@ -324,35 +324,34 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
-    """Load an embedding file; a malformed file raises ParameterError naming it (and the line)."""
-    lines = read_artifact_lines(path)
-    if not lines:
-        raise ParameterError(f"{path}: empty embedding file")
-    try:
-        head = dict(item.split("=", 1) for item in lines[0].split(" "))
-        dim = int(head["dim"])
-        vocab_size = int(head["vocab"])
-        provenance = head["provenance"]
-        period = TimePeriod.parse(head["period"])
-    except (KeyError, ValueError, ParameterError) as exc:
-        raise ParameterError(f"{path}: line 1: bad embedding header {lines[0]!r}") from exc
+    """Load an embedding file; a malformed file raises ParameterError naming it (and the line).
+
+    The header's ``vocab`` words are each listed once.
+    """
+    head, body = read_artifact(
+        path, "embedding", dim=int, vocab=int, provenance=str, period=TimePeriod.parse
+    )
+    dim, vocab_size = head["dim"], head["vocab"]
+    found = len(body) - body.count("")
+    if found != vocab_size:
+        raise ParameterError(f"{path}: header says {vocab_size} words, found {found}")
     vocab_index: dict[str, int] = {}
     rows = np.empty((vocab_size, dim), dtype=np.float64)
-    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line]
-    if len(body) != vocab_size:
-        raise ParameterError(f"{path}: header says {vocab_size} words, found {len(body)}")
-    for i, (lineno, line) in enumerate(body):
+    for lineno, line in enumerate(body, start=2):
+        if not line:
+            continue
         parts = line.split(" ")
         if len(parts) != dim + 1:
             raise ParameterError(f"{path}: line {lineno} does not have a word and {dim} values")
-        vocab_index[parts[0]] = i
+        word = parts[0]
+        if word in vocab_index:
+            raise ParameterError(f"{path}: line {lineno}: word {word!r} listed twice")
+        i = vocab_index[word] = len(vocab_index)
         try:
             rows[i] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
-    return EmbeddingSet(
-        period=period, vocab_index=vocab_index, matrix=rows, dim=dim, provenance=provenance
-    )
+    return EmbeddingSet(head["period"], vocab_index, rows, dim, head["provenance"])
 
 
 def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
@@ -371,24 +370,18 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
 def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
     """Load a coordinate TSV back against the vocabulary that defines row order.
 
-    A malformed file raises ParameterError naming it and the line.
+    Each word pair is listed once. A malformed file raises ParameterError
+    naming it, and the line where it can.
     """
     import scipy.sparse as sp
 
-    lines = read_artifact_lines(path)
-    if not lines or not lines[0].startswith("#period="):
-        raise ParameterError(f"{path}: not an association file (missing header)")
-    try:
-        head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
-        period = TimePeriod.parse(head["period"])
-        window = int(head.get("window", 2))
-        alpha = float(head.get("alpha", 0.75))
-    except (KeyError, ValueError, ParameterError) as exc:
-        raise ParameterError(f"{path}: line 1: bad association header {lines[0]!r}") from exc
+    head, body = read_artifact(
+        path, "association", period=TimePeriod.parse, window=int, alpha=float
+    )
     order = vocabulary_order(vocabulary)
     index = {w: i for i, w in enumerate(order)}
     rows, cols, data = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line:
             continue
         fields = line.split("\t")
@@ -409,4 +402,6 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
         cols.append(index[col_word])
     size = len(order)
     values = sp.csr_matrix((data, (rows, cols)), shape=(size, size))
-    return PPMIMatrix(period=period, vocab_index=index, values=values, alpha=alpha, window=window)
+    if values.nnz != len(data):  # the CSR build summed a repeated pair
+        raise ParameterError(f"{path}: {len(data) - values.nnz} word pair(s) listed twice")
+    return PPMIMatrix(head["period"], index, values, head["alpha"], head["window"])

@@ -23,7 +23,7 @@ from .corpus import (
     PerPeriodOperation,
     TimePeriod,
     TimeSeriesResult,
-    read_artifact_lines,
+    read_artifact,
     select_leaves,
     write_artifact,
 )
@@ -441,29 +441,34 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     write_artifact(path, "\n".join(lines) + "\n")
 
 
+def _check_token_total(path: str | Path, entries: dict, token_total: int) -> None:
+    counted = sum(entries.values())
+    if counted != token_total:
+        raise ParameterError(f"{path}: counts sum to {counted}, not #tokens={token_total}")
+
+
 def read_vocabulary(path: str | Path, level: str = "lemma") -> Vocabulary:
-    """Load a vocabulary TSV; a malformed file raises ParameterError naming it and the line."""
-    lines = read_artifact_lines(path)
-    if not lines or not lines[0].startswith("#period="):
-        raise ParameterError(f"{path}: not a vocabulary file (missing header)")
-    try:
-        head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
-        period = TimePeriod.parse(head["period"])
-        token_total = int(head["tokens"])
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"{path}: line 1: bad vocabulary header {lines[0]!r}") from exc
+    """Load a vocabulary TSV; a malformed file raises ParameterError naming it and the line.
+
+    Each word is listed once and the counts sum to the ``#tokens`` header.
+    """
+    head, body = read_artifact(path, "vocabulary", period=TimePeriod.parse, tokens=int)
     entries: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line:
             continue
         try:
             word, freq = line.split("\t")
-            entries[word] = int(freq)
+            count = int(freq)
         except ValueError as exc:
             raise ParameterError(
                 f"{path}: line {lineno} is not 'word<TAB>count': {line!r}"
             ) from exc
-    return Vocabulary(period=period, entries=entries, token_total=token_total, level=level)
+        if word in entries:
+            raise ParameterError(f"{path}: line {lineno}: word {word!r} listed twice")
+        entries[word] = count
+    _check_token_total(path, entries, head["tokens"])
+    return Vocabulary(head["period"], entries, head["tokens"], level)
 
 
 def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
@@ -533,17 +538,13 @@ def write_ngrams(table: NgramTable, path: str | Path) -> None:
 
 
 def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:
-    """Load an n-gram TSV; a malformed file raises ParameterError naming it and the line."""
-    lines = read_artifact_lines(path)
-    if not lines or not lines[0].startswith("#period="):
-        raise ParameterError(f"{path}: not an n-gram file (missing header)")
-    try:
-        head = dict(part.split("=", 1) for part in lines[0].lstrip("#").split(" #"))
-        period = TimePeriod.parse(head["period"])
-    except (KeyError, ValueError, ParameterError) as exc:
-        raise ParameterError(f"{path}: line 1: bad n-gram header {lines[0]!r}") from exc
+    """Load an n-gram TSV; a malformed file raises ParameterError naming it and the line.
+
+    Each gram is listed once and the counts sum to the ``#tokens`` header.
+    """
+    head, body = read_artifact(path, "n-gram", period=TimePeriod.parse, tokens=int)
     entries: dict[tuple[str, ...], int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line:
             continue
         try:
@@ -558,5 +559,8 @@ def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTabl
             raise ParameterError(
                 f"{path}: line {lineno}: gram {gram_text!r} does not have order {order}"
             )
+        if gram in entries:
+            raise ParameterError(f"{path}: line {lineno}: gram {gram_text!r} listed twice")
         entries[gram] = count
-    return NgramTable(period=period, order=order, entries=entries, level=level)
+    _check_token_total(path, entries, head["tokens"])
+    return NgramTable(period=head["period"], order=order, entries=entries, level=level)

@@ -11,6 +11,7 @@ punctuation (clitic apostrophes, hyphens) stays inside the token.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -21,10 +22,12 @@ from .errors import ParameterError
 
 DEFAULT_THRESHOLD_DIVISOR = 10_000_000
 
-# Characters dropped outright during normalization. Soft hyphen has no clean
-# text representation; other space-like characters are handled by the
-# whitespace-collapse rule instead.
-DEFAULT_REMOVALS = frozenset({"­"})
+# Soft hyphen has no clean text representation, so normalization drops it
+# outright; other space-like characters are handled by the whitespace rule.
+_SOFT_HYPHEN = "\u00ad"
+# ``\s`` matches exactly the characters for which ``str.isspace()`` is true.
+_NEWLINE_RUN = re.compile(r"\s*\n\s*")
+_BLANK_RUN = re.compile(r"[^\S\n]+")
 
 # Turkish has dotted and dotless i as distinct letters, so the standard
 # Unicode lowercase mapping (I -> i) merges words that must stay apart.
@@ -36,7 +39,7 @@ def turkish_lower(text: str) -> str:
     return text.translate(_TURKISH_CASEFOLD).lower()
 
 
-def normalize_text(raw: str, removals: frozenset[str] = DEFAULT_REMOVALS) -> str:
+def normalize_text(raw: str) -> str:
     """Collapse whitespace and strip characters without a clean representation.
 
     Runs of whitespace collapse to a single regular space, or to a single
@@ -44,24 +47,8 @@ def normalize_text(raw: str, removals: frozenset[str] = DEFAULT_REMOVALS) -> str
     non-breaking spaces and repeated blanks do not. Leading and trailing
     whitespace is dropped entirely. Total function: never raises.
     """
-    out: list[str] = []
-    in_run = False
-    run_has_newline = False
-    for ch in raw:
-        if ch in removals:
-            continue
-        if ch.isspace():
-            in_run = True
-            if ch == "\n":
-                run_has_newline = True
-            continue
-        if in_run:
-            if out:
-                out.append("\n" if run_has_newline else " ")
-            in_run = False
-            run_has_newline = False
-        out.append(ch)
-    return "".join(out)
+    text = _NEWLINE_RUN.sub("\n", raw.replace(_SOFT_HYPHEN, ""))
+    return _BLANK_RUN.sub(" ", text).strip()
 
 
 def _is_punct(ch: str) -> bool:

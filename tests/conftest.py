@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from diacorpus.cli import RunConfig, _ingest_tree
-from diacorpus.corpus import DiachronicCorpus, TimePeriod
+from diacorpus.corpus import DiachronicCorpus, PeriodCorpus, TimePeriod
+from diacorpus.preprocess import lemma_surfaces, normalize_text, token_surfaces, turkish_lower
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,3 +30,22 @@ def fixture_tree(fixture_config) -> DiachronicCorpus:
 def fresh_tree(fixture_config) -> DiachronicCorpus:
     """A freshly ingested tree for tests that mutate leaf artifact caches."""
     return _ingest_tree(fixture_config)
+
+
+def document_sequences(texts, level="lemma", analyzer=None) -> list[list[str]]:
+    """Each document's words at ``level``, rebuilt from its raw text.
+
+    Surfaces are case-folded; lemmas are analyzer stems or F5 stems. Every raw
+    token is kept. No token id is read, so these strings are an independent
+    oracle for the id-based paths.
+    """
+    surfaces = [token_surfaces(normalize_text(text)) for text in texts]
+    if level == "surface":
+        return [[turkish_lower(s) for s in doc] for doc in surfaces]
+    return [lemma_surfaces(doc, analyzer) for doc in surfaces]
+
+
+def fixture_sequences(config: RunConfig, leaf: PeriodCorpus, level="lemma") -> list[list[str]]:
+    """``document_sequences`` of a leaf ingested from the fixture corpus."""
+    texts = [(config.corpus_root / doc.path).read_text(encoding="utf-8") for doc in leaf.documents]
+    return document_sequences(texts, level, config.analyzer())

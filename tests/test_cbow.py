@@ -13,7 +13,7 @@ from diacorpus.errors import ComputationUndefinedError, ParameterError
 from diacorpus.lexicon import vocabulary_order
 from diacorpus.preprocess import FilterConfig
 
-from conftest import PERIOD_1930
+from conftest import PERIOD_1930, document_sequences
 
 CLASS_A = ("karga", "martı", "serçe", "saka")
 CLASS_B = ("çekiç", "keski", "burgu", "zımba")
@@ -113,7 +113,17 @@ class TestValidation:
 
 
 def reference_cbow(
-    leaf, block, dim, window, negatives, downsample, seed, epochs, alpha=0.75, lr=(0.025, 0.0001)
+    vocabulary,
+    sequences,
+    block,
+    dim,
+    window,
+    negatives,
+    downsample,
+    seed,
+    epochs,
+    alpha=0.75,
+    lr=(0.025, 0.0001),
 ):
     """The per-position loop with the block rule, over the lemma strings of each document.
 
@@ -124,12 +134,11 @@ def reference_cbow(
     kept sentence lengths and the number of negative draws equal to their
     center.
     """
-    order = vocabulary_order(leaf.vocabulary)
+    order = vocabulary_order(vocabulary)
     index = {w: i for i, w in enumerate(order)}
-    counts = np.array([leaf.vocabulary.entries[w] for w in order], dtype=np.float64)
+    counts = np.array([vocabulary.entries[w] for w in order], dtype=np.float64)
     sentences = [
-        np.array([index[w] for w in seq if w in index], dtype=np.int64)
-        for seq in leaf.lemma_sequences
+        np.array([index[w] for w in seq if w in index], dtype=np.int64) for seq in sequences
     ]
     sentences = [s for s in sentences if len(s) > 1]
     if not sentences:
@@ -188,18 +197,18 @@ def reference_cbow(
 _WORDS = ["aa", "bb", "cc", "dd", "x1"]  # x1 fails the alphabetic filter
 
 
-def _leaf(documents):
-    texts = {f"d{i}": " ".join(doc) for i, doc in enumerate(documents)}
-    return PeriodCorpus.from_texts(PERIOD_1930, texts, FilterConfig(threshold_divisor=10_000_000))
-
-
 def _check_against_reference(documents, block, window, negatives, downsample, seed, epochs=2):
     """Train with the given block cap and require the reference's vectors and losses."""
-    leaf = _leaf(documents)
+    texts = [" ".join(doc) for doc in documents]
+    leaf = PeriodCorpus.from_texts(
+        PERIOD_1930,
+        {f"d{i}": text for i, text in enumerate(texts)},
+        FilterConfig(threshold_divisor=10_000_000),
+    )
     params = dict(
         dim=3, window=window, negatives=negatives, downsample=downsample, seed=seed, epochs=epochs
     )
-    expected = reference_cbow(leaf, block, **params)
+    expected = reference_cbow(leaf.vocabulary, document_sequences(texts), block, **params)
     with mock.patch.object(cbow, "BLOCK_POSITIONS", block):
         if expected is None:
             with pytest.raises(ComputationUndefinedError):

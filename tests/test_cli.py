@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -531,6 +532,42 @@ class TestEmbedAlignQuery:
         payload = json.loads(err)
         assert payload["error"] == 2
         assert "1930-1939.tsv: line 2" in payload["message"]
+
+
+class TestDuplicateRecords:
+    @pytest.mark.parametrize(
+        "artifact,command,message",
+        [
+            (
+                "ppmi/1930-1939.tsv",
+                ["query", "collocations", "--word", "kanun", "--period", "1930-1939"],
+                r"1930-1939\.tsv: 1 word pair\(s\) listed twice",
+            ),
+            (
+                "vocab/1930-1939.lemma.tsv",
+                ["analyze", "divergence"],
+                r"1930-1939\.lemma\.tsv: line 3: word '[^']+' listed twice",
+            ),
+        ],
+        ids=["ppmi-collocations", "vocabulary-divergence"],
+    )
+    def test_duplicated_line_is_usage_error(
+        self, workspace, tmp_path, capsys, artifact, command, message
+    ):
+        for artifacts in ("vocab", "ppmi"):
+            shutil.copytree(workspace / artifacts, tmp_path / artifacts)
+        path = tmp_path / artifact
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, lines[1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(tmp_path, *command, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") <= 1
+        payload = json.loads(err)
+        assert payload["error"] == 2
+        assert re.search(message, payload["message"])
+        assert not (tmp_path / "reports").exists()
 
 
 class TestDictCommand:

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diacorpus.corpus import (
     DiachronicCorpus,
@@ -21,11 +24,27 @@ from diacorpus.corpus import (
     write_artifact,
 )
 from diacorpus.errors import IngestError, ParameterError
-from diacorpus.alignment import read_transform
-from diacorpus.embeddings import read_embeddings, read_ppmi
-from diacorpus.lexicon import UniqueWordCount, Vocabulary, read_ngrams, read_vocabulary
+from diacorpus.alignment import AlignmentTransform, read_transform, write_transform
+from diacorpus.embeddings import (
+    EmbeddingSet,
+    PPMIMatrix,
+    read_embeddings,
+    read_ppmi,
+    write_embeddings,
+    write_ppmi,
+)
+from diacorpus.lexicon import (
+    NgramTable,
+    UniqueWordCount,
+    Vocabulary,
+    read_ngrams,
+    read_vocabulary,
+    vocabulary_order,
+    write_ngrams,
+    write_vocabulary,
+)
 
-from conftest import FIXTURES, PERIOD_1930, PERIOD_1980
+from conftest import FIXTURES, PERIOD_1930, PERIOD_1980, fixture_sequences
 
 
 def _record(doc_id, year, path="docs/x.txt"):
@@ -161,9 +180,9 @@ class TestDeterminismAndStats:
             assert a.stats == b.stats
             assert a.vocabulary.entries == b.vocabulary.entries
 
-    def test_raw_token_count_equals_sum_of_document_counts(self, fixture_tree):
+    def test_raw_token_count_equals_sum_of_document_counts(self, fixture_config, fixture_tree):
         for leaf in fixture_tree.leaves():
-            per_doc = sum(len(seq) for seq in leaf.surface_sequences)
+            per_doc = sum(len(seq) for seq in fixture_sequences(fixture_config, leaf, "surface"))
             assert leaf.stats.token_count_raw == per_doc
 
     def test_stats_consistency(self, fixture_tree):
@@ -210,6 +229,197 @@ class TestReadArtifactLines:
         path.write_bytes(b"#period=1930-1939 #tokens=1\naa\xff\t1\n")
         with pytest.raises(ParameterError, match=r"artifact\.txt: not a UTF-8 text file"):
             read(path)
+
+
+# A clean file of each text format: the header line, then the records.
+_PAIR_VOCABULARY = Vocabulary(PERIOD_1930, {"aa": 2, "bb": 1}, 3)
+_CLEAN_ARTIFACTS = {
+    "vocabulary": (read_vocabulary, ["#period=1930-1939 #tokens=3", "aa\t2", "bb\t1"]),
+    "ngrams": (
+        lambda path: read_ngrams(path, 1),
+        ["#period=1930-1939 #tokens=3", "aa\t2", "bb\t1"],
+    ),
+    "ppmi": (
+        lambda path: read_ppmi(path, _PAIR_VOCABULARY),
+        ["#period=1930-1939 #window=2 #alpha=0.75", "aa\tbb\t0.5", "bb\taa\t0.5"],
+    ),
+    "embeddings": (
+        read_embeddings,
+        ["dim=2 vocab=2 provenance=svd period=1930-1939", "aa 1.0 0.0", "bb 0.0 1.0"],
+    ),
+    "transform": (
+        read_transform,
+        ["d=2 from=1980-1989 to=1930-1939", "1.0 0.0", "0.0 1.0", "#shared=aa bb"],
+    ),
+}
+_BAD_HEADER = r"artifact\.txt: line 1: bad [a-z-]+ header"
+_CORRUPTIONS = [
+    *(
+        (kind, name, corrupt, _BAD_HEADER)
+        for kind in _CLEAN_ARTIFACTS
+        for name, corrupt in [
+            ("repeated-key", lambda lines: [lines[0] + " " + lines[0].split(" ")[-1], *lines[1:]]),
+            ("missing-key", lambda lines: [lines[0].rsplit(" ", 1)[0], *lines[1:]]),
+            ("unknown-key", lambda lines: [lines[0] + " extra=1", *lines[1:]]),
+        ]
+    ),
+    *(
+        (kind, "duplicate-record", lambda lines: [*lines[:2], lines[1], *lines[3:]], match)
+        for kind, match in [
+            ("vocabulary", r"artifact\.txt: line 3: word 'aa' listed twice"),
+            ("ngrams", r"artifact\.txt: line 3: gram 'aa' listed twice"),
+            ("ppmi", r"artifact\.txt: 1 word pair\(s\) listed twice"),
+            ("embeddings", r"artifact\.txt: line 3: word 'aa' listed twice"),
+        ]
+    ),
+    *(
+        (
+            kind,
+            "count-sum",
+            lambda lines: [lines[0].replace("#tokens=3", "#tokens=4"), *lines[1:]],
+            r"artifact\.txt: counts sum to 3, not #tokens=4",
+        )
+        for kind in ("vocabulary", "ngrams")
+    ),
+    (
+        "transform",
+        "second-shared",
+        lambda lines: [*lines[:-1], "#shared=aa", lines[-1]],
+        r"artifact\.txt: line 4: a second '#shared=' line",
+    ),
+    (
+        "transform",
+        "shared-not-last",
+        lambda lines: lines[:-1],
+        r"artifact\.txt: the last line is not the '#shared=' line",
+    ),
+]
+
+
+class TestArtifactRecordRules:
+    @pytest.mark.parametrize("kind", _CLEAN_ARTIFACTS)
+    def test_clean_artifact_loads(self, tmp_path, kind):
+        read, lines = _CLEAN_ARTIFACTS[kind]
+        path = tmp_path / "artifact.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        read(path)
+
+    @pytest.mark.parametrize(
+        "kind,name,corrupt,match",
+        _CORRUPTIONS,
+        ids=[f"{kind}-{name}" for kind, name, _, _ in _CORRUPTIONS],
+    )
+    def test_corruption_is_parameter_error_naming_the_file(
+        self, tmp_path, kind, name, corrupt, match
+    ):
+        read, lines = _CLEAN_ARTIFACTS[kind]
+        path = tmp_path / "artifact.txt"
+        path.write_text("\n".join(corrupt(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=match):
+            read(path)
+
+    @pytest.mark.parametrize("kind", _CLEAN_ARTIFACTS)
+    def test_empty_file_is_parameter_error_naming_the_file(self, tmp_path, kind):
+        path = tmp_path / "artifact.txt"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"artifact\.txt: empty [a-z-]+ file"):
+            _CLEAN_ARTIFACTS[kind][0](path)
+
+
+_TURKISH_WORDS = st.text("abcçdefgğhıijklmnoöprsştuüvyzâîû", min_size=1, max_size=8)
+_PERIODS = st.integers(1000, 2990).map(lambda year: TimePeriod(year, year + 9))
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+_ROUNDTRIP = settings(max_examples=60, deadline=None)
+
+
+class TestArtifactRoundTrip:
+    """Write then read each text format on drawn contents; the reader returns them exactly."""
+
+    @_ROUNDTRIP
+    @given(period=_PERIODS, entries=st.dictionaries(_TURKISH_WORDS, st.integers(1, 10**9)))
+    def test_vocabulary(self, tmp_path_factory, period, entries):
+        path = tmp_path_factory.mktemp("vocab") / "v.tsv"
+        vocab = Vocabulary(period, entries, sum(entries.values()))
+        write_vocabulary(vocab, path)
+        assert read_vocabulary(path) == vocab
+
+    @_ROUNDTRIP
+    @given(period=_PERIODS, order=st.integers(1, 3), data=st.data())
+    def test_ngrams(self, tmp_path_factory, period, order, data):
+        grams = st.tuples(*[_TURKISH_WORDS] * order)
+        entries = data.draw(st.dictionaries(grams, st.integers(1, 10**9)))
+        path = tmp_path_factory.mktemp("ngrams") / "n.tsv"
+        table = NgramTable(period, order, entries)
+        write_ngrams(table, path)
+        loaded = read_ngrams(path, order)
+        assert (loaded.period, list(loaded.entries.items())) == (period, list(entries.items()))
+
+    @_ROUNDTRIP
+    @given(
+        period=_PERIODS,
+        entries=st.dictionaries(_TURKISH_WORDS, st.integers(1, 100), min_size=1),
+        window=st.integers(1, 10),
+        alpha=st.floats(0.1, 1.0),
+        data=st.data(),
+    )
+    def test_ppmi(self, tmp_path_factory, period, entries, window, alpha, data):
+        vocab = Vocabulary(period, entries, sum(entries.values()))
+        size = len(entries)
+        cells = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                st.floats(1e-9, 1e3),
+            )
+        )
+        values = sp.csr_matrix(
+            (list(cells.values()), ([i for i, _ in cells], [j for _, j in cells])),
+            shape=(size, size),
+        )
+        index = {w: i for i, w in enumerate(vocabulary_order(vocab))}
+        path = tmp_path_factory.mktemp("ppmi") / "p.tsv"
+        write_ppmi(PPMIMatrix(period, index, values, alpha, window), path)
+        loaded = read_ppmi(path, vocab)
+        assert (loaded.period, loaded.window, loaded.alpha) == (period, window, alpha)
+        assert loaded.vocab_index == index
+        assert np.array_equal(loaded.values.toarray(), values.toarray())
+
+    @_ROUNDTRIP
+    @given(
+        period=_PERIODS,
+        words=st.lists(_TURKISH_WORDS, min_size=1, max_size=8, unique=True),
+        dim=st.integers(1, 4),
+        provenance=st.sampled_from(["svd", "cbow"]),
+        data=st.data(),
+    )
+    def test_embeddings(self, tmp_path_factory, period, words, dim, provenance, data):
+        row = st.lists(_REALS, min_size=dim, max_size=dim)
+        rows = data.draw(st.lists(row, min_size=len(words), max_size=len(words)))
+        original = EmbeddingSet(
+            period, {w: i for i, w in enumerate(words)}, np.array(rows), dim, provenance
+        )
+        path = tmp_path_factory.mktemp("vec") / "e.vec"
+        write_embeddings(original, path)
+        loaded = read_embeddings(path)
+        assert (loaded.period, loaded.provenance, loaded.dim) == (period, provenance, dim)
+        assert loaded.vocab_index == original.vocab_index
+        assert np.array_equal(loaded.matrix, original.matrix)
+
+    @_ROUNDTRIP
+    @given(
+        periods=st.tuples(_PERIODS, _PERIODS),
+        shared=st.lists(_TURKISH_WORDS, min_size=1, max_size=8, unique=True),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transform(self, tmp_path_factory, periods, shared, dim, seed):
+        rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+        original = AlignmentTransform(*periods, rotation, shared)
+        path = tmp_path_factory.mktemp("transform") / "t.txt"
+        write_transform(original, path)
+        loaded = read_transform(path)
+        assert (loaded.source_period, loaded.target_period) == periods
+        assert loaded.shared_vocab == shared
+        assert np.array_equal(loaded.matrix, rotation)
 
 
 class TestWriteArtifact:

@@ -27,7 +27,7 @@ from diacorpus.errors import (
     ParameterError,
 )
 
-from conftest import PERIOD_1930
+from conftest import PERIOD_1930, document_sequences
 
 
 def synthetic_word(i):
@@ -35,8 +35,8 @@ def synthetic_word(i):
     return "w" + chr(ord("a") + i // 26) + chr(ord("a") + i % 26)
 
 
-def random_leaf(rng, max_types=20, max_tokens=200):
-    """A synthetic preprocessed leaf with a random small corpus."""
+def random_texts(rng, max_types=20, max_tokens=200):
+    """A random small corpus of synthetic words, keyed by document id."""
     n_types = rng.randint(2, max_types)
     words = [synthetic_word(i) for i in range(n_types)]
     docs = {}
@@ -47,17 +47,22 @@ def random_leaf(rng, max_types=20, max_tokens=200):
         docs[f"d{d}"] = " ".join(rng.choice(words) for _ in range(length))
         remaining -= length
         d += 1
-    leaf = PeriodCorpus.from_texts(PERIOD_1930, docs)
+    return docs
+
+
+def random_leaf(rng, max_types=20, max_tokens=200):
+    """A synthetic preprocessed leaf with a random small corpus."""
+    leaf = PeriodCorpus.from_texts(PERIOD_1930, random_texts(rng, max_types, max_tokens))
     assert leaf.vocabulary.entries, "synthetic corpus lost its vocabulary to filtering"
     return leaf
 
 
-def oracle_dense_counts(leaf, window):
+def oracle_dense_counts(texts, vocabulary, window):
     """Independent dense co-occurrence counting by explicit pair enumeration."""
-    order = vocabulary_order(leaf.vocabulary)
+    order = vocabulary_order(vocabulary)
     index = {w: i for i, w in enumerate(order)}
     dense = np.zeros((len(order), len(order)))
-    for seq in leaf.lemma_sequences:
+    for seq in document_sequences(texts):
         for i in range(len(seq)):
             for j in range(len(seq)):
                 if i != j and abs(i - j) <= window:
@@ -114,13 +119,15 @@ class TestCooccurrence:
         rng = random.Random(101)
         nonempty = 0
         for _ in range(10):
-            leaf = random_leaf(rng)
+            texts = random_texts(rng)
+            leaf = PeriodCorpus.from_texts(PERIOD_1930, texts)
             window = rng.randint(1, 4)
             matrix = count_cooccurrences(leaf, window)
             dense = matrix.counts.toarray()
             assert np.array_equal(dense, dense.T)
             assert matrix.grand_total % 2 == 0
-            assert np.array_equal(dense, oracle_dense_counts(leaf, window))
+            oracle = oracle_dense_counts(texts.values(), leaf.vocabulary, window)
+            assert np.array_equal(dense, oracle)
             nonempty += matrix.grand_total > 0
         assert nonempty >= 8  # the check must not pass vacuously
 

@@ -11,7 +11,7 @@ from diacorpus.orthography import (
     ending_ratio_rows,
 )
 
-from conftest import PERIOD_1930, PERIOD_1980
+from conftest import PERIOD_1930, PERIOD_1980, fixture_sequences
 
 
 def _vocab(entries, period=PERIOD_1930):
@@ -85,7 +85,7 @@ class TestEndingRatio:
             values = ending_ratio(fixture_tree, pair_class).values()
             assert values[0] > values[1]
 
-    def test_invariant_under_corpus_duplication(self, fixture_tree):
+    def test_invariant_under_corpus_duplication(self, fixture_config, fixture_tree):
         def rebuilt(copies):
             return DiachronicCorpus(
                 [
@@ -93,7 +93,9 @@ class TestEndingRatio:
                         leaf.period,
                         {
                             f"{i}-{copy}": " ".join(seq)
-                            for i, seq in enumerate(leaf.surface_sequences)
+                            for i, seq in enumerate(
+                                fixture_sequences(fixture_config, leaf, "surface")
+                            )
                             for copy in range(copies)
                         },
                         filter_config=leaf.filter_config,
@@ -142,7 +144,7 @@ class TestCircumflex:
         raw, _ = circumflex_frequency(DiachronicCorpus([leaf]), level="surface")
         assert raw.values() == [2]
 
-    def test_duplication_doubles_raw_not_rate(self, fixture_tree):
+    def test_duplication_doubles_raw_not_rate(self, fixture_config, fixture_tree):
         def rebuilt(copies):
             return DiachronicCorpus(
                 [
@@ -150,7 +152,9 @@ class TestCircumflex:
                         leaf.period,
                         {
                             f"{i}-{copy}": " ".join(seq)
-                            for i, seq in enumerate(leaf.lemma_sequences)
+                            for i, seq in enumerate(
+                                fixture_sequences(fixture_config, leaf, "lemma")
+                            )
                             for copy in range(copies)
                         },
                         filter_config=leaf.filter_config,

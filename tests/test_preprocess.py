@@ -36,7 +36,43 @@ SENTENCE_1921_TOKENS = [
 ]
 
 
+def reference_normalize(raw):
+    """The character loop normalize_text replaced, kept as its reference.
+
+    Soft hyphens are dropped; each whitespace run becomes a newline if it
+    holds one, else a space; leading and trailing runs are dropped.
+    """
+    out = []
+    in_run = False
+    run_has_newline = False
+    for ch in raw:
+        if ch == "\u00ad":
+            continue
+        if ch.isspace():
+            in_run = True
+            if ch == "\n":
+                run_has_newline = True
+            continue
+        if in_run:
+            if out:
+                out.append("\n" if run_has_newline else " ")
+            in_run = False
+            run_has_newline = False
+        out.append(ch)
+    return "".join(out)
+
+
+# every str.isspace() character, the soft hyphen, and a few letters
+_WHITESPACE = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
+_NORMALIZE_ALPHABET = st.sampled_from(list("abç\u00ad" + _WHITESPACE))
+
+
 class TestNormalize:
+    @given(st.text(_NORMALIZE_ALPHABET, max_size=40) | st.text(max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_loop(self, raw):
+        assert normalize_text(raw) == reference_normalize(raw)
+
     def test_nbsp_runs_collapse(self):
         assert normalize_text("a   b") == "a b"
 

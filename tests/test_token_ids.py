@@ -2,9 +2,8 @@
 
 Ingest turns each document into int32 ids (rows of the vocabulary TSV, -1
 for a filtered-out token), and n-grams, co-occurrences and CBOW count from
-those arrays. The references below count from the per-document string
-sequences that leaves built from text still carry, so the two paths stay
-independent.
+those arrays. The references below count from per-document string sequences
+rebuilt from the raw texts, so the two paths stay independent.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from diacorpus.lexicon import (
 )
 from diacorpus.preprocess import FilterConfig
 
-from conftest import PERIOD_1930
+from conftest import PERIOD_1930, document_sequences, fixture_sequences
 
 LEVELS = ("lemma", "surface")
 
@@ -42,33 +41,27 @@ def _vocabulary(leaf, level):
     return leaf.vocabulary if level == "lemma" else leaf.surface_vocabulary
 
 
-def _sequences(leaf, level):
-    return leaf.lemma_sequences if level == "lemma" else leaf.surface_sequences
-
-
-def reference_ngrams(leaf, order, level):
+def reference_ngrams(vocab, sequences, order):
     """The string-loop n-gram count: windows inside a document, every member kept.
 
     Entries are sorted into written order: count descending, then gram.
     """
-    vocab = _vocabulary(leaf, level).entries
     counts: Counter[tuple[str, ...]] = Counter()
-    for seq in _sequences(leaf, level):
+    for seq in sequences:
         for i in range(len(seq) - order + 1):
             gram = tuple(seq[i : i + order])
-            if all(w in vocab for w in gram):
+            if all(w in vocab.entries for w in gram):
                 counts[gram] += 1
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def reference_cooccurrences(leaf, window):
+def reference_cooccurrences(vocab, sequences, window):
     """Directed in-window pair counts over the lemma strings of each document."""
-    vocab = leaf.vocabulary.entries
     counts: Counter[tuple[str, str]] = Counter()
-    for seq in leaf.lemma_sequences:
+    for seq in sequences:
         for i, u in enumerate(seq):
             for v in seq[i + 1 : i + 1 + window]:
-                if u in vocab and v in vocab:
+                if u in vocab.entries and v in vocab.entries:
                     counts[u, v] += 1
                     counts[v, u] += 1
     return dict(counts)
@@ -88,20 +81,25 @@ def ngram_bytes(table, path):
 class TestFixtureAgainstReference:
     @pytest.mark.parametrize("order", NGRAM_ORDERS)
     @pytest.mark.parametrize("level", LEVELS)
-    def test_ngram_file_bytes(self, fresh_tree, tmp_path, order, level):
+    def test_ngram_file_bytes(self, fixture_config, fresh_tree, tmp_path, order, level):
         for leaf in fresh_tree.leaves():
             table = create_ngrams(leaf, order, level)
-            reference = NgramTable(leaf.period, order, reference_ngrams(leaf, order, level), level)
+            sequences = fixture_sequences(fixture_config, leaf, level)
+            entries = reference_ngrams(_vocabulary(leaf, level), sequences, order)
+            reference = NgramTable(leaf.period, order, entries, level)
             assert list(table.entries.items()) == list(reference.entries.items())
             assert ngram_bytes(table, tmp_path / "id.tsv") == ngram_bytes(
                 reference, tmp_path / "reference.tsv"
             )
 
     @pytest.mark.parametrize("window", [1, 2, 5])
-    def test_cooccurrence_counts(self, fresh_tree, window):
+    def test_cooccurrence_counts(self, fixture_config, fresh_tree, window):
         for leaf in fresh_tree.leaves():
             matrix = count_cooccurrences(leaf, window)
-            assert cooccurrence_entries(matrix) == reference_cooccurrences(leaf, window)
+            sequences = fixture_sequences(fixture_config, leaf)
+            assert cooccurrence_entries(matrix) == reference_cooccurrences(
+                leaf.vocabulary, sequences, window
+            )
 
 
 # Words with a digit fail the alphabetic filter, so they are filtered-out
@@ -111,8 +109,12 @@ _documents = st.lists(st.lists(st.sampled_from(_WORDS), max_size=7), min_size=1,
 _divisors = st.sampled_from([1, 3, 10_000_000])
 
 
+def _texts(documents):
+    return [" ".join(doc) for doc in documents]
+
+
 def _leaf(documents, divisor):
-    texts = {f"d{i}": " ".join(doc) for i, doc in enumerate(documents)}
+    texts = {f"d{i}": text for i, text in enumerate(_texts(documents))}
     return PeriodCorpus.from_texts(PERIOD_1930, texts, FilterConfig(threshold_divisor=divisor))
 
 
@@ -146,7 +148,8 @@ class TestGeneratedLeaves:
             assert ids.dtype == np.int32
             vocab = _vocabulary(leaf, level)
             rows = vocabulary_order(vocab)
-            expected = [w if w in vocab else None for seq in _sequences(leaf, level) for w in seq]
+            sequences = document_sequences(_texts(documents), level)
+            expected = [w if w in vocab else None for seq in sequences for w in seq]
             assert [rows[i] if i >= 0 else None for i in ids.tolist()] == expected
 
     @settings(max_examples=80, deadline=None)
@@ -155,9 +158,11 @@ class TestGeneratedLeaves:
     def test_ngrams_match_reference(self, documents, divisor):
         leaf = _leaf(documents, divisor)
         for level in LEVELS:
+            sequences = document_sequences(_texts(documents), level)
             for order in NGRAM_ORDERS:
                 entries = create_ngrams(leaf, order, level).entries
-                assert list(entries.items()) == list(reference_ngrams(leaf, order, level).items())
+                reference = reference_ngrams(_vocabulary(leaf, level), sequences, order)
+                assert list(entries.items()) == list(reference.items())
 
     @settings(max_examples=80, deadline=None)
     @given(documents=_documents, divisor=_divisors, window=st.integers(1, 4))
@@ -165,7 +170,10 @@ class TestGeneratedLeaves:
     def test_cooccurrences_match_reference(self, documents, divisor, window):
         leaf = _leaf(documents, divisor)
         matrix = count_cooccurrences(leaf, window)
-        assert cooccurrence_entries(matrix) == reference_cooccurrences(leaf, window)
+        sequences = document_sequences(_texts(documents))
+        assert cooccurrence_entries(matrix) == reference_cooccurrences(
+            leaf.vocabulary, sequences, window
+        )
 
 
 def _npy_bytes(array):
