@@ -254,6 +254,9 @@ def read_transform(path: str | Path) -> AlignmentTransform:
     if matrix.shape != (dim, dim):
         raise ParameterError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
     shared = [w for w in body[-1][len("#shared=") :].split(" ") if w]
-    return AlignmentTransform(
-        source_period=head["from"], target_period=head["to"], matrix=matrix, shared_vocab=shared
-    )
+    try:
+        return AlignmentTransform(
+            source_period=head["from"], target_period=head["to"], matrix=matrix, shared_vocab=shared
+        )
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc

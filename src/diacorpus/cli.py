@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 from . import alignment as alignment_mod
 from . import cbow as cbow_mod
@@ -58,15 +59,16 @@ EXIT_MISSING_ARTIFACT = 3
 _MAX_REPORT_NAME_BYTES = 255
 _LONGEST_REPORT_SUFFIX = ".json"
 
-STATS_FIELDS = (
-    "The number of documents",
-    "The number of words before filtering",
-    "The number of words after filtering",
-    "The number of unique surface level words",
-    "The number of unique stems",
-    "The number of unique stems after filtering",
-    "Average token count per document",
-)
+# CorpusStats field -> its label in stats.json and stats.csv, in column order
+STATS_FIELDS = {
+    "document_count": "The number of documents",
+    "token_count_raw": "The number of words before filtering",
+    "token_count_filtered": "The number of words after filtering",
+    "unique_surface_count": "The number of unique surface level words",
+    "unique_lemma_count": "The number of unique stems",
+    "unique_lemma_count_filtered": "The number of unique stems after filtering",
+    "avg_tokens_per_document": "Average token count per document",
+}
 
 
 @dataclass
@@ -240,45 +242,37 @@ def to_json(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
 
 
-def ranking_to_json(ranking: list[tuple[str, float]]) -> str:
-    return to_json([{"lemma": w, "cosine": v} for w, v in ranking])
+def _write_report(
+    reports: Path, name: str, records: list[dict], csv_header: Sequence[str] = ()
+) -> str:
+    """Write ``<name>.json`` of ``records`` and return its text.
+
+    Given ``csv_header``, also write ``<name>.csv``: one row per record of its
+    first ``len(csv_header)`` values, in order, under the header's names.
+    Keys past the header (such as ``oov``) are JSON-only.
+    """
+    if csv_header:
+        width = len(csv_header)
+        rows = (tuple(record.values())[:width] for record in records)
+        write_artifact(reports / f"{name}.csv", csv_table(csv_header, rows))
+    text = to_json(records)
+    write_artifact(reports / f"{name}.json", text)
+    return text
 
 
-def series_to_csv(series, value_column: str) -> str:
-    return csv_table(["period", value_column], ((p.label, v) for p, v in series))
+def ranking_records(ranking: list[tuple[str, float]], score: str = "cosine") -> list[dict]:
+    return [{"lemma": word, score: value} for word, value in ranking]
 
 
-def series_to_json(series) -> str:
-    rows = []
+def series_records(series) -> list[dict]:
+    """One ``period``/``value`` record per entry; a missing value also marks ``"oov": true``."""
+    records = []
     for period, value in series:
-        row = {"period": period.label, "value": value}
+        record = {"period": period.label, "value": value}
         if value is None:
-            row["oov"] = True
-        rows.append(row)
-    return to_json(rows)
-
-
-def matrix_to_json(matrix) -> str:
-    return to_json(
-        {
-            "metric": matrix.metric,
-            "periods": [p.label for p in matrix.periods],
-            "values": [[float(v) for v in row] for row in matrix.values],
-        }
-    )
-
-
-def contributions_to_json(ranking) -> str:
-    return to_json(
-        [
-            {
-                "lemma": lemma,
-                "contribution": value,
-                "side": ranking.side(value).label,
-            }
-            for lemma, value in ranking.pairs
-        ]
-    )
+            record["oov"] = True
+        records.append(record)
+    return records
 
 
 def _ingest_tree(config: RunConfig) -> DiachronicCorpus:
@@ -293,31 +287,19 @@ def _ingest_tree(config: RunConfig) -> DiachronicCorpus:
 
 
 def _stats_payload(tree: DiachronicCorpus) -> dict:
-    periods = {}
-    for leaf in tree.leaves():
-        stats = leaf.stats
-        assert stats is not None
-        periods[leaf.period.label] = {
-            STATS_FIELDS[0]: stats.document_count,
-            STATS_FIELDS[1]: stats.token_count_raw,
-            STATS_FIELDS[2]: stats.token_count_filtered,
-            STATS_FIELDS[3]: stats.unique_surface_count,
-            STATS_FIELDS[4]: stats.unique_lemma_count,
-            STATS_FIELDS[5]: stats.unique_lemma_count_filtered,
-            STATS_FIELDS[6]: stats.avg_tokens_per_document,
+    periods = {
+        leaf.period.label: {
+            label: getattr(leaf.stats, name) for name, label in STATS_FIELDS.items()
         }
-    total_docs = sum(p[STATS_FIELDS[0]] for p in periods.values())
-    total_raw = sum(p[STATS_FIELDS[1]] for p in periods.values())
-    merged = lexicon_mod.merge_vocabulary(tree)
-    total = {
-        STATS_FIELDS[0]: total_docs,
-        STATS_FIELDS[1]: total_raw,
-        STATS_FIELDS[2]: sum(p[STATS_FIELDS[2]] for p in periods.values()),
-        STATS_FIELDS[3]: sum(p[STATS_FIELDS[3]] for p in periods.values()),
-        STATS_FIELDS[4]: sum(p[STATS_FIELDS[4]] for p in periods.values()),
-        STATS_FIELDS[5]: len(merged.entries),
-        STATS_FIELDS[6]: (total_raw / total_docs) if total_docs else 0.0,
+        for leaf in tree.leaves()
     }
+    # each column sums over the periods, except the two that do not add up
+    total = {label: sum(p[label] for p in periods.values()) for label in STATS_FIELDS.values()}
+    docs = total[STATS_FIELDS["document_count"]]
+    raw = total[STATS_FIELDS["token_count_raw"]]
+    merged = lexicon_mod.merge_vocabulary(tree)
+    total[STATS_FIELDS["unique_lemma_count_filtered"]] = len(merged.entries)
+    total[STATS_FIELDS["avg_tokens_per_document"]] = (raw / docs) if docs else 0.0
     return {
         "periods": periods,
         "total": total,
@@ -328,8 +310,7 @@ def _stats_payload(tree: DiachronicCorpus) -> dict:
 def _stats_csv(payload: dict) -> str:
     rows = [*payload["periods"].items(), ("total", payload["total"])]
     return csv_table(
-        ["period", *STATS_FIELDS],
-        ([label, *(fields[name] for name in STATS_FIELDS)] for label, fields in rows),
+        ["period", *STATS_FIELDS.values()], ([label, *f.values()] for label, f in rows)
     )
 
 
@@ -411,19 +392,30 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
     periods = _parse_periods(args.periods)
     tree = _load_vocab_artifacts(config)
     if args.analysis == "divergence":
-        jaccard = divergence_mod.jaccard_matrix(tree, periods)
-        jsd = divergence_mod.jsd_matrix(tree, periods)
+        matrices = (
+            divergence_mod.jaccard_matrix(tree, periods),
+            divergence_mod.jsd_matrix(tree, periods),
+        )
         written = []
-        for matrix, name in ((jaccard, "jaccard"), (jsd, "jsd")):
+        for matrix in matrices:
+            name = matrix.metric
             write_artifact(reports / f"{name}.csv", matrix.to_csv())
-            write_artifact(reports / f"{name}.json", matrix_to_json(matrix))
+            payload = {
+                "metric": matrix.metric,
+                "periods": [p.label for p in matrix.periods],
+                "values": [[float(v) for v in row] for row in matrix.values],
+            }
+            write_artifact(reports / f"{name}.json", to_json(payload))
             written += [f"{name}.csv", f"{name}.json"]
         if args.pair:
             a, b = (TimePeriod.parse(p) for p in args.pair)
             ranking = divergence_mod.contributions_between(tree, a, b, args.top_k)
             name = f"jsd_contributions_{a.label}_{b.label}"
-            write_artifact(reports / f"{name}.csv", ranking.to_csv())
-            write_artifact(reports / f"{name}.json", contributions_to_json(ranking))
+            records = [
+                {"lemma": lemma, "contribution": value, "side": ranking.side(value).label}
+                for lemma, value in ranking.pairs
+            ]
+            _write_report(reports, name, records, ("lemma", "contribution", "side"))
             written += [f"{name}.csv", f"{name}.json"]
         print(to_json({"written": [reports.joinpath(n).as_posix() for n in written]}), end="")
     elif args.analysis == "survived":
@@ -431,11 +423,9 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
             raise ParameterError("survived analysis needs --base-period")
         base = TimePeriod.parse(args.base_period)
         series = divergence_mod.survived_words(tree, base, periods)
-        write_artifact(
-            reports / f"survived_{base.label}.csv", series_to_csv(series, "survived_words")
-        )
-        write_artifact(reports / f"survived_{base.label}.json", series_to_json(series))
-        print(series_to_json(series), end="")
+        name = f"survived_{base.label}"
+        text = _write_report(reports, name, series_records(series), ("period", "survived_words"))
+        print(text, end="")
     elif args.analysis == "ortho":
         # compute every analysis first, so a failing class writes no report
         class_rows = {
@@ -443,38 +433,27 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
             for pair_class in args.classes
         }
         raw, per_million = orthography_mod.circumflex_frequency(tree, periods)
+        # The two CSVs stay rendered by orthography.ending_ratio_csv and
+        # circumflex_csv: the benchmark tracer wraps both as trace targets.
         for pair_class, rows in class_rows.items():
+            name = f"ortho_ratio_{pair_class}"
             write_artifact(
-                reports / f"ortho_ratio_{pair_class}.csv",
-                orthography_mod.ending_ratio_csv(pair_class, rows),
+                reports / f"{name}.csv", orthography_mod.ending_ratio_csv(pair_class, rows)
             )
-            write_artifact(
-                reports / f"ortho_ratio_{pair_class}.json",
-                to_json(
-                    [
-                        {
-                            "period": period.label,
-                            "class": pair_class,
-                            "soft_total": soft,
-                            "hard_total": hard,
-                            "ratio": ratio,
-                        }
-                        for period, soft, hard, ratio in rows
-                    ]
-                ),
-            )
+            records = [
+                {"period": period.label, "class": pair_class,
+                 "soft_total": soft, "hard_total": hard, "ratio": ratio}
+                for period, soft, hard, ratio in rows
+            ]
+            _write_report(reports, name, records)
         write_artifact(
             reports / "circumflex.csv", orthography_mod.circumflex_csv(raw, per_million)
         )
-        write_artifact(
-            reports / "circumflex.json",
-            to_json(
-                [
-                    {"period": period.label, "raw": count, "per_million": rate}
-                    for (period, count), (_, rate) in zip(raw, per_million)
-                ]
-            ),
-        )
+        records = [
+            {"period": period.label, "raw": count, "per_million": rate}
+            for (period, count), (_, rate) in zip(raw, per_million)
+        ]
+        _write_report(reports, "circumflex", records)
         print(to_json({"classes": list(args.classes)}), end="")
     elif args.analysis == "dict-crossover":
         entries = (
@@ -482,30 +461,22 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
             if args.dictionary
             else load_sample_dictionary()
         )
-        results = []
+        records = []
         for entry in entries:
             for old in entry.old_forms:
                 period = crossover_period(tree, entry.modern, old, periods, mode=args.mode)
                 label = period.label if period else "none"
-                results.append({"modern": entry.modern, "old": old, "crossover": label})
-        write_artifact(
-            reports / "crossover.csv",
-            csv_table(
-                ["modern", "old", "crossover_period"],
-                ((r["modern"], r["old"], r["crossover"]) for r in results),
-            ),
-        )
-        write_artifact(reports / "crossover.json", to_json(results))
-        print(to_json(results), end="")
+                records.append({"modern": entry.modern, "old": old, "crossover": label})
+        text = _write_report(reports, "crossover", records, ("modern", "old", "crossover_period"))
+        print(text, end="")
     elif args.analysis == "freq":
         if not args.word:
             raise ParameterError("freq analysis needs --word")
         name = _word_report_name("freq", args.word)
         series = lexicon_mod.frequency(tree, args.word, periods, normalize=args.normalize)
         column = "normalized_frequency" if args.normalize else "frequency"
-        write_artifact(reports / f"{name}.csv", series_to_csv(series, column))
-        write_artifact(reports / f"{name}.json", series_to_json(series))
-        print(series_to_json(series), end="")
+        text = _write_report(reports, name, series_records(series), ("period", column))
+        print(text, end="")
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown analysis {args.analysis!r}")
     return EXIT_OK
@@ -613,9 +584,7 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         name = _word_report_name("most_similar", args.word, period.label)
         embedding_set = _read_embedding_artifact(config, period, args.kind)
         ranking = embeddings_mod.most_similar(args.word, args.top_k, embedding_set)
-        text = ranking_to_json(ranking)
-        write_artifact(reports / f"{name}.json", text)
-        print(text, end="")
+        print(_write_report(reports, name, ranking_records(ranking)), end="")
     elif args.query == "aligned-most-similar":
         target = TimePeriod.parse(args.target)
         base = TimePeriod.parse(args.base)
@@ -626,9 +595,7 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         ranking = alignment_mod.aligned_most_similar(
             args.word, args.top_k, target_set, base_set, transform
         )
-        text = ranking_to_json(ranking)
-        write_artifact(reports / f"{name}.json", text)
-        print(text, end="")
+        print(_write_report(reports, name, ranking_records(ranking)), end="")
     elif args.query == "semantic-change":
         periods = _parse_periods(args.periods)
         if not periods:
@@ -641,9 +608,7 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
             for i in range(len(ordered) - 1)
         ]
         series = alignment_mod.semantic_change(args.word, ordered, transforms)
-        text = series_to_json(series)
-        write_artifact(reports / f"{name}.json", text)
-        print(text, end="")
+        print(_write_report(reports, name, series_records(series)), end="")
     elif args.query == "collocations":
         period = TimePeriod.parse(args.period)
         name = _word_report_name("collocations", args.word, period.label)
@@ -660,9 +625,7 @@ def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
         vocab = lexicon_mod.read_vocabulary(vocab_path)
         ppmi = embeddings_mod.read_ppmi(ppmi_path, vocab)
         ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)
-        text = to_json([{"lemma": w, "association": v} for w, v in ranking])
-        write_artifact(reports / f"{name}.json", text)
-        print(text, end="")
+        print(_write_report(reports, name, ranking_records(ranking, "association")), end="")
     else:  # pragma: no cover - argparse restricts choices
         raise ParameterError(f"unknown query {args.query!r}")
     return EXIT_OK

@@ -38,7 +38,7 @@ from .preprocess import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from .embeddings import CooccurrenceMatrix, EmbeddingSet, PPMIMatrix
+    from .embeddings import CooccurrenceMatrix, PPMIMatrix
     from .lexicon import NgramTable, Vocabulary
 
 _PERIOD_LABEL = re.compile(r"^(\d{1,4})-(\d{1,4})$")
@@ -195,7 +195,6 @@ class PeriodCorpus(CorpusNode):
         self.ngram_tables: dict[tuple[int, str], "NgramTable"] = {}
         self.cooccurrence: dict[int, "CooccurrenceMatrix"] = {}
         self.ppmi: dict[tuple[int, float], "PPMIMatrix"] = {}
-        self.embedding_sets: dict[str, "EmbeddingSet"] = {}
 
     def perform(self, op: Operation) -> Any:
         return op.on_period(self)

@@ -52,12 +52,6 @@ class ContributionRanking:
         """The period a signed contribution favors: negative values the first."""
         return self.period_a if value < 0 else self.period_b
 
-    def to_csv(self) -> str:
-        return csv_table(
-            ["lemma", "contribution", "side"],
-            ((lemma, value, self.side(value).label) for lemma, value in self.pairs),
-        )
-
 
 def jaccard_similarity(vocab_a: Vocabulary, vocab_b: Vocabulary) -> float:
     """|A ∩ B| / |A ∪ B| over the filtered word sets."""

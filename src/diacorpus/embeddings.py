@@ -326,12 +326,14 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
 def read_embeddings(path: str | Path) -> EmbeddingSet:
     """Load an embedding file; a malformed file raises ParameterError naming it (and the line).
 
-    The header's ``vocab`` words are each listed once.
+    The header's ``dim`` is positive, and its ``vocab`` words are each listed once.
     """
     head, body = read_artifact(
         path, "embedding", dim=int, vocab=int, provenance=str, period=TimePeriod.parse
     )
     dim, vocab_size = head["dim"], head["vocab"]
+    if dim < 1:
+        raise ParameterError(f"{path}: line 1: dim={dim} is not a positive dimension")
     found = len(body) - body.count("")
     if found != vocab_size:
         raise ParameterError(f"{path}: header says {vocab_size} words, found {found}")
@@ -351,7 +353,10 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
             rows[i] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
-    return EmbeddingSet(head["period"], vocab_index, rows, dim, head["provenance"])
+    try:
+        return EmbeddingSet(head["period"], vocab_index, rows, dim, head["provenance"])
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
 
 
 def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:

@@ -436,8 +436,8 @@ def _header_line(period: TimePeriod, token_total: int) -> str:
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """TSV export: header line, then lemma<TAB>frequency, frequency-descending."""
     lines = [_header_line(vocab.period, vocab.token_total)]
-    for word, freq in sorted(vocab.entries.items(), key=lambda kv: (-kv[1], kv[0])):
-        lines.append(f"{word}\t{freq}")
+    for word in vocabulary_order(vocab):
+        lines.append(f"{word}\t{vocab.entries[word]}")
     write_artifact(path, "\n".join(lines) + "\n")
 
 

@@ -8,14 +8,25 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diacorpus
-from diacorpus.cli import main, ranking_to_json
+from diacorpus.cli import _write_report, main, ranking_records, to_json
+from diacorpus.corpus import csv_table
 from diacorpus.embeddings import most_similar, read_embeddings
 
 from conftest import FIXTURES
 
 CONFIG = str(FIXTURES / "fixture_config.json")
+
+
+def _child_env(**extra) -> dict:
+    """Environment of a child interpreter that imports the package under test."""
+    src = str(Path(diacorpus.__file__).parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(out_dir, *args, capsys=None):
@@ -373,11 +384,9 @@ class TestEmbedReadsTokenStore:
 class TestBlasThreads:
     def test_embeddings_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """Dense SVD and CBOW vectors are byte-identical with one and two BLAS threads."""
-        src = str(Path(diacorpus.__file__).parents[1])
         vectors = {}
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env = _child_env(OPENBLAS_NUM_THREADS=threads)
             out = tmp_path / f"threads{threads}"
             for args in (["ingest"], ["embed", "svd"], ["embed", "cbow"]):
                 result = subprocess.run(
@@ -432,12 +441,9 @@ class TestScipyImports:
             ["dict"],
             ["query", "collocations", "--word", "kanun", "--period", "1930-1939"],
         ]
-        src = str(Path(diacorpus.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, json.dumps([prefix + c for c in commands])],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_child_env(), timeout=300,
         )
         assert result.returncode == 0, result.stderr
         loaded = json.loads(result.stdout)
@@ -454,7 +460,7 @@ class TestScipyImports:
 class TestEmbedAlignQuery:
     def test_cli_query_equals_library_bytes(self, workspace):
         embedding_set = read_embeddings(workspace / "embeddings" / "1930-1939.svd.vec")
-        expected = ranking_to_json(most_similar("kanun", 10, embedding_set))
+        expected = to_json(ranking_records(most_similar("kanun", 10, embedding_set)))
         actual = (workspace / "reports" / "most_similar_kanun_1930-1939.json").read_text(
             encoding="utf-8"
         )
@@ -533,6 +539,23 @@ class TestEmbedAlignQuery:
         assert payload["error"] == 2
         assert "1930-1939.tsv: line 2" in payload["message"]
 
+    def test_negative_dim_vec_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        vec = tmp_path / "embeddings" / "1930-1939.svd.vec"
+        vec.parent.mkdir()
+        vec.write_text("dim=-1 vocab=0 provenance=svd period=1930-1939\n", encoding="utf-8")
+        code, out, err = run_cli(
+            tmp_path, "query", "most-similar", "--word", "kanun", "--period", "1930-1939",
+            capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == 2
+        assert "1930-1939.svd.vec: line 1" in payload["message"]
+        assert "traceback" not in payload["context"]
+        assert not (tmp_path / "reports").exists()
+
 
 class TestDuplicateRecords:
     @pytest.mark.parametrize(
@@ -568,6 +591,35 @@ class TestDuplicateRecords:
         assert payload["error"] == 2
         assert re.search(message, payload["message"])
         assert not (tmp_path / "reports").exists()
+
+
+_WORDS = st.text("abcçdefgğhıijklmnoöprsştuüvyzâîû", min_size=1, max_size=8)
+_CELLS = st.one_of(
+    _WORDS, st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.none()
+)
+
+
+class TestWriteReport:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(_WORDS, min_size=1, max_size=5, unique=True), data=st.data())
+    def test_csv_is_the_leading_values_and_json_the_records(self, tmp_path_factory, keys, data):
+        records = data.draw(st.lists(st.fixed_dictionaries({k: _CELLS for k in keys}), max_size=6))
+        header = data.draw(st.lists(_WORDS, max_size=len(keys)))
+        reports = tmp_path_factory.mktemp("reports")
+        text = _write_report(reports, "report", records, header)
+        assert (reports / "report.json").read_text(encoding="utf-8") == text
+        # the same records, keys in the same order
+        assert [list(r.items()) for r in json.loads(text)] == [list(r.items()) for r in records]
+        if not header:
+            assert not (reports / "report.csv").exists()
+            return
+        width = len(header)
+        csv_text = (reports / "report.csv").read_text(encoding="utf-8")
+        assert csv_text == csv_table(header, [list(r.values())[:width] for r in records])
+        # no value of a key past the header reaches the CSV
+        assert [len(line.split(",")) for line in csv_text.splitlines()] == [width] * (
+            len(records) + 1
+        )
 
 
 class TestDictCommand:
@@ -642,6 +694,7 @@ class TestProcessSurface:
             ],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["entries"] == 12

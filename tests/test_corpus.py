@@ -293,6 +293,36 @@ _CORRUPTIONS = [
         lambda lines: lines[:-1],
         r"artifact\.txt: the last line is not the '#shared=' line",
     ),
+    (
+        "embeddings",
+        "negative-dim",
+        lambda lines: [lines[0].replace("dim=2", "dim=-1"), *lines[1:]],
+        r"artifact\.txt: line 1: dim=-1 is not a positive dimension",
+    ),
+    (
+        "embeddings",
+        "negative-vocab",
+        lambda lines: [lines[0].replace("vocab=2", "vocab=-1"), *lines[1:]],
+        r"artifact\.txt: header says -1 words, found 2",
+    ),
+    (
+        "embeddings",
+        "nan-value",
+        lambda lines: [lines[0], "aa nan 0.0", *lines[2:]],
+        r"artifact\.txt: embedding matrix contains non-finite values",
+    ),
+    (
+        "transform",
+        "empty-shared",
+        lambda lines: [*lines[:-1], "#shared="],
+        r"artifact\.txt: alignment transform needs a non-empty shared vocabulary",
+    ),
+    (
+        "transform",
+        "not-orthogonal",
+        lambda lines: [lines[0], "5.0 0.0", *lines[2:]],
+        r"artifact\.txt: transform 1980-1989->1930-1939 is not orthogonal",
+    ),
 ]
 
 
