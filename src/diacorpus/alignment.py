@@ -206,7 +206,7 @@ def semantic_change(
             continue
         aligned = to_base.apply(current.matrix[current.vocab_index[word]])
         entries.append((current.period, 1.0 - cosine(aligned, base_vector)))
-    return TimeSeriesResult(entries=entries, value_kind="ratio")
+    return TimeSeriesResult(entries)
 
 
 # ---------------------------------------------------------------------------

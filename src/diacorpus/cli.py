@@ -42,13 +42,14 @@ from .dictionary import (
     load_sample_dictionary,
 )
 from .errors import (
+    ComputationUndefinedError,
     DiacorpusError,
     IngestError,
     MissingArtifactError,
     OutOfVocabularyError,
     ParameterError,
 )
-from .preprocess import FilterConfig, LookupAnalyzer, load_analyzer_tsv
+from .preprocess import FilterConfig, LookupAnalyzer, load_analyzer_tsv, read_input_text
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -97,9 +98,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ParameterError(f"cannot read config {path}: {exc}") from exc
+            raw = json.loads(read_input_text(path, "config"))
         except json.JSONDecodeError as exc:
             raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
         base = Path(path).parent
@@ -644,10 +643,15 @@ def cmd_dict(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ParameterError instead of printing usage."""
+
+    def error(self, message: str):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diacorpus", description="Diachronic corpus analytics toolkit"
-    )
+    parser = _ArgumentParser(prog="diacorpus", description="Diachronic corpus analytics toolkit")
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--output-dir", help="override the configured output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the embedding seed")
@@ -719,47 +723,44 @@ def _error_json(code: int, message: str, context: dict) -> str:
     )
 
 
+def _exit_code(exc: Exception) -> tuple[int, dict]:
+    """The exit code of a failure and the error context it adds."""
+    if isinstance(exc, MissingArtifactError):
+        run_first = {"run_first": exc.needed_command} if exc.needed_command else {}
+        return EXIT_MISSING_ARTIFACT, run_first
+    usage = (ParameterError, IngestError, OutOfVocabularyError, ComputationUndefinedError)
+    if isinstance(exc, usage):
+        return EXIT_USAGE, {}
+    if isinstance(exc, DiacorpusError):
+        return EXIT_INTERNAL, {}
+    # the process boundary: any other failure (say, an OSError from the
+    # file system) leaves as the same one-line error object
+    import traceback
+
+    return EXIT_INTERNAL, {"exception": type(exc).__name__, "traceback": traceback.format_exc()}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # parsed into a namespace of our own, so an argument error after the
+    # command name still knows the command
+    args = argparse.Namespace(command=None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            build_parser().parse_args(argv, args)
+        except SystemExit:  # only -h/--help exits: argument errors raise ParameterError
+            return EXIT_OK
         config = RunConfig.from_file(args.config)
         if args.output_dir:
             config.output_dir = Path(args.output_dir)
         handler = _COMMANDS[args.command]
         with _Lock(config.output_dir):
             return handler(config, args)
-    except MissingArtifactError as exc:
-        context = {"command": args.command}
-        if exc.needed_command:
-            context["run_first"] = exc.needed_command
-        print(_error_json(EXIT_MISSING_ARTIFACT, str(exc), context), file=sys.stderr)
-        return EXIT_MISSING_ARTIFACT
-    except (ParameterError, IngestError, OutOfVocabularyError) as exc:
-        print(
-            _error_json(EXIT_USAGE, str(exc), {"command": args.command}), file=sys.stderr
-        )
-        return EXIT_USAGE
-    except DiacorpusError as exc:
-        print(
-            _error_json(EXIT_INTERNAL, str(exc), {"command": args.command}), file=sys.stderr
-        )
-        return EXIT_INTERNAL
     except Exception as exc:
-        # the process boundary: any other failure (say, an OSError from the
-        # file system) leaves as the same one-line error object
-        import traceback
-
-        context = {
-            "command": args.command,
-            "exception": type(exc).__name__,
-            "traceback": traceback.format_exc(),
-        }
-        print(_error_json(EXIT_INTERNAL, str(exc), context), file=sys.stderr)
-        return EXIT_INTERNAL
+        code, context = _exit_code(exc)
+        if args.command:
+            context = {"command": args.command, **context}
+        print(_error_json(code, str(exc), context), file=sys.stderr)
+        return code
 
 
 def console_main() -> None:  # pragma: no cover - thin process wrapper

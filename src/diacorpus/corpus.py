@@ -5,11 +5,14 @@ period, ``DiachronicCorpus`` composites group children covering disjoint,
 ascending periods. Analyses are ``Operation`` objects dispatched through
 ``node.perform(op)``: the node calls back into ``op.on_period`` or
 ``op.on_diachronic`` according to its own type, so an operation defines one
-behavior per node kind and composites recurse over their children.
+behavior per node kind and composites recurse over their children. A
+per-period query is a plain function of a leaf, run through ``LeafQuery``.
 
-The tree is immutable after ``build_corpus_tree``; query operations are
-read-only. Creator helpers (vocabulary, matrices, embeddings) cache their
-result on the leaf and must be serialized externally per leaf.
+The tree is immutable after ``build_corpus_tree`` (or after the CLI loads a
+leaf's vocabularies and token ids from ingest's artifacts). A leaf holds its
+documents, stats, token ids and vocabularies and caches nothing else: each
+call that needs an n-gram table or a co-occurrence or association matrix
+computes it.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from .preprocess import (
     filter_vocabulary,
     lemma_surfaces,
     normalize_text,
+    read_input_text,
     token_surfaces,
     turkish_lower,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from .embeddings import CooccurrenceMatrix, PPMIMatrix
-    from .lexicon import NgramTable, Vocabulary
+    from .lexicon import Vocabulary
 
 _PERIOD_LABEL = re.compile(r"^(\d{1,4})-(\d{1,4})$")
 
@@ -102,13 +105,11 @@ class CorpusStats:
 class TimeSeriesResult:
     """Uniform result shape of diachronic operations: one value per period.
 
-    ``value_kind`` is one of count | ratio | frequency | set | matrix-row.
     Entries are kept sorted by period start year; a value of None marks a
     period where the quantity is undefined (e.g. an out-of-vocabulary word).
     """
 
     entries: list[tuple[TimePeriod, Any]]
-    value_kind: str = "count"
 
     def periods(self) -> list[TimePeriod]:
         return [p for p, _ in self.entries]
@@ -132,12 +133,8 @@ class TimeSeriesResult:
 class Operation(ABC):
     """Base class for analyses run through the corpus tree.
 
-    Subclasses implement one behavior per node kind. ``value_kind`` labels
-    the entries of time-series results assembled by the default composite
-    traversal.
+    Subclasses implement one behavior per node kind.
     """
-
-    value_kind = "count"
 
     @abstractmethod
     def on_period(self, corpus: "PeriodCorpus") -> Any:
@@ -159,7 +156,17 @@ class PerPeriodOperation(Operation):
                 entries.extend(result.entries)
             else:
                 entries.append((child.period, result))
-        return TimeSeriesResult(entries=entries, value_kind=self.value_kind)
+        return TimeSeriesResult(entries=entries)
+
+
+class LeafQuery(PerPeriodOperation):
+    """A per-period operation whose value for a leaf is ``fn(leaf)``."""
+
+    def __init__(self, fn: Callable[["PeriodCorpus"], Any]):
+        self.fn = fn
+
+    def on_period(self, corpus: "PeriodCorpus") -> Any:
+        return self.fn(corpus)
 
 
 class CorpusNode(ABC):
@@ -177,7 +184,7 @@ class CorpusNode(ABC):
 
 
 class PeriodCorpus(CorpusNode):
-    """Leaf corpus: the documents of one time period plus cached artifacts."""
+    """Leaf corpus: the documents of one time period, their token ids and vocabularies."""
 
     def __init__(self, period: TimePeriod, documents: Sequence[DocumentRecord] = ()):
         self.period = period
@@ -192,9 +199,6 @@ class PeriodCorpus(CorpusNode):
         self.doc_offsets: np.ndarray | None = None
         self.vocabulary: "Vocabulary | None" = None
         self.surface_vocabulary: "Vocabulary | None" = None
-        self.ngram_tables: dict[tuple[int, str], "NgramTable"] = {}
-        self.cooccurrence: dict[int, "CooccurrenceMatrix"] = {}
-        self.ppmi: dict[tuple[int, float], "PPMIMatrix"] = {}
 
     def perform(self, op: Operation) -> Any:
         return op.on_period(self)
@@ -264,10 +268,6 @@ class DiachronicCorpus(CorpusNode):
     def __iter__(self) -> Iterator[CorpusNode]:
         return iter(self.children)
 
-    def select(self, periods: Sequence[TimePeriod]) -> "DiachronicCorpus":
-        """A view composite over the leaves matching the given periods."""
-        return DiachronicCorpus(select_leaves(self, periods))
-
 
 def select_leaves(
     node: CorpusNode, periods: Sequence[TimePeriod] | None = None
@@ -336,7 +336,7 @@ def load_manifest(corpus_root: str | Path) -> list[DocumentRecord]:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise IngestError(f"no manifest.json under {root}")
-    return parse_manifest(manifest_path.read_text(encoding="utf-8"))
+    return parse_manifest(read_input_text(manifest_path, "manifest"))
 
 
 def _ingest_leaf(
@@ -458,22 +458,14 @@ def build_corpus_tree(
         else:
             unbucketed.append(record)
 
-    root_dir = Path(corpus_root) if corpus_root is not None else None
+    root_dir = Path(corpus_root if corpus_root is not None else "")
     children: list[PeriodCorpus] = []
     for bucket in buckets:
         docs = assigned[bucket]
         if not docs:
             continue
         leaf = PeriodCorpus(bucket, docs)
-        texts = []
-        for doc in docs:
-            path = Path(doc.path)
-            if root_dir is not None:
-                path = root_dir / path
-            try:
-                texts.append(path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise IngestError(f"cannot read document {doc.doc_id!r}: {exc}") from exc
+        texts = [read_input_text(root_dir / doc.path, f"document {doc.doc_id!r}") for doc in docs]
         _ingest_leaf(leaf, texts, filter_config, analyzer)
         children.append(leaf)
 

@@ -17,6 +17,7 @@ from typing import Sequence
 from .corpus import CorpusNode, TimePeriod, TimeSeriesResult
 from .errors import DictionaryError, ParameterError
 from .lexicon import frequency
+from .preprocess import read_input_text
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,10 @@ def load_dictionary(source: str | Path | list) -> list[DictionaryEntry]:
     Accepts a JSON string, a file path, or an already-parsed list. Duplicate
     (modern, old) pairs are rejected with the offending entry positions.
     """
-    if isinstance(source, Path):
-        raw = source.read_text(encoding="utf-8")
-    elif isinstance(source, str) and "\n" not in source and source.endswith(".json"):
-        raw = Path(source).read_text(encoding="utf-8")
+    if isinstance(source, Path) or (
+        isinstance(source, str) and "\n" not in source and source.endswith(".json")
+    ):
+        raw = read_input_text(source, "dictionary")
     else:
         raw = source
     if isinstance(raw, str):

@@ -167,4 +167,4 @@ def survived_words(
             continue
         later_words = set(create_vocabulary(leaf).entries)
         entries.append((leaf.period, len(base_words & later_words)))
-    return TimeSeriesResult(entries=entries, value_kind="count")
+    return TimeSeriesResult(entries)

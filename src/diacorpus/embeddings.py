@@ -147,9 +147,7 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
         counts = sp.csr_matrix((key_counts, (rows, cols)), shape=(size, size))
     else:
         counts = sp.csr_matrix((size, size), dtype=np.int64)
-    matrix = CooccurrenceMatrix(period=leaf.period, vocab_index=index, counts=counts, window=window)
-    leaf.cooccurrence[window] = matrix
-    return matrix
+    return CooccurrenceMatrix(period=leaf.period, vocab_index=index, counts=counts, window=window)
 
 
 def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
@@ -185,14 +183,8 @@ def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
 
 
 def ensure_ppmi(leaf: PeriodCorpus, window: int = 2, alpha: float = 0.75) -> PPMIMatrix:
-    """Creator helper: build and cache the leaf's PPMI matrix (and its counts)."""
-    cached = leaf.ppmi.get((window, alpha))
-    if cached is not None:
-        return cached
-    cooc = leaf.cooccurrence.get(window) or count_cooccurrences(leaf, window)
-    ppmi = build_ppmi(cooc, alpha)
-    leaf.ppmi[(window, alpha)] = ppmi
-    return ppmi
+    """The leaf's PPMI matrix, built from its co-occurrence counts."""
+    return build_ppmi(count_cooccurrences(leaf, window), alpha)
 
 
 def _canonical_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

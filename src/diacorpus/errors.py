@@ -12,7 +12,7 @@ class DiacorpusError(Exception):
 
 
 class IngestError(DiacorpusError):
-    """A corpus could not be read or assembled (bad manifest, missing file, bad date)."""
+    """An input file could not be read, or a corpus not assembled (bad manifest, bad date)."""
 
 
 class ParameterError(DiacorpusError):

@@ -1,8 +1,9 @@
 """Per-period vocabularies, n-gram tables, and count/frequency/pattern queries.
 
 Vocabularies are lemma-level by default; a case-folded surface-level table is
-kept alongside for n-grams and the writing-convention analyses. All queries
-here are read-only over tables created at ingest time.
+kept alongside for n-grams and the writing-convention analyses. Each range
+query computes its per-period values from the leaves and stores nothing on
+them.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import (
     CorpusNode,
     DiachronicCorpus,
+    LeafQuery,
     PeriodCorpus,
     PerPeriodOperation,
     TimePeriod,
@@ -120,18 +122,19 @@ def create_vocabulary(leaf: PeriodCorpus, level: str = "lemma") -> Vocabulary:
     raise ParameterError(f"unknown level {level!r} (expected surface or lemma)")
 
 
+def _check_ngram_order(order: int) -> None:
+    if order not in NGRAM_ORDERS:
+        raise ParameterError(f"n-gram order must be one of {NGRAM_ORDERS}, got {order}")
+
+
 def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> NgramTable:
-    """Build (and cache) the sliding-window n-gram table of one leaf.
+    """Build the sliding-window n-gram table of one leaf.
 
     Windows never cross document boundaries, and an n-gram is counted only if
     every member survived vocabulary filtering. Entries are in written order:
     frequency-descending, then by gram.
     """
-    if order not in NGRAM_ORDERS:
-        raise ParameterError(f"n-gram order must be one of {NGRAM_ORDERS}, got {order}")
-    cached = leaf.ngram_tables.get((order, level))
-    if cached is not None:
-        return cached
+    _check_ngram_order(order)
     words = vocabulary_order(create_vocabulary(leaf, level))
     ids = leaf.require_token_ids(level)
     # ranks follow the words' lexicographic order, so sorting rank columns
@@ -158,161 +161,12 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
     by_count = np.argsort(-counts, kind="stable")
     grams = zip(*(by_rank[c[firsts[by_count]]].tolist() for c in columns))
     entries = dict(zip(grams, counts[by_count].tolist()))
-    table = NgramTable(period=leaf.period, order=order, entries=entries, level=level)
-    leaf.ngram_tables[(order, level)] = table
-    return table
+    return NgramTable(period=leaf.period, order=order, entries=entries, level=level)
 
 
 # ---------------------------------------------------------------------------
-# Operations (dispatched through the corpus tree)
+# Range queries (dispatched through the corpus tree)
 # ---------------------------------------------------------------------------
-
-
-class Exists(PerPeriodOperation):
-    """Per-period membership of a word in the filtered vocabulary."""
-
-    value_kind = "count"
-
-    def __init__(self, word: str, level: str = "lemma"):
-        self.word = word
-        self.level = level
-
-    def on_period(self, corpus: PeriodCorpus) -> bool:
-        return self.word in create_vocabulary(corpus, self.level).entries
-
-
-class Frequency(PerPeriodOperation):
-    """Per-period frequency of a word, raw or normalized by the token total."""
-
-    def __init__(self, word: str, normalize: bool = False, level: str = "lemma"):
-        self.word = word
-        self.normalize = normalize
-        self.level = level
-        self.value_kind = "frequency" if normalize else "count"
-
-    def on_period(self, corpus: PeriodCorpus):
-        vocab = create_vocabulary(corpus, self.level)
-        if self.normalize:
-            return vocab.normalized_frequency(self.word)
-        return vocab.frequency(self.word)
-
-
-class UniqueWordCount(PerPeriodOperation):
-    value_kind = "count"
-
-    def __init__(self, level: str = "lemma"):
-        self.level = level
-
-    def on_period(self, corpus: PeriodCorpus) -> int:
-        return len(create_vocabulary(corpus, self.level).entries)
-
-
-class AverageWordLength(PerPeriodOperation):
-    """Mean character length over the unique words of each period (type-level)."""
-
-    value_kind = "ratio"
-
-    def __init__(self, level: str = "lemma"):
-        self.level = level
-
-    def on_period(self, corpus: PeriodCorpus) -> float:
-        entries = create_vocabulary(corpus, self.level).entries
-        if not entries:
-            return 0.0
-        return sum(len(w) for w in entries) / len(entries)
-
-
-class NgramCount(PerPeriodOperation):
-    """Per-period total n-gram occurrences (sum of table frequencies)."""
-
-    value_kind = "count"
-
-    def __init__(self, order: int, level: str = "lemma"):
-        if order not in NGRAM_ORDERS:
-            raise ParameterError(f"n-gram order must be one of {NGRAM_ORDERS}, got {order}")
-        self.order = order
-        self.level = level
-
-    def on_period(self, corpus: PeriodCorpus) -> int:
-        table = corpus.ngram_tables.get((self.order, self.level))
-        if table is None:
-            raise MissingArtifactError(
-                f"no order-{self.order} {self.level} n-gram table for period "
-                f"{corpus.period.label}",
-                needed_command="ingest",
-            )
-        return table.total()
-
-
-class WordsMatching(PerPeriodOperation):
-    """Per-period sets of vocabulary words matching a prefix/suffix/substring pattern."""
-
-    value_kind = "set"
-
-    def __init__(self, kind: str, pattern: str, level: str = "lemma"):
-        if kind not in ("prefix", "suffix", "substring"):
-            raise ParameterError(f"unknown match kind {kind!r}")
-        if not pattern:
-            raise ParameterError("match pattern must be non-empty")
-        self.kind = kind
-        self.pattern = pattern
-        self.level = level
-
-    def on_period(self, corpus: PeriodCorpus) -> set[str]:
-        entries = create_vocabulary(corpus, self.level).entries
-        if self.kind == "prefix":
-            return {w for w in entries if w.startswith(self.pattern)}
-        if self.kind == "suffix":
-            return {w for w in entries if w.endswith(self.pattern)}
-        return {w for w in entries if self.pattern in w}
-
-
-class MorphemeFrequency(PerPeriodOperation):
-    """Per-period usage rate of a character pattern, per million filtered tokens.
-
-    Occurrences are counted inside each vocabulary word (non-overlapping) and
-    weighted by the word's token frequency.
-    """
-
-    value_kind = "frequency"
-
-    def __init__(self, pattern: str, level: str = "lemma", per_million: bool = True):
-        if not pattern:
-            raise ParameterError("morpheme pattern must be non-empty")
-        self.pattern = pattern
-        self.level = level
-        self.per_million = per_million
-        self.value_kind = "frequency" if per_million else "count"
-
-    def on_period(self, corpus: PeriodCorpus):
-        vocab = create_vocabulary(corpus, self.level)
-        raw = sum(word.count(self.pattern) * freq for word, freq in vocab.entries.items())
-        if not self.per_million:
-            return raw
-        if vocab.token_total == 0:
-            return None
-        return raw / vocab.token_total * 1_000_000
-
-
-class CoFrequency(PerPeriodOperation):
-    """Per-period co-occurrence count of a word pair under the window rule."""
-
-    value_kind = "count"
-
-    def __init__(self, word_u: str, word_v: str, window: int = 2):
-        self.word_u = word_u
-        self.word_v = word_v
-        self.window = window
-
-    def on_period(self, corpus: PeriodCorpus) -> int:
-        matrix = corpus.cooccurrence.get(self.window)
-        if matrix is None:
-            raise MissingArtifactError(
-                f"no window-{self.window} co-occurrence matrix for period "
-                f"{corpus.period.label}",
-                needed_command="embed ppmi",
-            )
-        return matrix.pair_count(self.word_u, self.word_v)
 
 
 class MergeVocabulary(PerPeriodOperation):
@@ -333,11 +187,6 @@ class MergeVocabulary(PerPeriodOperation):
         return merged
 
 
-# ---------------------------------------------------------------------------
-# Range-query helpers (thin wrappers over the operations above)
-# ---------------------------------------------------------------------------
-
-
 def _ranged(node: CorpusNode, periods: Sequence[TimePeriod] | None) -> DiachronicCorpus:
     """A composite over the selected leaves, so per-period operations always
     return a time series, even for a bare leaf."""
@@ -347,7 +196,8 @@ def _ranged(node: CorpusNode, periods: Sequence[TimePeriod] | None) -> Diachroni
 def exists(
     node: CorpusNode, word: str, periods: Sequence[TimePeriod] | None = None
 ) -> TimeSeriesResult:
-    return _ranged(node, periods).perform(Exists(word))
+    """Per-period membership of a word in the filtered vocabulary."""
+    return _ranged(node, periods).perform(LeafQuery(lambda leaf: word in create_vocabulary(leaf)))
 
 
 def frequency(
@@ -356,7 +206,13 @@ def frequency(
     periods: Sequence[TimePeriod] | None = None,
     normalize: bool = False,
 ) -> TimeSeriesResult:
-    return _ranged(node, periods).perform(Frequency(word, normalize=normalize))
+    """Per-period frequency of a word, raw or normalized by the token total."""
+
+    def count(leaf: PeriodCorpus) -> int | float:
+        vocab = create_vocabulary(leaf)
+        return vocab.normalized_frequency(word) if normalize else vocab.frequency(word)
+
+    return _ranged(node, periods).perform(LeafQuery(count))
 
 
 def merge_vocabulary(
@@ -377,18 +233,36 @@ def common_words(
     return out
 
 
+def _average_word_length(vocab: Vocabulary) -> float:
+    """Mean character length over the unique words of a vocabulary (type-level)."""
+    if not vocab.entries:
+        return 0.0
+    return sum(len(w) for w in vocab.entries) / len(vocab.entries)
+
+
 def vocab_metrics(
     node: CorpusNode,
     periods: Sequence[TimePeriod] | None = None,
     ngram_order: int = 1,
     level: str = "lemma",
 ) -> dict:
-    """Bundle of per-period vocabulary metrics plus range-wide common words."""
+    """Bundle of per-period vocabulary metrics plus range-wide common words.
+
+    ``ngram_count`` is the total n-gram occurrences of each period, counted
+    from the leaf's token ids, so it needs leaves that hold them.
+    """
+    _check_ngram_order(ngram_order)
     scoped = _ranged(node, periods)
     return {
-        "unique_word_count": scoped.perform(UniqueWordCount(level)),
-        "average_word_length": scoped.perform(AverageWordLength(level)),
-        "ngram_count": scoped.perform(NgramCount(ngram_order, level)),
+        "unique_word_count": scoped.perform(
+            LeafQuery(lambda leaf: len(create_vocabulary(leaf, level).entries))
+        ),
+        "average_word_length": scoped.perform(
+            LeafQuery(lambda leaf: _average_word_length(create_vocabulary(leaf, level)))
+        ),
+        "ngram_count": scoped.perform(
+            LeafQuery(lambda leaf: create_ngrams(leaf, ngram_order, level).total())
+        ),
         "common_words": common_words(node, periods, level),
     }
 
@@ -400,7 +274,30 @@ def words_matching(
     periods: Sequence[TimePeriod] | None = None,
     level: str = "lemma",
 ) -> TimeSeriesResult:
-    return _ranged(node, periods).perform(WordsMatching(kind, pattern, level))
+    """Per-period sets of vocabulary words matching a prefix/suffix/substring pattern."""
+    matches = {"prefix": str.startswith, "suffix": str.endswith, "substring": str.__contains__}
+    if kind not in matches:
+        raise ParameterError(f"unknown match kind {kind!r}")
+    if not pattern:
+        raise ParameterError("match pattern must be non-empty")
+    match = matches[kind]
+
+    def matching(leaf: PeriodCorpus) -> set[str]:
+        return {w for w in create_vocabulary(leaf, level).entries if match(w, pattern)}
+
+    return _ranged(node, periods).perform(LeafQuery(matching))
+
+
+def occurrence_rate(
+    vocab: Vocabulary, count: Callable[[str], int]
+) -> tuple[int, float | None]:
+    """Token-weighted occurrences over a vocabulary: (raw, per million filtered tokens).
+
+    Each vocabulary word contributes ``count(word)`` times its token
+    frequency. The rate is None for a vocabulary with no tokens.
+    """
+    raw = sum(count(word) * freq for word, freq in vocab.entries.items())
+    return raw, (raw / vocab.token_total * 1_000_000 if vocab.token_total else None)
 
 
 def morpheme_frequency(
@@ -410,8 +307,21 @@ def morpheme_frequency(
     per_million: bool = True,
     level: str = "lemma",
 ) -> TimeSeriesResult:
-    op = MorphemeFrequency(pattern, level=level, per_million=per_million)
-    return _ranged(node, periods).perform(op)
+    """Per-period usage rate of a character pattern, per million filtered tokens.
+
+    Occurrences are counted inside each vocabulary word (non-overlapping) and
+    weighted by the word's token frequency; ``per_million=False`` gives the
+    raw weighted count.
+    """
+    if not pattern:
+        raise ParameterError("morpheme pattern must be non-empty")
+
+    def rate(leaf: PeriodCorpus) -> int | float | None:
+        vocab = create_vocabulary(leaf, level)
+        raw, per_m = occurrence_rate(vocab, lambda word: word.count(pattern))
+        return per_m if per_million else raw
+
+    return _ranged(node, periods).perform(LeafQuery(rate))
 
 
 def cofrequency(
@@ -421,7 +331,15 @@ def cofrequency(
     periods: Sequence[TimePeriod] | None = None,
     window: int = 2,
 ) -> TimeSeriesResult:
-    return _ranged(node, periods).perform(CoFrequency(word_u, word_v, window))
+    """Per-period co-occurrence count of a word pair under the window rule.
+
+    The counts come from the leaf's token ids, so it needs leaves that hold them.
+    """
+    from .embeddings import count_cooccurrences  # deferred: embeddings imports lexicon
+
+    return _ranged(node, periods).perform(
+        LeafQuery(lambda leaf: count_cooccurrences(leaf, window).pair_count(word_u, word_v))
+    )
 
 
 # ---------------------------------------------------------------------------

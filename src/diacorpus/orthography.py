@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import CorpusNode, TimePeriod, TimeSeriesResult, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
-from .lexicon import Vocabulary, create_vocabulary, merge_vocabulary
+from .lexicon import Vocabulary, create_vocabulary, merge_vocabulary, occurrence_rate
 
 PAIR_CLASSES: dict[str, tuple[str, str]] = {
     "b-p": ("b", "p"),
@@ -129,9 +129,7 @@ def ending_ratio(
     exclusions: frozenset[str] = DEFAULT_EXCLUSIONS,
 ) -> TimeSeriesResult:
     rows = ending_ratio_rows(node, pair_class, periods, level, weighting, exclusions)
-    return TimeSeriesResult(
-        entries=[(period, ratio) for period, _, _, ratio in rows], value_kind="ratio"
-    )
+    return TimeSeriesResult([(period, ratio) for period, _, _, ratio in rows])
 
 
 def ending_ratio_csv(
@@ -159,19 +157,10 @@ def circumflex_frequency(
     rate_entries: list[tuple[TimePeriod, float | None]] = []
     for leaf in select_leaves(node, periods):
         vocab = create_vocabulary(leaf, level=level)
-        raw = sum(
-            sum(1 for ch in word if ch in letters) * freq
-            for word, freq in vocab.entries.items()
-        )
+        raw, rate = occurrence_rate(vocab, lambda word: sum(ch in letters for ch in word))
         raw_entries.append((leaf.period, raw))
-        if vocab.token_total:
-            rate_entries.append((leaf.period, raw / vocab.token_total * 1_000_000))
-        else:
-            rate_entries.append((leaf.period, None))
-    return (
-        TimeSeriesResult(entries=raw_entries, value_kind="count"),
-        TimeSeriesResult(entries=rate_entries, value_kind="frequency"),
-    )
+        rate_entries.append((leaf.period, rate))
+    return TimeSeriesResult(raw_entries), TimeSeriesResult(rate_entries)
 
 
 def circumflex_csv(raw: TimeSeriesResult, per_million: TimeSeriesResult) -> str:

@@ -1,4 +1,4 @@
-"""Text normalization, tokenization, frequency filtering, and lemmatization.
+"""Input text reading, normalization, tokenization, frequency filtering, and lemmatization.
 
 Every step here is rule-exact and total so that re-running ingestion over the
 same files yields byte-identical artifacts. The tokenizer rule is normative
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .errors import ParameterError
+from .errors import IngestError, ParameterError
 
 DEFAULT_THRESHOLD_DIVISOR = 10_000_000
 
@@ -138,20 +138,29 @@ class LookupAnalyzer:
         return hit
 
 
+def read_input_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 input file (a document, manifest, config, analyzer
+    table or dictionary); one that cannot be read or decoded raises IngestError
+    naming ``what`` and the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def load_analyzer_tsv(path: str | Path) -> LookupAnalyzer:
     """Load a two-column TSV (surface<TAB>stem, UTF-8, no header) into a LookupAnalyzer."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ParameterError(
-                    f"analyzer table {path}: line {lineno} is not 'surface<TAB>stem'"
-                )
-            table[parts[0]] = parts[1]
+    lines = read_input_text(path, "analyzer table").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ParameterError(f"analyzer table {path}: line {lineno} is not 'surface<TAB>stem'")
+        table[parts[0]] = parts[1]
     return LookupAnalyzer(table)
 
 

@@ -28,7 +28,7 @@ def fixture_tree(fixture_config) -> DiachronicCorpus:
 
 @pytest.fixture()
 def fresh_tree(fixture_config) -> DiachronicCorpus:
-    """A freshly ingested tree for tests that mutate leaf artifact caches."""
+    """A freshly ingested tree, sharing no object with the session's ``fixture_tree``."""
     return _ingest_tree(fixture_config)
 
 

@@ -147,11 +147,11 @@ class TestAlignedMostSimilar:
         with pytest.raises(OutOfVocabularyError):
             aligned_most_similar("yok", 3, a, b)
 
-    def test_fixture_recovers_old_counterparts(self, fresh_tree):
+    def test_fixture_recovers_old_counterparts(self, fixture_tree):
         from diacorpus.embeddings import ensure_ppmi, svd_embeddings
 
         sets = {}
-        for leaf in fresh_tree.leaves():
+        for leaf in fixture_tree.leaves():
             embedding, _ = svd_embeddings(ensure_ppmi(leaf, 2, 0.75), 16)
             sets[leaf.period] = embedding
         ranking = aligned_most_similar(
@@ -189,11 +189,11 @@ class TestSemanticChange:
         series = semantic_change("yok", sets)
         assert series.values() == [None, None, None]
 
-    def test_fixture_stationary_vs_swapped(self, fresh_tree):
+    def test_fixture_stationary_vs_swapped(self, fixture_tree):
         from diacorpus.embeddings import ensure_ppmi, svd_embeddings
 
         sets = []
-        for leaf in fresh_tree.leaves():
+        for leaf in fixture_tree.leaves():
             embedding, _ = svd_embeddings(ensure_ppmi(leaf, 2, 0.75), 16)
             sets.append(embedding)
         stationary = semantic_change("kanun", sets).values()

@@ -221,7 +221,7 @@ class TestAnalyze:
             return code
 
         assert main(["--config", str(config), "ingest"]) == 0
-        assert ortho() == 1  # b-p pairs exist, d-t pairs do not
+        assert ortho() == 2  # b-p pairs exist, d-t pairs do not
         assert ortho("--classes", "b-p", "x-y") == 2  # unknown class
         assert not (out / "reports").exists()
         assert ortho("--classes", "b-p") == 0
@@ -275,6 +275,90 @@ class TestAnalyze:
         assert run_cli(tmp_path, "ingest") == 0
         assert run_cli(tmp_path, "analyze", "freq", "--word", "ğ" * 122) == 0
         assert (tmp_path / "reports" / f"freq_{'ğ' * 122}.json").is_file()
+
+
+def _corpus_config(tmp_path, manifest=None, document=b"kitap kalem", **settings):
+    """``--config`` of a one-document corpus; ``manifest`` and ``document`` are raw bytes."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_bytes(
+        manifest or b'[{"id": "a", "date": "1931-01-01", "path": "a.txt"}]'
+    )
+    (corpus / "a.txt").write_bytes(document)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"corpus_root": str(corpus), "output_dir": str(tmp_path / "out"), **settings}),
+        encoding="utf-8",
+    )
+    return ["--config", str(config)]
+
+
+def _latin1_dictionary(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('[{"modern": "gün", "old": ["rûz"]}]'.encode("latin-1"))
+    return str(path)
+
+
+# case -> (argv after --output-dir, given the test's tmp_path; text the message must hold)
+_USAGE_ERRORS = {
+    "unknown analysis": (lambda t: ["--config", CONFIG, "analyze", "bogus"], "'bogus'"),
+    "no --config": (lambda t: ["analyze", "divergence"], "--config"),
+    "query without --word": (
+        lambda t: ["--config", CONFIG, "query", "most-similar", "--period", "1930-1939"],
+        "--word",
+    ),
+    "non-UTF-8 document": (lambda t: [*_corpus_config(t, document=b"\xff"), "ingest"], "a.txt"),
+    "non-UTF-8 manifest": (
+        lambda t: [*_corpus_config(t, manifest=b"\xff"), "ingest"], "manifest.json"
+    ),
+    "missing analyzer table": (
+        lambda t: [*_corpus_config(t, analyzer_tsv="stems.tsv"), "ingest"], "stems.tsv"
+    ),
+    "dict, missing dictionary": (
+        lambda t: ["--config", CONFIG, "dict", "--dictionary", str(t / "none.json")], "none.json"
+    ),
+    "dict, non-UTF-8 dictionary": (
+        lambda t: ["--config", CONFIG, "dict", "--dictionary", _latin1_dictionary(t)],
+        "latin1.json",
+    ),
+    "crossover, missing dictionary": (
+        lambda t: [
+            "--config", CONFIG, "analyze", "dict-crossover", "--dictionary", str(t / "none.json")
+        ],
+        "none.json",
+    ),
+    "crossover, non-UTF-8 dictionary": (
+        lambda t: [
+            "--config", CONFIG, "analyze", "dict-crossover", "--dictionary", _latin1_dictionary(t)
+        ],
+        "latin1.json",
+    ),
+    # the fixture has no g-k pair, so that ratio is undefined
+    "undefined ortho class": (
+        lambda t: ["--config", CONFIG, "analyze", "ortho", "--classes", "b-p", "g-k"], "g-k"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _USAGE_ERRORS)
+def test_usage_error_is_one_json_line(workspace, tmp_path, capsys, case):
+    """Argument errors, unreadable input files and undefined computations exit 2
+    with one JSON error line on stderr, nothing on stdout and no report."""
+    make_argv, named = _USAGE_ERRORS[case]
+    argv = make_argv(tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(workspace / "vocab", out / "vocab")
+    code = main(["--output-dir", str(out), *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == 2
+    assert named in payload["message"]
+    command = next(a for a in argv if a in ("ingest", "analyze", "query", "dict"))
+    assert payload["context"]["command"] == command
+    assert not (out / "reports").exists()
 
 
 class TestConfigErrors:

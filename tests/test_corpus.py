@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from diacorpus.corpus import (
     DiachronicCorpus,
     DocumentRecord,
+    LeafQuery,
     PeriodCorpus,
     PerPeriodOperation,
     TimePeriod,
@@ -35,7 +36,6 @@ from diacorpus.embeddings import (
 )
 from diacorpus.lexicon import (
     NgramTable,
-    UniqueWordCount,
     Vocabulary,
     read_ngrams,
     read_vocabulary,
@@ -141,20 +141,24 @@ class TestIngestErrors:
             load_manifest(tmp_path)
 
 
+def unique_word_count():
+    return LeafQuery(lambda leaf: len(leaf.vocabulary.entries))
+
+
 class TestPerform:
     def test_on_leaf_returns_scalar(self, fixture_tree):
         leaf = fixture_tree.leaves()[0]
-        count = leaf.perform(UniqueWordCount())
+        count = leaf.perform(unique_word_count())
         assert count == len(leaf.vocabulary.entries)
 
     def test_on_composite_returns_series(self, fixture_tree):
-        result = fixture_tree.perform(UniqueWordCount())
+        result = fixture_tree.perform(unique_word_count())
         assert isinstance(result, TimeSeriesResult)
         assert result.periods() == [PERIOD_1930, PERIOD_1980]
 
     def test_composite_equals_per_leaf_concatenation(self, fixture_tree):
-        series = fixture_tree.perform(UniqueWordCount())
-        manual = [(l.period, l.perform(UniqueWordCount())) for l in fixture_tree.leaves()]
+        series = fixture_tree.perform(unique_word_count())
+        manual = [(l.period, l.perform(unique_word_count())) for l in fixture_tree.leaves()]
         assert series.entries == manual
 
     def test_aggregation_matches_sequential_sum(self, fixture_tree):

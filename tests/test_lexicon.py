@@ -119,6 +119,8 @@ class TestCreateVocabulary:
             lambda: create_ngrams(leaf, 1),
             lambda: count_cooccurrences(leaf),
             lambda: train_cbow(leaf, dim=4),
+            lambda: cofrequency(leaf, "yıl", "sene"),
+            lambda: vocab_metrics(leaf),
         ):
             with pytest.raises(MissingArtifactError) as info:
                 build()
@@ -239,13 +241,11 @@ class TestMergeVocabulary:
 class TestVocabMetrics:
     def test_average_word_length_by_hand(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
-        create_ngrams(leaf, 1)
         metrics = vocab_metrics(_tree_of(leaf))
         assert metrics["average_word_length"].values() == [2.5]
 
     def test_bare_leaf_gives_one_entry_series(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
-        create_ngrams(leaf, 1)
         metrics = vocab_metrics(leaf)
         assert metrics["unique_word_count"].entries == [(PERIOD_1930, 2)]
         assert metrics["average_word_length"].entries == [(PERIOD_1930, 2.5)]
@@ -260,8 +260,6 @@ class TestVocabMetrics:
         assert common_words(tree) == set()
 
     def test_fixture_metrics_against_recount(self, fixture_tree):
-        for leaf in fixture_tree.leaves():
-            create_ngrams(leaf, 1)
         metrics = vocab_metrics(fixture_tree)
         for leaf, count in zip(fixture_tree.leaves(), metrics["unique_word_count"].values()):
             assert count == len(leaf.vocabulary.entries)
@@ -303,26 +301,33 @@ class TestWordsMatchingAndMorphemes:
 
 class TestCoFrequency:
     def test_single_pair(self):
-        from diacorpus.embeddings import count_cooccurrences
-
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb"})
-        count_cooccurrences(leaf, window=2)
         series = cofrequency(leaf, "aa", "bb")
         assert series.values() == [1]
 
-    def test_symmetric(self, fresh_tree):
-        from diacorpus.embeddings import count_cooccurrences
-
-        for leaf in fresh_tree.leaves():
-            count_cooccurrences(leaf, window=2)
-        uv = cofrequency(fresh_tree, "kanun", "madde").values()
-        vu = cofrequency(fresh_tree, "madde", "kanun").values()
+    def test_symmetric(self, fixture_tree):
+        uv = cofrequency(fixture_tree, "kanun", "madde").values()
+        vu = cofrequency(fixture_tree, "madde", "kanun").values()
         assert uv == vu
         assert uv[0] > 0
 
-    def test_missing_matrix(self, fresh_tree):
-        with pytest.raises(MissingArtifactError):
-            cofrequency(fresh_tree, "kanun", "madde")
+
+def test_queries_store_nothing_on_the_leaf():
+    from diacorpus.embeddings import ensure_ppmi
+
+    leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb cc aa bb", "d2": "bb cc aa"})
+
+    def state():
+        # containers are copied, so a cache filled in place shows as a change
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(leaf).items()}
+
+    before = state()
+    create_ngrams(leaf, 2)
+    ensure_ppmi(leaf)
+    cofrequency(leaf, "aa", "bb")
+    morpheme_frequency(leaf, "a")
+    vocab_metrics(leaf, ngram_order=2)
+    assert state() == before
 
 
 class TestFileFormats:

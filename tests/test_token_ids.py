@@ -81,8 +81,8 @@ def ngram_bytes(table, path):
 class TestFixtureAgainstReference:
     @pytest.mark.parametrize("order", NGRAM_ORDERS)
     @pytest.mark.parametrize("level", LEVELS)
-    def test_ngram_file_bytes(self, fixture_config, fresh_tree, tmp_path, order, level):
-        for leaf in fresh_tree.leaves():
+    def test_ngram_file_bytes(self, fixture_config, fixture_tree, tmp_path, order, level):
+        for leaf in fixture_tree.leaves():
             table = create_ngrams(leaf, order, level)
             sequences = fixture_sequences(fixture_config, leaf, level)
             entries = reference_ngrams(_vocabulary(leaf, level), sequences, order)
@@ -93,8 +93,8 @@ class TestFixtureAgainstReference:
             )
 
     @pytest.mark.parametrize("window", [1, 2, 5])
-    def test_cooccurrence_counts(self, fixture_config, fresh_tree, window):
-        for leaf in fresh_tree.leaves():
+    def test_cooccurrence_counts(self, fixture_config, fixture_tree, window):
+        for leaf in fixture_tree.leaves():
             matrix = count_cooccurrences(leaf, window)
             sequences = fixture_sequences(fixture_config, leaf)
             assert cooccurrence_entries(matrix) == reference_cooccurrences(
