@@ -86,15 +86,13 @@ from .orthography import (
 )
 from .preprocess import (
     FilterConfig,
-    Lemma,
     LookupAnalyzer,
-    Token,
     filter_vocabulary,
     frequency_threshold,
-    lemmatize,
+    lemma_surfaces,
     load_analyzer_tsv,
     normalize_text,
-    tokenize,
+    token_surfaces,
     turkish_lower,
 )
 

@@ -34,6 +34,7 @@ from .corpus import (
     build_corpus_tree,
     csv_table,
     load_manifest,
+    require_distinct,
     write_artifact,
 )
 from .dictionary import (
@@ -381,20 +382,26 @@ def _word_report_name(kind: str, word: str, *labels: str) -> str:
 
 
 def _parse_periods(labels: list[str] | None) -> list[TimePeriod] | None:
+    """The periods of a ``--periods`` or ``--pair`` flag; one listed twice is a ParameterError."""
     if not labels:
         return None
-    return [TimePeriod.parse(label) for label in labels]
+    periods = [TimePeriod.parse(label) for label in labels]
+    require_distinct(periods)
+    return periods
 
 
 def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
     reports = config.output_dir / "reports"
-    periods = _parse_periods(args.periods)
+    periods, pair = _parse_periods(args.periods), _parse_periods(args.pair)
     tree = _load_vocab_artifacts(config)
     if args.analysis == "divergence":
+        # compute everything first, so a bad --pair writes no report
         matrices = (
             divergence_mod.jaccard_matrix(tree, periods),
             divergence_mod.jsd_matrix(tree, periods),
         )
+        if pair:
+            ranking = divergence_mod.contributions_between(tree, *pair, args.top_k)
         written = []
         for matrix in matrices:
             name = matrix.metric
@@ -406,10 +413,8 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
             }
             write_artifact(reports / f"{name}.json", to_json(payload))
             written += [f"{name}.csv", f"{name}.json"]
-        if args.pair:
-            a, b = (TimePeriod.parse(p) for p in args.pair)
-            ranking = divergence_mod.contributions_between(tree, a, b, args.top_k)
-            name = f"jsd_contributions_{a.label}_{b.label}"
+        if pair:
+            name = f"jsd_contributions_{pair[0].label}_{pair[1].label}"
             records = [
                 {"lemma": lemma, "contribution": value, "side": ranking.side(value).label}
                 for lemma, value in ranking.pairs
@@ -505,7 +510,6 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
             path = _embedding_path(config, leaf.period, "svd")
             embeddings_mod.write_embeddings(word_set, path)
         elif args.kind == "cbow":
-            seed = args.seed if args.seed is not None else cfg.seed
             word_set = cbow_mod.train_cbow(
                 leaf,
                 dim=cfg.dim,
@@ -513,7 +517,7 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
                 negatives=cfg.negatives,
                 downsample=cfg.downsample,
                 smoothing_alpha=cfg.alpha,
-                seed=seed,
+                seed=cfg.seed,
                 epochs=cfg.epochs,
             )
             path = _embedding_path(config, leaf.period, "cbow")
@@ -654,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="diacorpus", description="Diachronic corpus analytics toolkit")
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--output-dir", help="override the configured output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the embedding seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("ingest", help="build the corpus tree and write vocabularies and stats")

@@ -190,7 +190,6 @@ class PeriodCorpus(CorpusNode):
         self.period = period
         self.documents: list[DocumentRecord] = list(documents)
         self.stats: CorpusStats | None = None
-        self.filter_config: FilterConfig | None = None
         # Per level ("lemma", "surface"): one int32 id per raw token, the row
         # of its word in ``vocabulary_order`` of that level's vocabulary, or
         # -1 for a token filtered out. Document d holds the tokens
@@ -269,16 +268,24 @@ class DiachronicCorpus(CorpusNode):
         return iter(self.children)
 
 
+def require_distinct(periods: Sequence[TimePeriod]) -> None:
+    """Raise ParameterError naming the first period listed twice in ``periods``."""
+    repeated = [p for i, p in enumerate(periods) if p in periods[:i]]
+    if repeated:
+        raise ParameterError(f"period {repeated[0].label} is listed twice")
+
+
 def select_leaves(
     node: CorpusNode, periods: Sequence[TimePeriod] | None = None
 ) -> list[PeriodCorpus]:
     """Leaves of ``node`` restricted to ``periods`` (all leaves when None).
 
-    Raises ParameterError if a requested period has no leaf.
+    Raises ParameterError if a requested period is listed twice or has no leaf.
     """
     leaves = node.leaves()
     if periods is None:
         return leaves
+    require_distinct(periods)
     by_period = {leaf.period: leaf for leaf in leaves}
     out = []
     for period in periods:
@@ -294,15 +301,12 @@ def decade_bucket(year: int) -> TimePeriod:
     return TimePeriod(start, start + 9)
 
 
-def parse_manifest(content: str | list[dict]) -> list[DocumentRecord]:
-    """Parse manifest JSON (text or already-parsed list) into document records."""
-    if isinstance(content, str):
-        try:
-            raw = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"manifest is not valid JSON: {exc}") from exc
-    else:
-        raw = content
+def parse_manifest(content: str) -> list[DocumentRecord]:
+    """Parse manifest JSON text into document records."""
+    try:
+        raw = json.loads(content)
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise IngestError("manifest must be a JSON array of document entries")
     records: list[DocumentRecord] = []
@@ -397,7 +401,6 @@ def _ingest_leaf(
         vocabularies[level] = vocab
         unique_words[level] = len(counts)
 
-    leaf.filter_config = filter_config
     leaf.doc_offsets = doc_offsets
     leaf.vocabulary = vocabularies["lemma"]
     leaf.surface_vocabulary = vocabularies["surface"]
@@ -414,7 +417,7 @@ def _ingest_leaf(
 
 
 def build_corpus_tree(
-    manifest: Sequence[DocumentRecord] | str | list[dict],
+    records: Sequence[DocumentRecord],
     bucketing: Sequence[TimePeriod] | None = None,
     *,
     corpus_root: str | Path | None = None,
@@ -429,12 +432,6 @@ def build_corpus_tree(
     returned root's ``unbucketed_documents`` rather than silently dropped.
     Leaves carry populated stats and filtered vocabularies on return.
     """
-    if isinstance(manifest, (str, list)) and not (
-        manifest and isinstance(manifest[0], DocumentRecord)
-    ):
-        records = parse_manifest(manifest)  # type: ignore[arg-type]
-    else:
-        records = list(manifest)  # type: ignore[arg-type]
     if not records:
         raise IngestError("manifest lists no documents")
 

@@ -29,27 +29,20 @@ class DictionaryEntry:
     senses: tuple[str, ...] = ()
 
 
-def load_dictionary(source: str | Path | list) -> list[DictionaryEntry]:
+def load_dictionary(source: Path | str) -> list[DictionaryEntry]:
     """Parse and validate a replacement dictionary.
 
-    Accepts a JSON string, a file path, or an already-parsed list. Duplicate
-    (modern, old) pairs are rejected with the offending entry positions.
+    A ``Path`` is read as a UTF-8 file; a ``str`` is the JSON text itself.
+    Duplicate (modern, old) pairs are rejected with the offending entry
+    positions.
     """
-    if isinstance(source, Path) or (
-        isinstance(source, str) and "\n" not in source and source.endswith(".json")
-    ):
-        raw = read_input_text(source, "dictionary")
-    else:
-        raw = source
-    if isinstance(raw, str):
-        try:
-            parsed = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DictionaryError(
-                f"dictionary is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-            ) from exc
-    else:
-        parsed = raw
+    raw = read_input_text(source, "dictionary") if isinstance(source, Path) else source
+    try:
+        parsed = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise DictionaryError(
+            f"dictionary is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from exc
     if not isinstance(parsed, list):
         raise DictionaryError("dictionary must be a JSON array of entries")
 

@@ -77,35 +77,6 @@ def token_surfaces(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Token:
-    """One surface token with its position in the document token stream."""
-
-    surface: str
-    doc_id: str = ""
-    position: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.surface or any(ch.isspace() for ch in self.surface):
-            raise ParameterError(f"token surface {self.surface!r} is empty or has whitespace")
-
-
-@dataclass(frozen=True)
-class Lemma:
-    """A base form plus a tag recording how it was obtained."""
-
-    text: str
-    origin: str  # "analyzer" | "f5-fallback"
-
-
-def tokenize(text: str, doc_id: str = "") -> list[Token]:
-    """Tokenize text into Token records with 0-based, strictly increasing positions."""
-    return [
-        Token(surface=s, doc_id=doc_id, position=i)
-        for i, s in enumerate(token_surfaces(text))
-    ]
-
-
 class MorphAnalyzer(Protocol):
     """Anything that can propose a stem for a surface form (or decline with None).
 
@@ -174,17 +145,8 @@ def f5_stem(surface: str) -> str:
     return folded[:5]
 
 
-def lemmatize(token: Token, analyzer: MorphAnalyzer | None = None) -> Lemma:
-    """Map a token to its lemma via the analyzer, falling back to the F5 stem."""
-    if analyzer is not None:
-        stem = analyzer.stem(token.surface)
-        if stem is not None:
-            return Lemma(text=stem, origin="analyzer")
-    return Lemma(text=f5_stem(token.surface), origin="f5-fallback")
-
-
 def lemma_surfaces(surfaces: Iterable[str], analyzer: MorphAnalyzer | None = None) -> list[str]:
-    """Fast path: lemma strings for a sequence of surface strings."""
+    """The lemma of each surface: the analyzer's stem, else the F5 stem."""
     out: list[str] = []
     stem = analyzer.stem if analyzer is not None else None
     for surface in surfaces:

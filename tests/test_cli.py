@@ -337,6 +337,8 @@ _USAGE_ERRORS = {
     "undefined ortho class": (
         lambda t: ["--config", CONFIG, "analyze", "ortho", "--classes", "b-p", "g-k"], "g-k"
     ),
+    # the embedding seed is set in the config only
+    "--seed flag": (lambda t: ["--config", CONFIG, "--seed=5", "embed", "svd"], "--seed"),
 }
 
 
@@ -345,7 +347,31 @@ def test_usage_error_is_one_json_line(workspace, tmp_path, capsys, case):
     """Argument errors, unreadable input files and undefined computations exit 2
     with one JSON error line on stderr, nothing on stdout and no report."""
     make_argv, named = _USAGE_ERRORS[case]
-    argv = make_argv(tmp_path)
+    _assert_usage_error(workspace, tmp_path, capsys, make_argv(tmp_path), named)
+
+
+_P = "1930-1939"
+_REPEATED_PERIOD = {
+    "divergence": ["analyze", "divergence", "--periods", _P, _P],
+    "divergence --pair": ["analyze", "divergence", "--pair", _P, _P],
+    "survived": ["analyze", "survived", "--base-period", _P, "--periods", _P, _P],
+    "ortho": ["analyze", "ortho", "--periods", _P, _P],
+    "dict-crossover": ["analyze", "dict-crossover", "--periods", _P, _P],
+    "freq": ["analyze", "freq", "--word", "belge", "--periods", _P, _P],
+    "semantic-change": ["query", "semantic-change", "--word", "kanun", "--periods", _P, _P],
+}
+
+
+@pytest.mark.parametrize("case", _REPEATED_PERIOD)
+def test_repeated_period_is_usage_error(workspace, tmp_path, capsys, case):
+    """A period listed twice is exit 2 naming it, whatever the command."""
+    argv = ["--config", CONFIG, *_REPEATED_PERIOD[case]]
+    _assert_usage_error(workspace, tmp_path, capsys, argv, f"period {_P} is listed twice")
+
+
+def _assert_usage_error(workspace, tmp_path, capsys, argv, named):
+    """``argv`` over a copy of the workspace vocabularies exits 2 with one JSON
+    line naming ``named`` and the command, nothing on stdout and no report."""
     out = tmp_path / "out"
     shutil.copytree(workspace / "vocab", out / "vocab")
     code = main(["--output-dir", str(out), *argv])
@@ -356,7 +382,7 @@ def test_usage_error_is_one_json_line(workspace, tmp_path, capsys, case):
     payload = json.loads(captured.err)
     assert payload["error"] == 2
     assert named in payload["message"]
-    command = next(a for a in argv if a in ("ingest", "analyze", "query", "dict"))
+    command = next(a for a in argv if a in ("ingest", "analyze", "embed", "query", "dict"))
     assert payload["context"]["command"] == command
     assert not (out / "reports").exists()
 

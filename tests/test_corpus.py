@@ -22,6 +22,7 @@ from diacorpus.corpus import (
     decade_bucket,
     load_manifest,
     parse_manifest,
+    select_leaves,
     write_artifact,
 )
 from diacorpus.errors import IngestError, ParameterError
@@ -75,6 +76,10 @@ class TestTreeConstruction:
         tree = DiachronicCorpus([PeriodCorpus(PERIOD_1980), PeriodCorpus(PERIOD_1930)])
         assert tree.period == TimePeriod(1930, 1989)
         assert [c.period for c in tree.children] == [PERIOD_1930, PERIOD_1980]
+
+    def test_select_leaves_rejects_a_repeated_period(self, fixture_tree):
+        with pytest.raises(ParameterError, match="period 1930-1939 is listed twice"):
+            select_leaves(fixture_tree, [PERIOD_1930, PERIOD_1980, PERIOD_1930])
 
     def test_nested_composites_flatten_in_period_order(self):
         inner = DiachronicCorpus([PeriodCorpus(TimePeriod(1940, 1949)), PeriodCorpus(PERIOD_1980)])

@@ -51,6 +51,15 @@ class TestLoadDictionary:
         assert load_dictionary(dumped) == entries
         assert dump_dictionary(load_dictionary(dumped)) == dumped
 
+    def test_path_is_read_and_str_is_json_text(self, tmp_path):
+        text = '[{"modern": "yıl", "old": ["sene"]}]'
+        path = tmp_path / "pairs.json"
+        path.write_text(text, encoding="utf-8")
+        assert load_dictionary(path) == load_dictionary(text)
+        # a str is never taken for a file name, even one ending in .json
+        with pytest.raises(DictionaryError, match="not valid JSON"):
+            load_dictionary(str(path))
+
     def test_senses_are_opaque_strings(self):
         entries = load_dictionary('[{"modern": "yıl", "old": ["sene"], "senses": ["1. zaman"]}]')
         assert entries[0].senses == ("1. zaman",)

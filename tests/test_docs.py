@@ -1,0 +1,13 @@
+"""The README's library snippet imports only names the package exports."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_library_imports_resolve():
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    imports = re.search(r"^from diacorpus import \([^)]*\)", library, re.MULTILINE)
+    assert imports is not None, "no 'from diacorpus import (...)' in the README's Library section"
+    exec(compile(imports.group(0), "README.md", "exec"), {})

@@ -98,7 +98,7 @@ class TestEndingRatio:
                             )
                             for copy in range(copies)
                         },
-                        filter_config=leaf.filter_config,
+                        filter_config=fixture_config.filter,
                     )
                     for leaf in fixture_tree.leaves()
                 ]
@@ -157,7 +157,7 @@ class TestCircumflex:
                             )
                             for copy in range(copies)
                         },
-                        filter_config=leaf.filter_config,
+                        filter_config=fixture_config.filter,
                     )
                     for leaf in fixture_tree.leaves()
                 ]

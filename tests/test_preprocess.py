@@ -8,14 +8,12 @@ from diacorpus.errors import ParameterError
 from diacorpus.preprocess import (
     FilterConfig,
     LookupAnalyzer,
-    Token,
     f5_stem,
     filter_vocabulary,
     frequency_threshold,
-    lemmatize,
+    lemma_surfaces,
     normalize_text,
     token_surfaces,
-    tokenize,
     turkish_lower,
 )
 
@@ -107,15 +105,10 @@ class TestTokenize:
         ]
 
     def test_empty_input(self):
-        assert tokenize("") == []
+        assert token_surfaces("") == []
 
     def test_golden_1921_sentence(self):
         assert token_surfaces(SENTENCE_1921) == SENTENCE_1921_TOKENS
-
-    def test_positions_strictly_increasing(self):
-        tokens = tokenize("bir iki, üç.", doc_id="d")
-        assert [t.position for t in tokens] == list(range(len(tokens)))
-        assert tokens[0].doc_id == "d"
 
     def test_interior_apostrophe_kept(self):
         assert token_surfaces("Türkiye'nin kararı") == ["Türkiye'nin", "kararı"]
@@ -123,6 +116,13 @@ class TestTokenize:
     def test_punctuation_runs_are_single_tokens(self):
         assert token_surfaces("oldu...") == ["oldu", "..."]
         assert token_surfaces("«karar»") == ["«", "karar", "»"]
+
+    @given(st.text(max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_tokens_are_the_text_without_whitespace(self, text):
+        tokens = token_surfaces(text)
+        assert all(t and not any(ch.isspace() for ch in t) for t in tokens)
+        assert "".join(tokens) == "".join(text.split())
 
     @given(st.text(max_size=120))
     @settings(max_examples=200, deadline=None)
@@ -198,46 +198,33 @@ class TestFilterVocabulary:
 
 class TestLemmatize:
     def test_f5_on_long_word(self):
-        lemma = lemmatize(Token("müstenittir"))
-        assert lemma.text == "müste"
-        assert lemma.origin == "f5-fallback"
+        assert lemma_surfaces(["müstenittir"]) == ["müste"]
 
     def test_short_word_passthrough(self):
-        lemma = lemmatize(Token("ev"))
-        assert lemma.text == "ev"
-        assert lemma.origin == "f5-fallback"
+        assert lemma_surfaces(["ev"]) == ["ev"]
 
     def test_analyzer_hit(self):
         analyzer = LookupAnalyzer({"milletindir": "millet"})
-        lemma = lemmatize(Token("milletindir"), analyzer)
-        assert lemma.text == "millet"
-        assert lemma.origin == "analyzer"
+        assert lemma_surfaces(["milletindir"], analyzer) == ["millet"]
 
     def test_analyzer_miss_falls_back(self):
         analyzer = LookupAnalyzer({})
-        assert lemmatize(Token("müstenittir"), analyzer).origin == "f5-fallback"
+        assert lemma_surfaces(["müstenittir"], analyzer) == ["müste"]
 
     def test_analyzer_matches_case_folded_surface(self):
         analyzer = LookupAnalyzer({"istanbul": "istanbul"})
-        assert lemmatize(Token("İstanbul"), analyzer).text == "istanbul"
+        assert lemma_surfaces(["İstanbul"], analyzer) == ["istanbul"]
 
     def test_f5_counts_characters_not_bytes(self):
         assert f5_stem("âbidevî") == "âbide"
         assert len(f5_stem("âbidevî")) == 5
 
-    def test_token_invariants_enforced(self):
-        with pytest.raises(ParameterError):
-            Token("")
-        with pytest.raises(ParameterError):
-            Token("iki kelime")
-
     @given(st.text(alphabet="abcçğıiöşüâîû", min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_f5_fallback_property(self, surface):
-        lemma = lemmatize(Token(surface))
+        (lemma,) = lemma_surfaces([surface])
         folded = turkish_lower(surface)
         if len(folded) >= 5:
-            assert lemma.text == folded[:5]
+            assert lemma == folded[:5]
         else:
-            assert lemma.text == folded
-        assert lemma.origin == "f5-fallback"
+            assert lemma == folded
