@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TimePeriod, TimeSeriesResult, read_artifact, write_artifact
-from .embeddings import EmbeddingSet, cosine, rank_by_cosine
+from .embeddings import EmbeddingSet, _float_rows, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
 
 _ORTHOGONALITY_TOL = 1e-8
@@ -235,22 +235,20 @@ def read_transform(path: str | Path) -> AlignmentTransform:
         path, "transform", d=int, **{"from": TimePeriod.parse, "to": TimePeriod.parse}
     )
     dim = head["d"]
+    if dim < 1:
+        raise ParameterError(f"{path}: line 1: d={dim} is not a positive dimension")
     if not body or not body[-1].startswith("#shared="):
         raise ParameterError(f"{path}: the last line is not the '#shared=' line")
-    rows = []
+    numbers: dict[int, str] = {}
     for lineno, line in enumerate(body[:-1], start=2):
         if not line:
             continue
         if line.startswith("#shared="):
             raise ParameterError(f"{path}: line {lineno}: a second '#shared=' line")
-        values = line.split(" ")
-        if len(values) != dim:
-            raise ParameterError(f"{path}: line {lineno} has {len(values)} values, not {dim}")
-        try:
-            rows.append([float(x) for x in values])
-        except ValueError as exc:
-            raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
-    matrix = np.array(rows)
+        if line.count(" ") != dim - 1:
+            raise ParameterError(f"{path}: line {lineno} does not have {dim} values")
+        numbers[lineno] = line
+    matrix = _float_rows(path, numbers, dim)
     if matrix.shape != (dim, dim):
         raise ParameterError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
     shared = [w for w in body[-1][len("#shared=") :].split(" ") if w]

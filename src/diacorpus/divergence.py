@@ -146,8 +146,10 @@ def jsd_matrix(
 def contributions_between(
     node: CorpusNode, period_a: TimePeriod, period_b: TimePeriod, top_k: int
 ) -> ContributionRanking:
-    leaf_a, leaf_b = select_leaves(node, [period_a, period_b])
-    return jsd_contributions(create_vocabulary(leaf_a), create_vocabulary(leaf_b), top_k)
+    """JSD contributions ranking ``period_a`` against ``period_b``, in that order."""
+    leaves = {leaf.period: leaf for leaf in select_leaves(node, [period_a, period_b])}
+    vocab_a, vocab_b = (create_vocabulary(leaves[p]) for p in (period_a, period_b))
+    return jsd_contributions(vocab_a, vocab_b, top_k)
 
 
 def survived_words(

@@ -298,6 +298,29 @@ def association(word_u: str, word_v: str, ppmi: PPMIMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
+_FLOAT_ROW = dict(dtype=np.float64, delimiter=" ", comments=None, quotechar=None, ndmin=2)
+
+
+def _float_rows(path: str | Path, rows: dict[int, str], width: int) -> np.ndarray:
+    """Rows of ``width`` ASCII float literals (``repr`` output), keyed by line number, parsed
+    in one numpy call; a bad or non-finite row is a ParameterError naming file and line."""
+    if not rows:  # loadtxt warns on empty input
+        return np.empty((0, width))
+    try:
+        values = np.loadtxt(rows.values(), **_FLOAT_ROW)
+    except ValueError:
+        for lineno, text in rows.items():
+            try:
+                np.loadtxt([text], **_FLOAT_ROW)
+            except ValueError as exc:
+                raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
+        raise
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParameterError(f"{path}: line {list(rows)[finite.argmin()]}: a value is not finite")
+    return values
+
+
 def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
     """Text export: a header line, then one 'word v1 .. vd' line per vocabulary word.
 
@@ -330,21 +353,17 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     if found != vocab_size:
         raise ParameterError(f"{path}: header says {vocab_size} words, found {found}")
     vocab_index: dict[str, int] = {}
-    rows = np.empty((vocab_size, dim), dtype=np.float64)
+    numbers: dict[int, str] = {}
     for lineno, line in enumerate(body, start=2):
         if not line:
             continue
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
+        if line.count(" ") != dim:
             raise ParameterError(f"{path}: line {lineno} does not have a word and {dim} values")
-        word = parts[0]
+        word, numbers[lineno] = line.split(" ", 1)
         if word in vocab_index:
             raise ParameterError(f"{path}: line {lineno}: word {word!r} listed twice")
-        i = vocab_index[word] = len(vocab_index)
-        try:
-            rows[i] = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
+        vocab_index[word] = len(vocab_index)
+    rows = _float_rows(path, numbers, dim)
     try:
         return EmbeddingSet(head["period"], vocab_index, rows, dim, head["provenance"])
     except ParameterError as exc:
@@ -352,16 +371,14 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
 
 def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
-    """Coordinate-format TSV: row word, column word, association value."""
-    inverse = {idx: w for w, idx in ppmi.vocab_index.items()}
+    """Coordinate-format TSV in row-major order: row word, column word, association value."""
+    words = np.array(sorted(ppmi.vocab_index, key=ppmi.vocab_index.get), dtype=object)
     coo = ppmi.values.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"
-    ]
-    for k in order:
-        lines.append(f"{inverse[int(coo.row[k])]}\t{inverse[int(coo.col[k])]}\t{repr(float(coo.data[k]))}")
-    write_artifact(path, "\n".join(lines) + "\n")
+    rows, cols = words[coo.row[order]].tolist(), words[coo.col[order]].tolist()
+    header = f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"
+    body = "\n".join(map("\t".join, zip(rows, cols, map(repr, coo.data[order].tolist()))))
+    write_artifact(path, f"{header}\n{body}\n" if body else f"{header}\n")
 
 
 def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:

@@ -59,6 +59,9 @@ def token_surfaces(text: str) -> list[str]:
     """Tokenize normalized text into surface strings (the normative rule)."""
     tokens: list[str] = []
     for chunk in text.split():
+        if chunk.isalpha():  # no letter is in category P or S
+            tokens.append(chunk)
+            continue
         n = len(chunk)
         i = 0
         while i < n and _is_punct(chunk[i]):

@@ -49,3 +49,15 @@ def fixture_sequences(config: RunConfig, leaf: PeriodCorpus, level="lemma") -> l
     """``document_sequences`` of a leaf ingested from the fixture corpus."""
     texts = [(config.corpus_root / doc.path).read_text(encoding="utf-8") for doc in leaf.documents]
     return document_sequences(texts, level, config.analyzer())
+
+
+# Values that are not the ASCII literal of a finite float, which the .vec and
+# transform readers reject: a digit separator and an Arabic-Indic digit (both
+# accepted by ``float()``), hex, nan, and a literal that overflows to infinity.
+EDGE_TOKENS = ["1_0", "\u0661", "0x10", "nan", "1e999"]
+
+
+def with_edge_token(lines: list[str], token: str) -> list[str]:
+    """The artifact ``lines`` with the last value on line 3 replaced by ``token``."""
+    head, _ = lines[2].rsplit(" ", 1)
+    return [*lines[:2], f"{head} {token}", *lines[3:]]

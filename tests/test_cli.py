@@ -16,7 +16,7 @@ from diacorpus.cli import _write_report, main, ranking_records, to_json
 from diacorpus.corpus import csv_table
 from diacorpus.embeddings import most_similar, read_embeddings
 
-from conftest import FIXTURES
+from conftest import EDGE_TOKENS, FIXTURES, with_edge_token
 
 CONFIG = str(FIXTURES / "fixture_config.json")
 
@@ -129,6 +129,21 @@ class TestAnalyze:
         expected = jaccard_matrix(fixture_tree).to_csv()
         actual = (workspace / "reports" / "jaccard.csv").read_text(encoding="utf-8")
         assert actual == expected
+
+    def test_reversed_pair_report_ranks_the_first_period_first(self, workspace, tmp_path):
+        shutil.copytree(workspace / "vocab", tmp_path / "vocab")
+        assert run_cli(
+            tmp_path, "analyze", "divergence", "--pair", "1980-1989", "1930-1939", "--top-k", "20"
+        ) == 0
+
+        def rows(path):
+            return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+        forward = rows(workspace / "reports" / "jsd_contributions_1930-1939_1980-1989.csv")
+        reverse = rows(tmp_path / "reports" / "jsd_contributions_1980-1989_1930-1939.csv")
+        assert [(lemma, -float(value), side) for lemma, value, side in forward] == [
+            (lemma, float(value), side) for lemma, value, side in reverse
+        ]
 
     def test_freq_series_has_two_entries(self, workspace):
         text = (workspace / "reports" / "freq_belge.csv").read_text(encoding="utf-8")
@@ -665,6 +680,42 @@ class TestEmbedAlignQuery:
         assert "1930-1939.svd.vec: line 1" in payload["message"]
         assert "traceback" not in payload["context"]
         assert not (tmp_path / "reports").exists()
+
+
+class TestEdgeTokens:
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    @pytest.mark.parametrize(
+        "artifact,command",
+        [
+            (
+                "embeddings/1930-1939.svd.vec",
+                ["query", "most-similar", "--word", "kanun", "--period", "1930-1939"],
+            ),
+            (
+                "transforms/1980-1989__to__1930-1939.svd.txt",
+                [
+                    "query", "aligned-most-similar", "--word", "televizyon",
+                    "--target", "1980-1989", "--base", "1930-1939",
+                ],
+            ),
+        ],
+        ids=["vec", "transform"],
+    )
+    def test_edge_token_is_usage_error_naming_line_3(
+        self, workspace, tmp_path, capsys, artifact, command, token
+    ):
+        for artifacts in ("vocab", "embeddings", "transforms"):
+            shutil.copytree(workspace / artifacts, tmp_path / artifacts)
+        path = tmp_path / artifact
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")
+        code, out, err = run_cli(tmp_path, *command, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == 2
+        assert f"{Path(artifact).name}: line 3: " in payload["message"]
 
 
 class TestDuplicateRecords:

@@ -1,6 +1,7 @@
 import datetime as dt
 import errno
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,14 @@ from diacorpus.lexicon import (
     write_vocabulary,
 )
 
-from conftest import FIXTURES, PERIOD_1930, PERIOD_1980, fixture_sequences
+from conftest import (
+    EDGE_TOKENS,
+    FIXTURES,
+    PERIOD_1930,
+    PERIOD_1980,
+    fixture_sequences,
+    with_edge_token,
+)
 
 
 def _record(doc_id, year, path="docs/x.txt"):
@@ -318,13 +326,19 @@ _CORRUPTIONS = [
         "embeddings",
         "nan-value",
         lambda lines: [lines[0], "aa nan 0.0", *lines[2:]],
-        r"artifact\.txt: embedding matrix contains non-finite values",
+        r"artifact\.txt: line 2: a value is not finite",
     ),
     (
         "transform",
         "empty-shared",
         lambda lines: [*lines[:-1], "#shared="],
         r"artifact\.txt: alignment transform needs a non-empty shared vocabulary",
+    ),
+    (
+        "transform",
+        "zero-dim",
+        lambda lines: [lines[0].replace("d=2", "d=0"), lines[-1]],
+        r"artifact\.txt: line 1: d=0 is not a positive dimension",
     ),
     (
         "transform",
@@ -356,6 +370,24 @@ class TestArtifactRecordRules:
         path.write_text("\n".join(corrupt(lines)) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=match):
             read(path)
+
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
+    @pytest.mark.parametrize("kind", ["embeddings", "transform"])
+    def test_value_not_an_ascii_finite_float_names_the_line(self, tmp_path, kind, token):
+        read, lines = _CLEAN_ARTIFACTS[kind]
+        path = tmp_path / "artifact.txt"
+        path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"artifact\.txt: line 3: "):
+            read(path)
+
+    def test_empty_embedding_file_loads_without_a_warning(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        path.write_text("dim=2 vocab=0 provenance=svd period=1930-1939\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = read_embeddings(path)
+        assert loaded.vocab_index == {}
+        assert loaded.matrix.shape == (0, 2)
 
     @pytest.mark.parametrize("kind", _CLEAN_ARTIFACTS)
     def test_empty_file_is_parameter_error_naming_the_file(self, tmp_path, kind):

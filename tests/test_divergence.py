@@ -126,6 +126,15 @@ class TestContributions:
         assert by_word["sene"] < 0 < by_word["yıl"]
         assert by_word["mucip"] < 0 < by_word["gerek"]
 
+    def test_reversed_pair_negates_values_and_keeps_sides(self, fixture_tree):
+        forward = contributions_between(fixture_tree, PERIOD_1930, PERIOD_1980, top_k=20)
+        reverse = contributions_between(fixture_tree, PERIOD_1980, PERIOD_1930, top_k=20)
+        assert (reverse.period_a, reverse.period_b) == (PERIOD_1980, PERIOD_1930)
+        assert all(value != 0 for _, value in forward.pairs)
+        assert [(w, -v, forward.side(v)) for w, v in forward.pairs] == [
+            (w, v, reverse.side(v)) for w, v in reverse.pairs
+        ]
+
 
 class TestMatrices:
     def test_structure_on_fixture(self, fixture_tree):

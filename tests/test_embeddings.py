@@ -3,15 +3,18 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from diacorpus.corpus import PeriodCorpus
 from diacorpus.embeddings import (
     EmbeddingSet,
+    PPMIMatrix,
     association,
     build_ppmi,
     collocations,
     cosine,
     count_cooccurrences,
+    ensure_ppmi,
     most_similar,
     read_embeddings,
     read_ppmi,
@@ -365,7 +368,43 @@ class TestQueries:
             )
 
 
+def reference_ppmi_text(ppmi):
+    """The PPMI TSV formatted one entry at a time, in row-major order."""
+    inverse = {idx: w for w, idx in ppmi.vocab_index.items()}
+    coo = ppmi.values.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = [f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"]
+    for k in order:
+        row, col = inverse[int(coo.row[k])], inverse[int(coo.col[k])]
+        lines.append(f"{row}\t{col}\t{repr(float(coo.data[k]))}")
+    return "\n".join(lines) + "\n"
+
+
+def _unsorted_csr_ppmi():
+    # row 0 stores columns 2, 0 and row 2 stores 1, 0: CSR order is not row-major
+    values = sp.csr_matrix(
+        (np.array([0.1, 1 / 3, 2.5e16, 1e-300, 7.0]), np.array([2, 0, 1, 1, 0]),
+         np.array([0, 2, 3, 5])),
+        shape=(3, 3),
+    )
+    assert not values.has_sorted_indices
+    return PPMIMatrix(PERIOD_1930, {"zz": 0, "aa": 1, "mm": 2}, values, alpha=0.75, window=3)
+
+
 class TestFileFormats:
+    @pytest.mark.parametrize("source", ["unsorted-csr", "fixture", "empty"])
+    def test_ppmi_bytes_equal_the_per_entry_reference(self, tmp_path, fixture_tree, source):
+        if source == "unsorted-csr":
+            matrices = [_unsorted_csr_ppmi()]
+        elif source == "fixture":
+            matrices = [ensure_ppmi(leaf) for leaf in fixture_tree.leaves()]
+        else:
+            matrices = [PPMIMatrix(PERIOD_1930, {"aa": 0}, sp.csr_matrix((1, 1)), alpha=0.75)]
+        for i, ppmi in enumerate(matrices):
+            path = tmp_path / f"assoc{i}.tsv"
+            write_ppmi(ppmi, path)
+            assert path.read_bytes() == reference_ppmi_text(ppmi).encode("utf-8")
+
     def test_embedding_roundtrip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(10)
         index = {f"w{i}": i for i in range(6)}

@@ -1,4 +1,6 @@
 import math
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,16 @@ class TestNormalize:
 
 
 class TestTokenize:
+    def test_no_letter_is_punctuation_or_symbol(self):
+        # token_surfaces keeps a chunk that is all letters whole; that is the
+        # normative rule only while no isalpha() character is in category P or S
+        offenders = [
+            hex(cp)
+            for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalpha() and unicodedata.category(chr(cp))[0] in "PS"
+        ]
+        assert offenders == []
+
     def test_trailing_punctuation_detached(self):
         assert token_surfaces("Hâkimiyet milletindir.") == [
             "Hâkimiyet",
