@@ -19,7 +19,6 @@ from .corpus import (
     CorpusStats,
     DiachronicCorpus,
     DocumentRecord,
-    Operation,
     PeriodCorpus,
     TimePeriod,
     TimeSeriesResult,

@@ -38,7 +38,7 @@ class AlignmentTransform:
             raise ParameterError("alignment transform needs a non-empty shared vocabulary")
         gram = self.matrix.T @ self.matrix
         drift = np.max(np.abs(gram - np.eye(self.matrix.shape[1])))
-        if drift > _ORTHOGONALITY_TOL:
+        if not drift <= _ORTHOGONALITY_TOL:  # a nan drift is not orthogonal
             raise ParameterError(
                 f"transform {self.source_period.label}->{self.target_period.label} "
                 f"is not orthogonal (max drift {drift:.3e})"

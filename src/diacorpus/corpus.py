@@ -1,12 +1,12 @@
-"""Period-bucketed corpus tree and the operation-dispatch contract.
+"""Period-bucketed corpus tree and the one walk over its periods.
 
 A corpus is a tree: ``PeriodCorpus`` leaves hold the documents of one time
 period, ``DiachronicCorpus`` composites group children covering disjoint,
-ascending periods. Analyses are ``Operation`` objects dispatched through
-``node.perform(op)``: the node calls back into ``op.on_period`` or
-``op.on_diachronic`` according to its own type, so an operation defines one
-behavior per node kind and composites recurse over their children. A
-per-period query is a plain function of a leaf, run through ``LeafQuery``.
+ascending periods, and ``leaves()`` flattens any node to its leaves.
+``select_leaves(node, periods)`` is the one place a range of periods is
+picked and ordered; every per-period analysis walks its result, and
+``per_period(node, periods, fn)`` turns a function of a leaf into a
+``TimeSeriesResult``.
 
 The tree is immutable after ``build_corpus_tree`` (or after the CLI loads a
 leaf's vocabularies and token ids from ingest's artifacts). A leaf holds its
@@ -130,53 +130,10 @@ class TimeSeriesResult:
         return len(self.entries)
 
 
-class Operation(ABC):
-    """Base class for analyses run through the corpus tree.
-
-    Subclasses implement one behavior per node kind.
-    """
-
-    @abstractmethod
-    def on_period(self, corpus: "PeriodCorpus") -> Any:
-        ...
-
-    @abstractmethod
-    def on_diachronic(self, corpus: "DiachronicCorpus") -> Any:
-        ...
-
-
-class PerPeriodOperation(Operation):
-    """An operation whose composite behavior is per-leaf concatenation in period order."""
-
-    def on_diachronic(self, corpus: "DiachronicCorpus") -> TimeSeriesResult:
-        entries: list[tuple[TimePeriod, Any]] = []
-        for child in corpus.children:
-            result = child.perform(self)
-            if isinstance(result, TimeSeriesResult):
-                entries.extend(result.entries)
-            else:
-                entries.append((child.period, result))
-        return TimeSeriesResult(entries=entries)
-
-
-class LeafQuery(PerPeriodOperation):
-    """A per-period operation whose value for a leaf is ``fn(leaf)``."""
-
-    def __init__(self, fn: Callable[["PeriodCorpus"], Any]):
-        self.fn = fn
-
-    def on_period(self, corpus: "PeriodCorpus") -> Any:
-        return self.fn(corpus)
-
-
 class CorpusNode(ABC):
     """Common interface of leaves and composites."""
 
     period: TimePeriod
-
-    @abstractmethod
-    def perform(self, op: Operation) -> Any:
-        ...
 
     @abstractmethod
     def leaves(self) -> list["PeriodCorpus"]:
@@ -199,9 +156,6 @@ class PeriodCorpus(CorpusNode):
         self.vocabulary: "Vocabulary | None" = None
         self.surface_vocabulary: "Vocabulary | None" = None
 
-    def perform(self, op: Operation) -> Any:
-        return op.on_period(self)
-
     def leaves(self) -> list["PeriodCorpus"]:
         return [self]
 
@@ -213,13 +167,6 @@ class PeriodCorpus(CorpusNode):
                 f"period {self.period.label} has no {level} token ids", needed_command="ingest"
             )
         return ids
-
-    def require_vocabulary(self) -> "Vocabulary":
-        if self.vocabulary is None:
-            raise MissingArtifactError(
-                f"no vocabulary built for period {self.period.label}", needed_command="ingest"
-            )
-        return self.vocabulary
 
     @classmethod
     def from_texts(
@@ -255,17 +202,11 @@ class DiachronicCorpus(CorpusNode):
         self.period = TimePeriod(ordered[0].period.start_year, ordered[-1].period.end_year)
         self.unbucketed_documents: list[DocumentRecord] = []
 
-    def perform(self, op: Operation) -> Any:
-        return op.on_diachronic(self)
-
     def leaves(self) -> list[PeriodCorpus]:
         out: list[PeriodCorpus] = []
         for child in self.children:
             out.extend(child.leaves())
         return out
-
-    def __iter__(self) -> Iterator[CorpusNode]:
-        return iter(self.children)
 
 
 def require_distinct(periods: Sequence[TimePeriod]) -> None:
@@ -280,11 +221,14 @@ def select_leaves(
 ) -> list[PeriodCorpus]:
     """Leaves of ``node`` restricted to ``periods`` (all leaves when None).
 
-    Raises ParameterError if a requested period is listed twice or has no leaf.
+    Raises ParameterError if ``periods`` is empty, or a requested period is
+    listed twice or has no leaf.
     """
     leaves = node.leaves()
     if periods is None:
         return leaves
+    if not periods:
+        raise ParameterError("no periods selected")
     require_distinct(periods)
     by_period = {leaf.period: leaf for leaf in leaves}
     out = []
@@ -293,6 +237,15 @@ def select_leaves(
             raise ParameterError(f"no corpus leaf for period {period.label}")
         out.append(by_period[period])
     return sorted(out, key=lambda l: l.period)
+
+
+def per_period(
+    node: CorpusNode,
+    periods: Sequence[TimePeriod] | None,
+    fn: Callable[[PeriodCorpus], Any],
+) -> TimeSeriesResult:
+    """``fn(leaf)`` for each leaf of ``select_leaves(node, periods)``, in period order."""
+    return TimeSeriesResult([(leaf.period, fn(leaf)) for leaf in select_leaves(node, periods)])
 
 
 def decade_bucket(year: int) -> TimePeriod:

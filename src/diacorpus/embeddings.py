@@ -31,7 +31,8 @@ from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_or
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Dense factorization is exact and deterministic; only fall back to sparse
+# Dense factorization is exact and repeats its bytes at a fixed BLAS thread
+# count (not necessarily across thread counts); only fall back to sparse
 # iterative SVD for vocabularies too large to densify comfortably.
 _DENSE_SVD_LIMIT = 1024
 

@@ -19,12 +19,10 @@ import numpy as np
 
 from .corpus import (
     CorpusNode,
-    DiachronicCorpus,
-    LeafQuery,
     PeriodCorpus,
-    PerPeriodOperation,
     TimePeriod,
     TimeSeriesResult,
+    per_period,
     read_artifact,
     select_leaves,
     write_artifact,
@@ -111,15 +109,14 @@ def same_document(doc_offsets: np.ndarray, shift: int) -> np.ndarray:
 
 def create_vocabulary(leaf: PeriodCorpus, level: str = "lemma") -> Vocabulary:
     """Return the leaf's filtered vocabulary, built by ingest or read from its artifact."""
-    if level == "lemma":
-        return leaf.require_vocabulary()
-    if level == "surface":
-        if leaf.surface_vocabulary is None:
-            raise MissingArtifactError(
-                f"no surface vocabulary for period {leaf.period.label}", needed_command="ingest"
-            )
-        return leaf.surface_vocabulary
-    raise ParameterError(f"unknown level {level!r} (expected surface or lemma)")
+    if level not in LEVELS:
+        raise ParameterError(f"unknown level {level!r} (expected surface or lemma)")
+    vocab = leaf.vocabulary if level == "lemma" else leaf.surface_vocabulary
+    if vocab is None:
+        raise MissingArtifactError(
+            f"no {level} vocabulary for period {leaf.period.label}", needed_command="ingest"
+        )
+    return vocab
 
 
 def _check_ngram_order(order: int) -> None:
@@ -165,39 +162,15 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
 
 
 # ---------------------------------------------------------------------------
-# Range queries (dispatched through the corpus tree)
+# Range queries (one value per leaf of ``select_leaves``)
 # ---------------------------------------------------------------------------
-
-
-class MergeVocabulary(PerPeriodOperation):
-    """Entry-wise merge of the vocabularies under a node."""
-
-    def __init__(self, level: str = "lemma"):
-        self.level = level
-
-    def on_period(self, corpus: PeriodCorpus) -> Vocabulary:
-        return create_vocabulary(corpus, self.level)
-
-    def on_diachronic(self, corpus: DiachronicCorpus) -> Vocabulary:
-        merged: Vocabulary | None = None
-        for child in corpus.children:
-            vocab = child.perform(self)
-            merged = vocab if merged is None else merged.merged_with(vocab)
-        assert merged is not None  # composites are non-empty by construction
-        return merged
-
-
-def _ranged(node: CorpusNode, periods: Sequence[TimePeriod] | None) -> DiachronicCorpus:
-    """A composite over the selected leaves, so per-period operations always
-    return a time series, even for a bare leaf."""
-    return DiachronicCorpus(select_leaves(node, periods))
 
 
 def exists(
     node: CorpusNode, word: str, periods: Sequence[TimePeriod] | None = None
 ) -> TimeSeriesResult:
     """Per-period membership of a word in the filtered vocabulary."""
-    return _ranged(node, periods).perform(LeafQuery(lambda leaf: word in create_vocabulary(leaf)))
+    return per_period(node, periods, lambda leaf: word in create_vocabulary(leaf))
 
 
 def frequency(
@@ -212,13 +185,18 @@ def frequency(
         vocab = create_vocabulary(leaf)
         return vocab.normalized_frequency(word) if normalize else vocab.frequency(word)
 
-    return _ranged(node, periods).perform(LeafQuery(count))
+    return per_period(node, periods, count)
 
 
 def merge_vocabulary(
     node: CorpusNode, periods: Sequence[TimePeriod] | None = None, level: str = "lemma"
 ) -> Vocabulary:
-    return _ranged(node, periods).perform(MergeVocabulary(level))
+    """Entry-wise merge of the range's vocabularies, folded in period order."""
+    leaves = select_leaves(node, periods)
+    merged = create_vocabulary(leaves[0], level)
+    for leaf in leaves[1:]:
+        merged = merged.merged_with(create_vocabulary(leaf, level))
+    return merged
 
 
 def common_words(
@@ -252,16 +230,15 @@ def vocab_metrics(
     from the leaf's token ids, so it needs leaves that hold them.
     """
     _check_ngram_order(ngram_order)
-    scoped = _ranged(node, periods)
     return {
-        "unique_word_count": scoped.perform(
-            LeafQuery(lambda leaf: len(create_vocabulary(leaf, level).entries))
+        "unique_word_count": per_period(
+            node, periods, lambda leaf: len(create_vocabulary(leaf, level).entries)
         ),
-        "average_word_length": scoped.perform(
-            LeafQuery(lambda leaf: _average_word_length(create_vocabulary(leaf, level)))
+        "average_word_length": per_period(
+            node, periods, lambda leaf: _average_word_length(create_vocabulary(leaf, level))
         ),
-        "ngram_count": scoped.perform(
-            LeafQuery(lambda leaf: create_ngrams(leaf, ngram_order, level).total())
+        "ngram_count": per_period(
+            node, periods, lambda leaf: create_ngrams(leaf, ngram_order, level).total()
         ),
         "common_words": common_words(node, periods, level),
     }
@@ -285,7 +262,7 @@ def words_matching(
     def matching(leaf: PeriodCorpus) -> set[str]:
         return {w for w in create_vocabulary(leaf, level).entries if match(w, pattern)}
 
-    return _ranged(node, periods).perform(LeafQuery(matching))
+    return per_period(node, periods, matching)
 
 
 def occurrence_rate(
@@ -321,7 +298,7 @@ def morpheme_frequency(
         raw, per_m = occurrence_rate(vocab, lambda word: word.count(pattern))
         return per_m if per_million else raw
 
-    return _ranged(node, periods).perform(LeafQuery(rate))
+    return per_period(node, periods, rate)
 
 
 def cofrequency(
@@ -337,8 +314,8 @@ def cofrequency(
     """
     from .embeddings import count_cooccurrences  # deferred: embeddings imports lexicon
 
-    return _ranged(node, periods).perform(
-        LeafQuery(lambda leaf: count_cooccurrences(leaf, window).pair_count(word_u, word_v))
+    return per_period(
+        node, periods, lambda leaf: count_cooccurrences(leaf, window).pair_count(word_u, word_v)
     )
 
 

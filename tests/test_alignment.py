@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diacorpus.alignment import (
+    AlignmentTransform,
     aligned_most_similar,
     alignment_residual,
     procrustes_align,
@@ -40,6 +41,16 @@ def _planted_rotation(dim, rng=None):
     q[0, 1] = -1.0
     q[1, 0] = 1.0
     return q
+
+
+class TestTransformValidation:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the Gram
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ParameterError, match="is not orthogonal"):
+            AlignmentTransform(
+                PERIOD_1980, PERIOD_1930, np.array([[bad, 0.0], [0.0, 1.0]]), ["aa"]
+            )
 
 
 class TestProcrustes:

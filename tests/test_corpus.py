@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from diacorpus.corpus import (
     DiachronicCorpus,
     DocumentRecord,
-    LeafQuery,
     PeriodCorpus,
-    PerPeriodOperation,
     TimePeriod,
     TimeSeriesResult,
     build_corpus_tree,
@@ -23,6 +21,7 @@ from diacorpus.corpus import (
     decade_bucket,
     load_manifest,
     parse_manifest,
+    per_period,
     select_leaves,
     write_artifact,
 )
@@ -154,37 +153,38 @@ class TestIngestErrors:
             load_manifest(tmp_path)
 
 
-def unique_word_count():
-    return LeafQuery(lambda leaf: len(leaf.vocabulary.entries))
+def unique_word_count(leaf):
+    return len(leaf.vocabulary.entries)
 
 
-class TestPerform:
-    def test_on_leaf_returns_scalar(self, fixture_tree):
+class TestPerPeriod:
+    def test_series_equals_per_leaf_values(self, fixture_tree):
+        series = per_period(fixture_tree, None, unique_word_count)
+        assert isinstance(series, TimeSeriesResult)
+        assert series.entries == [(l.period, unique_word_count(l)) for l in fixture_tree.leaves()]
+
+    def test_reversed_periods_give_period_order(self, fixture_tree):
+        series = per_period(fixture_tree, [PERIOD_1980, PERIOD_1930], unique_word_count)
+        assert series.periods() == [PERIOD_1930, PERIOD_1980]
+
+    def test_bare_leaf_gives_one_entry(self, fixture_tree):
         leaf = fixture_tree.leaves()[0]
-        count = leaf.perform(unique_word_count())
-        assert count == len(leaf.vocabulary.entries)
+        series = per_period(leaf, None, unique_word_count)
+        assert series.entries == [(leaf.period, len(leaf.vocabulary.entries))]
 
-    def test_on_composite_returns_series(self, fixture_tree):
-        result = fixture_tree.perform(unique_word_count())
-        assert isinstance(result, TimeSeriesResult)
-        assert result.periods() == [PERIOD_1930, PERIOD_1980]
-
-    def test_composite_equals_per_leaf_concatenation(self, fixture_tree):
-        series = fixture_tree.perform(unique_word_count())
-        manual = [(l.period, l.perform(unique_word_count())) for l in fixture_tree.leaves()]
-        assert series.entries == manual
-
-    def test_aggregation_matches_sequential_sum(self, fixture_tree):
-        class TotalDocuments(PerPeriodOperation):
-            def on_period(self, corpus):
-                return corpus.stats.document_count
-
-            def on_diachronic(self, corpus):
-                return sum(child.perform(self) for child in corpus.children)
-
-        total = fixture_tree.perform(TotalDocuments())
-        expected = sum(l.stats.document_count for l in fixture_tree.leaves())
-        assert total == expected == 100
+    @pytest.mark.parametrize(
+        "periods,message",
+        [
+            ([PERIOD_1930, TimePeriod(1950, 1959)], "no corpus leaf for period 1950-1959"),
+            ([PERIOD_1930, PERIOD_1980, PERIOD_1930], "period 1930-1939 is listed twice"),
+            ([], "no periods selected"),
+        ],
+    )
+    def test_bad_range_raises_before_fn_runs(self, fixture_tree, periods, message):
+        calls = []
+        with pytest.raises(ParameterError, match=message):
+            per_period(fixture_tree, periods, calls.append)
+        assert calls == []
 
 
 class TestDeterminismAndStats:

@@ -1,5 +1,6 @@
-"""The README's library snippet imports only names the package exports."""
+"""The README names only code that exists."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -11,3 +12,14 @@ def test_readme_library_imports_resolve():
     imports = re.search(r"^from diacorpus import \([^)]*\)", library, re.MULTILINE)
     assert imports is not None, "no 'from diacorpus import (...)' in the README's Library section"
     exec(compile(imports.group(0), "README.md", "exec"), {})
+
+
+def test_readme_module_attributes_resolve():
+    names = re.findall(r"`diacorpus\.(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+    assert names, "the README names no `diacorpus.<module>.<name>`"
+    missing = [
+        f"diacorpus.{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"diacorpus.{module}"), name)
+    ]
+    assert missing == []

@@ -104,8 +104,16 @@ class TestCreateVocabulary:
 
     def test_not_preprocessed_raises(self):
         leaf = PeriodCorpus(PERIOD_1930)
-        with pytest.raises(MissingArtifactError):
-            create_vocabulary(leaf)
+        for level in ("lemma", "surface"):
+            message = f"no {level} vocabulary for period 1930-1939"
+            with pytest.raises(MissingArtifactError, match=message) as info:
+                create_vocabulary(leaf, level)
+            assert info.value.needed_command == "ingest"
+
+    def test_unknown_level_raises(self):
+        leaf = PeriodCorpus(PERIOD_1930)
+        with pytest.raises(ParameterError, match="unknown level 'stem'"):
+            create_vocabulary(leaf, "stem")
 
     def test_vocabulary_only_leaf(self):
         # the shape of a leaf rebuilt from ingest's vocabulary artifact
@@ -217,8 +225,7 @@ class TestMergeVocabulary:
 
     def test_single_period_is_identity(self, fixture_tree):
         leaf = fixture_tree.leaves()[0]
-        merged = merge_vocabulary(fixture_tree, [leaf.period])
-        assert merged.entries == leaf.vocabulary.entries
+        assert merge_vocabulary(fixture_tree, [leaf.period]) is leaf.vocabulary
 
     def test_order_independent(self, fixture_tree):
         p = [l.period for l in fixture_tree.leaves()]
@@ -226,6 +233,7 @@ class TestMergeVocabulary:
         backward = merge_vocabulary(fixture_tree, list(reversed(p)))
         assert forward.entries == backward.entries
         assert forward.token_total == backward.token_total
+        assert forward.period == backward.period == TimePeriod(1930, 1989)
 
     def test_associative(self):
         a = Vocabulary(TimePeriod(1920, 1929), {"aa": 1, "bb": 2}, 3)
