@@ -34,6 +34,9 @@ from .lexicon import create_vocabulary, vocabulary_order
 # cap is word2vec's MAX_SENTENCE_LENGTH.
 BLOCK_POSITIONS = 1000
 
+LR_START = 0.025
+LR_END = 0.0001
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
@@ -101,12 +104,10 @@ def train_cbow(
     smoothing_alpha: float = 0.75,
     seed: int = 1,
     epochs: int = 5,
-    lr_start: float = 0.025,
-    lr_end: float = 0.0001,
 ) -> EmbeddingSet:
     """Train CBOW vectors for one period leaf and return the input-side matrix.
 
-    The learning rate decays linearly from ``lr_start`` to ``lr_end`` over
+    The learning rate decays linearly from ``LR_START`` to ``LR_END`` over
     the scheduled token budget (epochs x corpus tokens). The returned set
     records the mean negative-sampling loss of each epoch in
     ``training_loss``.
@@ -165,7 +166,7 @@ def train_cbow(
         loss_sum = 0.0
         loss_examples = 0
         for sentence in sentences:
-            lr = max(lr_end, lr_start + (lr_end - lr_start) * (consumed / budget))
+            lr = max(LR_END, LR_START + (LR_END - LR_START) * (consumed / budget))
             consumed += len(sentence)
             kept = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
             n = len(kept)

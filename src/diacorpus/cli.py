@@ -314,7 +314,7 @@ def _stats_csv(payload: dict) -> str:
     )
 
 
-def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> str:
     tree = _ingest_tree(config)
     out = config.output_dir
     for leaf in tree.leaves():
@@ -333,8 +333,7 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> int:
     payload = _stats_payload(tree)
     write_artifact(out / "stats.json", to_json(payload))
     write_artifact(out / "stats.csv", _stats_csv(payload))
-    print(to_json({"ingested_periods": [l.period.label for l in tree.leaves()]}), end="")
-    return EXIT_OK
+    return to_json({"ingested_periods": [l.period.label for l in tree.leaves()]})
 
 
 def _token_path(config: RunConfig, period: TimePeriod) -> Path:
@@ -365,12 +364,12 @@ def _word_report_name(kind: str, word: str, *labels: str) -> str:
     """File stem of a word-derived report, e.g. ``freq_belge``.
 
     ``%``, ``/`` and ``\\`` in the word are percent-encoded so the name stays
-    one file inside ``reports/``; every other character is kept as is. A word
-    with a NUL character, or one whose report file name would exceed 255
-    bytes, is rejected with ParameterError before any work is done.
+    one file inside ``reports/``; every other character is kept as is. An
+    empty word, one with a NUL character, or one whose report file name would
+    exceed 255 bytes, is rejected with ParameterError before any work is done.
     """
-    if "\0" in word:
-        raise ParameterError("--word must not contain a NUL character")
+    if not word or "\0" in word:
+        raise ParameterError("--word must not be empty or contain a NUL character")
     encoded = word.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
     name = "_".join((kind, encoded, *labels))
     if len(os.fsencode(name + _LONGEST_REPORT_SUFFIX)) > _MAX_REPORT_NAME_BYTES:
@@ -381,135 +380,132 @@ def _word_report_name(kind: str, word: str, *labels: str) -> str:
     return name
 
 
-def _parse_periods(labels: list[str] | None) -> list[TimePeriod] | None:
-    """The periods of a ``--periods`` or ``--pair`` flag; one listed twice is a ParameterError."""
-    if not labels:
+def _parse_periods(periods: list[TimePeriod] | None) -> list[TimePeriod] | None:
+    """The periods of a ``--periods`` or ``--pair`` flag (None: all); a repeat is an error."""
+    if not periods:
         return None
-    periods = [TimePeriod.parse(label) for label in labels]
     require_distinct(periods)
     return periods
 
 
-def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_divergence(config: RunConfig, args: argparse.Namespace) -> str:
     reports = config.output_dir / "reports"
     periods, pair = _parse_periods(args.periods), _parse_periods(args.pair)
     tree = _load_vocab_artifacts(config)
-    if args.analysis == "divergence":
-        # compute everything first, so a bad --pair writes no report
-        matrices = (
-            divergence_mod.jaccard_matrix(tree, periods),
-            divergence_mod.jsd_matrix(tree, periods),
-        )
-        if pair:
-            ranking = divergence_mod.contributions_between(tree, *pair, args.top_k)
-        written = []
-        for matrix in matrices:
-            name = matrix.metric
-            write_artifact(reports / f"{name}.csv", matrix.to_csv())
-            payload = {
-                "metric": matrix.metric,
-                "periods": [p.label for p in matrix.periods],
-                "values": [[float(v) for v in row] for row in matrix.values],
-            }
-            write_artifact(reports / f"{name}.json", to_json(payload))
-            written += [f"{name}.csv", f"{name}.json"]
-        if pair:
-            name = f"jsd_contributions_{pair[0].label}_{pair[1].label}"
-            records = [
-                {"lemma": lemma, "contribution": value, "side": ranking.side(value).label}
-                for lemma, value in ranking.pairs
-            ]
-            _write_report(reports, name, records, ("lemma", "contribution", "side"))
-            written += [f"{name}.csv", f"{name}.json"]
-        print(to_json({"written": [reports.joinpath(n).as_posix() for n in written]}), end="")
-    elif args.analysis == "survived":
-        if not args.base_period:
-            raise ParameterError("survived analysis needs --base-period")
-        base = TimePeriod.parse(args.base_period)
-        series = divergence_mod.survived_words(tree, base, periods)
-        name = f"survived_{base.label}"
-        text = _write_report(reports, name, series_records(series), ("period", "survived_words"))
-        print(text, end="")
-    elif args.analysis == "ortho":
-        # compute every analysis first, so a failing class writes no report
-        class_rows = {
-            pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)
-            for pair_class in args.classes
+    # compute everything first, so a bad --pair writes no report
+    matrices = (
+        divergence_mod.jaccard_matrix(tree, periods),
+        divergence_mod.jsd_matrix(tree, periods),
+    )
+    if pair:
+        ranking = divergence_mod.contributions_between(tree, *pair, args.top_k)
+    written = []
+    for matrix in matrices:
+        name = matrix.metric
+        write_artifact(reports / f"{name}.csv", matrix.to_csv())
+        payload = {
+            "metric": matrix.metric,
+            "periods": [p.label for p in matrix.periods],
+            "values": [[float(v) for v in row] for row in matrix.values],
         }
-        raw, per_million = orthography_mod.circumflex_frequency(tree, periods)
-        # The two CSVs stay rendered by orthography.ending_ratio_csv and
-        # circumflex_csv: the benchmark tracer wraps both as trace targets.
-        for pair_class, rows in class_rows.items():
-            name = f"ortho_ratio_{pair_class}"
-            write_artifact(
-                reports / f"{name}.csv", orthography_mod.ending_ratio_csv(pair_class, rows)
-            )
-            records = [
-                {"period": period.label, "class": pair_class,
-                 "soft_total": soft, "hard_total": hard, "ratio": ratio}
-                for period, soft, hard, ratio in rows
-            ]
-            _write_report(reports, name, records)
-        write_artifact(
-            reports / "circumflex.csv", orthography_mod.circumflex_csv(raw, per_million)
-        )
+        write_artifact(reports / f"{name}.json", to_json(payload))
+        written += [f"{name}.csv", f"{name}.json"]
+    if pair:
+        name = f"jsd_contributions_{pair[0].label}_{pair[1].label}"
         records = [
-            {"period": period.label, "raw": count, "per_million": rate}
-            for (period, count), (_, rate) in zip(raw, per_million)
+            {"lemma": lemma, "contribution": value, "side": ranking.side(value).label}
+            for lemma, value in ranking.pairs
         ]
-        _write_report(reports, "circumflex", records)
-        print(to_json({"classes": list(args.classes)}), end="")
-    elif args.analysis == "dict-crossover":
-        entries = (
-            load_dictionary(Path(args.dictionary))
-            if args.dictionary
-            else load_sample_dictionary()
-        )
-        records = []
-        for entry in entries:
-            for old in entry.old_forms:
-                period = crossover_period(tree, entry.modern, old, periods, mode=args.mode)
-                label = period.label if period else "none"
-                records.append({"modern": entry.modern, "old": old, "crossover": label})
-        text = _write_report(reports, "crossover", records, ("modern", "old", "crossover_period"))
-        print(text, end="")
-    elif args.analysis == "freq":
-        if not args.word:
-            raise ParameterError("freq analysis needs --word")
-        name = _word_report_name("freq", args.word)
-        series = lexicon_mod.frequency(tree, args.word, periods, normalize=args.normalize)
-        column = "normalized_frequency" if args.normalize else "frequency"
-        text = _write_report(reports, name, series_records(series), ("period", column))
-        print(text, end="")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown analysis {args.analysis!r}")
-    return EXIT_OK
+        _write_report(reports, name, records, ("lemma", "contribution", "side"))
+        written += [f"{name}.csv", f"{name}.json"]
+    return to_json({"written": [reports.joinpath(n).as_posix() for n in written]})
+
+
+def cmd_survived(config: RunConfig, args: argparse.Namespace) -> str:
+    periods, base = _parse_periods(args.periods), args.base_period
+    series = divergence_mod.survived_words(_load_vocab_artifacts(config), base, periods)
+    name, header = f"survived_{base.label}", ("period", "survived_words")
+    return _write_report(config.output_dir / "reports", name, series_records(series), header)
+
+
+def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
+    reports = config.output_dir / "reports"
+    periods = _parse_periods(args.periods)
+    tree = _load_vocab_artifacts(config)
+    # compute every analysis first, so a failing class writes no report
+    class_rows = {
+        pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)
+        for pair_class in args.classes
+    }
+    raw, per_million = orthography_mod.circumflex_frequency(tree, periods)
+    # The two CSVs stay rendered by orthography.ending_ratio_csv and
+    # circumflex_csv: the benchmark tracer wraps both as trace targets.
+    for pair_class, rows in class_rows.items():
+        name = f"ortho_ratio_{pair_class}"
+        write_artifact(reports / f"{name}.csv", orthography_mod.ending_ratio_csv(pair_class, rows))
+        records = [
+            {"period": period.label, "class": pair_class,
+             "soft_total": soft, "hard_total": hard, "ratio": ratio}
+            for period, soft, hard, ratio in rows
+        ]
+        _write_report(reports, name, records)
+    write_artifact(reports / "circumflex.csv", orthography_mod.circumflex_csv(raw, per_million))
+    records = [
+        {"period": period.label, "raw": count, "per_million": rate}
+        for (period, count), (_, rate) in zip(raw, per_million)
+    ]
+    _write_report(reports, "circumflex", records)
+    return to_json({"classes": list(args.classes)})
+
+
+def cmd_dict_crossover(config: RunConfig, args: argparse.Namespace) -> str:
+    periods = _parse_periods(args.periods)
+    tree = _load_vocab_artifacts(config)
+    entries = (
+        load_dictionary(Path(args.dictionary)) if args.dictionary else load_sample_dictionary()
+    )
+    records = []
+    for entry in entries:
+        for old in entry.old_forms:
+            period = crossover_period(tree, entry.modern, old, periods, mode=args.mode)
+            label = period.label if period else "none"
+            records.append({"modern": entry.modern, "old": old, "crossover": label})
+    header = ("modern", "old", "crossover_period")
+    return _write_report(config.output_dir / "reports", "crossover", records, header)
+
+
+def cmd_freq(config: RunConfig, args: argparse.Namespace) -> str:
+    name = _word_report_name("freq", args.word)
+    periods = _parse_periods(args.periods)
+    tree = _load_vocab_artifacts(config)
+    series = lexicon_mod.frequency(tree, args.word, periods, normalize=args.normalize)
+    header = ("period", "normalized_frequency" if args.normalize else "frequency")
+    return _write_report(config.output_dir / "reports", name, series_records(series), header)
 
 
 def _embedding_path(config: RunConfig, period: TimePeriod, kind: str) -> Path:
     return config.output_dir / "embeddings" / f"{period.label}.{kind}.vec"
 
 
-def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
     leaves = _load_vocab_artifacts(config).leaves()
     # load every store before writing anything, so a missing one leaves no output
     for leaf in leaves:
         lexicon_mod.read_token_ids(_token_path(config, leaf.period), leaf)
     cfg = config.embedding
-    out = config.output_dir
     written = []
     for leaf in leaves:
         label = leaf.period.label
         if args.kind == "ppmi":
             ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
-            path = out / "ppmi" / f"{label}.tsv"
+            path = config.output_dir / "ppmi" / f"{label}.tsv"
             embeddings_mod.write_ppmi(ppmi, path)
         elif args.kind == "svd":
             ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
             word_set, _ = embeddings_mod.svd_embeddings(ppmi, cfg.dim)
             path = _embedding_path(config, leaf.period, "svd")
             embeddings_mod.write_embeddings(word_set, path)
-        elif args.kind == "cbow":
+        else:
             word_set = cbow_mod.train_cbow(
                 leaf,
                 dim=cfg.dim,
@@ -522,11 +518,8 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> int:
             )
             path = _embedding_path(config, leaf.period, "cbow")
             embeddings_mod.write_embeddings(word_set, path)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ParameterError(f"unknown embedding kind {args.kind!r}")
         written.append(path.as_posix())
-    print(to_json({"written": written}), end="")
-    return EXIT_OK
+    return to_json({"written": written})
 
 
 def _existing(path: Path, what: str, run_first: str) -> Path:
@@ -546,25 +539,18 @@ def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
 
 
 def _transform_path(config: RunConfig, source: TimePeriod, target: TimePeriod, kind: str) -> Path:
-    return (
-        config.output_dir
-        / "transforms"
-        / f"{source.label}__to__{target.label}.{kind}.txt"
-    )
+    return config.output_dir / "transforms" / f"{source.label}__to__{target.label}.{kind}.txt"
 
 
-def cmd_align(config: RunConfig, args: argparse.Namespace) -> int:
-    source = TimePeriod.parse(args.source)
-    target = TimePeriod.parse(args.target)
-    if source == target:
-        raise ParameterError("alignment needs two distinct periods")
+def cmd_align(config: RunConfig, args: argparse.Namespace) -> str:
+    source, target = args.source, args.target
+    require_distinct([source, target])
     source_set = _read_embedding_artifact(config, source, args.kind)
     target_set = _read_embedding_artifact(config, target, args.kind)
     transform = alignment_mod.procrustes_align(source_set, target_set)
     path = _transform_path(config, source, target, args.kind)
     alignment_mod.write_transform(transform, path)
-    print(to_json({"written": path.as_posix(), "shared_words": len(transform.shared_vocab)}), end="")
-    return EXIT_OK
+    return to_json({"written": path.as_posix(), "shared_words": len(transform.shared_vocab)})
 
 
 def _read_transform_artifact(config: RunConfig, source: TimePeriod, target: TimePeriod, kind: str):
@@ -576,65 +562,56 @@ def _read_transform_artifact(config: RunConfig, source: TimePeriod, target: Time
     return alignment_mod.read_transform(path)
 
 
-def cmd_query(config: RunConfig, args: argparse.Namespace) -> int:
-    reports = config.output_dir / "reports"
-    if args.query in ("most-similar", "collocations") and not args.period:
-        raise ParameterError(f"{args.query} needs --period")
-    if args.query == "aligned-most-similar" and not (args.target and args.base):
-        raise ParameterError("aligned-most-similar needs --target and --base")
-    if args.query == "most-similar":
-        period = TimePeriod.parse(args.period)
-        name = _word_report_name("most_similar", args.word, period.label)
-        embedding_set = _read_embedding_artifact(config, period, args.kind)
-        ranking = embeddings_mod.most_similar(args.word, args.top_k, embedding_set)
-        print(_write_report(reports, name, ranking_records(ranking)), end="")
-    elif args.query == "aligned-most-similar":
-        target = TimePeriod.parse(args.target)
-        base = TimePeriod.parse(args.base)
-        name = _word_report_name("aligned_most_similar", args.word, target.label, base.label)
-        target_set = _read_embedding_artifact(config, target, args.kind)
-        base_set = _read_embedding_artifact(config, base, args.kind)
-        transform = _read_transform_artifact(config, target, base, args.kind)
-        ranking = alignment_mod.aligned_most_similar(
-            args.word, args.top_k, target_set, base_set, transform
-        )
-        print(_write_report(reports, name, ranking_records(ranking)), end="")
-    elif args.query == "semantic-change":
-        periods = _parse_periods(args.periods)
-        if not periods:
-            raise ParameterError("semantic-change needs --periods")
-        name = _word_report_name("semantic_change", args.word)
-        sets = [_read_embedding_artifact(config, p, args.kind) for p in periods]
-        ordered = sorted(sets, key=lambda s: s.period)
-        transforms = [
-            _read_transform_artifact(config, ordered[i + 1].period, ordered[i].period, args.kind)
-            for i in range(len(ordered) - 1)
-        ]
-        series = alignment_mod.semantic_change(args.word, ordered, transforms)
-        print(_write_report(reports, name, series_records(series)), end="")
-    elif args.query == "collocations":
-        period = TimePeriod.parse(args.period)
-        name = _word_report_name("collocations", args.word, period.label)
-        ppmi_path = _existing(
-            config.output_dir / "ppmi" / f"{period.label}.tsv",
-            f"association matrix for period {period.label}",
-            "embed ppmi",
-        )
-        vocab_path = _existing(
-            config.output_dir / "vocab" / f"{period.label}.lemma.tsv",
-            f"vocabulary for period {period.label}",
-            "ingest",
-        )
-        vocab = lexicon_mod.read_vocabulary(vocab_path)
-        ppmi = embeddings_mod.read_ppmi(ppmi_path, vocab)
-        ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)
-        print(_write_report(reports, name, ranking_records(ranking, "association")), end="")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown query {args.query!r}")
-    return EXIT_OK
+def cmd_most_similar(config: RunConfig, args: argparse.Namespace) -> str:
+    name = _word_report_name("most_similar", args.word, args.period.label)
+    embedding_set = _read_embedding_artifact(config, args.period, args.kind)
+    ranking = embeddings_mod.most_similar(args.word, args.top_k, embedding_set)
+    return _write_report(config.output_dir / "reports", name, ranking_records(ranking))
 
 
-def cmd_dict(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_aligned_most_similar(config: RunConfig, args: argparse.Namespace) -> str:
+    target, base = args.target, args.base
+    require_distinct([target, base])
+    name = _word_report_name("aligned_most_similar", args.word, target.label, base.label)
+    target_set = _read_embedding_artifact(config, target, args.kind)
+    base_set = _read_embedding_artifact(config, base, args.kind)
+    transform = _read_transform_artifact(config, target, base, args.kind)
+    ranking = alignment_mod.aligned_most_similar(
+        args.word, args.top_k, target_set, base_set, transform
+    )
+    return _write_report(config.output_dir / "reports", name, ranking_records(ranking))
+
+
+def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
+    periods = _parse_periods(args.periods)
+    name = _word_report_name("semantic_change", args.word)
+    sets = [_read_embedding_artifact(config, p, args.kind) for p in periods]
+    ordered = sorted(sets, key=lambda s: s.period)
+    transforms = [
+        _read_transform_artifact(config, ordered[i + 1].period, ordered[i].period, args.kind)
+        for i in range(len(ordered) - 1)
+    ]
+    series = alignment_mod.semantic_change(args.word, ordered, transforms)
+    return _write_report(config.output_dir / "reports", name, series_records(series))
+
+
+def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
+    label, out = args.period.label, config.output_dir
+    name = _word_report_name("collocations", args.word, label)
+    ppmi_path = _existing(
+        out / "ppmi" / f"{label}.tsv", f"association matrix for period {label}", "embed ppmi"
+    )
+    vocab_path = _existing(
+        out / "vocab" / f"{label}.lemma.tsv", f"vocabulary for period {label}", "ingest"
+    )
+    vocab = lexicon_mod.read_vocabulary(vocab_path)
+    ppmi = embeddings_mod.read_ppmi(ppmi_path, vocab)
+    ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)
+    records = ranking_records(ranking, "association")
+    return _write_report(out / "reports", name, records)
+
+
+def cmd_dict(config: RunConfig, args: argparse.Namespace) -> str:
     entries = (
         load_dictionary(Path(args.dictionary)) if args.dictionary else load_sample_dictionary()
     )
@@ -643,8 +620,7 @@ def cmd_dict(config: RunConfig, args: argparse.Namespace) -> int:
         "pairs": sum(len(e.old_forms) for e in entries),
         "headwords": [e.modern for e in entries],
     }
-    print(to_json(payload), end="")
-    return EXIT_OK
+    return to_json(payload)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -655,69 +631,78 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar: each command parser declares exactly the flags its handler reads."""
     parser = _ArgumentParser(prog="diacorpus", description="Diachronic corpus analytics toolkit")
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--output-dir", help="override the configured output directory")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
+    period = TimePeriod.parse
 
-    sub.add_parser("ingest", help="build the corpus tree and write vocabularies and stats")
+    def command(group, name: str, handler, help: str) -> argparse.ArgumentParser:
+        sub = group.add_parser(name, help=help)
+        sub.set_defaults(handler=handler)
+        return sub
 
-    analyze = sub.add_parser("analyze", help="run a vocabulary-level analysis")
-    analyze.add_argument(
-        "analysis", choices=["divergence", "survived", "ortho", "dict-crossover", "freq"]
-    )
-    analyze.add_argument("--periods", nargs="*", help="period labels restricting the range")
-    analyze.add_argument("--base-period", help="base period for survived-word counts")
-    analyze.add_argument("--word", help="word for freq analysis")
-    analyze.add_argument("--normalize", action="store_true", help="normalize frequencies")
-    analyze.add_argument(
-        "--classes", nargs="*", default=list(orthography_mod.DEFAULT_CLASSES),
-        help="variant pair classes for ortho analysis",
-    )
-    analyze.add_argument("--dictionary", help="replacement dictionary JSON (default: bundled sample)")
-    analyze.add_argument(
-        "--mode", choices=["sustained", "first-touch"], default="sustained",
-        help="crossover definition",
-    )
-    analyze.add_argument("--pair", nargs=2, metavar=("PERIOD_A", "PERIOD_B"),
-                         help="emit per-word divergence contributions for this period pair")
-    analyze.add_argument("--top-k", type=int, default=20)
+    command(commands, "ingest", cmd_ingest, "build the corpus tree and write its artifacts")
 
-    embed = sub.add_parser("embed", help="build embedding artifacts per period")
+    analyze = commands.add_parser("analyze", help="run a vocabulary-level analysis")
+    analyses = analyze.add_subparsers(dest="analysis", required=True)
+
+    def analysis(name: str, handler, help: str) -> argparse.ArgumentParser:
+        sub = command(analyses, name, handler, help)
+        sub.add_argument("--periods", nargs="*", type=period, help="restrict to these periods")
+        return sub
+
+    divergence = analysis("divergence", cmd_divergence, "Jaccard and JSD matrices")
+    divergence.add_argument("--pair", nargs=2, type=period, metavar=("PERIOD_A", "PERIOD_B"),
+                            help="emit per-word divergence contributions for this period pair")
+    divergence.add_argument("--top-k", type=int, default=20)
+    survived = analysis("survived", cmd_survived, "words of a base period surviving per period")
+    survived.add_argument("--base-period", type=period, required=True)
+    ortho = analysis("ortho", cmd_ortho, "variant ending ratios and circumflex frequency")
+    ortho.add_argument("--classes", nargs="*", default=list(orthography_mod.DEFAULT_CLASSES),
+                       help="variant pair classes")
+    crossover = analysis("dict-crossover", cmd_dict_crossover, "replacement crossover periods")
+    crossover.add_argument("--dictionary", help="replacement dictionary JSON (default: bundled)")
+    crossover.add_argument("--mode", choices=["sustained", "first-touch"], default="sustained")
+    freq = analysis("freq", cmd_freq, "frequency of one word per period")
+    freq.add_argument("--word", required=True)
+    freq.add_argument("--normalize", action="store_true", help="per-million frequencies")
+
+    embed = command(commands, "embed", cmd_embed, "build embedding artifacts per period")
     embed.add_argument("kind", choices=["ppmi", "svd", "cbow"])
 
-    align = sub.add_parser("align", help="fit a cross-period alignment transform")
-    align.add_argument("--from", dest="source", required=True, help="source period label")
-    align.add_argument("--to", dest="target", required=True, help="target period label")
+    align = command(commands, "align", cmd_align, "fit a cross-period alignment transform")
+    align.add_argument("--from", dest="source", type=period, required=True)
+    align.add_argument("--to", dest="target", type=period, required=True)
     align.add_argument("--kind", choices=["svd", "cbow"], default="svd")
 
-    query = sub.add_parser("query", help="ranked similarity and change queries")
-    query.add_argument(
-        "query",
-        choices=["most-similar", "aligned-most-similar", "semantic-change", "collocations"],
-    )
-    query.add_argument("--word", required=True)
-    query.add_argument("--top-k", type=int, default=10)
-    query.add_argument("--period", help="period label for single-period queries")
-    query.add_argument("--target", help="target period for aligned queries")
-    query.add_argument("--base", help="base period for aligned queries")
-    query.add_argument("--periods", nargs="*", help="period labels for semantic change")
-    query.add_argument("--kind", choices=["svd", "cbow"], default="svd")
+    query = commands.add_parser("query", help="ranked similarity and change queries")
+    queries = query.add_subparsers(dest="query", required=True)
+    most_similar = command(queries, "most-similar", cmd_most_similar, "nearest words in a period")
+    most_similar.add_argument("--word", required=True)
+    most_similar.add_argument("--period", type=period, required=True)
+    most_similar.add_argument("--top-k", type=int, default=10)
+    most_similar.add_argument("--kind", choices=["svd", "cbow"], default="svd")
+    aligned = command(queries, "aligned-most-similar", cmd_aligned_most_similar, "aligned ranking")
+    aligned.add_argument("--word", required=True)
+    aligned.add_argument("--target", type=period, required=True)
+    aligned.add_argument("--base", type=period, required=True)
+    aligned.add_argument("--top-k", type=int, default=10)
+    aligned.add_argument("--kind", choices=["svd", "cbow"], default="svd")
+    change = command(queries, "semantic-change", cmd_semantic_change, "drift across periods")
+    change.add_argument("--word", required=True)
+    change.add_argument("--periods", nargs="+", type=period, required=True)
+    change.add_argument("--kind", choices=["svd", "cbow"], default="svd")
+    collocations = command(queries, "collocations", cmd_collocations, "top PPMI associates")
+    collocations.add_argument("--word", required=True)
+    collocations.add_argument("--period", type=period, required=True)
+    collocations.add_argument("--top-k", type=int, default=10)
 
-    dict_cmd = sub.add_parser("dict", help="validate and summarize a replacement dictionary")
+    dict_cmd = command(commands, "dict", cmd_dict, "summarize a replacement dictionary")
     dict_cmd.add_argument("--dictionary", help="dictionary JSON path (default: bundled sample)")
 
     return parser
-
-
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "analyze": cmd_analyze,
-    "embed": cmd_embed,
-    "align": cmd_align,
-    "query": cmd_query,
-    "dict": cmd_dict,
-}
 
 
 def _error_json(code: int, message: str, context: dict) -> str:
@@ -755,9 +740,9 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.from_file(args.config)
         if args.output_dir:
             config.output_dir = Path(args.output_dir)
-        handler = _COMMANDS[args.command]
         with _Lock(config.output_dir):
-            return handler(config, args)
+            print(args.handler(config, args), end="")
+        return EXIT_OK
     except Exception as exc:
         code, context = _exit_code(exc)
         if args.command:

@@ -314,6 +314,14 @@ def _latin1_dictionary(tmp_path):
     return str(path)
 
 
+_P, _L = "1930-1939", "1980-1989"
+
+
+def _fixture(*argv):
+    """A table row's argv: the fixture config, then ``argv``."""
+    return lambda t: ["--config", CONFIG, *argv]
+
+
 # case -> (argv after --output-dir, given the test's tmp_path; text the message must hold)
 _USAGE_ERRORS = {
     "unknown analysis": (lambda t: ["--config", CONFIG, "analyze", "bogus"], "'bogus'"),
@@ -354,6 +362,77 @@ _USAGE_ERRORS = {
     ),
     # the embedding seed is set in the config only
     "--seed flag": (lambda t: ["--config", CONFIG, "--seed=5", "embed", "svd"], "--seed"),
+    # each analysis and query accepts only the flags it reads
+    "divergence, unread --word": (_fixture("analyze", "divergence", "--word", "x"), "--word"),
+    "survived, unread --word": (
+        _fixture("analyze", "survived", "--base-period", _P, "--word", "x"), "--word"
+    ),
+    "ortho, unread --top-k": (_fixture("analyze", "ortho", "--top-k", "3"), "--top-k"),
+    "dict-crossover, unread --normalize": (
+        _fixture("analyze", "dict-crossover", "--normalize"), "--normalize"
+    ),
+    "freq, unread --pair": (
+        _fixture("analyze", "freq", "--word", "belge", "--pair", _P, _L), "--pair"
+    ),
+    "most-similar, unread --target": (
+        _fixture("query", "most-similar", "--word", "kanun", "--period", _P, "--target", _L),
+        "--target",
+    ),
+    "aligned-most-similar, unread --period": (
+        _fixture(
+            "query", "aligned-most-similar", "--word", "kanun",
+            "--target", _L, "--base", _P, "--period", _P,
+        ),
+        "--period",
+    ),
+    "semantic-change, unread --top-k": (
+        _fixture(
+            "query", "semantic-change", "--word", "kanun", "--periods", _P, _L, "--top-k", "3"
+        ),
+        "--top-k",
+    ),
+    "collocations, unread --kind": (
+        _fixture("query", "collocations", "--word", "kanun", "--period", _P, "--kind", "cbow"),
+        "--kind",
+    ),
+    # a required flag left out, or given no value
+    "survived without --base-period": (_fixture("analyze", "survived"), "--base-period"),
+    "freq without --word": (_fixture("analyze", "freq"), "--word"),
+    "most-similar without --period": (
+        _fixture("query", "most-similar", "--word", "kanun"), "--period"
+    ),
+    "collocations without --period": (
+        _fixture("query", "collocations", "--word", "kanun"), "--period"
+    ),
+    "collocations without --word": (_fixture("query", "collocations", "--period", _P), "--word"),
+    "aligned-most-similar without --target": (
+        _fixture("query", "aligned-most-similar", "--word", "kanun", "--base", _P), "--target"
+    ),
+    "aligned-most-similar without --base": (
+        _fixture("query", "aligned-most-similar", "--word", "kanun", "--target", _L), "--base"
+    ),
+    "aligned-most-similar without --word": (
+        _fixture("query", "aligned-most-similar", "--target", _L, "--base", _P), "--word"
+    ),
+    "semantic-change without --periods": (
+        _fixture("query", "semantic-change", "--word", "kanun"), "--periods"
+    ),
+    "semantic-change without --word": (
+        _fixture("query", "semantic-change", "--periods", _P, _L), "--word"
+    ),
+    "semantic-change, --periods without a label": (
+        _fixture("query", "semantic-change", "--word", "kanun", "--periods"), "--periods"
+    ),
+    "align without --from": (_fixture("align", "--to", _P), "--from"),
+    "align without --to": (_fixture("align", "--from", _L), "--to"),
+    "freq, empty --word": (_fixture("analyze", "freq", "--word", ""), "--word"),
+    "most-similar, empty --word": (
+        _fixture("query", "most-similar", "--word", "", "--period", _P), "--word"
+    ),
+    "most-similar, unparsable --period": (
+        _fixture("query", "most-similar", "--word", "kanun", "--period", "1930"),
+        "period label '1930'",
+    ),
 }
 
 
@@ -365,7 +444,6 @@ def test_usage_error_is_one_json_line(workspace, tmp_path, capsys, case):
     _assert_usage_error(workspace, tmp_path, capsys, make_argv(tmp_path), named)
 
 
-_P = "1930-1939"
 _REPEATED_PERIOD = {
     "divergence": ["analyze", "divergence", "--periods", _P, _P],
     "divergence --pair": ["analyze", "divergence", "--pair", _P, _P],
@@ -374,6 +452,10 @@ _REPEATED_PERIOD = {
     "dict-crossover": ["analyze", "dict-crossover", "--periods", _P, _P],
     "freq": ["analyze", "freq", "--word", "belge", "--periods", _P, _P],
     "semantic-change": ["query", "semantic-change", "--word", "kanun", "--periods", _P, _P],
+    "aligned-most-similar": [
+        "query", "aligned-most-similar", "--word", "kanun", "--target", _P, "--base", _P
+    ],
+    "align": ["align", "--from", _P, "--to", _P],
 }
 
 
@@ -397,7 +479,7 @@ def _assert_usage_error(workspace, tmp_path, capsys, argv, named):
     payload = json.loads(captured.err)
     assert payload["error"] == 2
     assert named in payload["message"]
-    command = next(a for a in argv if a in ("ingest", "analyze", "embed", "query", "dict"))
+    command = next(a for a in argv if a in ("ingest", "analyze", "embed", "align", "query", "dict"))
     assert payload["context"]["command"] == command
     assert not (out / "reports").exists()
 

@@ -2,7 +2,10 @@
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from diacorpus.cli import build_parser
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -23,3 +26,13 @@ def test_readme_module_attributes_resolve():
         if not hasattr(importlib.import_module(f"diacorpus.{module}"), name)
     ]
     assert missing == []
+
+
+def test_readme_cli_examples_parse():
+    cli_block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = cli_block.replace("\\\n", " ")
+    commands = re.findall(r"^diacorpus (--config run\.json .*)$", lines, re.MULTILINE)
+    assert commands, "the README's CLI block has no 'diacorpus --config run.json ...' line"
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command))
