@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TimePeriod, TimeSeriesResult, read_artifact, write_artifact
-from .embeddings import EmbeddingSet, _float_rows, cosine, rank_by_cosine
+from .corpus import TimePeriod, TimeSeriesResult, parse_numbers, read_artifact, write_artifact
+from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
 
 _ORTHOGONALITY_TOL = 1e-8
@@ -245,10 +245,8 @@ def read_transform(path: str | Path) -> AlignmentTransform:
             continue
         if line.startswith("#shared="):
             raise ParameterError(f"{path}: line {lineno}: a second '#shared=' line")
-        if line.count(" ") != dim - 1:
-            raise ParameterError(f"{path}: line {lineno} does not have {dim} values")
         numbers[lineno] = line
-    matrix = _float_rows(path, numbers, dim)
+    matrix = parse_numbers(path, numbers, dim)
     if matrix.shape != (dim, dim):
         raise ParameterError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
     shared = [w for w in body[-1][len("#shared=") :].split(" ") if w]

@@ -489,37 +489,32 @@ def _embedding_path(config: RunConfig, period: TimePeriod, kind: str) -> Path:
 
 def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
     leaves = _load_vocab_artifacts(config).leaves()
-    # load every store before writing anything, so a missing one leaves no output
+    # load every store and build every period's result before writing anything,
+    # so a missing store or a failing period leaves no output
     for leaf in leaves:
         lexicon_mod.read_token_ids(_token_path(config, leaf.period), leaf)
     cfg = config.embedding
-    written = []
-    for leaf in leaves:
-        label = leaf.period.label
-        if args.kind == "ppmi":
-            ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
-            path = config.output_dir / "ppmi" / f"{label}.tsv"
-            embeddings_mod.write_ppmi(ppmi, path)
-        elif args.kind == "svd":
-            ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
-            word_set, _ = embeddings_mod.svd_embeddings(ppmi, cfg.dim)
-            path = _embedding_path(config, leaf.period, "svd")
-            embeddings_mod.write_embeddings(word_set, path)
-        else:
-            word_set = cbow_mod.train_cbow(
-                leaf,
-                dim=cfg.dim,
-                window=cfg.window,
-                negatives=cfg.negatives,
-                downsample=cfg.downsample,
-                smoothing_alpha=cfg.alpha,
-                seed=cfg.seed,
+
+    def build(leaf: PeriodCorpus):
+        if args.kind == "cbow":
+            return cbow_mod.train_cbow(
+                leaf, dim=cfg.dim, window=cfg.window, negatives=cfg.negatives,
+                downsample=cfg.downsample, smoothing_alpha=cfg.alpha, seed=cfg.seed,
                 epochs=cfg.epochs,
             )
-            path = _embedding_path(config, leaf.period, "cbow")
-            embeddings_mod.write_embeddings(word_set, path)
-        written.append(path.as_posix())
-    return to_json({"written": written})
+        ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
+        return ppmi if args.kind == "ppmi" else embeddings_mod.svd_embeddings(ppmi, cfg.dim)[0]
+
+    results = [build(leaf) for leaf in leaves]
+    if args.kind == "ppmi":
+        paths = [config.output_dir / "ppmi" / f"{leaf.period.label}.tsv" for leaf in leaves]
+        write = embeddings_mod.write_ppmi
+    else:
+        paths = [_embedding_path(config, leaf.period, args.kind) for leaf in leaves]
+        write = embeddings_mod.write_embeddings
+    for result, path in zip(results, paths):
+        write(result, path)
+    return to_json({"written": [path.as_posix() for path in paths]})
 
 
 def _existing(path: Path, what: str, run_first: str) -> Path:
@@ -625,6 +620,9 @@ def cmd_dict(config: RunConfig, args: argparse.Namespace) -> str:
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser whose errors raise ParameterError instead of printing usage."""
+
+    def __init__(self, **kwargs):  # sub-parsers are of this class too
+        super().__init__(allow_abbrev=False, **kwargs)  # one spelling per flag
 
     def error(self, message: str):
         raise ParameterError(f"{self.prog}: {message}")

@@ -474,6 +474,40 @@ def read_artifact(
     return header, lines[1:]
 
 
+_NUMBER_ROW = dict(delimiter=" ", comments=None, quotechar=None, ndmin=2)
+
+
+def parse_numbers(
+    path: str | Path, rows: dict[int, str], width: int, dtype=np.float64, positive: bool = False
+) -> np.ndarray:
+    """Rows of ``width`` space-separated ASCII number literals, keyed by line number, parsed
+    in one numpy call.
+
+    ``float64`` reals are ``repr`` output of finite numbers; ``int64`` integers
+    are decimal literals. With ``positive``, every value is above 0. A bad
+    row is a ParameterError naming the file and line.
+    """
+    if not rows:  # loadtxt warns on empty input
+        return np.empty((0, width), dtype=dtype)
+    try:
+        values = np.loadtxt(rows.values(), dtype=dtype, **_NUMBER_ROW)
+        if values.shape != (len(rows), width):  # loadtxt skips an empty row
+            raise ValueError(f"expected {len(rows)} rows of {width}, got {values.shape}")
+    except ValueError as bulk:
+        for lineno, text in rows.items():
+            try:
+                if not text or np.loadtxt([text], dtype=dtype, **_NUMBER_ROW).shape[1] != width:
+                    raise ValueError(f"does not have {width} value(s)")
+            except ValueError as exc:
+                raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
+        raise ParameterError(f"{path}: {bulk}") from bulk
+    bad = (~np.isfinite(values) | (positive & (values <= 0))).any(axis=1)
+    if bad.any():
+        rule = "finite and above 0" if positive else "finite"
+        raise ParameterError(f"{path}: line {list(rows)[bad.argmax()]}: a value is not {rule}")
+    return values
+
+
 def write_artifact(path: str | Path, content: str | bytes) -> None:
     """Write an artifact, text as UTF-8 or bytes as is, creating its parent directories.
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import PeriodCorpus, TimePeriod, read_artifact, write_artifact
+from .corpus import PeriodCorpus, TimePeriod, parse_numbers, read_artifact, write_artifact
 from .errors import (
     ComputationUndefinedError,
     OutOfVocabularyError,
@@ -299,29 +299,6 @@ def association(word_u: str, word_v: str, ppmi: PPMIMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
-_FLOAT_ROW = dict(dtype=np.float64, delimiter=" ", comments=None, quotechar=None, ndmin=2)
-
-
-def _float_rows(path: str | Path, rows: dict[int, str], width: int) -> np.ndarray:
-    """Rows of ``width`` ASCII float literals (``repr`` output), keyed by line number, parsed
-    in one numpy call; a bad or non-finite row is a ParameterError naming file and line."""
-    if not rows:  # loadtxt warns on empty input
-        return np.empty((0, width))
-    try:
-        values = np.loadtxt(rows.values(), **_FLOAT_ROW)
-    except ValueError:
-        for lineno, text in rows.items():
-            try:
-                np.loadtxt([text], **_FLOAT_ROW)
-            except ValueError as exc:
-                raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
-        raise
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise ParameterError(f"{path}: line {list(rows)[finite.argmin()]}: a value is not finite")
-    return values
-
-
 def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
     """Text export: a header line, then one 'word v1 .. vd' line per vocabulary word.
 
@@ -358,13 +335,11 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     for lineno, line in enumerate(body, start=2):
         if not line:
             continue
-        if line.count(" ") != dim:
-            raise ParameterError(f"{path}: line {lineno} does not have a word and {dim} values")
-        word, numbers[lineno] = line.split(" ", 1)
+        word, _, numbers[lineno] = line.partition(" ")
         if word in vocab_index:
             raise ParameterError(f"{path}: line {lineno}: word {word!r} listed twice")
         vocab_index[word] = len(vocab_index)
-    rows = _float_rows(path, numbers, dim)
+    rows = parse_numbers(path, numbers, dim)
     try:
         return EmbeddingSet(head["period"], vocab_index, rows, dim, head["provenance"])
     except ParameterError as exc:
@@ -385,8 +360,8 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
 def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
     """Load a coordinate TSV back against the vocabulary that defines row order.
 
-    Each word pair is listed once. A malformed file raises ParameterError
-    naming it, and the line where it can.
+    Each word pair is listed once, with a finite value above 0. A malformed
+    file raises ParameterError naming it, and the line where it can.
     """
     import scipy.sparse as sp
 
@@ -410,9 +385,12 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
                 f"{path}: line {lineno}: word not in vocabulary: {row_word!r}/{col_word!r}"
             )
         try:
-            data.append(float(value))
+            number = float(value)
         except ValueError as exc:
             raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
+        if not 0 < number < np.inf:  # build_ppmi drops zeros; nan fails both
+            raise ParameterError(f"{path}: line {lineno}: {value!r} is not finite and above 0")
+        data.append(number)
         rows.append(index[row_word])
         cols.append(index[col_word])
     size = len(order)

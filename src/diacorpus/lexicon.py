@@ -22,6 +22,7 @@ from .corpus import (
     PeriodCorpus,
     TimePeriod,
     TimeSeriesResult,
+    parse_numbers,
     per_period,
     read_artifact,
     select_leaves,
@@ -336,33 +337,41 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     write_artifact(path, "\n".join(lines) + "\n")
 
 
-def _check_token_total(path: str | Path, entries: dict, token_total: int) -> None:
-    counted = sum(entries.values())
-    if counted != token_total:
-        raise ParameterError(f"{path}: counts sum to {counted}, not #tokens={token_total}")
+def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple[dict, dict]:
+    """The header and the ``key<TAB>count`` entries of a vocabulary or (with ``order``)
+    n-gram TSV, in file order.
 
-
-def read_vocabulary(path: str | Path, level: str = "lemma") -> Vocabulary:
-    """Load a vocabulary TSV; a malformed file raises ParameterError naming it and the line.
-
-    Each word is listed once and the counts sum to the ``#tokens`` header.
+    Each key is listed once, an n-gram key is ``order`` space-separated words,
+    each count is a positive ASCII integer literal, and the counts sum to the
+    ``#tokens`` header. A malformed file raises ParameterError naming it and,
+    for a record, the line.
     """
-    head, body = read_artifact(path, "vocabulary", period=TimePeriod.parse, tokens=int)
-    entries: dict[str, int] = {}
+    head, body = read_artifact(path, kind, period=TimePeriod.parse, tokens=int)
+    noun = "word" if order is None else "gram"
+    keys: dict = {}
+    counts: dict[int, str] = {}
     for lineno, line in enumerate(body, start=2):
         if not line:
             continue
-        try:
-            word, freq = line.split("\t")
-            count = int(freq)
-        except ValueError as exc:
-            raise ParameterError(
-                f"{path}: line {lineno} is not 'word<TAB>count': {line!r}"
-            ) from exc
-        if word in entries:
-            raise ParameterError(f"{path}: line {lineno}: word {word!r} listed twice")
-        entries[word] = count
-    _check_token_total(path, entries, head["tokens"])
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParameterError(f"{path}: line {lineno} is not '{noun}<TAB>count': {line!r}")
+        text, counts[lineno] = fields
+        key = text if order is None else tuple(text.split(" "))
+        if order is not None and len(key) != order:
+            raise ParameterError(f"{path}: line {lineno}: gram {text!r} is not of order {order}")
+        if key in keys:
+            raise ParameterError(f"{path}: line {lineno}: {noun} {text!r} listed twice")
+        keys[key] = None
+    values = parse_numbers(path, counts, 1, np.int64, positive=True)[:, 0].tolist()
+    if sum(values) != head["tokens"]:
+        raise ParameterError(f"{path}: counts sum to {sum(values)}, not #tokens={head['tokens']}")
+    return head, dict(zip(keys, values))
+
+
+def read_vocabulary(path: str | Path, level: str = "lemma") -> Vocabulary:
+    """Load a vocabulary TSV; ``_read_counts`` states its rules and errors."""
+    head, entries = _read_counts(path, "vocabulary")
     return Vocabulary(head["period"], entries, head["tokens"], level)
 
 
@@ -433,29 +442,6 @@ def write_ngrams(table: NgramTable, path: str | Path) -> None:
 
 
 def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:
-    """Load an n-gram TSV; a malformed file raises ParameterError naming it and the line.
-
-    Each gram is listed once and the counts sum to the ``#tokens`` header.
-    """
-    head, body = read_artifact(path, "n-gram", period=TimePeriod.parse, tokens=int)
-    entries: dict[tuple[str, ...], int] = {}
-    for lineno, line in enumerate(body, start=2):
-        if not line:
-            continue
-        try:
-            gram_text, freq = line.split("\t")
-            count = int(freq)
-        except ValueError as exc:
-            raise ParameterError(
-                f"{path}: line {lineno} is not 'gram<TAB>count': {line!r}"
-            ) from exc
-        gram = tuple(gram_text.split(" "))
-        if len(gram) != order:
-            raise ParameterError(
-                f"{path}: line {lineno}: gram {gram_text!r} does not have order {order}"
-            )
-        if gram in entries:
-            raise ParameterError(f"{path}: line {lineno}: gram {gram_text!r} listed twice")
-        entries[gram] = count
-    _check_token_total(path, entries, head["tokens"])
+    """Load an n-gram TSV; ``_read_counts`` states its rules and errors."""
+    head, entries = _read_counts(path, "n-gram", order)
     return NgramTable(period=head["period"], order=order, entries=entries, level=level)

@@ -85,7 +85,8 @@ class MorphAnalyzer(Protocol):
 
     ``stem`` must be pure: its answer depends on the surface alone and calling
     it has no side effect. Ingest relies on this to stem each distinct surface
-    of a period once, not each token.
+    of a period once, not each token. A stem has no whitespace: the artifacts
+    separate words with spaces, tabs and line breaks.
     """
 
     def stem(self, surface: str) -> str | None:  # pragma: no cover - protocol
@@ -134,6 +135,8 @@ def load_analyzer_tsv(path: str | Path) -> LookupAnalyzer:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParameterError(f"analyzer table {path}: line {lineno} is not 'surface<TAB>stem'")
+        if parts[1].split() != [parts[1]]:  # a stem is one word of every artifact
+            raise ParameterError(f"analyzer table {path}: line {lineno}: stem has whitespace")
         table[parts[0]] = parts[1]
     return LookupAnalyzer(table)
 

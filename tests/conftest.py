@@ -57,7 +57,15 @@ def fixture_sequences(config: RunConfig, leaf: PeriodCorpus, level="lemma") -> l
 EDGE_TOKENS = ["1_0", "\u0661", "0x10", "nan", "1e999"]
 
 
+# Counts that are not a positive ASCII integer literal, which the vocabulary
+# and n-gram readers reject (``int()`` accepts the first two), and PPMI values
+# that are not finite and above 0.
+BAD_COUNTS = ["1_0", "\u0661", "5.0", "0", "-5"]
+BAD_ASSOCIATIONS = ["nan", "inf", "0.0", "-2.5"]
+
+
 def with_edge_token(lines: list[str], token: str) -> list[str]:
-    """The artifact ``lines`` with the last value on line 3 replaced by ``token``."""
-    head, _ = lines[2].rsplit(" ", 1)
-    return [*lines[:2], f"{head} {token}", *lines[3:]]
+    """The artifact ``lines`` with the last value on line 3, after its last space
+    or tab, replaced by ``token``."""
+    cut = max(lines[2].rfind(" "), lines[2].rfind("\t")) + 1
+    return [*lines[:2], lines[2][:cut] + token, *lines[3:]]

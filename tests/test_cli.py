@@ -16,7 +16,7 @@ from diacorpus.cli import _write_report, main, ranking_records, to_json
 from diacorpus.corpus import csv_table
 from diacorpus.embeddings import most_similar, read_embeddings
 
-from conftest import EDGE_TOKENS, FIXTURES, with_edge_token
+from conftest import BAD_ASSOCIATIONS, EDGE_TOKENS, FIXTURES, with_edge_token
 
 CONFIG = str(FIXTURES / "fixture_config.json")
 
@@ -244,6 +244,29 @@ class TestAnalyze:
             "circumflex.csv", "circumflex.json", "ortho_ratio_b-p.csv", "ortho_ratio_b-p.json"
         ]
 
+    def test_embed_failure_leaves_no_partial_output(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        (corpus / "docs").mkdir(parents=True)
+        words = {"a": [f"k{chr(97 + i)}" for i in range(23)], "b": [f"m{c}" for c in "abcdef"]}
+        for doc, lemmas in words.items():
+            (corpus / "docs" / f"{doc}.txt").write_text(" ".join(lemmas * 2), encoding="utf-8")
+        manifest = [
+            {"id": "a", "date": "1931-01-01", "path": "docs/a.txt"},
+            {"id": "b", "date": "1981-01-01", "path": "docs/b.txt"},
+        ]
+        (corpus / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        config = tmp_path / "config.json"
+        out = tmp_path / "out"
+        settings = {"corpus_root": str(corpus), "output_dir": str(out), "embedding": {"dim": 10}}
+        config.write_text(json.dumps(settings), encoding="utf-8")
+
+        assert main(["--config", str(config), "ingest"]) == 0
+        code = main(["--config", str(config), "embed", "svd"])  # 1930s: 23 lemmas, 1980s: 6
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert payload["message"] == "embedding dim 10 exceeds vocabulary size 6"
+        assert not (out / "embeddings").exists()
+
     def test_word_cannot_escape_its_report_name(self, tmp_path):
         assert run_cli(tmp_path, "ingest") == 0
         before = set(tmp_path.rglob("*"))
@@ -308,6 +331,12 @@ def _corpus_config(tmp_path, manifest=None, document=b"kitap kalem", **settings)
     return ["--config", str(config)]
 
 
+def _spaced_stem_config(tmp_path):
+    """``--config`` of a one-document corpus whose analyzer table maps to a stem with a space."""
+    (tmp_path / "stems.tsv").write_text("kitap\taaa bbb\n", encoding="utf-8")
+    return _corpus_config(tmp_path, analyzer_tsv="stems.tsv", filter={"alphabetic_only": False})
+
+
 def _latin1_dictionary(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('[{"modern": "gün", "old": ["rûz"]}]'.encode("latin-1"))
@@ -336,6 +365,10 @@ _USAGE_ERRORS = {
     ),
     "missing analyzer table": (
         lambda t: [*_corpus_config(t, analyzer_tsv="stems.tsv"), "ingest"], "stems.tsv"
+    ),
+    # the .vec format separates a word from its values by a space
+    "analyzer stem with a space": (
+        lambda t: [*_spaced_stem_config(t), "ingest"], "stems.tsv: line 1: stem has whitespace"
     ),
     "dict, missing dictionary": (
         lambda t: ["--config", CONFIG, "dict", "--dictionary", str(t / "none.json")], "none.json"
@@ -429,6 +462,14 @@ _USAGE_ERRORS = {
     "most-similar, empty --word": (
         _fixture("query", "most-similar", "--word", "", "--period", _P), "--word"
     ),
+    # each flag has one spelling: a prefix of a flag is not that flag
+    "survived, --base for --base-period": (
+        _fixture("analyze", "survived", "--base", _P), "--base-period"
+    ),
+    "freq, --wo and --norm for --word and --normalize": (
+        _fixture("analyze", "freq", "--wo", "belge", "--norm"), "--word"
+    ),
+    "--conf for --config": (lambda t: [f"--conf={CONFIG}", "analyze", "divergence"], "--config"),
     "most-similar, unparsable --period": (
         _fixture("query", "most-similar", "--word", "kanun", "--period", "1930"),
         "period label '1930'",
@@ -786,18 +827,44 @@ class TestEdgeTokens:
     def test_edge_token_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token
     ):
-        for artifacts in ("vocab", "embeddings", "transforms"):
-            shutil.copytree(workspace / artifacts, tmp_path / artifacts)
-        path = tmp_path / artifact
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")
-        code, out, err = run_cli(tmp_path, *command, capsys=capsys)
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1
-        payload = json.loads(err)
-        assert payload["error"] == 2
-        assert f"{Path(artifact).name}: line 3: " in payload["message"]
+        _assert_line_3_error(workspace, tmp_path, capsys, artifact, command, token)
+
+    @pytest.mark.parametrize(
+        "artifact,command,token",
+        [
+            *(("vocab/1930-1939.lemma.tsv", ["analyze", "freq", "--word", "belge"], count)
+              for count in ("-5", "2_6_4")),
+            *(("ppmi/1930-1939.tsv", ["query", "collocations", "--word", "kanun", "--period", _P],
+               value) for value in BAD_ASSOCIATIONS),
+        ],
+        ids=[
+            *(f"freq-{count}" for count in ("-5", "2_6_4")),
+            *(f"collocations-{value}" for value in BAD_ASSOCIATIONS),
+        ],
+    )
+    def test_bad_count_or_association_is_usage_error_naming_line_3(
+        self, workspace, tmp_path, capsys, artifact, command, token
+    ):
+        _assert_line_3_error(workspace, tmp_path, capsys, artifact, command, token)
+
+
+def _assert_line_3_error(workspace, tmp_path, capsys, artifact, command, token):
+    """``command`` over a copy of the workspace artifacts, with the last value on line 3
+    of ``artifact`` replaced by ``token``, exits 2 with one JSON line naming that line,
+    nothing on stdout and no report."""
+    for artifacts in ("vocab", "ppmi", "embeddings", "transforms"):
+        shutil.copytree(workspace / artifacts, tmp_path / artifacts)
+    path = tmp_path / artifact
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")
+    code, out, err = run_cli(tmp_path, *command, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == 2
+    assert f"{Path(artifact).name}: line 3: " in payload["message"]
+    assert not (tmp_path / "reports").exists()
 
 
 class TestDuplicateRecords:

@@ -46,6 +46,8 @@ from diacorpus.lexicon import (
 )
 
 from conftest import (
+    BAD_ASSOCIATIONS,
+    BAD_COUNTS,
     EDGE_TOKENS,
     FIXTURES,
     PERIOD_1930,
@@ -374,6 +376,20 @@ class TestArtifactRecordRules:
     @pytest.mark.parametrize("token", EDGE_TOKENS)
     @pytest.mark.parametrize("kind", ["embeddings", "transform"])
     def test_value_not_an_ascii_finite_float_names_the_line(self, tmp_path, kind, token):
+        read, lines = _CLEAN_ARTIFACTS[kind]
+        path = tmp_path / "artifact.txt"
+        path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"artifact\.txt: line 3: "):
+            read(path)
+
+    @pytest.mark.parametrize(
+        "kind,token",
+        [
+            *((kind, count) for kind in ("vocabulary", "ngrams") for count in BAD_COUNTS),
+            *(("ppmi", value) for value in BAD_ASSOCIATIONS),
+        ],
+    )
+    def test_count_or_association_out_of_rule_names_the_line(self, tmp_path, kind, token):
         read, lines = _CLEAN_ARTIFACTS[kind]
         path = tmp_path / "artifact.txt"
         path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")

@@ -14,6 +14,7 @@ from diacorpus.preprocess import (
     filter_vocabulary,
     frequency_threshold,
     lemma_surfaces,
+    load_analyzer_tsv,
     normalize_text,
     token_surfaces,
     turkish_lower,
@@ -226,6 +227,13 @@ class TestLemmatize:
     def test_analyzer_matches_case_folded_surface(self):
         analyzer = LookupAnalyzer({"istanbul": "istanbul"})
         assert lemma_surfaces(["İstanbul"], analyzer) == ["istanbul"]
+
+    @pytest.mark.parametrize("stem", ["aaa bbb", "aaa\u00a0bbb", "\u2028aaa"])
+    def test_analyzer_stem_with_whitespace_names_the_line(self, tmp_path, stem):
+        path = tmp_path / "stems.tsv"
+        path.write_text(f"kitaplar\tkitap\naaalar\t{stem}\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"stems\.tsv: line 2: stem has whitespace"):
+            load_analyzer_tsv(path)
 
     def test_f5_counts_characters_not_bytes(self):
         assert f5_stem("âbidevî") == "âbide"

@@ -277,8 +277,14 @@ class TestTokenStore:
 class TestVocabularyFileErrors:
     @pytest.mark.parametrize(
         "body,line",
-        [("aa\t2\nbb 1\n", 3), ("aa\ttwo\n", 2), ("aa\t2\t3\n", 2)],
-        ids=["no-tab", "non-integer-count", "extra-column"],
+        [
+            ("aa\t2\nbb 1\n", 3),
+            ("aa\ttwo\n", 2),
+            ("aa\t2\t3\n", 2),
+            ("aa\t3\nbb\t\n", 3),
+            ("aa\t1 2\n", 2),
+        ],
+        ids=["no-tab", "non-integer-count", "extra-column", "empty-count", "two-counts"],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, body, line):
         path = tmp_path / "v.tsv"
