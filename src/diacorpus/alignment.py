@@ -20,6 +20,7 @@ import numpy as np
 from .corpus import TimePeriod, TimeSeriesResult, parse_numbers, read_artifact, write_artifact
 from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
+from .preprocess import is_word
 
 _ORTHOGONALITY_TOL = 1e-8
 
@@ -229,30 +230,28 @@ def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
 def read_transform(path: str | Path) -> AlignmentTransform:
     """Load a transform file; a malformed file raises ParameterError naming it (and the line).
 
-    The ``#shared=`` line comes once, as the last line.
+    The ``#shared=`` line of ``is_word`` words comes once, as the last non-blank line.
     """
-    head, body = read_artifact(
+    head, records = read_artifact(
         path, "transform", d=int, **{"from": TimePeriod.parse, "to": TimePeriod.parse}
     )
     dim = head["d"]
     if dim < 1:
         raise ParameterError(f"{path}: line 1: d={dim} is not a positive dimension")
-    if not body or not body[-1].startswith("#shared="):
+    numbers = dict(records)
+    shared_at, last = numbers.popitem() if numbers else (1, "")
+    if not last.startswith("#shared="):
         raise ParameterError(f"{path}: the last line is not the '#shared=' line")
-    numbers: dict[int, str] = {}
-    for lineno, line in enumerate(body[:-1], start=2):
-        if not line:
-            continue
+    for lineno, line in numbers.items():
         if line.startswith("#shared="):
             raise ParameterError(f"{path}: line {lineno}: a second '#shared=' line")
-        numbers[lineno] = line
     matrix = parse_numbers(path, numbers, dim)
     if matrix.shape != (dim, dim):
         raise ParameterError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
-    shared = [w for w in body[-1][len("#shared=") :].split(" ") if w]
+    shared = last.removeprefix("#shared=").split(" ") if last != "#shared=" else []
+    if not all(map(is_word, shared)):
+        raise ParameterError(f"{path}: line {shared_at}: a shared word is empty or has whitespace")
     try:
-        return AlignmentTransform(
-            source_period=head["from"], target_period=head["to"], matrix=matrix, shared_vocab=shared
-        )
+        return AlignmentTransform(head["from"], head["to"], matrix, shared)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc

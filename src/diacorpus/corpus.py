@@ -446,23 +446,22 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 def read_artifact(
     path: str | Path, kind: str, **parsers: Callable[[str], Any]
-) -> tuple[dict[str, Any], list[str]]:
-    """Read a UTF-8 text artifact: its typed line-1 header and the lines after it.
+) -> tuple[dict[str, Any], Iterator[tuple[int, str]]]:
+    """Open a UTF-8 text artifact: its typed header, then each later non-blank line, streamed.
 
     Line 1 is space-separated ``key=value`` fields, each optionally prefixed
     by one ``#``. Every key of ``parsers`` must appear exactly once, and no
     other; each value is converted by its parser. A file that is not UTF-8,
-    is empty or breaks these rules raises ParameterError naming it.
+    is empty or breaks these rules raises ParameterError naming it. The lines
+    come as ``(line number, line)``, without line ends, while they are read.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: not a UTF-8 text file: {exc}") from exc
-    if not lines:
+    lines = _numbered_lines(path)
+    _, first = next(lines, (1, None))
+    if first is None:
         raise ParameterError(f"{path}: empty {kind} file")
     header: dict[str, Any] = {}
     try:
-        for field in lines[0].split(" "):
+        for field in first.split(" "):
             key, value = field.removeprefix("#").split("=", 1)
             if key in header or key not in parsers:
                 raise ValueError(f"{'repeated' if key in header else 'unknown'} key {key!r}")
@@ -470,8 +469,19 @@ def read_artifact(
         if len(header) != len(parsers):
             raise ValueError(f"keys missing: {sorted(parsers.keys() - header.keys())}")
     except (ValueError, ParameterError) as exc:
-        raise ParameterError(f"{path}: line 1: bad {kind} header {lines[0]!r}: {exc}") from exc
-    return header, lines[1:]
+        raise ParameterError(f"{path}: line 1: bad {kind} header {first!r}: {exc}") from exc
+    return header, lines
+
+
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Line 1 and each later non-blank line of a UTF-8 file, numbered, in universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            for lineno, line in enumerate(file, start=1):
+                if line != "\n" or lineno == 1:
+                    yield lineno, line.removesuffix("\n")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a UTF-8 text file: {exc}") from exc
 
 
 _NUMBER_ROW = dict(delimiter=" ", comments=None, quotechar=None, ndmin=2)
@@ -485,7 +495,7 @@ def parse_numbers(
 
     ``float64`` reals are ``repr`` output of finite numbers; ``int64`` integers
     are decimal literals. With ``positive``, every value is above 0. A bad
-    row is a ParameterError naming the file and line.
+    row is a ParameterError naming the file, the line and its text.
     """
     if not rows:  # loadtxt warns on empty input
         return np.empty((0, width), dtype=dtype)
@@ -497,9 +507,10 @@ def parse_numbers(
         for lineno, text in rows.items():
             try:
                 if not text or np.loadtxt([text], dtype=dtype, **_NUMBER_ROW).shape[1] != width:
-                    raise ValueError(f"does not have {width} value(s)")
-            except ValueError as exc:
-                raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
+                    raise ValueError
+            except ValueError:
+                literals = f"{width} ASCII {np.dtype(dtype).name} literal(s)"
+                raise ParameterError(f"{path}: line {lineno}: {text!r} is not {literals}") from bulk
         raise ParameterError(f"{path}: {bulk}") from bulk
     bad = (~np.isfinite(values) | (positive & (values <= 0))).any(axis=1)
     if bad.any():

@@ -18,12 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .corpus import PeriodCorpus, TimePeriod, parse_numbers, read_artifact, write_artifact
-from .errors import (
-    ComputationUndefinedError,
-    OutOfVocabularyError,
-    ParameterError,
-)
+from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_order
+from .preprocess import is_word
 
 # scipy is imported inside the functions that build or factor sparse
 # matrices: it costs more start-up time than the rest of the package, and most
@@ -319,26 +316,25 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
 def read_embeddings(path: str | Path) -> EmbeddingSet:
     """Load an embedding file; a malformed file raises ParameterError naming it (and the line).
 
-    The header's ``dim`` is positive, and its ``vocab`` words are each listed once.
+    The header's ``dim`` is positive, and its ``vocab`` words are ``is_word`` words listed once.
     """
-    head, body = read_artifact(
+    head, records = read_artifact(
         path, "embedding", dim=int, vocab=int, provenance=str, period=TimePeriod.parse
     )
     dim, vocab_size = head["dim"], head["vocab"]
     if dim < 1:
         raise ParameterError(f"{path}: line 1: dim={dim} is not a positive dimension")
-    found = len(body) - body.count("")
-    if found != vocab_size:
-        raise ParameterError(f"{path}: header says {vocab_size} words, found {found}")
     vocab_index: dict[str, int] = {}
     numbers: dict[int, str] = {}
-    for lineno, line in enumerate(body, start=2):
-        if not line:
-            continue
+    for lineno, line in records:
         word, _, numbers[lineno] = line.partition(" ")
+        if not is_word(word):
+            raise ParameterError(f"{path}: line {lineno}: word {word!r} is empty or has whitespace")
         if word in vocab_index:
             raise ParameterError(f"{path}: line {lineno}: word {word!r} listed twice")
         vocab_index[word] = len(vocab_index)
+    if len(vocab_index) != vocab_size:
+        raise ParameterError(f"{path}: header says {vocab_size} words, found {len(vocab_index)}")
     rows = parse_numbers(path, numbers, dim)
     try:
         return EmbeddingSet(head["period"], vocab_index, rows, dim, head["provenance"])
@@ -360,41 +356,29 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
 def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
     """Load a coordinate TSV back against the vocabulary that defines row order.
 
-    Each word pair is listed once, with a finite value above 0. A malformed
-    file raises ParameterError naming it, and the line where it can.
+    Each word pair is listed once, with a value above 0 (``build_ppmi`` drops
+    zeros) that ``parse_numbers`` reads. A malformed file raises ParameterError
+    naming it, and the line where it can.
     """
     import scipy.sparse as sp
 
-    head, body = read_artifact(
+    head, records = read_artifact(
         path, "association", period=TimePeriod.parse, window=int, alpha=float
     )
     order = vocabulary_order(vocabulary)
     index = {w: i for i, w in enumerate(order)}
-    rows, cols, data = [], [], []
-    for lineno, line in enumerate(body, start=2):
-        if not line:
-            continue
+    rows, cols, numbers = [], [], {}
+    for lineno, line in records:
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ParameterError(
-                f"{path}: line {lineno} is not 'word<TAB>word<TAB>value': {line!r}"
-            )
-        row_word, col_word, value = fields
+            raise ParameterError(f"{path}: line {lineno} is not 'word<TAB>word<TAB>value': {line!r}")
+        row_word, col_word, numbers[lineno] = fields
         if row_word not in index or col_word not in index:
-            raise ParameterError(
-                f"{path}: line {lineno}: word not in vocabulary: {row_word!r}/{col_word!r}"
-            )
-        try:
-            number = float(value)
-        except ValueError as exc:
-            raise ParameterError(f"{path}: line {lineno}: {exc}") from exc
-        if not 0 < number < np.inf:  # build_ppmi drops zeros; nan fails both
-            raise ParameterError(f"{path}: line {lineno}: {value!r} is not finite and above 0")
-        data.append(number)
+            raise ParameterError(f"{path}: line {lineno}: word not in vocabulary: {line!r}")
         rows.append(index[row_word])
         cols.append(index[col_word])
-    size = len(order)
-    values = sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+    data = parse_numbers(path, numbers, 1, positive=True)[:, 0]
+    values = sp.csr_matrix((data, (rows, cols)), shape=(len(order), len(order)))
     if values.nnz != len(data):  # the CSR build summed a repeated pair
         raise ParameterError(f"{path}: {len(data) - values.nnz} word pair(s) listed twice")
     return PPMIMatrix(head["period"], index, values, head["alpha"], head["window"])

@@ -29,6 +29,7 @@ from .corpus import (
     write_artifact,
 )
 from .errors import MissingArtifactError, ParameterError
+from .preprocess import is_word
 
 NGRAM_ORDERS = (1, 2, 3)
 LEVELS = ("surface", "lemma")
@@ -341,25 +342,24 @@ def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple
     """The header and the ``key<TAB>count`` entries of a vocabulary or (with ``order``)
     n-gram TSV, in file order.
 
-    Each key is listed once, an n-gram key is ``order`` space-separated words,
-    each count is a positive ASCII integer literal, and the counts sum to the
-    ``#tokens`` header. A malformed file raises ParameterError naming it and,
-    for a record, the line.
+    Each key is listed once and is one ``is_word`` word (an n-gram key:
+    ``order`` of them, space-separated), each count is a positive ASCII integer
+    literal, and the counts sum to the ``#tokens`` header. A malformed file
+    raises ParameterError naming it and, for a record, the line.
     """
-    head, body = read_artifact(path, kind, period=TimePeriod.parse, tokens=int)
+    head, records = read_artifact(path, kind, period=TimePeriod.parse, tokens=int)
     noun = "word" if order is None else "gram"
     keys: dict = {}
     counts: dict[int, str] = {}
-    for lineno, line in enumerate(body, start=2):
-        if not line:
-            continue
+    for lineno, line in records:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParameterError(f"{path}: line {lineno} is not '{noun}<TAB>count': {line!r}")
         text, counts[lineno] = fields
-        key = text if order is None else tuple(text.split(" "))
-        if order is not None and len(key) != order:
-            raise ParameterError(f"{path}: line {lineno}: gram {text!r} is not of order {order}")
+        words = text.split(" ")
+        if len(words) != (order or 1) or not all(map(is_word, words)):
+            raise ParameterError(f"{path}: line {lineno}: {noun} {text!r} is not {order or 1} word(s)")
+        key = text if order is None else tuple(words)
         if key in keys:
             raise ParameterError(f"{path}: line {lineno}: {noun} {text!r} listed twice")
         keys[key] = None

@@ -125,6 +125,11 @@ def read_input_text(path: str | Path, what: str) -> str:
         raise IngestError(f"{what} {path} is not UTF-8 text: {exc}") from exc
 
 
+def is_word(text: str) -> bool:
+    """Whether ``text`` is one word of the artifacts: non-empty, with no whitespace."""
+    return text.split() == [text]
+
+
 def load_analyzer_tsv(path: str | Path) -> LookupAnalyzer:
     """Load a two-column TSV (surface<TAB>stem, UTF-8, no header) into a LookupAnalyzer."""
     table: dict[str, str] = {}
@@ -135,7 +140,7 @@ def load_analyzer_tsv(path: str | Path) -> LookupAnalyzer:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ParameterError(f"analyzer table {path}: line {lineno} is not 'surface<TAB>stem'")
-        if parts[1].split() != [parts[1]]:  # a stem is one word of every artifact
+        if not is_word(parts[1]):  # a stem is one word of every artifact
             raise ParameterError(f"analyzer table {path}: line {lineno}: stem has whitespace")
         table[parts[0]] = parts[1]
     return LookupAnalyzer(table)

@@ -51,10 +51,11 @@ def fixture_sequences(config: RunConfig, leaf: PeriodCorpus, level="lemma") -> l
     return document_sequences(texts, level, config.analyzer())
 
 
-# Values that are not the ASCII literal of a finite float, which the .vec and
-# transform readers reject: a digit separator and an Arabic-Indic digit (both
-# accepted by ``float()``), hex, nan, and a literal that overflows to infinity.
-EDGE_TOKENS = ["1_0", "\u0661", "0x10", "nan", "1e999"]
+# Values that are not the ASCII literal of a finite float, which the .vec,
+# transform and PPMI readers reject: a digit separator, an Arabic-Indic digit
+# and a literal padded with spaces (all accepted by ``float()``), hex, nan, and
+# a literal that overflows to infinity.
+EDGE_TOKENS = ["1_0", "\u0661", " 5 ", "0x10", "nan", "1e999"]
 
 
 # Counts that are not a positive ASCII integer literal, which the vocabulary

@@ -821,8 +821,12 @@ class TestEdgeTokens:
                     "--target", "1980-1989", "--base", "1930-1939",
                 ],
             ),
+            (
+                "ppmi/1930-1939.tsv",
+                ["query", "collocations", "--word", "kanun", "--period", "1930-1939"],
+            ),
         ],
-        ids=["vec", "transform"],
+        ids=["vec", "transform", "ppmi"],
     )
     def test_edge_token_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token

@@ -1,6 +1,7 @@
 import datetime as dt
 import errno
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from diacorpus.corpus import (
     load_manifest,
     parse_manifest,
     per_period,
+    read_artifact,
     select_leaves,
     write_artifact,
 )
@@ -249,6 +251,21 @@ class TestReadArtifactLines:
         with pytest.raises(ParameterError, match=r"artifact\.txt: not a UTF-8 text file"):
             read(path)
 
+    def test_non_utf8_byte_past_the_first_read_is_parameter_error(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        body = b"".join(b"w%d\t1\n" % i for i in range(20_000))
+        path.write_bytes(b"#period=1930-1939 #tokens=20001\n" + body + b"aa\xff\t1\n")
+        with pytest.raises(ParameterError, match=r"artifact\.txt: not a UTF-8 text file"):
+            read_vocabulary(path)
+
+    def test_records_are_numbered_non_blank_lines_in_universal_newlines(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        path.write_bytes(b"#period=1930-1939 #tokens=3\r\n\r\naa\t2\rbb\t1\n\n")
+        header, records = read_artifact(path, "vocabulary", period=TimePeriod.parse, tokens=int)
+        assert header == {"period": PERIOD_1930, "tokens": 3}
+        assert not isinstance(records, (list, tuple))  # streamed, not a line list
+        assert list(records) == [(3, "aa\t2"), (4, "bb\t1")]
+
 
 # A clean file of each text format: the header line, then the records.
 _PAIR_VOCABULARY = Vocabulary(PERIOD_1930, {"aa": 2, "bb": 1}, 3)
@@ -272,6 +289,8 @@ _CLEAN_ARTIFACTS = {
     ),
 }
 _BAD_HEADER = r"artifact\.txt: line 1: bad [a-z-]+ header"
+# not a word: empty, or holding a whitespace character that str.splitlines() breaks at
+_NOT_WORDS = ["", "a\x0cb", "a\x85b", "a\u2028b"]
 _CORRUPTIONS = [
     *(
         (kind, name, corrupt, _BAD_HEADER)
@@ -348,6 +367,37 @@ _CORRUPTIONS = [
         lambda lines: [lines[0], "5.0 0.0", *lines[2:]],
         r"artifact\.txt: transform 1980-1989->1930-1939 is not orthogonal",
     ),
+    # The word rule: a vocabulary or n-gram key, a .vec word and a '#shared='
+    # word are non-empty and hold no whitespace, not even a character that
+    # str.splitlines() would take for a line break.
+    *(
+        (
+            kind,
+            f"word-{word!r}",
+            lambda lines, word=word: [lines[0], f"{word}\t2", lines[2]],
+            rf"artifact\.txt: line 2: {noun} {re.escape(repr(word))} is not 1 word",
+        )
+        for kind, noun in [("vocabulary", "word"), ("ngrams", "gram")]
+        for word in [*_NOT_WORDS, "a b"]
+    ),
+    *(
+        (
+            "embeddings",
+            f"word-{word!r}",
+            lambda lines, word=word: [lines[0], f"{word} 1.0 0.0", lines[2]],
+            rf"artifact\.txt: line 2: word {re.escape(repr(word))} is empty or has whitespace",
+        )
+        for word in [*_NOT_WORDS, "a\tb"]
+    ),
+    *(
+        (
+            "transform",
+            f"shared-word-{word!r}",
+            lambda lines, word=word: [*lines[:-1], f"#shared=aa {word}"],
+            r"artifact\.txt: line 4: a shared word is empty or has whitespace",
+        )
+        for word in [*_NOT_WORDS, "a\tb"]
+    ),
 ]
 
 
@@ -374,7 +424,7 @@ class TestArtifactRecordRules:
             read(path)
 
     @pytest.mark.parametrize("token", EDGE_TOKENS)
-    @pytest.mark.parametrize("kind", ["embeddings", "transform"])
+    @pytest.mark.parametrize("kind", ["embeddings", "transform", "ppmi"])
     def test_value_not_an_ascii_finite_float_names_the_line(self, tmp_path, kind, token):
         read, lines = _CLEAN_ARTIFACTS[kind]
         path = tmp_path / "artifact.txt"
@@ -394,6 +444,18 @@ class TestArtifactRecordRules:
         path = tmp_path / "artifact.txt"
         path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"artifact\.txt: line 3: "):
+            read(path)
+
+    @pytest.mark.parametrize("kind", _CLEAN_ARTIFACTS)
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path, kind):
+        """Blank lines anywhere after the header, a transform's '#shared=' line included,
+        are ignored, and a later line's error still names its line in the file."""
+        read, lines = _CLEAN_ARTIFACTS[kind]
+        path = tmp_path / "artifact.txt"
+        path.write_text("\n\n".join(lines) + "\n\n\n", encoding="utf-8")
+        read(path)
+        path.write_text("\n\n".join(with_edge_token(lines, "nan")) + "\n", encoding="utf-8")
+        with pytest.raises(ParameterError, match=r"artifact\.txt: line 5: "):
             read(path)
 
     def test_empty_embedding_file_loads_without_a_warning(self, tmp_path):

@@ -370,6 +370,8 @@ class TestFileFormats:
             lambda line: line.replace("\t", " "),  # the count field missing
             lambda line: line + "\t1",  # a field too many
             lambda line: "aa\t" + line.split("\t")[1],  # a gram of the wrong order
+            lambda line: " " + line.split(" ", 1)[1],  # an empty member
+            lambda line: line.replace(" ", " a\x85"),  # a member holding whitespace
         ],
     )
     def test_corrupt_ngram_line_names_file_and_line(self, tmp_path, corrupt):

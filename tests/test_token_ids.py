@@ -283,14 +283,24 @@ class TestVocabularyFileErrors:
             ("aa\t2\t3\n", 2),
             ("aa\t3\nbb\t\n", 3),
             ("aa\t1 2\n", 2),
+            ("\t2\nbb\t1\n", 2),
+            ("a b\t2\nbb\t1\n", 2),
+            ("aa\t2\nb\x85b\t1\n", 3),
+            ("aa\t2\nb\u2028b\t1\n", 3),
+            ("a\x0cb\t2\nbb\t1\n", 2),
         ],
-        ids=["no-tab", "non-integer-count", "extra-column", "empty-count", "two-counts"],
+        ids=[
+            "no-tab", "non-integer-count", "extra-column", "empty-count", "two-counts",
+            "empty-word", "spaced-word", "word-with-nel", "word-with-line-separator",
+            "word-with-form-feed",
+        ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, body, line):
         path = tmp_path / "v.tsv"
         path.write_text("#period=1930-1939 #tokens=3\n" + body, encoding="utf-8")
-        with pytest.raises(ParameterError, match=rf"v\.tsv: line {line}\b"):
+        with pytest.raises(ParameterError, match=rf"v\.tsv: line {line}\b") as raised:
             read_vocabulary(path)
+        assert "at row" not in str(raised.value)  # no row or column of numpy's own
 
     @pytest.mark.parametrize(
         "header", ["#period=1930-1939", "#period=1930-1939 #tokens=many", "#period=1930-1939 #x"]
