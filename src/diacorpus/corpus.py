@@ -25,7 +25,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -485,33 +485,55 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 _NUMBER_ROW = dict(delimiter=" ", comments=None, quotechar=None, ndmin=2)
+# Every character a row of number literals may hold: np.loadtxt strips other
+# whitespace around a number, so rows are checked against this first. The
+# letters of nan and inf pass, so those rows fail the finiteness rule instead.
+_LITERAL_ALPHABET = b"0123456789+-.eE nafi"
+
+
+def _parse_rows(texts: Collection[str], width: int, dtype) -> np.ndarray:
+    """``texts`` as a (len, width) array; ValueError unless each is ``width`` literals."""
+    joined = " ".join(texts)
+    if not joined.isascii() or joined.encode("ascii").translate(None, _LITERAL_ALPHABET):
+        raise ValueError("a character outside the number literal alphabet")
+    if not all(texts):  # loadtxt skips an empty row
+        raise ValueError("an empty row")
+    values = np.loadtxt(texts, dtype=dtype, **_NUMBER_ROW)
+    if values.shape != (len(texts), width):
+        raise ValueError(f"expected {len(texts)} rows of {width}, got {values.shape}")
+    return values
 
 
 def parse_numbers(
     path: str | Path, rows: dict[int, str], width: int, dtype=np.float64, positive: bool = False
 ) -> np.ndarray:
-    """Rows of ``width`` space-separated ASCII number literals, keyed by line number, parsed
-    in one numpy call.
+    """Rows of ``width`` ASCII number literals separated by single spaces, keyed by line
+    number, parsed in one numpy call.
 
     ``float64`` reals are ``repr`` output of finite numbers; ``int64`` integers
     are decimal literals. With ``positive``, every value is above 0. A bad
-    row is a ParameterError naming the file, the line and its text.
+    row, one holding any other character (a tab, a form feed, U+0085) too, is
+    a ParameterError naming the file, the line and its text.
     """
     if not rows:  # loadtxt warns on empty input
         return np.empty((0, width), dtype=dtype)
     try:
-        values = np.loadtxt(rows.values(), dtype=dtype, **_NUMBER_ROW)
-        if values.shape != (len(rows), width):  # loadtxt skips an empty row
-            raise ValueError(f"expected {len(rows)} rows of {width}, got {values.shape}")
+        values = _parse_rows(rows.values(), width, dtype)
     except ValueError as bulk:
-        for lineno, text in rows.items():
+        # rows parse independently, so bisect for the first bad one:
+        # texts[:lo] parse and texts[lo:hi] hold a bad row
+        texts = list(rows.values())
+        lo, hi = 0, len(texts)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                if not text or np.loadtxt([text], dtype=dtype, **_NUMBER_ROW).shape[1] != width:
-                    raise ValueError
+                _parse_rows(texts[lo:mid], width, dtype)
+                lo = mid
             except ValueError:
-                literals = f"{width} ASCII {np.dtype(dtype).name} literal(s)"
-                raise ParameterError(f"{path}: line {lineno}: {text!r} is not {literals}") from bulk
-        raise ParameterError(f"{path}: {bulk}") from bulk
+                hi = mid
+        literals = f"{width} ASCII {np.dtype(dtype).name} literal(s)"
+        lineno = list(rows)[lo]
+        raise ParameterError(f"{path}: line {lineno}: {texts[lo]!r} is not {literals}") from bulk
     bad = (~np.isfinite(values) | (positive & (values <= 0))).any(axis=1)
     if bad.any():
         rule = "finite and above 0" if positive else "finite"

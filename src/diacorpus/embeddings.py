@@ -23,8 +23,9 @@ from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_or
 from .preprocess import is_word
 
 # scipy is imported inside the functions that build or factor sparse
-# matrices: it costs more start-up time than the rest of the package, and most
-# commands (ingest, analyze, align, the embedding queries) never need it.
+# matrices: it costs more start-up time than the rest of the package, and only
+# the embed commands do either. Reading, querying and writing an association
+# matrix use its plain CSR arrays.
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -59,24 +60,48 @@ class CooccurrenceMatrix:
         return int(self.counts[i, j])
 
 
+@dataclass(frozen=True)
+class CSRArrays:
+    """A sparse matrix as plain compressed-row arrays, the attributes a scipy
+    ``csr_matrix`` has too: row ``i`` stores ``data[k]`` in column
+    ``indices[k]`` for ``indptr[i] <= k < indptr[i + 1]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
 @dataclass
 class PPMIMatrix:
-    """Nonnegative, sparse association matrix; zero wherever counts are zero."""
+    """Nonnegative, sparse association matrix; zero wherever counts are zero.
+
+    ``values`` is a scipy ``csr_matrix`` where ``build_ppmi`` made it and a
+    ``CSRArrays`` where ``read_ppmi`` did. Readers use only ``indptr``,
+    ``indices``, ``data`` and ``shape``, and do not assume a row's columns
+    are sorted.
+    """
 
     period: TimePeriod
     vocab_index: dict[str, int]
-    values: sp.csr_matrix
+    values: sp.csr_matrix | CSRArrays
     alpha: float
     window: int = 2
 
-    def association(self, word_u: str, word_v: str) -> float:
-        i = self.vocab_index.get(word_u)
+    def row(self, word: str) -> tuple[np.ndarray, np.ndarray]:
+        """The column ids and values stored in ``word``'s row."""
+        i = self.vocab_index.get(word)
         if i is None:
-            raise OutOfVocabularyError(word_u, self.period.label)
+            raise OutOfVocabularyError(word, self.period.label)
+        start, end = self.values.indptr[i], self.values.indptr[i + 1]
+        return self.values.indices[start:end], self.values.data[start:end]
+
+    def association(self, word_u: str, word_v: str) -> float:
+        columns, values = self.row(word_u)
         j = self.vocab_index.get(word_v)
         if j is None:
             raise OutOfVocabularyError(word_v, self.period.label)
-        return float(self.values[i, j])
+        return float(values[columns == j].sum())  # a cell not stored sums to 0.0
 
 
 @dataclass
@@ -203,13 +228,17 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
     is deterministic for a fixed input: singular values are ordered
     descending and singular-vector signs are canonicalized.
     """
+    import scipy.sparse as sp
+
     size = len(ppmi.vocab_index)
     if dim > size:
         raise ParameterError(f"embedding dim {dim} exceeds vocabulary size {size}")
     if dim < 1:
         raise ParameterError("embedding dim must be at least 1")
+    arrays = ppmi.values
+    values = sp.csr_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
     if size <= _DENSE_SVD_LIMIT or dim >= size:
-        dense = ppmi.values.toarray()
+        dense = values.toarray()
         u, s, vt = np.linalg.svd(dense, full_matrices=False)
         u, s, v = u[:, :dim], s[:dim], vt.T[:, :dim]
     else:
@@ -217,7 +246,7 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
 
         # svds returns ascending singular values; v0 pins the start vector so
         # repeated runs agree.
-        u, s, vt = svds(ppmi.values.astype(np.float64), k=dim, v0=np.ones(min(ppmi.values.shape)))
+        u, s, vt = svds(values.astype(np.float64), k=dim, v0=np.ones(min(values.shape)))
         order = np.argsort(-s)
         u, s, v = u[:, order], s[order], vt.T[:, order]
     u, v = _canonical_signs(u, v)
@@ -274,14 +303,11 @@ def collocations(word: str, top_k: int, ppmi: PPMIMatrix) -> list[tuple[str, flo
     """Top-k positively associated words of ``word`` by association value."""
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
-    i = ppmi.vocab_index.get(word)
-    if i is None:
-        raise OutOfVocabularyError(word, ppmi.period.label)
-    row = ppmi.values.getrow(i).tocoo()
-    by_id = {int(j): float(v) for j, v in zip(row.col, row.data) if v > 0}
+    columns, values = ppmi.row(word)
+    keep = (values > 0) & (columns != ppmi.vocab_index[word])
     inverse = {idx: w for w, idx in ppmi.vocab_index.items()}
     ranked = sorted(
-        ((inverse[j], v) for j, v in by_id.items() if inverse[j] != word),
+        ((inverse[j], v) for j, v in zip(columns[keep].tolist(), values[keep].tolist())),
         key=lambda kv: (-kv[1], kv[0]),
     )
     return ranked[:top_k]
@@ -345,11 +371,14 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
     """Coordinate-format TSV in row-major order: row word, column word, association value."""
     words = np.array(sorted(ppmi.vocab_index, key=ppmi.vocab_index.get), dtype=object)
-    coo = ppmi.values.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows, cols = words[coo.row[order]].tolist(), words[coo.col[order]].tolist()
+    values = ppmi.values
+    rows = np.repeat(np.arange(len(values.indptr) - 1), np.diff(values.indptr))
+    # a matrix built in memory may store a row's columns in any order
+    order = np.lexsort((values.indices, rows))
+    row_words, col_words = words[rows[order]].tolist(), words[values.indices[order]].tolist()
     header = f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"
-    body = "\n".join(map("\t".join, zip(rows, cols, map(repr, coo.data[order].tolist()))))
+    entries = zip(row_words, col_words, map(repr, values.data[order].tolist()))
+    body = "\n".join(map("\t".join, entries))
     write_artifact(path, f"{header}\n{body}\n" if body else f"{header}\n")
 
 
@@ -358,10 +387,9 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
 
     Each word pair is listed once, with a value above 0 (``build_ppmi`` drops
     zeros) that ``parse_numbers`` reads. A malformed file raises ParameterError
-    naming it, and the line where it can.
+    naming it, and the line where it can. The matrix comes back as canonical
+    ``CSRArrays``: each row's columns ascending.
     """
-    import scipy.sparse as sp
-
     head, records = read_artifact(
         path, "association", period=TimePeriod.parse, window=int, alpha=float
     )
@@ -378,7 +406,14 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
         rows.append(index[row_word])
         cols.append(index[col_word])
     data = parse_numbers(path, numbers, 1, positive=True)[:, 0]
-    values = sp.csr_matrix((data, (rows, cols)), shape=(len(order), len(order)))
-    if values.nnz != len(data):  # the CSR build summed a repeated pair
-        raise ParameterError(f"{path}: {len(data) - values.nnz} word pair(s) listed twice")
+    size = len(order)
+    keys = np.array(rows, dtype=np.int64) * size + np.array(cols, dtype=np.int64)
+    sort = np.argsort(keys, kind="stable")  # one pass over a file written in row-major order
+    keys, data = keys[sort], data[sort]
+    repeats = np.count_nonzero(keys[1:] == keys[:-1])
+    if repeats:
+        raise ParameterError(f"{path}: {repeats} word pair(s) listed twice")
+    row_ids, col_ids = np.divmod(keys, size)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_ids, minlength=size))))
+    values = CSRArrays(indptr, col_ids, data, (size, size))
     return PPMIMatrix(head["period"], index, values, head["alpha"], head["window"])

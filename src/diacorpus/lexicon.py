@@ -401,11 +401,12 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
             f"no token ids for period {leaf.period.label} at {path}", needed_command="ingest"
         )
     try:
-        store = np.load(path, allow_pickle=False)
-        if not isinstance(store, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with store:
-            ids, offsets = store["lemma"], store["offsets"]
+        with open(path, "rb") as file:
+            store = np.load(file, allow_pickle=False)
+            if not isinstance(store, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with store:
+                ids, offsets = store["lemma"], store["offsets"]
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ParameterError(f"{path}: unreadable token store: {exc}") from exc
     if ids.ndim != 1 or ids.dtype != np.int32:

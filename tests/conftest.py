@@ -2,7 +2,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from diacorpus.cli import RunConfig, _ingest_tree
 from diacorpus.corpus import DiachronicCorpus, PeriodCorpus, TimePeriod
@@ -32,6 +34,11 @@ def fresh_tree(fixture_config) -> DiachronicCorpus:
     return _ingest_tree(fixture_config)
 
 
+def dense(values) -> np.ndarray:
+    """A PPMI matrix's ``values`` (scipy CSR or ``CSRArrays``) as a dense array."""
+    return sp.csr_matrix((values.data, values.indices, values.indptr), shape=values.shape).toarray()
+
+
 def document_sequences(texts, level="lemma", analyzer=None) -> list[list[str]]:
     """Each document's words at ``level``, rebuilt from its raw text.
 
@@ -53,15 +60,16 @@ def fixture_sequences(config: RunConfig, leaf: PeriodCorpus, level="lemma") -> l
 
 # Values that are not the ASCII literal of a finite float, which the .vec,
 # transform and PPMI readers reject: a digit separator, an Arabic-Indic digit
-# and a literal padded with spaces (all accepted by ``float()``), hex, nan, and
-# a literal that overflows to infinity.
-EDGE_TOKENS = ["1_0", "\u0661", " 5 ", "0x10", "nan", "1e999"]
+# and a literal padded with spaces (all accepted by ``float()``), hex, nan, a
+# literal that overflows to infinity, and literals beside a whitespace
+# character other than the space (accepted by ``np.loadtxt``).
+EDGE_TOKENS = ["1_0", "\u0661", " 5 ", "0x10", "nan", "1e999", "5\x85", "\x0c5"]
 
 
 # Counts that are not a positive ASCII integer literal, which the vocabulary
-# and n-gram readers reject (``int()`` accepts the first two), and PPMI values
-# that are not finite and above 0.
-BAD_COUNTS = ["1_0", "\u0661", "5.0", "0", "-5"]
+# and n-gram readers reject (``int()`` accepts the first two, ``np.loadtxt``
+# the last two), and PPMI values that are not finite and above 0.
+BAD_COUNTS = ["1_0", "\u0661", "5.0", "0", "-5", "5\x85", "\x0c5"]
 BAD_ASSOCIATIONS = ["nan", "inf", "0.0", "-2.5"]
 
 

@@ -22,6 +22,7 @@ from diacorpus.corpus import (
     decade_bucket,
     load_manifest,
     parse_manifest,
+    parse_numbers,
     per_period,
     read_artifact,
     select_leaves,
@@ -54,6 +55,7 @@ from conftest import (
     FIXTURES,
     PERIOD_1930,
     PERIOD_1980,
+    dense,
     fixture_sequences,
     with_edge_token,
 )
@@ -475,6 +477,35 @@ class TestArtifactRecordRules:
             _CLEAN_ARTIFACTS[kind][0](path)
 
 
+class TestParseNumbers:
+    @pytest.mark.parametrize("char", ["\x85", "\t", "\x0c"], ids=["nel", "tab", "form-feed"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("template", ["{c}5", "5{c}", "5 {c}7", "5{c} 7"])
+    def test_whitespace_beside_a_literal_is_rejected(self, char, dtype, template):
+        text = template.format(c=char)
+        width = len(text.split(" "))
+        rows = {2: " ".join(["3"] * width), 3: text}
+        with pytest.raises(ParameterError, match=rf"^p: line 3: {re.escape(repr(text))} is not"):
+            parse_numbers("p", rows, width, dtype)
+
+    @pytest.mark.parametrize("bad", ["1.0 x", "1.0", "", "1.0 2.0 3.0", "1.0 \u0661"])
+    @pytest.mark.parametrize("line", [2, 1036, 2000], ids=["first", "middle", "last"])
+    def test_a_bad_row_is_named_wherever_it_is(self, bad, line):
+        rows = {n: f"{n}.5 -1e-3" for n in range(2, 2001, 2)}  # blank lines between rows
+        rows[line] = bad
+        text = re.escape(repr(bad))
+        with pytest.raises(
+            ParameterError, match=rf"^p: line {line}: {text} is not 2 ASCII float64 literal\(s\)$"
+        ):
+            parse_numbers("p", rows, 2)
+
+    def test_the_first_of_two_bad_rows_is_named(self):
+        rows = {n: "1.0 2.0" for n in range(2, 1002)}
+        rows[700], rows[300] = "x", "y"
+        with pytest.raises(ParameterError, match=r"^p: line 300: 'y' is not"):
+            parse_numbers("p", rows, 2)
+
+
 _TURKISH_WORDS = st.text("abcçdefgğhıijklmnoöprsştuüvyzâîû", min_size=1, max_size=8)
 _PERIODS = st.integers(1000, 2990).map(lambda year: TimePeriod(year, year + 9))
 _REALS = st.floats(allow_nan=False, allow_infinity=False)
@@ -530,7 +561,7 @@ class TestArtifactRoundTrip:
         loaded = read_ppmi(path, vocab)
         assert (loaded.period, loaded.window, loaded.alpha) == (period, window, alpha)
         assert loaded.vocab_index == index
-        assert np.array_equal(loaded.values.toarray(), values.toarray())
+        assert np.array_equal(dense(loaded.values), values.toarray())
 
     @_ROUNDTRIP
     @given(

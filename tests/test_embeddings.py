@@ -30,7 +30,7 @@ from diacorpus.errors import (
     ParameterError,
 )
 
-from conftest import PERIOD_1930, document_sequences
+from conftest import PERIOD_1930, dense, document_sequences
 
 
 def synthetic_word(i):
@@ -331,6 +331,34 @@ class TestQueries:
         ppmi = build_ppmi(count_cooccurrences(leaf, window=2))
         assert association("aa", "dd", ppmi) == 0.0
 
+    @pytest.mark.parametrize("source", ["built", "read"])
+    def test_association_reads_stored_zero_and_oov_cells(self, tmp_path, source):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb aa bb", "d2": "cc dd"})
+        ppmi = build_ppmi(count_cooccurrences(leaf, window=1))
+        expected = ppmi.values.toarray()
+        if source == "read":
+            write_ppmi(ppmi, tmp_path / "assoc.tsv")
+            ppmi = read_ppmi(tmp_path / "assoc.tsv", leaf.vocabulary)
+        aa, bb, dd = (ppmi.vocab_index[w] for w in ("aa", "bb", "dd"))
+        assert expected[aa, bb] > 0  # a stored cell
+        assert association("aa", "bb", ppmi) == expected[aa, bb]
+        assert association("aa", "dd", ppmi) == expected[aa, dd] == 0.0  # a zero cell
+        for pair in [("yok", "aa"), ("aa", "yok")]:
+            with pytest.raises(OutOfVocabularyError, match="yok"):
+                association(*pair, ppmi)
+
+    def test_association_and_collocations_on_unsorted_rows(self):
+        ppmi = _unsorted_csr_ppmi()
+        canonical = PPMIMatrix(
+            ppmi.period, ppmi.vocab_index, ppmi.values.sorted_indices(), ppmi.alpha, ppmi.window
+        )
+        assert association("zz", "zz", ppmi) == 1 / 3  # stored after a later column
+        assert association("mm", "zz", ppmi) == 7.0
+        assert association("aa", "zz", ppmi) == 0.0
+        for word in ppmi.vocab_index:
+            assert collocations(word, 3, ppmi) == collocations(word, 3, canonical)
+        assert collocations("mm", 3, ppmi) == [("zz", 7.0), ("aa", 1e-300)]
+
     def test_collocations_match_dense_oracle_ranking(self, toy):
         ppmi, _ = toy
         dense = ppmi.values.toarray()
@@ -432,8 +460,26 @@ class TestFileFormats:
         path = tmp_path / "assoc.tsv"
         write_ppmi(ppmi, path)
         loaded = read_ppmi(path, leaf.vocabulary)
-        assert np.array_equal(loaded.values.toarray(), ppmi.values.toarray())
+        assert np.array_equal(dense(loaded.values), ppmi.values.toarray())
         assert loaded.vocab_index == ppmi.vocab_index
+
+    def test_ppmi_read_of_shuffled_lines_gives_the_same_arrays(self, tmp_path, fixture_tree):
+        leaf = fixture_tree.leaves()[0]
+        path = tmp_path / "assoc.tsv"
+        write_ppmi(ensure_ppmi(leaf), path)
+        header, *entries = path.read_text(encoding="utf-8").splitlines()
+        random.Random(15).shuffle(entries)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text("\n".join([header, *entries]) + "\n", encoding="utf-8")
+        expected, actual = read_ppmi(path, leaf.vocabulary), read_ppmi(shuffled, leaf.vocabulary)
+        assert len(entries) > 100
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(actual.values, name), getattr(expected.values, name))
+        assert actual.values.shape == expected.values.shape
+        # canonical: each row's columns strictly ascending
+        rows = np.repeat(np.arange(actual.values.shape[0]), np.diff(actual.values.indptr))
+        keys = rows * actual.values.shape[1] + actual.values.indices
+        assert np.all(keys[1:] > keys[:-1])
 
     @pytest.mark.parametrize(
         "corrupt",
