@@ -57,7 +57,7 @@ def _train_block(
     the center word followed by its negative draws. Every position reads the
     vectors as they stood before the block.
     """
-    import scipy.sparse as sp  # here, not at module level: see embeddings.py
+    import scipy.sparse as sp  # here, not at module level: see embeddings.svd_embeddings
 
     rows = len(windows)
     valid = (windows >= 0) & (windows < len(kept))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,17 +21,48 @@ from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterEr
 from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_order
 from .preprocess import is_word
 
-# scipy is imported inside the functions that build or factor sparse
-# matrices: it costs more start-up time than the rest of the package, and only
-# the embed commands do either. Reading, querying and writing an association
-# matrix use its plain CSR arrays.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 # Dense factorization is exact and repeats its bytes at a fixed BLAS thread
 # count (not necessarily across thread counts); only fall back to sparse
 # iterative SVD for vocabularies too large to densify comfortably.
 _DENSE_SVD_LIMIT = 1024
+
+
+@dataclass(frozen=True)
+class CSRArrays:
+    """A sparse matrix as plain compressed-row arrays: row ``i`` stores ``data[k]``
+    in column ``indices[k]`` for ``indptr[i] <= k < indptr[i + 1]``. The code here
+    reads only these four attributes, so any compressed-row matrix will do."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_sorted(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, size: int) -> CSRArrays:
+        """The ``size`` x ``size`` matrix of entries sorted by row, each cell listed once."""
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+        return cls(indptr, cols, data, (size, size))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        dense[_row_ids(self), self.indices] = self.data
+        return dense
+
+
+def _row_ids(matrix: CSRArrays) -> np.ndarray:
+    """The row of each stored entry of a compressed-row matrix, in storage order."""
+    return np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
+
+
+def _row_slice(matrix: CSRArrays, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column ids and values stored in row ``i``, in storage order."""
+    start, end = matrix.indptr[i], matrix.indptr[i + 1]
+    return matrix.indices[start:end], matrix.data[start:end]
 
 
 @dataclass
@@ -41,50 +71,38 @@ class CooccurrenceMatrix:
 
     period: TimePeriod
     vocab_index: dict[str, int]
-    counts: sp.csr_matrix
+    counts: CSRArrays
     window: int
     row_totals: np.ndarray = field(init=False)
     col_totals: np.ndarray = field(init=False)
     grand_total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.row_totals = np.asarray(self.counts.sum(axis=1)).ravel()
-        self.col_totals = np.asarray(self.counts.sum(axis=0)).ravel()
-        self.grand_total = int(self.counts.sum())
+        counts, (rows, cols) = self.counts, self.counts.shape
+        # a weighted bincount sums in float64, exact for integer counts below 2**53
+        self.row_totals = np.bincount(_row_ids(counts), counts.data, rows).astype(np.int64)
+        self.col_totals = np.bincount(counts.indices, counts.data, cols).astype(np.int64)
+        self.grand_total = int(self.row_totals.sum())
 
     def pair_count(self, word_u: str, word_v: str) -> int:
         i = self.vocab_index.get(word_u)
         j = self.vocab_index.get(word_v)
         if i is None or j is None:
             return 0
-        return int(self.counts[i, j])
-
-
-@dataclass(frozen=True)
-class CSRArrays:
-    """A sparse matrix as plain compressed-row arrays, the attributes a scipy
-    ``csr_matrix`` has too: row ``i`` stores ``data[k]`` in column
-    ``indices[k]`` for ``indptr[i] <= k < indptr[i + 1]``."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
+        columns, counts = _row_slice(self.counts, i)
+        return int(counts[columns == j].sum())
 
 
 @dataclass
 class PPMIMatrix:
     """Nonnegative, sparse association matrix; zero wherever counts are zero.
 
-    ``values`` is a scipy ``csr_matrix`` where ``build_ppmi`` made it and a
-    ``CSRArrays`` where ``read_ppmi`` did. Readers use only ``indptr``,
-    ``indices``, ``data`` and ``shape``, and do not assume a row's columns
-    are sorted.
+    Readers of ``values`` do not assume a row's columns are sorted.
     """
 
     period: TimePeriod
     vocab_index: dict[str, int]
-    values: sp.csr_matrix | CSRArrays
+    values: CSRArrays
     alpha: float
     window: int = 2
 
@@ -93,8 +111,7 @@ class PPMIMatrix:
         i = self.vocab_index.get(word)
         if i is None:
             raise OutOfVocabularyError(word, self.period.label)
-        start, end = self.values.indptr[i], self.values.indptr[i + 1]
-        return self.values.indices[start:end], self.values.data[start:end]
+        return _row_slice(self.values, i)
 
     def association(self, word_u: str, word_v: str) -> float:
         columns, values = self.row(word_u)
@@ -144,8 +161,6 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     pairs. Pairs touching a filtered-out token are skipped; positions are
     counted over the full token sequence.
     """
-    import scipy.sparse as sp
-
     if window < 1:
         raise ParameterError("window must be at least 1")
     vocab = create_vocabulary(leaf)
@@ -162,14 +177,9 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
         mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
         forward.append(np.stack((left[mask], right[mask]), axis=1))
     pairs = np.concatenate(forward) if forward else np.empty((0, 2), dtype=np.int64)
-    if len(pairs):
-        directed = np.concatenate((pairs, pairs[:, ::-1]))
-        keys = directed[:, 0] * size + directed[:, 1]
-        unique_keys, key_counts = np.unique(keys, return_counts=True)
-        rows, cols = np.divmod(unique_keys, size)
-        counts = sp.csr_matrix((key_counts, (rows, cols)), shape=(size, size))
-    else:
-        counts = sp.csr_matrix((size, size), dtype=np.int64)
+    directed = np.concatenate((pairs, pairs[:, ::-1]))
+    keys, key_counts = np.unique(directed[:, 0] * size + directed[:, 1], return_counts=True)
+    counts = CSRArrays.from_sorted(*np.divmod(keys, size), key_counts, size)
     return CooccurrenceMatrix(period=leaf.period, vocab_index=index, counts=counts, window=window)
 
 
@@ -177,32 +187,23 @@ def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
     """Turn co-occurrence counts into the smoothed positive association matrix.
 
     Entries with zero count are never materialized; entries whose log ratio
-    is negative are clamped to zero and dropped from the sparse structure.
+    is not positive are dropped from the sparse structure.
     """
-    import scipy.sparse as sp
-
     if cooc.grand_total == 0:
         raise ComputationUndefinedError(
             f"no co-occurrence mass in period {cooc.period.label}; association undefined"
         )
-    coo = cooc.counts.tocoo()
+    counts = cooc.counts
+    rows, cols = _row_ids(counts), counts.indices
     grand = float(cooc.grand_total)
-    p_joint = coo.data.astype(np.float64) / grand
+    p_joint = counts.data.astype(np.float64) / grand
     p_row = cooc.row_totals.astype(np.float64) / grand
     smoothed = cooc.col_totals.astype(np.float64) ** alpha
     p_col_smoothed = smoothed / smoothed.sum()
-    ratio = p_joint / (p_row[coo.row] * p_col_smoothed[coo.col])
-    values = np.log(ratio)
-    np.maximum(values, 0.0, out=values)
-    result = sp.csr_matrix((values, (coo.row, coo.col)), shape=cooc.counts.shape)
-    result.eliminate_zeros()
-    return PPMIMatrix(
-        period=cooc.period,
-        vocab_index=dict(cooc.vocab_index),
-        values=result,
-        alpha=alpha,
-        window=cooc.window,
-    )
+    log_ratio = np.log(p_joint / (p_row[rows] * p_col_smoothed[cols]))
+    keep = log_ratio > 0
+    values = CSRArrays.from_sorted(rows[keep], cols[keep], log_ratio[keep], counts.shape[0])
+    return PPMIMatrix(cooc.period, dict(cooc.vocab_index), values, alpha, cooc.window)
 
 
 def ensure_ppmi(leaf: PeriodCorpus, window: int = 2, alpha: float = 0.75) -> PPMIMatrix:
@@ -228,7 +229,7 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
     is deterministic for a fixed input: singular values are ordered
     descending and singular-vector signs are canonicalized.
     """
-    import scipy.sparse as sp
+    import scipy.sparse as sp  # here, not at module level: it slows start-up more than numpy
 
     size = len(ppmi.vocab_index)
     if dim > size:
@@ -372,8 +373,8 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
     """Coordinate-format TSV in row-major order: row word, column word, association value."""
     words = np.array(sorted(ppmi.vocab_index, key=ppmi.vocab_index.get), dtype=object)
     values = ppmi.values
-    rows = np.repeat(np.arange(len(values.indptr) - 1), np.diff(values.indptr))
-    # a matrix built in memory may store a row's columns in any order
+    rows = _row_ids(values)
+    # a compressed-row matrix may store a row's columns in any order
     order = np.lexsort((values.indices, rows))
     row_words, col_words = words[rows[order]].tolist(), words[values.indices[order]].tolist()
     header = f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"
@@ -413,7 +414,5 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
     repeats = np.count_nonzero(keys[1:] == keys[:-1])
     if repeats:
         raise ParameterError(f"{path}: {repeats} word pair(s) listed twice")
-    row_ids, col_ids = np.divmod(keys, size)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row_ids, minlength=size))))
-    values = CSRArrays(indptr, col_ids, data, (size, size))
+    values = CSRArrays.from_sorted(*np.divmod(keys, size), data, size)
     return PPMIMatrix(head["period"], index, values, head["alpha"], head["window"])

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from diacorpus.cli import RunConfig, _ingest_tree
 from diacorpus.corpus import DiachronicCorpus, PeriodCorpus, TimePeriod
@@ -34,9 +33,18 @@ def fresh_tree(fixture_config) -> DiachronicCorpus:
     return _ingest_tree(fixture_config)
 
 
-def dense(values) -> np.ndarray:
-    """A PPMI matrix's ``values`` (scipy CSR or ``CSRArrays``) as a dense array."""
-    return sp.csr_matrix((values.data, values.indices, values.indptr), shape=values.shape).toarray()
+def stored_cells(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row ids, column ids and values of a compressed-row matrix's stored
+    cells, in storage order, read from ``indptr``, ``indices`` and ``data`` alone."""
+    rows = np.repeat(np.arange(len(matrix.indptr) - 1), np.diff(matrix.indptr))
+    return rows, matrix.indices, matrix.data
+
+
+def assert_canonical(matrix) -> None:
+    """Each row's columns strictly ascending: stored cells in row-major order, none twice."""
+    rows, cols, _ = stored_cells(matrix)
+    keys = rows * matrix.shape[1] + cols
+    assert np.all(keys[1:] > keys[:-1])
 
 
 def document_sequences(texts, level="lemma", analyzer=None) -> list[list[str]]:

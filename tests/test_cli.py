@@ -668,7 +668,8 @@ print(json.dumps(loaded))
 
 class TestScipyImports:
     def test_only_embed_loads_scipy(self, workspace, tmp_path):
-        """A fresh interpreter runs every command but ``embed`` without loading scipy.
+        """A fresh interpreter runs every command but ``embed svd`` and ``embed cbow``
+        without loading scipy.
 
         The pytest process has scipy loaded already, so the probe is a new
         process; the commands run in order, so a later entry sees what every
@@ -679,6 +680,7 @@ class TestScipyImports:
         prefix = ["--config", CONFIG, "--output-dir", str(out)]
         commands = [
             ["ingest"],
+            ["embed", "ppmi"],
             ["analyze", "freq", "--word", "belge"],
             ["analyze", "divergence", "--pair", "1930-1939", "1980-1989"],
             ["align", "--from", "1980-1989", "--to", "1930-1939", "--kind", "svd"],

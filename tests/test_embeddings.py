@@ -30,7 +30,7 @@ from diacorpus.errors import (
     ParameterError,
 )
 
-from conftest import PERIOD_1930, dense, document_sequences
+from conftest import PERIOD_1930, assert_canonical, document_sequences, stored_cells
 
 
 def synthetic_word(i):
@@ -399,12 +399,12 @@ class TestQueries:
 def reference_ppmi_text(ppmi):
     """The PPMI TSV formatted one entry at a time, in row-major order."""
     inverse = {idx: w for w, idx in ppmi.vocab_index.items()}
-    coo = ppmi.values.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    rows, cols, data = stored_cells(ppmi.values)
+    order = np.lexsort((cols, rows))
     lines = [f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"]
     for k in order:
-        row, col = inverse[int(coo.row[k])], inverse[int(coo.col[k])]
-        lines.append(f"{row}\t{col}\t{repr(float(coo.data[k]))}")
+        row, col = inverse[int(rows[k])], inverse[int(cols[k])]
+        lines.append(f"{row}\t{col}\t{repr(float(data[k]))}")
     return "\n".join(lines) + "\n"
 
 
@@ -460,26 +460,26 @@ class TestFileFormats:
         path = tmp_path / "assoc.tsv"
         write_ppmi(ppmi, path)
         loaded = read_ppmi(path, leaf.vocabulary)
-        assert np.array_equal(dense(loaded.values), ppmi.values.toarray())
+        assert np.array_equal(loaded.values.toarray(), ppmi.values.toarray())
         assert loaded.vocab_index == ppmi.vocab_index
 
     def test_ppmi_read_of_shuffled_lines_gives_the_same_arrays(self, tmp_path, fixture_tree):
         leaf = fixture_tree.leaves()[0]
         path = tmp_path / "assoc.tsv"
-        write_ppmi(ensure_ppmi(leaf), path)
+        built = ensure_ppmi(leaf)
+        write_ppmi(built, path)
         header, *entries = path.read_text(encoding="utf-8").splitlines()
         random.Random(15).shuffle(entries)
         shuffled = tmp_path / "shuffled.tsv"
         shuffled.write_text("\n".join([header, *entries]) + "\n", encoding="utf-8")
-        expected, actual = read_ppmi(path, leaf.vocabulary), read_ppmi(shuffled, leaf.vocabulary)
         assert len(entries) > 100
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(actual.values, name), getattr(expected.values, name))
-        assert actual.values.shape == expected.values.shape
-        # canonical: each row's columns strictly ascending
-        rows = np.repeat(np.arange(actual.values.shape[0]), np.diff(actual.values.indptr))
-        keys = rows * actual.values.shape[1] + actual.values.indices
-        assert np.all(keys[1:] > keys[:-1])
+        expected = built.values
+        for actual in (expected, *(read_ppmi(p, leaf.vocabulary).values for p in (path, shuffled))):
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(actual, name), getattr(expected, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert actual.shape == expected.shape
+            assert_canonical(actual)
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -32,7 +32,13 @@ from diacorpus.lexicon import (
 )
 from diacorpus.preprocess import FilterConfig
 
-from conftest import PERIOD_1930, document_sequences, fixture_sequences
+from conftest import (
+    PERIOD_1930,
+    assert_canonical,
+    document_sequences,
+    fixture_sequences,
+    stored_cells,
+)
 
 LEVELS = ("lemma", "surface")
 
@@ -68,9 +74,9 @@ def reference_cooccurrences(vocab, sequences, window):
 
 
 def cooccurrence_entries(matrix):
+    assert_canonical(matrix.counts)
     words = {i: w for w, i in matrix.vocab_index.items()}
-    coo = matrix.counts.tocoo()
-    return {(words[i], words[j]): int(c) for i, j, c in zip(coo.row, coo.col, coo.data)}
+    return {(words[i], words[j]): int(c) for i, j, c in zip(*stored_cells(matrix.counts))}
 
 
 def ngram_bytes(table, path):
