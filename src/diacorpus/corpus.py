@@ -541,24 +541,34 @@ def parse_numbers(
     return values
 
 
-def write_artifact(path: str | Path, content: str | bytes) -> None:
+# How many values (table entries, or vector components) a streamed writer
+# renders into one chunk for ``write_artifact``: enough that the per-chunk
+# cost vanishes, few enough that a chunk's strings stay a few MB.
+CHUNK_VALUES = 1 << 14
+
+
+def write_artifact(path: str | Path, content: str | bytes | Iterable[str]) -> None:
     """Write an artifact, text as UTF-8 or bytes as is, creating its parent directories.
 
-    The bytes go to a temp file in the target's directory, which then
-    replaces the target in one step, so a write that fails, or a process
-    killed mid-write, leaves the previous artifact intact. A write that
-    raises removes its temp file.
+    ``content`` is one ``str`` or ``bytes``, or an iterable of ``str`` chunks
+    that a writer renders one at a time; each chunk is encoded straight into
+    the temp file, so a text artifact is streamed with the bytes of the
+    joined text and never held whole. The temp file sits in the target's
+    directory and then replaces the target in one step, so a write that
+    fails (a chunk that raises included), or a process killed mid-write,
+    leaves the previous artifact intact. A write that raises removes its
+    temp file.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     # a fixed-length name, so a target name at the file-system limit still
     # fits; pid and thread keep concurrent writers into one directory apart
     temp = target.with_name(f".{os.getpid()}-{threading.get_ident()}.tmp")
+    chunks = [content] if isinstance(content, (str, bytes)) else content
     try:
-        if isinstance(content, bytes):
-            temp.write_bytes(content)
-        else:
-            temp.write_text(content, encoding="utf-8")
+        with temp.open("wb") as out:
+            for chunk in chunks:
+                out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(temp, target)
     except BaseException:
         temp.unlink(missing_ok=True)

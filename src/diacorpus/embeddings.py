@@ -13,10 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .corpus import PeriodCorpus, TimePeriod, parse_numbers, read_artifact, write_artifact
+from .corpus import (
+    CHUNK_VALUES,
+    PeriodCorpus,
+    TimePeriod,
+    parse_numbers,
+    read_artifact,
+    write_artifact,
+)
 from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_order
 from .preprocess import is_word
@@ -152,6 +160,24 @@ class EmbeddingSet:
         return self.matrix[i]
 
 
+def _window_pairs(leaf: PeriodCorpus, window: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The in-window token pairs of a leaf, one ``(left, right)`` id array pair per offset.
+
+    For each offset 1..``window``, the vocabulary ids of the tokens at
+    positions i and i + offset, for every i where both lie in one document and
+    both survived filtering; positions count the full token sequence.
+    """
+    if window < 1:
+        raise ParameterError("window must be at least 1")
+    ids = leaf.require_token_ids()
+    pairs = []
+    for offset in range(1, min(window, len(ids) - 1) + 1):
+        left, right = ids[:-offset], ids[offset:]
+        mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
+        pairs.append((left[mask], right[mask]))
+    return pairs
+
+
 def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatrix:
     """Count symmetric in-window co-occurrences over the filtered vocabulary.
 
@@ -161,25 +187,25 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     pairs. Pairs touching a filtered-out token are skipped; positions are
     counted over the full token sequence.
     """
-    if window < 1:
-        raise ParameterError("window must be at least 1")
-    vocab = create_vocabulary(leaf)
-    ids = leaf.require_token_ids().astype(np.int64)
-    order = vocabulary_order(vocab)
+    pairs = _window_pairs(leaf, window)
+    order = vocabulary_order(create_vocabulary(leaf))
     index = {w: i for i, w in enumerate(order)}
     size = len(order)
-    # vectorized pair extraction: for each offset, align the id array with a
-    # shifted copy of itself and keep pairs inside one document where both
-    # sides are in-vocabulary
-    forward: list[np.ndarray] = []
-    for offset in range(1, min(window, len(ids) - 1) + 1):
-        left, right = ids[:-offset], ids[offset:]
-        mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
-        forward.append(np.stack((left[mask], right[mask]), axis=1))
-    pairs = np.concatenate(forward) if forward else np.empty((0, 2), dtype=np.int64)
-    directed = np.concatenate((pairs, pairs[:, ::-1]))
-    keys, key_counts = np.unique(directed[:, 0] * size + directed[:, 1], return_counts=True)
-    counts = CSRArrays.from_sorted(*np.divmod(keys, size), key_counts, size)
+    # one int64 key row * size + column per directed pair, sorted in place:
+    # each run of equal keys is one cell and its length the cell's count
+    keys = np.concatenate(
+        [np.empty(0, dtype=np.int64)]  # a leaf of one token has no pairs
+        + [left.astype(np.int64) * size + right for left, right in pairs]
+        + [right.astype(np.int64) * size + left for left, right in pairs]
+    )
+    del pairs  # half a key array's bytes, freed before the sort and the run pass
+    keys.sort()
+    run_start = np.ones(len(keys), dtype=bool)
+    run_start[1:] = keys[1:] != keys[:-1]
+    firsts = np.flatnonzero(run_start)
+    key_counts = np.diff(firsts, append=len(keys))
+    keys = keys[firsts]  # one key per stored cell
+    counts = CSRArrays.from_sorted(keys // size, keys % size, key_counts, size)
     return CooccurrenceMatrix(period=leaf.period, vocab_index=index, counts=counts, window=window)
 
 
@@ -229,22 +255,21 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
     is deterministic for a fixed input: singular values are ordered
     descending and singular-vector signs are canonicalized.
     """
-    import scipy.sparse as sp  # here, not at module level: it slows start-up more than numpy
-
     size = len(ppmi.vocab_index)
     if dim > size:
         raise ParameterError(f"embedding dim {dim} exceeds vocabulary size {size}")
     if dim < 1:
         raise ParameterError("embedding dim must be at least 1")
     arrays = ppmi.values
-    values = sp.csr_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
     if size <= _DENSE_SVD_LIMIT or dim >= size:
-        dense = values.toarray()
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        u, s, vt = np.linalg.svd(arrays.toarray(), full_matrices=False)
         u, s, v = u[:, :dim], s[:dim], vt.T[:, :dim]
     else:
+        # here, not at module level: scipy slows start-up more than numpy
+        import scipy.sparse as sp
         from scipy.sparse.linalg import svds
 
+        values = sp.csr_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
         # svds returns ascending singular values; v0 pins the start vector so
         # repeated runs agree.
         u, s, vt = svds(values.astype(np.float64), k=dim, v0=np.ones(min(values.shape)))
@@ -327,17 +352,24 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
     """Text export: a header line, then one 'word v1 .. vd' line per vocabulary word.
 
     Reals are written in shortest round-trip form so reloading reproduces the
-    exact doubles.
+    exact doubles. Rows are rendered about ``CHUNK_VALUES`` values at a time.
     """
     header = (
         f"dim={embedding_set.dim} vocab={len(embedding_set.vocab_index)} "
         f"provenance={embedding_set.provenance} period={embedding_set.period.label}"
     )
-    lines = [header]
-    for word in embedding_set.words():
-        row = embedding_set.matrix[embedding_set.vocab_index[word]]
-        lines.append(word + " " + " ".join(repr(float(x)) for x in row))
-    write_artifact(path, "\n".join(lines) + "\n")
+    words = embedding_set.words()
+    rows = [embedding_set.vocab_index[w] for w in words]
+    step = max(CHUNK_VALUES // max(embedding_set.dim, 1), 1)
+
+    def chunks() -> Iterator[str]:
+        yield f"{header}\n"
+        for start in range(0, len(words), step):
+            columns = embedding_set.matrix[rows[start : start + step]].T.tolist()
+            lines = zip(words[start : start + step], *(map(repr, c) for c in columns))
+            yield "\n".join(map(" ".join, lines)) + "\n"
+
+    write_artifact(path, chunks())
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
@@ -370,17 +402,26 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
 
 def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
-    """Coordinate-format TSV in row-major order: row word, column word, association value."""
+    """Coordinate-format TSV in row-major order: row word, column word, association value.
+
+    Entries are rendered ``CHUNK_VALUES`` at a time.
+    """
     words = np.array(sorted(ppmi.vocab_index, key=ppmi.vocab_index.get), dtype=object)
     values = ppmi.values
     rows = _row_ids(values)
     # a compressed-row matrix may store a row's columns in any order
     order = np.lexsort((values.indices, rows))
-    row_words, col_words = words[rows[order]].tolist(), words[values.indices[order]].tolist()
     header = f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"
-    entries = zip(row_words, col_words, map(repr, values.data[order].tolist()))
-    body = "\n".join(map("\t".join, entries))
-    write_artifact(path, f"{header}\n{body}\n" if body else f"{header}\n")
+
+    def chunks() -> Iterator[str]:
+        yield f"{header}\n"
+        for start in range(0, len(order), CHUNK_VALUES):
+            part = order[start : start + CHUNK_VALUES]
+            row_words, col_words = words[rows[part]].tolist(), words[values.indices[part]].tolist()
+            entries = zip(row_words, col_words, map(repr, values.data[part].tolist()))
+            yield "\n".join(map("\t".join, entries)) + "\n"
+
+    write_artifact(path, chunks())
 
 
 def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:

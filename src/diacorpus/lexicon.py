@@ -13,11 +13,12 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import (
+    CHUNK_VALUES,
     CorpusNode,
     PeriodCorpus,
     TimePeriod,
@@ -312,13 +313,26 @@ def cofrequency(
 ) -> TimeSeriesResult:
     """Per-period co-occurrence count of a word pair under the window rule.
 
-    The counts come from the leaf's token ids, so it needs leaves that hold them.
+    The counts come from the leaf's token ids, so it needs leaves that hold
+    them. It equals ``count_cooccurrences(leaf, window).pair_count(word_u, word_v)``
+    without building the matrix: a word paired with itself counts twice.
     """
-    from .embeddings import count_cooccurrences  # deferred: embeddings imports lexicon
+    from .embeddings import _window_pairs  # deferred: embeddings imports lexicon
 
-    return per_period(
-        node, periods, lambda leaf: count_cooccurrences(leaf, window).pair_count(word_u, word_v)
-    )
+    def count(leaf: PeriodCorpus) -> int:
+        pairs = _window_pairs(leaf, window)
+        index = {w: i for i, w in enumerate(vocabulary_order(create_vocabulary(leaf)))}
+        u, v = index.get(word_u), index.get(word_v)
+        if u is None or v is None:
+            return 0
+        # a pair counts once for each direction that matches, as in the matrix
+        return sum(
+            int(np.count_nonzero((a == u) & (b == v)))
+            for left, right in pairs
+            for a, b in ((left, right), (right, left))
+        )
+
+    return per_period(node, periods, count)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +449,21 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
 
 
 def write_ngrams(table: NgramTable, path: str | Path) -> None:
-    """TSV export: header line, then space-joined gram<TAB>frequency in entry order."""
-    lines = [_header_line(table.period, table.total())]
-    for gram, freq in table.entries.items():
-        lines.append(f"{' '.join(gram)}\t{freq}")
-    write_artifact(path, "\n".join(lines) + "\n")
+    """TSV export: header line, then space-joined gram<TAB>frequency in entry order.
+
+    Entries are rendered ``CHUNK_VALUES`` at a time.
+    """
+    header = _header_line(table.period, table.total())
+    grams, freqs = list(table.entries), list(table.entries.values())
+
+    def chunks() -> Iterator[str]:
+        yield f"{header}\n"
+        for start in range(0, len(grams), CHUNK_VALUES):
+            part = slice(start, start + CHUNK_VALUES)
+            lines = zip(map(" ".join, grams[part]), map(str, freqs[part]))
+            yield "\n".join(map("\t".join, lines)) + "\n"
+
+    write_artifact(path, chunks())
 
 
 def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:

@@ -668,8 +668,9 @@ print(json.dumps(loaded))
 
 class TestScipyImports:
     def test_only_embed_loads_scipy(self, workspace, tmp_path):
-        """A fresh interpreter runs every command but ``embed svd`` and ``embed cbow``
-        without loading scipy.
+        """A fresh interpreter runs every command but ``embed cbow`` without loading
+        scipy; ``embed svd`` loads it only for the sparse solver, and the fixture's
+        50-word vocabularies take the dense path.
 
         The pytest process has scipy loaded already, so the probe is a new
         process; the commands run in order, so a later entry sees what every
@@ -681,6 +682,7 @@ class TestScipyImports:
         commands = [
             ["ingest"],
             ["embed", "ppmi"],
+            ["embed", "svd"],
             ["analyze", "freq", "--word", "belge"],
             ["analyze", "divergence", "--pair", "1930-1939", "1980-1989"],
             ["align", "--from", "1980-1989", "--to", "1930-1939", "--kind", "svd"],

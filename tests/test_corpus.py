@@ -1,5 +1,6 @@
 import datetime as dt
 import errno
+import io
 import json
 import re
 import warnings
@@ -609,15 +610,34 @@ class TestWriteArtifact:
         path = tmp_path / "reports" / "artifact.csv"
         write_artifact(path, "previous\n")
 
-        def fail_partway(self, data, *args, **kwargs):
-            raw = data.encode("utf-8") if isinstance(data, str) else data
-            with open(self, "wb") as fh:
-                fh.write(raw[: len(raw) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class FullDisk(io.BufferedWriter):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(Path, "write_text", fail_partway)
-        monkeypatch.setattr(Path, "write_bytes", fail_partway)
-        with pytest.raises(OSError, match="No space left"):
+        with monkeypatch.context() as patch, pytest.raises(OSError, match="No space left"):
+            patch.setattr(Path, "open", lambda self, mode: FullDisk(io.FileIO(self, "w")))
             write_artifact(path, content)
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in path.parent.iterdir()] == ["artifact.csv"]
+
+    def test_chunk_raising_midway_keeps_previous_artifact(self, tmp_path):
+        path = tmp_path / "reports" / "artifact.csv"
+        write_artifact(path, "previous\n")
+
+        def chunks():
+            yield "new line\n" * 1000
+            raise RuntimeError("render failed")
+
+        with pytest.raises(RuntimeError, match="render failed"):
+            write_artifact(path, chunks())
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in path.parent.iterdir()] == ["artifact.csv"]
+
+    def test_chunks_write_the_bytes_of_their_joined_text(self, tmp_path):
+        chunks = ["#head\n", "", "çay\tşey\n", "ğ" * 5000, "\n"]
+        write_artifact(tmp_path / "chunked.tsv", iter(chunks))
+        write_artifact(tmp_path / "whole.tsv", "".join(chunks))
+        expected = "".join(chunks).encode("utf-8")
+        assert (tmp_path / "chunked.tsv").read_bytes() == expected
+        assert (tmp_path / "whole.tsv").read_bytes() == expected

@@ -1,12 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from diacorpus.corpus import PeriodCorpus
+from diacorpus.corpus import CHUNK_VALUES, PeriodCorpus
 from diacorpus.embeddings import (
+    CSRArrays,
     EmbeddingSet,
     PPMIMatrix,
     association,
@@ -29,6 +31,7 @@ from diacorpus.errors import (
     OutOfVocabularyError,
     ParameterError,
 )
+from diacorpus.lexicon import Vocabulary
 
 from conftest import PERIOD_1930, assert_canonical, document_sequences, stored_cells
 
@@ -408,6 +411,44 @@ def reference_ppmi_text(ppmi):
     return "\n".join(lines) + "\n"
 
 
+def reference_vec_text(embedding_set):
+    """The ``.vec`` text formatted one row and one value at a time."""
+    lines = [
+        f"dim={embedding_set.dim} vocab={len(embedding_set.vocab_index)} "
+        f"provenance={embedding_set.provenance} period={embedding_set.period.label}"
+    ]
+    for word in embedding_set.words():
+        row = embedding_set.matrix[embedding_set.vocab_index[word]]
+        lines.append(word + " " + " ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def ppmi_with_entries(count, seed=0):
+    """A PPMI matrix of ``count`` random cells and values, its words given rows at random."""
+    size = math.isqrt(count) + 1
+    rng = np.random.default_rng(seed)
+    rows, cols = np.divmod(np.sort(rng.choice(size * size, count, replace=False)), size)
+    values = CSRArrays.from_sorted(rows, cols, rng.uniform(1e-3, 9.0, count), size)
+    index = dict(zip(rng.permutation([f"w{i}" for i in range(size)]).tolist(), range(size)))
+    return PPMIMatrix(PERIOD_1930, index, values, alpha=0.75)
+
+
+def zipf_leaf(tokens, size, seed=0):
+    """A leaf holding only token ids (Zipf-distributed, a tenth filtered out) and a vocabulary."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, size + 1)
+    ids = rng.choice(size, tokens, p=weights / weights.sum()).astype(np.int32)
+    ids[rng.random(tokens) < 0.1] = -1
+    leaf = PeriodCorpus(PERIOD_1930)
+    leaf.token_ids["lemma"] = ids
+    leaf.doc_offsets = np.linspace(0, tokens, 101).astype(np.int64)
+    counts = np.bincount(ids[ids >= 0], minlength=size)
+    leaf.vocabulary = Vocabulary(
+        PERIOD_1930, {f"w{i:05d}": int(c) + 1 for i, c in enumerate(counts)}, tokens
+    )
+    return leaf
+
+
 def _unsorted_csr_ppmi():
     # row 0 stores columns 2, 0 and row 2 stores 1, 0: CSR order is not row-major
     values = sp.csr_matrix(
@@ -420,18 +461,39 @@ def _unsorted_csr_ppmi():
 
 
 class TestFileFormats:
-    @pytest.mark.parametrize("source", ["unsorted-csr", "fixture", "empty"])
+    @pytest.mark.parametrize(
+        "source", ["unsorted-csr", "fixture", "empty", "one-chunk", "one-chunk-plus-one"]
+    )
     def test_ppmi_bytes_equal_the_per_entry_reference(self, tmp_path, fixture_tree, source):
         if source == "unsorted-csr":
             matrices = [_unsorted_csr_ppmi()]
         elif source == "fixture":
             matrices = [ensure_ppmi(leaf) for leaf in fixture_tree.leaves()]
-        else:
+        elif source == "empty":
             matrices = [PPMIMatrix(PERIOD_1930, {"aa": 0}, sp.csr_matrix((1, 1)), alpha=0.75)]
+        else:
+            # write_ppmi renders CHUNK_VALUES entries per chunk
+            matrices = [ppmi_with_entries(CHUNK_VALUES + (source == "one-chunk-plus-one"))]
         for i, ppmi in enumerate(matrices):
             path = tmp_path / f"assoc{i}.tsv"
             write_ppmi(ppmi, path)
             assert path.read_bytes() == reference_ppmi_text(ppmi).encode("utf-8")
+        if source == "empty":
+            assert path.read_bytes() == b"#period=1930-1939 #window=2 #alpha=0.75\n"
+
+    @pytest.mark.parametrize("dim", [1, 7])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_streamed_vectors_equal_the_one_string_render(self, tmp_path, dim, extra):
+        # rows per chunk: CHUNK_VALUES // dim; cover one row short of a chunk,
+        # exactly one chunk and one chunk plus a row
+        words = CHUNK_VALUES // dim + extra
+        rng = np.random.default_rng(dim)
+        index = dict(zip(rng.permutation([f"w{i}" for i in range(words)]).tolist(), range(words)))
+        matrix = rng.normal(size=(words, dim)) * 10.0 ** rng.integers(-300, 300, size=(words, dim))
+        embedding_set = EmbeddingSet(PERIOD_1930, index, matrix, dim, "svd")
+        path = tmp_path / "emb.vec"
+        write_embeddings(embedding_set, path)
+        assert path.read_bytes() == reference_vec_text(embedding_set).encode("utf-8")
 
     def test_embedding_roundtrip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -524,3 +586,33 @@ class TestFileFormats:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"assoc\.tsv: line 2\b"):
             read_ppmi(path, leaf.vocabulary)
+
+
+class TestMemory:
+    """Writing and counting hold one bounded chunk at a time, not a copy of the whole output."""
+
+    def test_write_ppmi_peak_stays_below_twice_the_file(self, tmp_path):
+        ppmi = ppmi_with_entries(200_000)
+        path = tmp_path / "assoc.tsv"
+        tracemalloc.start()
+        try:
+            write_ppmi(ppmi, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-file render peaked at ~6x the file
+        assert peak < 2 * path.stat().st_size
+
+    def test_count_peak_stays_below_four_key_arrays(self):
+        leaf = zipf_leaf(250_000, 3_000)
+        tracemalloc.start()
+        try:
+            matrix = count_cooccurrences(leaf, window=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one int64 key per directed in-window pair; the pair stack, its
+        # reversed copy and np.unique's copies peaked at ~7.6x that
+        key_bytes = 8 * matrix.grand_total
+        assert matrix.counts.nnz > 100_000
+        assert peak < 4 * key_bytes

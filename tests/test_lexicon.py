@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
-from diacorpus.corpus import PeriodCorpus, TimePeriod
+from diacorpus.corpus import CHUNK_VALUES, PeriodCorpus, TimePeriod
 from diacorpus.errors import MissingArtifactError, ParameterError
 from diacorpus.lexicon import (
+    NgramTable,
     Vocabulary,
     cofrequency,
     common_words,
@@ -319,6 +320,31 @@ class TestCoFrequency:
         assert uv == vu
         assert uv[0] > 0
 
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_equals_the_matrix_cell_for_every_pair(self, fixture_tree, window):
+        from diacorpus.embeddings import count_cooccurrences
+
+        matrices = [count_cooccurrences(leaf, window) for leaf in fixture_tree.leaves()]
+        words = sorted({w for leaf in fixture_tree.leaves() for w in leaf.vocabulary.entries})
+        words += ["yokkelime"]  # in no period's vocabulary
+        assert words[-1] not in words[:-1]
+        for u in words:
+            for v in words:
+                expected = [matrix.pair_count(u, v) for matrix in matrices]
+                assert cofrequency(fixture_tree, u, v, window=window).values() == expected, (u, v)
+
+    def test_a_word_with_itself_counts_twice(self):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa aa bb", "d2": "aa"})
+        assert cofrequency(leaf, "aa", "aa", window=1).values() == [2]
+        assert cofrequency(leaf, "aa", "bb", window=1).values() == [1]
+        assert cofrequency(leaf, "aa", "aa", window=5).values() == [2]
+
+    @pytest.mark.parametrize("word", ["aa", "yokkelime"])
+    def test_window_below_one_is_an_error(self, word):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb"})
+        with pytest.raises(ParameterError, match="window must be at least 1"):
+            cofrequency(leaf, word, "bb", window=0)
+
 
 def test_queries_store_nothing_on_the_leaf():
     from diacorpus.embeddings import ensure_ppmi
@@ -362,6 +388,18 @@ class TestFileFormats:
         write_ngrams(table, path)
         loaded = read_ngrams(path, 2)
         assert loaded.entries == table.entries
+
+    @pytest.mark.parametrize("count", [0, CHUNK_VALUES, CHUNK_VALUES + 1])
+    def test_streamed_ngrams_equal_the_one_string_render(self, tmp_path, count):
+        words = [f"w{i}" for i in range(200)]
+        grams = [(words[i % 200], words[i // 200], "çay") for i in range(count)]
+        table = NgramTable(PERIOD_1930, 3, dict(zip(grams, range(count + 7, 7, -1))))
+        path = tmp_path / "grams.tsv"
+        write_ngrams(table, path)
+        lines = [f"#period=1930-1939 #tokens={table.total()}"]
+        for gram, freq in table.entries.items():
+            lines.append(f"{' '.join(gram)}\t{freq}")
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     @pytest.mark.parametrize(
         "corrupt",
