@@ -52,21 +52,6 @@ class AlignmentTransform:
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         return vectors @ self.matrix
 
-    def composed_with(self, later: "AlignmentTransform") -> "AlignmentTransform":
-        """This transform followed by ``later`` (source stays, target becomes later's)."""
-        if self.target_period != later.source_period:
-            raise ParameterError(
-                f"cannot compose {self.source_period.label}->{self.target_period.label} "
-                f"with {later.source_period.label}->{later.target_period.label}"
-            )
-        return AlignmentTransform(
-            source_period=self.source_period,
-            target_period=later.target_period,
-            matrix=self.matrix @ later.matrix,
-            shared_vocab=sorted(set(self.shared_vocab) & set(later.shared_vocab))
-            or list(self.shared_vocab),
-        )
-
 
 def _shared_rows(source: EmbeddingSet, target: EmbeddingSet) -> tuple[list[str], np.ndarray, np.ndarray]:
     shared = sorted(set(source.vocab_index) & set(target.vocab_index))
@@ -162,10 +147,10 @@ def semantic_change(
 ) -> TimeSeriesResult:
     """Cosine distance of a word from its starting-period vector, per period.
 
-    Non-adjacent periods are expressed in the starting period's space by
-    composing the consecutive-period transforms. Periods where the word (or
-    the starting period's vector) is missing get a None entry instead of
-    failing.
+    Period k reaches the starting period's space through the consecutive
+    transforms, latest first: ``v @ (R_k @ ... @ R_1)``, where R_i maps period
+    i into period i-1. Periods where the word (or the starting period's
+    vector) is missing get a None entry instead of failing.
     """
     if not sets:
         raise ParameterError("semantic change needs at least one embedding set")
@@ -178,34 +163,24 @@ def semantic_change(
             f"{len(ordered)} periods need {len(ordered) - 1} consecutive transforms, "
             f"got {len(transforms)}"
         )
-    for i, transform in enumerate(transforms):
-        if (
-            transform.source_period != ordered[i + 1].period
-            or transform.target_period != ordered[i].period
-        ):
-            raise ParameterError(
-                f"transform {i} maps {transform.source_period.label}->"
-                f"{transform.target_period.label}; expected "
-                f"{ordered[i + 1].period.label}->{ordered[i].period.label}"
-            )
-
     base = ordered[0]
     base_vector = (
         base.matrix[base.vocab_index[word]] if word in base.vocab_index else None
     )
-    entries: list[tuple[TimePeriod, float | None]] = []
-    to_base: AlignmentTransform | None = None
-    for i, current in enumerate(ordered):
-        if i > 0:
-            step = transforms[i - 1]
-            to_base = step if to_base is None else step.composed_with(to_base)
+    entries = [(base.period, None if base_vector is None else 0.0)]
+    to_base: np.ndarray | None = None  # maps the current period into the base period
+    for i, (step, current) in enumerate(zip(transforms, ordered[1:])):
+        if step.source_period != current.period or step.target_period != ordered[i].period:
+            raise ParameterError(
+                f"transform {i} maps {step.source_period.label}->"
+                f"{step.target_period.label}; expected "
+                f"{current.period.label}->{ordered[i].period.label}"
+            )
+        to_base = step.matrix if to_base is None else step.matrix @ to_base
         if base_vector is None or word not in current.vocab_index:
             entries.append((current.period, None))
             continue
-        if i == 0:
-            entries.append((current.period, 0.0))
-            continue
-        aligned = to_base.apply(current.matrix[current.vocab_index[word]])
+        aligned = current.matrix[current.vocab_index[word]] @ to_base
         entries.append((current.period, 1.0 - cosine(aligned, base_vector)))
     return TimeSeriesResult(entries)
 

@@ -340,6 +340,19 @@ def _token_path(config: RunConfig, period: TimePeriod) -> Path:
     return config.output_dir / "tokens" / f"{period.label}.npz"
 
 
+def _require_header(path: Path, field: str, held: str, asked: str) -> None:
+    """ParameterError unless the artifact at ``path`` holds the ``field`` it was read for."""
+    if held != asked:
+        raise ParameterError(f"{path} holds {field} {held}, not {asked}")
+
+
+def _read_vocabulary(path: Path, level: str = "lemma") -> lexicon_mod.Vocabulary:
+    """A vocabulary TSV whose header period is the label in its file name."""
+    vocab = lexicon_mod.read_vocabulary(path, level)
+    _require_header(path, "period", vocab.period.label, path.name.removesuffix(f".{level}.tsv"))
+    return vocab
+
+
 def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
     """Rebuild a tree of vocabulary-only leaves from the files written by ingest."""
     vocab_dir = config.output_dir / "vocab"
@@ -350,12 +363,12 @@ def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
         )
     leaves = []
     for path in files:
-        vocab = lexicon_mod.read_vocabulary(path)
+        vocab = _read_vocabulary(path)
         leaf = PeriodCorpus(vocab.period)
         leaf.vocabulary = vocab
         surface_path = vocab_dir / f"{leaf.period.label}.surface.tsv"
         if surface_path.is_file():
-            leaf.surface_vocabulary = lexicon_mod.read_vocabulary(surface_path, level="surface")
+            leaf.surface_vocabulary = _read_vocabulary(surface_path, level="surface")
         leaves.append(leaf)
     return DiachronicCorpus(leaves)
 
@@ -502,7 +515,10 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
                 downsample=cfg.downsample, smoothing_alpha=cfg.alpha, seed=cfg.seed,
                 epochs=cfg.epochs,
             )
-        ppmi = embeddings_mod.ensure_ppmi(leaf, cfg.window, cfg.alpha)
+        # no name for the counts, so they are freed before the SVD runs
+        ppmi = embeddings_mod.build_ppmi(
+            embeddings_mod.count_cooccurrences(leaf, cfg.window), cfg.alpha
+        )
         return ppmi if args.kind == "ppmi" else embeddings_mod.svd_embeddings(ppmi, cfg.dim)[0]
 
     results = [build(leaf) for leaf in leaves]
@@ -530,7 +546,10 @@ def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
         f"{kind} embeddings for period {period.label}",
         f"embed {kind}",
     )
-    return embeddings_mod.read_embeddings(path)
+    embedding_set = embeddings_mod.read_embeddings(path)
+    _require_header(path, "period", embedding_set.period.label, period.label)
+    _require_header(path, "provenance", embedding_set.provenance, kind)
+    return embedding_set
 
 
 def _transform_path(config: RunConfig, source: TimePeriod, target: TimePeriod, kind: str) -> Path:
@@ -578,15 +597,14 @@ def cmd_aligned_most_similar(config: RunConfig, args: argparse.Namespace) -> str
 
 
 def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
-    periods = _parse_periods(args.periods)
+    periods = sorted(_parse_periods(args.periods))
     name = _word_report_name("semantic_change", args.word)
     sets = [_read_embedding_artifact(config, p, args.kind) for p in periods]
-    ordered = sorted(sets, key=lambda s: s.period)
     transforms = [
-        _read_transform_artifact(config, ordered[i + 1].period, ordered[i].period, args.kind)
-        for i in range(len(ordered) - 1)
+        _read_transform_artifact(config, later, earlier, args.kind)
+        for earlier, later in zip(periods, periods[1:])
     ]
-    series = alignment_mod.semantic_change(args.word, ordered, transforms)
+    series = alignment_mod.semantic_change(args.word, sets, transforms)
     return _write_report(config.output_dir / "reports", name, series_records(series))
 
 
@@ -599,8 +617,8 @@ def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
     vocab_path = _existing(
         out / "vocab" / f"{label}.lemma.tsv", f"vocabulary for period {label}", "ingest"
     )
-    vocab = lexicon_mod.read_vocabulary(vocab_path)
-    ppmi = embeddings_mod.read_ppmi(ppmi_path, vocab)
+    ppmi = embeddings_mod.read_ppmi(ppmi_path, _read_vocabulary(vocab_path))
+    _require_header(ppmi_path, "period", ppmi.period.label, label)
     ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)
     records = ranking_records(ranking, "association")
     return _write_report(out / "reports", name, records)

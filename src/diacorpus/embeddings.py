@@ -232,11 +232,6 @@ def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
     return PPMIMatrix(cooc.period, dict(cooc.vocab_index), values, alpha, cooc.window)
 
 
-def ensure_ppmi(leaf: PeriodCorpus, window: int = 2, alpha: float = 0.75) -> PPMIMatrix:
-    """The leaf's PPMI matrix, built from its co-occurrence counts."""
-    return build_ppmi(count_cooccurrences(leaf, window), alpha)
-
-
 def _canonical_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Fix each singular vector pair's sign so the largest-magnitude entry of
     # the left vector is positive; makes the factorization reproducible.

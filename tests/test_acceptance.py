@@ -251,11 +251,10 @@ def test_fixture_mirrors_of_planted_phenomena(fixture_tree, fresh_tree):
         assert crossover_period(fixture_tree, "gerek", "mucip") == PERIOD_1980
         # aligned neighbors recover the early-period counterpart in the top 10
         from diacorpus.alignment import aligned_most_similar
-        from diacorpus.embeddings import ensure_ppmi
 
         sets = {}
         for leaf in fresh_tree.leaves():
-            embedding, _ = svd_embeddings(ensure_ppmi(leaf, 2, 0.75), 16)
+            embedding, _ = svd_embeddings(build_ppmi(count_cooccurrences(leaf, 2), 0.75), 16)
             sets[leaf.period] = embedding
         ranking = aligned_most_similar("televizyon", 10, sets[PERIOD_1980], sets[PERIOD_1930])
         assert "radyo" in [w for w, _ in ranking]

@@ -159,11 +159,11 @@ class TestAlignedMostSimilar:
             aligned_most_similar("yok", 3, a, b)
 
     def test_fixture_recovers_old_counterparts(self, fixture_tree):
-        from diacorpus.embeddings import ensure_ppmi, svd_embeddings
+        from diacorpus.embeddings import build_ppmi, count_cooccurrences, svd_embeddings
 
         sets = {}
         for leaf in fixture_tree.leaves():
-            embedding, _ = svd_embeddings(ensure_ppmi(leaf, 2, 0.75), 16)
+            embedding, _ = svd_embeddings(build_ppmi(count_cooccurrences(leaf, 2), 0.75), 16)
             sets[leaf.period] = embedding
         ranking = aligned_most_similar(
             "televizyon", 10, sets[PERIOD_1980], sets[PERIOD_1930]
@@ -195,17 +195,29 @@ class TestSemanticChange:
         series = semantic_change("w07", sets)
         assert all(v == pytest.approx(0.0, abs=1e-8) for v in series.values())
 
+    def test_composition_order(self):
+        # each later period reaches the base through the product of the
+        # consecutive steps, latest first; the direct fit maps it the same way
+        sets = self._three_rotated_sets()
+        for later in (1, 2):
+            direct = procrustes_align(sets[later], sets[0])
+            for word in sets[0].words():
+                got = semantic_change(word, sets).values()[later]
+                aligned = direct.apply(sets[later].vector(word))
+                want = 1.0 - cosine(aligned, sets[0].vector(word))
+                assert abs(got - want) <= 1e-8
+
     def test_missing_word_yields_null_entries(self):
         sets = self._three_rotated_sets()
         series = semantic_change("yok", sets)
         assert series.values() == [None, None, None]
 
     def test_fixture_stationary_vs_swapped(self, fixture_tree):
-        from diacorpus.embeddings import ensure_ppmi, svd_embeddings
+        from diacorpus.embeddings import build_ppmi, count_cooccurrences, svd_embeddings
 
         sets = []
         for leaf in fixture_tree.leaves():
-            embedding, _ = svd_embeddings(ensure_ppmi(leaf, 2, 0.75), 16)
+            embedding, _ = svd_embeddings(build_ppmi(count_cooccurrences(leaf, 2), 0.75), 16)
             sets.append(embedding)
         stationary = semantic_change("kanun", sets).values()
         swapped = semantic_change("piyasa", sets).values()
@@ -254,19 +266,3 @@ class TestTransformFiles:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"transform\.txt: line 3\b"):
             read_transform(path)
-
-    def test_composition_order(self):
-        sets = TestSemanticChange()._three_rotated_sets()
-        step1 = procrustes_align(sets[1], sets[0])
-        step2 = procrustes_align(sets[2], sets[1])
-        composed = step2.composed_with(step1)
-        assert composed.source_period == PERIOD_1980
-        assert composed.target_period == PERIOD_1930
-        direct = procrustes_align(sets[2], sets[0])
-        assert np.max(np.abs(composed.matrix - direct.matrix)) <= 1e-8
-
-    def test_incompatible_composition_rejected(self):
-        sets = TestSemanticChange()._three_rotated_sets()
-        step1 = procrustes_align(sets[1], sets[0])
-        with pytest.raises(ParameterError):
-            step1.composed_with(step1)

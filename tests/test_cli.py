@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diacorpus
+from diacorpus.alignment import read_transform
 from diacorpus.cli import _write_report, main, ranking_records, to_json
 from diacorpus.corpus import csv_table
 from diacorpus.embeddings import most_similar, read_embeddings
@@ -805,6 +807,89 @@ class TestEmbedAlignQuery:
         assert not (tmp_path / "reports").exists()
 
 
+_P50 = "1950-1959"
+
+
+class TestThreePeriods:
+    """The fixture re-dated into three decades: every other 1980s document moves
+    to the 1950s, so ``semantic-change`` composes two consecutive transforms."""
+
+    WORDS = ("kanun", "piyasa", "televizyon", "belge")
+
+    @pytest.fixture(scope="class")
+    def flow(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("three_periods")
+        corpus = root / "corpus"
+        shutil.copytree(FIXTURES / "mini_corpus" / "docs", corpus / "docs")
+        manifest = json.loads((FIXTURES / "mini_corpus" / "manifest.json").read_text("utf-8"))
+        eighties = [record for record in manifest if record["date"].startswith("198")]
+        for record in eighties[1::2]:
+            record["date"] = "195" + record["date"][3:]
+        (corpus / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        config = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+        config.update(
+            corpus_root=str(corpus),
+            output_dir=str(root / "out"),
+            bucketing=[[1930, 1939], [1950, 1959], [1980, 1989]],
+            analyzer_tsv=str(FIXTURES / config["analyzer_tsv"]),
+        )
+        config_path = root / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(config_path)]
+        for step in (
+            ["ingest"],
+            ["embed", "svd"],
+            ["align", "--from", _P50, "--to", _P],
+            ["align", "--from", _L, "--to", _P50],
+            *(["query", "semantic-change", "--word", w, "--periods", _P, _P50, _L]
+              for w in self.WORDS),
+        ):
+            assert main(argv + step) == 0, step
+        return argv, root / "out"
+
+    def test_series_equal_an_independent_composition(self, flow):
+        _, out = flow
+        sets = [read_embeddings(out / "embeddings" / f"{p}.svd.vec") for p in (_P, _P50, _L)]
+        step_1950 = read_transform(out / "transforms" / f"{_P50}__to__{_P}.svd.txt").matrix
+        step_1980 = read_transform(out / "transforms" / f"{_L}__to__{_P50}.svd.txt").matrix
+        # row vectors: a 1980s vector goes to the 1950s, then to the 1930s
+        to_base = [np.eye(len(step_1950)), step_1950, step_1980 @ step_1950]
+        for word in self.WORDS:
+            values = self._values(out, word)
+            base = sets[0].vocab_index.get(word)
+            for value, current, matrix in zip(values, sets, to_base):
+                row = current.vocab_index.get(word)
+                if base is None or row is None:
+                    assert value is None
+                    continue
+                a, b = current.matrix[row] @ matrix, sets[0].matrix[base]
+                assert abs(value - (1 - a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))) <= 1e-12
+        # the words reach the last period, so both steps of the chain are used
+        assert all(self._values(out, w)[2] is not None for w in ("kanun", "piyasa"))
+
+    @staticmethod
+    def _values(out, word):
+        report = out / "reports" / f"semantic_change_{word}.json"
+        return [r["value"] for r in json.loads(report.read_text(encoding="utf-8"))]
+
+    def test_reversed_periods_write_the_same_bytes(self, flow):
+        argv, out = flow
+        report = out / "reports" / "semantic_change_kanun.json"
+        forward = report.read_bytes()
+        command = ["query", "semantic-change", "--word", "kanun", "--periods", _L, _P50, _P]
+        assert main(argv + command) == 0
+        assert report.read_bytes() == forward
+
+    def test_missing_step_asks_for_its_alignment(self, flow, tmp_path, capsys):
+        argv, out = flow
+        shutil.copytree(out, tmp_path / "out")
+        (tmp_path / "out" / "transforms" / f"{_L}__to__{_P50}.svd.txt").unlink()
+        command = ["query", "semantic-change", "--word", "kanun", "--periods", _P, _P50, _L]
+        assert main([*argv, "--output-dir", str(tmp_path / "out"), *command]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["context"]["run_first"] == f"align --from {_L} --to {_P50}"
+
+
 class TestEdgeTokens:
     @pytest.mark.parametrize("token", EDGE_TOKENS)
     @pytest.mark.parametrize(
@@ -869,6 +954,67 @@ def _assert_line_3_error(workspace, tmp_path, capsys, artifact, command, token):
     assert payload["error"] == 2
     assert f"{Path(artifact).name}: line 3: " in payload["message"]
     assert not (tmp_path / "reports").exists()
+
+
+class TestHeaderMismatch:
+    @pytest.mark.parametrize(
+        "artifact,old,new,command",
+        [
+            (
+                "embeddings/1980-1989.svd.vec",
+                "period=1980-1989", "period=1930-1939",
+                ["query", "most-similar", "--word", "kanun", "--period", _L],
+            ),
+            (
+                "embeddings/1930-1939.svd.vec",
+                "provenance=svd", "provenance=cbow",
+                ["query", "most-similar", "--word", "kanun", "--period", _P],
+            ),
+            (
+                "ppmi/1930-1939.tsv",
+                "#period=1930-1939", "#period=1980-1989",
+                ["query", "collocations", "--word", "kanun", "--period", _P],
+            ),
+            (
+                "vocab/1930-1939.lemma.tsv",
+                "#period=1930-1939", "#period=1940-1949",
+                ["analyze", "freq", "--word", "belge"],
+            ),
+        ],
+        ids=["vec-period", "vec-kind", "ppmi-period", "vocabulary-period"],
+    )
+    def test_header_naming_another_artifact_is_usage_error(
+        self, workspace, tmp_path, capsys, artifact, old, new, command
+    ):
+        """An artifact whose header names another period or kind than its file
+        exits 2 with one JSON line naming the file, and writes no report."""
+        for artifacts in ("vocab", "ppmi", "embeddings", "transforms"):
+            shutil.copytree(workspace / artifacts, tmp_path / artifacts)
+        path = tmp_path / artifact
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        assert old in header
+        path.write_text(header.replace(old, new) + "\n" + rest, encoding="utf-8")
+        code, out, err = run_cli(tmp_path, *command, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == 2
+        assert str(path) in payload["message"]
+        assert new.split("=")[1] in payload["message"]
+        assert not (tmp_path / "reports").exists()
+
+    def test_vocabulary_file_name_that_is_no_period_is_usage_error(
+        self, workspace, tmp_path, capsys
+    ):
+        shutil.copytree(workspace / "vocab", tmp_path / "vocab")
+        path = tmp_path / "vocab" / "thirties.lemma.tsv"
+        (tmp_path / "vocab" / "1930-1939.lemma.tsv").rename(path)
+        code, out, err = run_cli(tmp_path, "analyze", "freq", "--word", "belge", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert str(path) in json.loads(err)["message"]
+        assert not (tmp_path / "reports").exists()
 
 
 class TestDuplicateRecords:

@@ -7,14 +7,21 @@ from pathlib import Path
 
 from diacorpus.cli import build_parser
 
+from conftest import FIXTURES, PERIOD_1930, PERIOD_1980
+
 README = Path(__file__).parents[1] / "README.md"
 
 
-def test_readme_library_imports_resolve():
+def test_readme_library_example_runs():
     library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
-    imports = re.search(r"^from diacorpus import \([^)]*\)", library, re.MULTILINE)
-    assert imports is not None, "no 'from diacorpus import (...)' in the README's Library section"
-    exec(compile(imports.group(0), "README.md", "exec"), {})
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"corpus_root"' in example, "the Library example no longer reads 'corpus_root'"
+    corpus = repr(str(FIXTURES / "mini_corpus"))
+    names = {}
+    exec(compile(example.replace('"corpus_root"', corpus), "README.md", "exec"), names)
+    assert [period for period, _ in names["series"]] == [PERIOD_1930, PERIOD_1980]
+    assert isinstance(names["lemmas"], list)
+    assert names["lemmas"] and all(isinstance(lemma, str) for lemma in names["lemmas"])
 
 
 def test_readme_module_attributes_resolve():

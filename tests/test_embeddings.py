@@ -16,7 +16,6 @@ from diacorpus.embeddings import (
     collocations,
     cosine,
     count_cooccurrences,
-    ensure_ppmi,
     most_similar,
     read_embeddings,
     read_ppmi,
@@ -468,7 +467,7 @@ class TestFileFormats:
         if source == "unsorted-csr":
             matrices = [_unsorted_csr_ppmi()]
         elif source == "fixture":
-            matrices = [ensure_ppmi(leaf) for leaf in fixture_tree.leaves()]
+            matrices = [build_ppmi(count_cooccurrences(leaf)) for leaf in fixture_tree.leaves()]
         elif source == "empty":
             matrices = [PPMIMatrix(PERIOD_1930, {"aa": 0}, sp.csr_matrix((1, 1)), alpha=0.75)]
         else:
@@ -528,7 +527,7 @@ class TestFileFormats:
     def test_ppmi_read_of_shuffled_lines_gives_the_same_arrays(self, tmp_path, fixture_tree):
         leaf = fixture_tree.leaves()[0]
         path = tmp_path / "assoc.tsv"
-        built = ensure_ppmi(leaf)
+        built = build_ppmi(count_cooccurrences(leaf))
         write_ppmi(built, path)
         header, *entries = path.read_text(encoding="utf-8").splitlines()
         random.Random(15).shuffle(entries)

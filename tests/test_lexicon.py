@@ -347,7 +347,7 @@ class TestCoFrequency:
 
 
 def test_queries_store_nothing_on_the_leaf():
-    from diacorpus.embeddings import ensure_ppmi
+    from diacorpus.embeddings import build_ppmi, count_cooccurrences
 
     leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb cc aa bb", "d2": "bb cc aa"})
 
@@ -357,7 +357,7 @@ def test_queries_store_nothing_on_the_leaf():
 
     before = state()
     create_ngrams(leaf, 2)
-    ensure_ppmi(leaf)
+    build_ppmi(count_cooccurrences(leaf))
     cofrequency(leaf, "aa", "bb")
     morpheme_frequency(leaf, "a")
     vocab_metrics(leaf, ngram_order=2)
