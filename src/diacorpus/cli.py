@@ -52,6 +52,17 @@ from .errors import (
 )
 from .preprocess import FilterConfig, LookupAnalyzer, load_analyzer_tsv, read_input_text
 
+try:  # POSIX; a held lock raises BlockingIOError
+    from fcntl import LOCK_EX, LOCK_NB, flock
+
+    def _try_lock(fd: int) -> None:
+        flock(fd, LOCK_EX | LOCK_NB)
+except ImportError:  # Windows; a held lock raises OSError
+    import msvcrt
+
+    def _try_lock(fd: int) -> None:
+        msvcrt.locking(fd, msvcrt.LK_NBLCK, 1)
+
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
@@ -188,54 +199,27 @@ def _config_section(raw: dict, key: str, cls):
 class _Lock:
     """One command at a time per output directory.
 
-    The lock file holds the PID of its command. A lock whose PID names no
-    running process was left by a command that died, and is reclaimed once;
-    a live PID, or content that is not a PID, keeps the lock held.
+    The operating system holds an exclusive lock on ``.lock`` while the
+    command's file is open and drops it when the process ends, however it
+    ends. The file stays empty and is never removed: removing a locked file
+    would let one process lock the old file while another locks a new one.
     """
 
     def __init__(self, output_dir: Path):
         self._path = output_dir / ".lock"
-        self._acquired = False
-
-    def _holder_is_dead(self) -> bool:
-        """True only when the lock file holds the PID of no running process."""
-        if os.name != "posix":  # elsewhere os.kill(pid, 0) terminates the process
-            return False
-        try:
-            pid = int(self._path.read_text(encoding="ascii"))
-        except (OSError, ValueError):
-            return False
-        if pid <= 0:  # os.kill would signal a process group, not a process
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:  # alive, under another user
-            return False
-        return False
 
     def __enter__(self) -> "_Lock":
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        for attempt in (1, 2):
-            try:
-                fd = os.open(self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt == 2 or not self._holder_is_dead():
-                    raise DiacorpusError(
-                        f"another command holds the lock {self._path}; "
-                        "remove the file if no command is running"
-                    ) from None
-                self._path.unlink(missing_ok=True)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        self._acquired = True
+        self._file = open(self._path, "ab")
+        try:
+            _try_lock(self._file.fileno())
+        except OSError:
+            self._file.close()
+            raise DiacorpusError(f"another command holds the lock {self._path}") from None
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._acquired:
-            self._path.unlink(missing_ok=True)
+        self._file.close()
 
 
 def to_json(payload) -> str:
@@ -353,20 +337,33 @@ def _read_vocabulary(path: Path, level: str = "lemma") -> lexicon_mod.Vocabulary
     return vocab
 
 
-def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
-    """Rebuild a tree of vocabulary-only leaves from the files written by ingest."""
+def _lemma_vocabulary_paths(config: RunConfig) -> list[Path]:
+    """The lemma vocabularies ingest wrote, or MissingArtifactError if there are none."""
     vocab_dir = config.output_dir / "vocab"
-    files = sorted(vocab_dir.glob("*.lemma.tsv")) if vocab_dir.is_dir() else []
-    if not files:
+    paths = sorted(vocab_dir.glob("*.lemma.tsv"))
+    if not paths:
         raise MissingArtifactError(
             f"no lemma vocabulary artifacts under {vocab_dir}", needed_command="ingest"
         )
+    return paths
+
+
+def _period_vocabulary_path(config: RunConfig, period: TimePeriod) -> Path:
+    """The lemma vocabulary of ``period``; ParameterError if the corpus has no such period."""
+    path = config.output_dir / "vocab" / f"{period.label}.lemma.tsv"
+    if not path.is_file() and _lemma_vocabulary_paths(config):
+        raise ParameterError(f"no corpus leaf for period {period.label}")
+    return path
+
+
+def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
+    """Rebuild a tree of vocabulary-only leaves from the files written by ingest."""
     leaves = []
-    for path in files:
+    for path in _lemma_vocabulary_paths(config):
         vocab = _read_vocabulary(path)
         leaf = PeriodCorpus(vocab.period)
         leaf.vocabulary = vocab
-        surface_path = vocab_dir / f"{leaf.period.label}.surface.tsv"
+        surface_path = path.parent / f"{leaf.period.label}.surface.tsv"
         if surface_path.is_file():
             leaf.surface_vocabulary = _read_vocabulary(surface_path, level="surface")
         leaves.append(leaf)
@@ -444,6 +441,7 @@ def cmd_survived(config: RunConfig, args: argparse.Namespace) -> str:
 def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
     reports = config.output_dir / "reports"
     periods = _parse_periods(args.periods)
+    require_distinct(args.classes, "class")
     tree = _load_vocab_artifacts(config)
     # compute every analysis first, so a failing class writes no report
     class_rows = {
@@ -541,6 +539,7 @@ def _existing(path: Path, what: str, run_first: str) -> Path:
 
 
 def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
+    _period_vocabulary_path(config, period)  # a period not in the corpus is exit 2, not 3
     path = _existing(
         _embedding_path(config, period, kind),
         f"{kind} embeddings for period {period.label}",
@@ -611,11 +610,9 @@ def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
 def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
     label, out = args.period.label, config.output_dir
     name = _word_report_name("collocations", args.word, label)
+    vocab_path = _period_vocabulary_path(config, args.period)
     ppmi_path = _existing(
         out / "ppmi" / f"{label}.tsv", f"association matrix for period {label}", "embed ppmi"
-    )
-    vocab_path = _existing(
-        out / "vocab" / f"{label}.lemma.tsv", f"vocabulary for period {label}", "ingest"
     )
     ppmi = embeddings_mod.read_ppmi(ppmi_path, _read_vocabulary(vocab_path))
     _require_header(ppmi_path, "period", ppmi.period.label, label)

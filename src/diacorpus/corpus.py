@@ -209,11 +209,11 @@ class DiachronicCorpus(CorpusNode):
         return out
 
 
-def require_distinct(periods: Sequence[TimePeriod]) -> None:
-    """Raise ParameterError naming the first period listed twice in ``periods``."""
-    repeated = [p for i, p in enumerate(periods) if p in periods[:i]]
+def require_distinct(items: Sequence, kind: str = "period") -> None:
+    """Raise ParameterError naming the first of ``items`` listed twice (a period by its label)."""
+    repeated = [x for i, x in enumerate(items) if x in items[:i]]
     if repeated:
-        raise ParameterError(f"period {repeated[0].label} is listed twice")
+        raise ParameterError(f"{kind} {getattr(repeated[0], 'label', repeated[0])} is listed twice")
 
 
 def select_leaves(

@@ -235,11 +235,9 @@ def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
 def _canonical_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Fix each singular vector pair's sign so the largest-magnitude entry of
     # the left vector is positive; makes the factorization reproducible.
-    for k in range(u.shape[1]):
-        pivot = np.argmax(np.abs(u[:, k]))
-        if u[pivot, k] < 0:
-            u[:, k] = -u[:, k]
-            v[:, k] = -v[:, k]
+    flip = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return u, v
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -345,7 +346,7 @@ def _latin1_dictionary(tmp_path):
     return str(path)
 
 
-_P, _L = "1930-1939", "1980-1989"
+_P, _L, _P50 = "1930-1939", "1980-1989", "1950-1959"
 
 
 def _fixture(*argv):
@@ -357,6 +358,9 @@ def _fixture(*argv):
 _USAGE_ERRORS = {
     "unknown analysis": (lambda t: ["--config", CONFIG, "analyze", "bogus"], "'bogus'"),
     "no --config": (lambda t: ["analyze", "divergence"], "--config"),
+    "ortho, a class listed twice": (
+        _fixture("analyze", "ortho", "--classes", "b-p", "b-p"), "class b-p is listed twice"
+    ),
     "query without --word": (
         lambda t: ["--config", CONFIG, "query", "most-similar", "--period", "1930-1939"],
         "--word",
@@ -509,11 +513,34 @@ def test_repeated_period_is_usage_error(workspace, tmp_path, capsys, case):
     _assert_usage_error(workspace, tmp_path, capsys, argv, f"period {_P} is listed twice")
 
 
-def _assert_usage_error(workspace, tmp_path, capsys, argv, named):
-    """``argv`` over a copy of the workspace vocabularies exits 2 with one JSON
+_NOT_IN_CORPUS = {
+    "align": ["align", "--from", _P50, "--to", _P],
+    "most-similar": ["query", "most-similar", "--word", "kanun", "--period", _P50],
+    "aligned-most-similar": [
+        "query", "aligned-most-similar", "--word", "kanun", "--target", _P50, "--base", _P
+    ],
+    "semantic-change": ["query", "semantic-change", "--word", "kanun", "--periods", _P, _P50],
+    "collocations": ["query", "collocations", "--word", "kanun", "--period", _P50],
+}
+
+
+@pytest.mark.parametrize("case", _NOT_IN_CORPUS)
+def test_period_not_in_corpus_is_usage_error(workspace, tmp_path, capsys, case):
+    """A period the corpus has no vocabulary for is exit 2, as in the analyses,
+    not a missing artifact that no command could write."""
+    argv = ["--config", CONFIG, *_NOT_IN_CORPUS[case]]
+    _assert_usage_error(
+        workspace, tmp_path, capsys, argv, f"no corpus leaf for period {_P50}",
+        artifacts=("vocab", "ppmi", "embeddings", "transforms"),
+    )
+
+
+def _assert_usage_error(workspace, tmp_path, capsys, argv, named, artifacts=("vocab",)):
+    """``argv`` over a copy of the workspace ``artifacts`` exits 2 with one JSON
     line naming ``named`` and the command, nothing on stdout and no report."""
     out = tmp_path / "out"
-    shutil.copytree(workspace / "vocab", out / "vocab")
+    for artifact in artifacts:
+        shutil.copytree(workspace / artifact, out / artifact)
     code = main(["--output-dir", str(out), *argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -789,7 +816,8 @@ class TestEmbedAlignQuery:
         assert payload["error"] == 2
         assert "1930-1939.tsv: line 2" in payload["message"]
 
-    def test_negative_dim_vec_is_usage_error_naming_the_file(self, tmp_path, capsys):
+    def test_negative_dim_vec_is_usage_error_naming_the_file(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "vocab", tmp_path / "vocab")
         vec = tmp_path / "embeddings" / "1930-1939.svd.vec"
         vec.parent.mkdir()
         vec.write_text("dim=-1 vocab=0 provenance=svd period=1930-1939\n", encoding="utf-8")
@@ -806,8 +834,6 @@ class TestEmbedAlignQuery:
         assert "traceback" not in payload["context"]
         assert not (tmp_path / "reports").exists()
 
-
-_P50 = "1950-1959"
 
 
 class TestThreePeriods:
@@ -1101,34 +1127,80 @@ class TestDictCommand:
         assert json.loads(captured.err)["error"] == 2
 
 
-class TestProcessSurface:
-    def test_lock_is_exclusive(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / ".lock").write_text("held", encoding="utf-8")
-        code = main(["--config", CONFIG, "--output-dir", str(out), "ingest"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert json.loads(captured.err)["error"] == 1
+# A child that takes the output directory's lock, says so, and holds it
+# until its stdin closes.
+_HOLD_LOCK = """
+import sys
+from pathlib import Path
+from diacorpus.cli import _Lock
+with _Lock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    sys.stdin.read()
+"""
 
-    def test_stale_lock_of_a_dead_process_is_reclaimed(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
+
+def _lock_holder(out: Path) -> subprocess.Popen:
+    """A child process that holds the lock of ``out`` until its stdin closes."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(out)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=_child_env(),
+    )
+    assert child.stdout.readline() == "locked\n"
+    return child
+
+
+_SURVIVED = ("analyze", "survived", "--base-period", "1930-1939")
+
+
+class TestLock:
+    """The output directory's lock is held by the operating system for the
+    life of the process that took it, and only a live holder blocks."""
+
+    @pytest.fixture
+    def out(self, workspace, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "vocab", out / "vocab")
+        return out
+
+    def test_live_holder_in_another_process_blocks(self, out, capsys):
+        child = _lock_holder(out)
+        try:
+            code, stdout, err = run_cli(out, *_SURVIVED, capsys=capsys)
+        finally:
+            child.stdin.close()
+            child.wait()
+            child.stdout.close()
+        assert code == 1
+        assert stdout == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == 1
+        assert "holds the lock" in payload["message"]
+        assert not (out / "reports").exists()
+        assert run_cli(out, *_SURVIVED) == 0  # the holder has exited
+        assert (out / "reports" / "survived_1930-1939.json").is_file()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs POSIX signals")
+    def test_killed_holder_never_blocks(self, out):
+        child = _lock_holder(out)
+        os.kill(child.pid, signal.SIGKILL)
         child.wait()
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / ".lock").write_text(str(child.pid), encoding="utf-8")
-        assert run_cli(out, "dict") == 0
-        assert not (out / ".lock").exists()
+        child.stdin.close()
+        child.stdout.close()
+        assert run_cli(out, *_SURVIVED) == 0
 
-    def test_lock_of_a_live_process_is_kept(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
+    def test_pid_file_of_a_live_process_does_not_block(self, out):
+        """A ``.lock`` written by the PID-file protocol, naming a live process."""
         (out / ".lock").write_text(str(os.getpid()), encoding="utf-8")
-        code, _, err = run_cli(out, "dict", capsys=capsys)
-        assert code == 1
-        assert "holds the lock" in json.loads(err)["message"]
-        assert (out / ".lock").read_text(encoding="utf-8") == str(os.getpid())
+        assert run_cli(out, *_SURVIVED) == 0
 
+    def test_lock_file_stays_empty_after_run(self, out):
+        assert run_cli(out, *_SURVIVED) == 0
+        assert (out / ".lock").read_bytes() == b""
+        assert run_cli(out, *_SURVIVED) == 0
+
+
+class TestProcessSurface:
     def test_unexpected_exception_is_json_error(self, tmp_path, capsys):
         regular_file = tmp_path / "file"
         regular_file.write_text("", encoding="utf-8")
@@ -1140,11 +1212,6 @@ class TestProcessSurface:
         assert payload["error"] == 1
         assert payload["context"]["command"] == "dict"
         assert payload["context"]["exception"] == "NotADirectoryError"
-
-    def test_lock_released_after_run(self, tmp_path):
-        out = tmp_path / "out"
-        assert run_cli(out, "ingest") == 0
-        assert not (out / ".lock").exists()
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(
