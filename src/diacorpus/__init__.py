@@ -9,7 +9,6 @@ reports.
 from .alignment import (
     AlignmentTransform,
     aligned_most_similar,
-    consecutive_transforms,
     procrustes_align,
     semantic_change,
 )

@@ -134,12 +134,6 @@ def aligned_most_similar(
     return rank_by_cosine(aligned, base_set, top_k)
 
 
-def consecutive_transforms(sets: Sequence[EmbeddingSet]) -> list[AlignmentTransform]:
-    """Transforms mapping each period into the previous one, oldest period first."""
-    ordered = sorted(sets, key=lambda s: s.period)
-    return [procrustes_align(ordered[i + 1], ordered[i]) for i in range(len(ordered) - 1)]
-
-
 def semantic_change(
     word: str,
     sets: Sequence[EmbeddingSet],
@@ -155,8 +149,8 @@ def semantic_change(
     if not sets:
         raise ParameterError("semantic change needs at least one embedding set")
     ordered = sorted(sets, key=lambda s: s.period)
-    if transforms is None:
-        transforms = consecutive_transforms(ordered)
+    if transforms is None:  # each period into the previous one
+        transforms = [procrustes_align(ordered[i + 1], ordered[i]) for i in range(len(ordered) - 1)]
     transforms = list(transforms)
     if len(transforms) != len(ordered) - 1:
         raise ParameterError(

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -81,6 +82,21 @@ STATS_FIELDS = {
     "unique_lemma_count": "The number of unique stems",
     "unique_lemma_count_filtered": "The number of unique stems after filtering",
     "avg_tokens_per_document": "Average token count per document",
+}
+
+
+# artifact kind -> (path template under output_dir, its noun in a missing-artifact
+# error, the command that writes it); ingest owns, per period, the kinds it writes
+ARTIFACTS = {
+    "lemma": ("vocab/{period}.lemma.tsv", "lemma vocabulary", "ingest"),
+    "surface": ("vocab/{period}.surface.tsv", "surface vocabulary", "ingest"),
+    "tokens": ("tokens/{period}.npz", "token ids for period {period}", "ingest"),
+    "ngrams": ("ngrams/{period}.n{order}.{level}.tsv", "n-gram table", "ingest"),
+    "ppmi": ("ppmi/{period}.tsv", "association matrix for period {period}", "embed ppmi"),
+    "vectors": ("embeddings/{period}.{kind}.vec", "{kind} embeddings for period {period}",
+                "embed {kind}"),
+    "transform": ("transforms/{source}__to__{target}.{kind}.txt", "transform {source}->{target}",
+                  "align --from {source} --to {target}"),
 }
 
 
@@ -298,30 +314,45 @@ def _stats_csv(payload: dict) -> str:
     )
 
 
+def _artifact_path(config: RunConfig, artifact: str, **fields) -> Path:
+    """The path of ``ARTIFACTS[artifact]`` filled from ``fields``; a field not given is ``*``."""
+    return config.output_dir / ARTIFACTS[artifact][0].format_map(defaultdict(lambda: "*", fields))
+
+
+def _existing(config: RunConfig, artifact: str, **fields) -> Path:
+    """The artifact's path, or MissingArtifactError naming it and the command that writes it."""
+    path = _artifact_path(config, artifact, **fields)
+    if not path.is_file():
+        noun, command = (text.format_map(fields) for text in ARTIFACTS[artifact][1:])
+        raise MissingArtifactError(f"no {noun} at {path}", needed_command=command)
+    return path
+
+
 def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> str:
     tree = _ingest_tree(config)
     out = config.output_dir
-    for leaf in tree.leaves():
-        label = leaf.period.label
-        lexicon_mod.write_vocabulary(leaf.vocabulary, out / "vocab" / f"{label}.lemma.tsv")
-        lexicon_mod.write_vocabulary(
-            leaf.surface_vocabulary, out / "vocab" / f"{label}.surface.tsv"
-        )
-        lexicon_mod.write_token_ids(leaf, _token_path(config, leaf.period))
+    labels = [leaf.period.label for leaf in tree.leaves()]
+    for leaf, label in zip(tree.leaves(), labels):
+        for level, vocabulary in (("lemma", leaf.vocabulary), ("surface", leaf.surface_vocabulary)):
+            lexicon_mod.write_vocabulary(vocabulary, _artifact_path(config, level, period=label))
+        lexicon_mod.write_token_ids(leaf, _artifact_path(config, "tokens", period=label))
         for order in config.ngram_orders:
             for level in lexicon_mod.LEVELS:
                 table = lexicon_mod.create_ngrams(leaf, order, level)
-                lexicon_mod.write_ngrams(
-                    table, out / "ngrams" / f"{label}.n{order}.{level}.tsv"
-                )
+                path = _artifact_path(config, "ngrams", period=label, order=order, level=level)
+                lexicon_mod.write_ngrams(table, path)
     payload = _stats_payload(tree)
     write_artifact(out / "stats.json", to_json(payload))
     write_artifact(out / "stats.csv", _stats_csv(payload))
-    return to_json({"ingested_periods": [l.period.label for l in tree.leaves()]})
-
-
-def _token_path(config: RunConfig, period: TimePeriod) -> Path:
-    return config.output_dir / "tokens" / f"{period.label}.npz"
+    # ingest owns the period set: only once every write has succeeded, it
+    # removes what an earlier ingest wrote for a period that this one did not
+    for artifact, (_, _, command) in ARTIFACTS.items():
+        if command == "ingest":
+            pattern = _artifact_path(config, artifact)
+            for path in sorted(pattern.parent.glob(pattern.name)):
+                if path.name.split(".", 1)[0] not in labels:
+                    path.unlink()
+    return to_json({"ingested_periods": labels})
 
 
 def _require_header(path: Path, field: str, held: str, asked: str) -> None:
@@ -331,26 +362,27 @@ def _require_header(path: Path, field: str, held: str, asked: str) -> None:
 
 
 def _read_vocabulary(path: Path, level: str = "lemma") -> lexicon_mod.Vocabulary:
-    """A vocabulary TSV whose header period is the label in its file name."""
+    """A vocabulary TSV whose header period is its file name's label, the part before a dot."""
     vocab = lexicon_mod.read_vocabulary(path, level)
-    _require_header(path, "period", vocab.period.label, path.name.removesuffix(f".{level}.tsv"))
+    _require_header(path, "period", vocab.period.label, path.name.split(".", 1)[0])
     return vocab
 
 
 def _lemma_vocabulary_paths(config: RunConfig) -> list[Path]:
     """The lemma vocabularies ingest wrote, or MissingArtifactError if there are none."""
-    vocab_dir = config.output_dir / "vocab"
-    paths = sorted(vocab_dir.glob("*.lemma.tsv"))
+    pattern = _artifact_path(config, "lemma")
+    paths = sorted(pattern.parent.glob(pattern.name))
     if not paths:
+        _, noun, command = ARTIFACTS["lemma"]
         raise MissingArtifactError(
-            f"no lemma vocabulary artifacts under {vocab_dir}", needed_command="ingest"
+            f"no {noun} artifacts under {pattern.parent}", needed_command=command
         )
     return paths
 
 
 def _period_vocabulary_path(config: RunConfig, period: TimePeriod) -> Path:
     """The lemma vocabulary of ``period``; ParameterError if the corpus has no such period."""
-    path = config.output_dir / "vocab" / f"{period.label}.lemma.tsv"
+    path = _artifact_path(config, "lemma", period=period)
     if not path.is_file() and _lemma_vocabulary_paths(config):
         raise ParameterError(f"no corpus leaf for period {period.label}")
     return path
@@ -363,7 +395,7 @@ def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
         vocab = _read_vocabulary(path)
         leaf = PeriodCorpus(vocab.period)
         leaf.vocabulary = vocab
-        surface_path = path.parent / f"{leaf.period.label}.surface.tsv"
+        surface_path = _artifact_path(config, "surface", period=leaf.period)
         if surface_path.is_file():
             leaf.surface_vocabulary = _read_vocabulary(surface_path, level="surface")
         leaves.append(leaf)
@@ -494,16 +526,12 @@ def cmd_freq(config: RunConfig, args: argparse.Namespace) -> str:
     return _write_report(config.output_dir / "reports", name, series_records(series), header)
 
 
-def _embedding_path(config: RunConfig, period: TimePeriod, kind: str) -> Path:
-    return config.output_dir / "embeddings" / f"{period.label}.{kind}.vec"
-
-
 def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
     leaves = _load_vocab_artifacts(config).leaves()
     # load every store and build every period's result before writing anything,
     # so a missing store or a failing period leaves no output
     for leaf in leaves:
-        lexicon_mod.read_token_ids(_token_path(config, leaf.period), leaf)
+        lexicon_mod.read_token_ids(_existing(config, "tokens", period=leaf.period), leaf)
     cfg = config.embedding
 
     def build(leaf: PeriodCorpus):
@@ -520,39 +548,21 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
         return ppmi if args.kind == "ppmi" else embeddings_mod.svd_embeddings(ppmi, cfg.dim)[0]
 
     results = [build(leaf) for leaf in leaves]
-    if args.kind == "ppmi":
-        paths = [config.output_dir / "ppmi" / f"{leaf.period.label}.tsv" for leaf in leaves]
-        write = embeddings_mod.write_ppmi
-    else:
-        paths = [_embedding_path(config, leaf.period, args.kind) for leaf in leaves]
-        write = embeddings_mod.write_embeddings
+    artifact = "ppmi" if args.kind == "ppmi" else "vectors"
+    write = embeddings_mod.write_ppmi if args.kind == "ppmi" else embeddings_mod.write_embeddings
+    paths = [_artifact_path(config, artifact, period=l.period, kind=args.kind) for l in leaves]
     for result, path in zip(results, paths):
         write(result, path)
     return to_json({"written": [path.as_posix() for path in paths]})
 
 
-def _existing(path: Path, what: str, run_first: str) -> Path:
-    """``path``, or MissingArtifactError naming ``what`` and the command that writes it."""
-    if not path.is_file():
-        raise MissingArtifactError(f"no {what} at {path}", needed_command=run_first)
-    return path
-
-
 def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
     _period_vocabulary_path(config, period)  # a period not in the corpus is exit 2, not 3
-    path = _existing(
-        _embedding_path(config, period, kind),
-        f"{kind} embeddings for period {period.label}",
-        f"embed {kind}",
-    )
+    path = _existing(config, "vectors", period=period, kind=kind)
     embedding_set = embeddings_mod.read_embeddings(path)
     _require_header(path, "period", embedding_set.period.label, period.label)
     _require_header(path, "provenance", embedding_set.provenance, kind)
     return embedding_set
-
-
-def _transform_path(config: RunConfig, source: TimePeriod, target: TimePeriod, kind: str) -> Path:
-    return config.output_dir / "transforms" / f"{source.label}__to__{target.label}.{kind}.txt"
 
 
 def cmd_align(config: RunConfig, args: argparse.Namespace) -> str:
@@ -561,17 +571,13 @@ def cmd_align(config: RunConfig, args: argparse.Namespace) -> str:
     source_set = _read_embedding_artifact(config, source, args.kind)
     target_set = _read_embedding_artifact(config, target, args.kind)
     transform = alignment_mod.procrustes_align(source_set, target_set)
-    path = _transform_path(config, source, target, args.kind)
+    path = _artifact_path(config, "transform", source=source, target=target, kind=args.kind)
     alignment_mod.write_transform(transform, path)
     return to_json({"written": path.as_posix(), "shared_words": len(transform.shared_vocab)})
 
 
 def _read_transform_artifact(config: RunConfig, source: TimePeriod, target: TimePeriod, kind: str):
-    path = _existing(
-        _transform_path(config, source, target, kind),
-        f"transform {source.label}->{target.label}",
-        f"align --from {source.label} --to {target.label}",
-    )
+    path = _existing(config, "transform", source=source, target=target, kind=kind)
     return alignment_mod.read_transform(path)
 
 
@@ -611,9 +617,7 @@ def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
     label, out = args.period.label, config.output_dir
     name = _word_report_name("collocations", args.word, label)
     vocab_path = _period_vocabulary_path(config, args.period)
-    ppmi_path = _existing(
-        out / "ppmi" / f"{label}.tsv", f"association matrix for period {label}", "embed ppmi"
-    )
+    ppmi_path = _existing(config, "ppmi", period=label)
     ppmi = embeddings_mod.read_ppmi(ppmi_path, _read_vocabulary(vocab_path))
     _require_header(ppmi_path, "period", ppmi.period.label, label)
     ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)

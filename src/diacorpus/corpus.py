@@ -64,6 +64,9 @@ class TimePeriod:
     def label(self) -> str:
         return f"{self.start_year}-{self.end_year}"
 
+    def __str__(self) -> str:  # artifact path templates format a period as its label
+        return self.label
+
     def contains(self, year: int) -> bool:
         return self.start_year <= year <= self.end_year
 

@@ -124,6 +124,47 @@ class TestIngest:
         assert "manifest" in payload["message"]
         assert payload["context"]["command"] == "ingest"
 
+    @staticmethod
+    def _rebucketed(tmp_path, bucketing) -> list[str]:
+        """argv of the fixture config with ``bucketing``, over ``tmp_path / "out"``."""
+        raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+        raw.update(
+            bucketing=bucketing,
+            corpus_root=str(FIXTURES / "mini_corpus"),
+            analyzer_tsv=str(FIXTURES / "analyzer_stub.tsv"),
+        )
+        config = tmp_path / "rebucketed.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        return ["--config", str(config), "--output-dir", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize(
+        "bucketing", [[[1930, 1949], [1980, 1989]], [[1980, 1989]]], ids=["overlapping", "fewer"]
+    )
+    def test_reingest_drops_the_periods_it_no_longer_has(self, tmp_path, capsys, bucketing):
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        argv = self._rebucketed(tmp_path, bucketing)
+        assert main([*argv, "ingest"]) == 0
+        assert main([*argv, "analyze", "freq", "--word", "kanun"]) == 0
+        labels = [f"{start}-{end}" for start, end in bucketing]
+        report = json.loads((out / "reports" / "freq_kanun.json").read_text(encoding="utf-8"))
+        assert [record["period"] for record in report] == labels
+        for artifact in ("vocab", "tokens", "ngrams"):
+            held = {path.name.split(".", 1)[0] for path in (out / artifact).iterdir()}
+            assert held == set(labels), artifact
+
+    def test_failed_reingest_keeps_the_previous_periods(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        before = _tree_digest(out)
+        shutil.rmtree(out / "ngrams")
+        (out / "ngrams").write_bytes(b"")  # the n-gram writes fail after the vocabularies
+        assert main([*self._rebucketed(tmp_path, [[1980, 1989]]), "ingest"]) == 1
+        after = _tree_digest(out)
+        assert {k: v for k, v in after.items() if k.startswith(("vocab/", "tokens/"))} == {
+            k: v for k, v in before.items() if k.startswith(("vocab/", "tokens/"))
+        }
+
 
 class TestAnalyze:
     def test_divergence_outputs_match_library(self, workspace, fixture_tree):
@@ -551,6 +592,92 @@ def _assert_usage_error(workspace, tmp_path, capsys, argv, named, artifacts=("vo
     assert named in payload["message"]
     command = next(a for a in argv if a in ("ingest", "analyze", "embed", "align", "query", "dict"))
     assert payload["context"]["command"] == command
+    assert not (out / "reports").exists()
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """Every artifact the queries read, of both embedding kinds, and no report."""
+    out = tmp_path_factory.mktemp("built")
+    steps = [["ingest"], ["embed", "ppmi"], ["embed", "svd"], ["embed", "cbow"]]
+    steps += [["align", "--from", _L, "--to", _P, "--kind", kind] for kind in ("svd", "cbow")]
+    for step in steps:
+        assert run_cli(out, *step) == 0, step
+    return out
+
+
+_ANALYSES = [
+    ["analyze", "divergence"],
+    ["analyze", "survived", "--base-period", _P],
+    ["analyze", "ortho"],
+    ["analyze", "dict-crossover"],
+    ["analyze", "freq", "--word", "kanun"],
+]
+_EMBEDS = [["embed", kind] for kind in ("ppmi", "svd", "cbow")]
+_ALIGNED = ["query", "aligned-most-similar", "--word", "televizyon", "--target", _L, "--base", _P]
+_CHANGE = ["query", "semantic-change", "--word", "piyasa", "--periods", _P, _L]
+_VECTOR_READERS = [
+    ["align", "--from", _L, "--to", _P],
+    ["query", "most-similar", "--word", "kanun", "--period", _P],
+    _ALIGNED,
+    _CHANGE,
+]
+_COLLOCATIONS = ["query", "collocations", "--word", "kanun", "--period", _P]
+_NO_VOCABULARY = ("no lemma vocabulary artifacts under {out}/vocab", "ingest")
+_NO_VECTORS = "no {kind} embeddings for period 1930-1939 at {out}/embeddings/1930-1939.{kind}.vec"
+_NO_TRANSFORM = (
+    "no transform 1980-1989->1930-1939 at {out}/transforms/1980-1989__to__1930-1939.svd.txt",
+    f"align --from {_L} --to {_P}",
+)
+
+# (removed file or directory, command, message, run_first); {out} is the output directory
+_MISSING_ARTIFACTS = [
+    *(("vocab", argv, *_NO_VOCABULARY) for argv in [*_ANALYSES, *_EMBEDS, *_VECTOR_READERS]),
+    ("vocab", _COLLOCATIONS, *_NO_VOCABULARY),
+    *(
+        ("tokens/1980-1989.npz", argv,
+         "no token ids for period 1980-1989 at {out}/tokens/1980-1989.npz", "ingest")
+        for argv in _EMBEDS
+    ),
+    *(
+        (f"embeddings/1930-1939.{kind}.vec", [*argv, "--kind", kind],
+         _NO_VECTORS.replace("{kind}", kind), f"embed {kind}")
+        for kind in ("svd", "cbow")
+        for argv in _VECTOR_READERS
+    ),
+    ("ppmi/1930-1939.tsv", _COLLOCATIONS,
+     "no association matrix for period 1930-1939 at {out}/ppmi/1930-1939.tsv", "embed ppmi"),
+    ("transforms/1980-1989__to__1930-1939.svd.txt", _ALIGNED, *_NO_TRANSFORM),
+    ("transforms/1980-1989__to__1930-1939.svd.txt", _CHANGE, *_NO_TRANSFORM),
+]
+
+
+@pytest.mark.parametrize(
+    "removed, argv, message, run_first",
+    _MISSING_ARTIFACTS,
+    ids=[f"{removed} {' '.join(argv[:2])}" for removed, argv, *_ in _MISSING_ARTIFACTS],
+)
+def test_missing_artifact_is_one_json_line(built, tmp_path, capsys, removed, argv, message,
+                                           run_first):
+    """Each read site, without the file it reads, exits 3 with one JSON line
+    naming the file and the command that writes it, nothing on stdout and no report."""
+    out = tmp_path / "out"
+    shutil.copytree(built, out)
+    target = out / removed
+    if target.is_dir():
+        shutil.rmtree(target)
+    else:
+        target.unlink()
+    code = main(["--config", CONFIG, "--output-dir", str(out), *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": 3,
+        "message": message.format(out=out),
+        "context": {"command": argv[0], "run_first": run_first},
+    }
     assert not (out / "reports").exists()
 
 

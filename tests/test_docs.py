@@ -5,7 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
-from diacorpus.cli import build_parser
+from diacorpus.cli import ARTIFACTS, build_parser
 
 from conftest import FIXTURES, PERIOD_1930, PERIOD_1980
 
@@ -43,3 +43,12 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command))
+
+
+def test_readme_lists_every_artifact():
+    section = README.read_text(encoding="utf-8").split("## Output directory", 1)[1]
+    lines = section.split("\n## ", 1)[0].replace("\n  ", " ").splitlines()
+    items = [line for line in lines if line.startswith("- ")]
+    for artifact, (path, _, command) in ARTIFACTS.items():
+        path, command = (re.sub(r"\{(\w+)\}", r"<\1>", text) for text in (path, command))
+        assert any(f"`{path}`" in i and i.endswith(f": `{command}`") for i in items), artifact
