@@ -86,7 +86,7 @@ STATS_FIELDS = {
 
 
 # artifact kind -> (path template under output_dir, its noun in a missing-artifact
-# error, the command that writes it); ingest owns, per period, the kinds it writes
+# error, the command that writes it); ingest owns every file of the kinds it writes
 ARTIFACTS = {
     "lemma": ("vocab/{period}.lemma.tsv", "lemma vocabulary", "ingest"),
     "surface": ("vocab/{period}.surface.tsv", "surface vocabulary", "ingest"),
@@ -96,7 +96,7 @@ ARTIFACTS = {
     "vectors": ("embeddings/{period}.{kind}.vec", "{kind} embeddings for period {period}",
                 "embed {kind}"),
     "transform": ("transforms/{source}__to__{target}.{kind}.txt", "transform {source}->{target}",
-                  "align --from {source} --to {target}"),
+                  "align --from {source} --to {target} --kind {kind}"),
 }
 
 
@@ -332,25 +332,27 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> str:
     tree = _ingest_tree(config)
     out = config.output_dir
     labels = [leaf.period.label for leaf in tree.leaves()]
+    written = set()
     for leaf, label in zip(tree.leaves(), labels):
         for level, vocabulary in (("lemma", leaf.vocabulary), ("surface", leaf.surface_vocabulary)):
-            lexicon_mod.write_vocabulary(vocabulary, _artifact_path(config, level, period=label))
-        lexicon_mod.write_token_ids(leaf, _artifact_path(config, "tokens", period=label))
+            written.add(path := _artifact_path(config, level, period=label))
+            lexicon_mod.write_vocabulary(vocabulary, path)
+        written.add(path := _artifact_path(config, "tokens", period=label))
+        lexicon_mod.write_token_ids(leaf, path)
         for order in config.ngram_orders:
             for level in lexicon_mod.LEVELS:
-                table = lexicon_mod.create_ngrams(leaf, order, level)
                 path = _artifact_path(config, "ngrams", period=label, order=order, level=level)
-                lexicon_mod.write_ngrams(table, path)
+                lexicon_mod.write_ngrams(lexicon_mod.create_ngrams(leaf, order, level), path)
+                written.add(path)
     payload = _stats_payload(tree)
     write_artifact(out / "stats.json", to_json(payload))
     write_artifact(out / "stats.csv", _stats_csv(payload))
-    # ingest owns the period set: only once every write has succeeded, it
-    # removes what an earlier ingest wrote for a period that this one did not
+    # ingest owns its files: once every write has succeeded, it removes those it did not write
     for artifact, (_, _, command) in ARTIFACTS.items():
         if command == "ingest":
             pattern = _artifact_path(config, artifact)
             for path in sorted(pattern.parent.glob(pattern.name)):
-                if path.name.split(".", 1)[0] not in labels:
+                if path not in written:
                     path.unlink()
     return to_json({"ingested_periods": labels})
 

@@ -307,21 +307,23 @@ def _ingest_leaf(
 ) -> None:
     """Preprocess a leaf's documents and populate stats, token ids and vocabularies.
 
-    Normalization and tokenization run per document; case folding and
-    lemmatization run once per distinct surface of the leaf, which relies on
-    the analyzer being pure (see ``MorphAnalyzer``).
+    Normalization runs per document, tokenization once per distinct whitespace
+    chunk, and case folding and lemmatization once per distinct surface of the
+    leaf, which relies on the analyzer being pure (see ``MorphAnalyzer``).
     """
     from .lexicon import Vocabulary, vocabulary_order  # deferred: lexicon imports corpus types
 
-    # surface type -> type number, in order of first occurrence
+    # surface type -> type number in order of first occurrence; whitespace chunk -> its types
     type_numbers: dict[str, int] = {}
+    chunk_types: dict[str, list[int]] = {}
     token_types: list[int] = []
     offsets = [0]
     for text in raw_texts:
-        token_types.extend(
-            type_numbers.setdefault(s, len(type_numbers))
-            for s in token_surfaces(normalize_text(text))
-        )
+        for chunk in normalize_text(text).split():
+            if chunk not in chunk_types:
+                surfaces = token_surfaces(chunk)
+                chunk_types[chunk] = [type_numbers.setdefault(s, len(type_numbers)) for s in surfaces]
+            token_types += chunk_types[chunk]
         offsets.append(len(token_types))
     types = list(type_numbers)
     unique = sorted(types)

@@ -3,7 +3,8 @@
 Vocabularies are lemma-level by default; a case-folded surface-level table is
 kept alongside for n-grams and the writing-convention analyses. Each range
 query computes its per-period values from the leaves and stores nothing on
-them.
+them. An n-gram table is arrays (``NgramTable``); its ``entries`` dict is
+built on demand, never by ingest, and ``NgramTable.from_entries`` inverts it.
 """
 
 from __future__ import annotations
@@ -77,22 +78,37 @@ class Vocabulary:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class NgramTable:
     """Exact n-gram counts of one period at one level (surface or lemma).
 
-    ``entries`` is in written order: count descending, then gram. Both
-    ``create_ngrams`` and ``read_ngrams`` produce it so, and ``write_ngrams``
-    writes the entries in that order without sorting them again.
+    ``words`` is lexicographic, ``columns`` holds one array of ``words`` indices per
+    gram position, and rows are in written order: count descending, then gram.
+    ``create_ngrams`` and ``read_ngrams`` order rows so; ``write_ngrams`` keeps it.
     """
 
     period: TimePeriod
     order: int
-    entries: dict[tuple[str, ...], int]
+    words: np.ndarray
+    columns: list[np.ndarray]
+    counts: np.ndarray
     level: str = "lemma"
 
+    @classmethod
+    def from_entries(cls, period: TimePeriod, order: int, entries: dict, level: str = "lemma"):
+        """The table of ``gram -> count`` entries, its rows in the entries' order."""
+        grams = np.array(list(entries), dtype=object).reshape(len(entries), order)
+        words, ranks = np.unique(grams, return_inverse=True)  # sorted as ``sorted`` sorts
+        counts = np.array(list(entries.values()), dtype=np.int64)
+        return cls(period, order, words, list(ranks.reshape(grams.shape).T), counts, level)
+
+    @property
+    def entries(self) -> dict[tuple[str, ...], int]:
+        """The rows as a ``gram -> count`` dict in written order, built on each access."""
+        return dict(zip(zip(*(self.words[c].tolist() for c in self.columns)), self.counts.tolist()))
+
     def total(self) -> int:
-        return sum(self.entries.values())
+        return int(self.counts.sum())
 
 
 def vocabulary_order(vocab: Vocabulary) -> list[str]:
@@ -127,12 +143,24 @@ def _check_ngram_order(order: int) -> None:
         raise ParameterError(f"n-gram order must be one of {NGRAM_ORDERS}, got {order}")
 
 
+def _gram_keys(columns: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Per row of rank ``columns`` (ranks below ``size``), an int64 key that sorts as
+    ``np.lexsort(columns[::-1])``: ``key * size + rank``, folded left to right. Before
+    a fold that could pass int64 (at order 3, ``size >= 2**21``) keys become dense ranks."""
+    keys, span = np.zeros(len(columns[0]), dtype=np.int64), 1  # every key is below span
+    for column in columns:
+        if span > np.iinfo(np.int64).max // max(size, 1):  # dense ranks are below len(keys)
+            keys, span = np.unique(keys, return_inverse=True)[1], len(keys)
+        keys, span = keys * size + column, span * size
+    return keys
+
+
 def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> NgramTable:
     """Build the sliding-window n-gram table of one leaf.
 
     Windows never cross document boundaries, and an n-gram is counted only if
-    every member survived vocabulary filtering. Entries are in written order:
-    frequency-descending, then by gram.
+    every member survived vocabulary filtering. Rows are in written order:
+    frequency-descending, then by gram; one argsort of ``_gram_keys`` groups them.
     """
     _check_ngram_order(order)
     words = vocabulary_order(create_vocabulary(leaf, level))
@@ -150,18 +178,14 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
         keep &= ids[k : k + windows] >= 0
     starts = np.flatnonzero(keep)
     columns = [rank[ids[starts + k]] for k in range(order)]
-    sort = np.lexsort(columns[::-1])
-    columns = [c[sort] for c in columns]
-    run_start = np.zeros(len(starts), dtype=bool)
-    run_start[:1] = True
-    for c in columns:
-        run_start[1:] |= c[1:] != c[:-1]
-    firsts = np.flatnonzero(run_start)
-    counts = np.diff(np.append(firsts, len(starts)))
+    keys = _gram_keys(columns, len(words))
+    sort = np.argsort(keys)
+    # a run of equal keys is one gram; keys are >= 0, so the first row starts a run
+    firsts = np.flatnonzero(np.diff(keys[sort], prepend=-1))
+    counts = np.diff(firsts, append=len(keys))
     by_count = np.argsort(-counts, kind="stable")
-    grams = zip(*(by_rank[c[firsts[by_count]]].tolist() for c in columns))
-    entries = dict(zip(grams, counts[by_count].tolist()))
-    return NgramTable(period=leaf.period, order=order, entries=entries, level=level)
+    columns = [c[sort[firsts[by_count]]] for c in columns]
+    return NgramTable(leaf.period, order, by_rank, columns, counts[by_count], level)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +473,18 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
 
 
 def write_ngrams(table: NgramTable, path: str | Path) -> None:
-    """TSV export: header line, then space-joined gram<TAB>frequency in entry order.
+    """TSV export: header line, then space-joined gram<TAB>frequency in row order.
 
-    Entries are rendered ``CHUNK_VALUES`` at a time.
+    Rows are rendered ``CHUNK_VALUES`` at a time.
     """
     header = _header_line(table.period, table.total())
-    grams, freqs = list(table.entries), list(table.entries.values())
 
     def chunks() -> Iterator[str]:
         yield f"{header}\n"
-        for start in range(0, len(grams), CHUNK_VALUES):
+        for start in range(0, len(table.counts), CHUNK_VALUES):
             part = slice(start, start + CHUNK_VALUES)
-            lines = zip(map(" ".join, grams[part]), map(str, freqs[part]))
+            grams = zip(*(table.words[c[part]].tolist() for c in table.columns))
+            lines = zip(map(" ".join, grams), map(str, table.counts[part].tolist()))
             yield "\n".join(map("\t".join, lines)) + "\n"
 
     write_artifact(path, chunks())
@@ -469,4 +493,4 @@ def write_ngrams(table: NgramTable, path: str | Path) -> None:
 def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:
     """Load an n-gram TSV; ``_read_counts`` states its rules and errors."""
     head, entries = _read_counts(path, "n-gram", order)
-    return NgramTable(period=head["period"], order=order, entries=entries, level=level)
+    return NgramTable.from_entries(head["period"], order, entries, level)

@@ -11,7 +11,6 @@ punctuation (clitic apostrophes, hyphens) stays inside the token.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -25,9 +24,6 @@ DEFAULT_THRESHOLD_DIVISOR = 10_000_000
 # Soft hyphen has no clean text representation, so normalization drops it
 # outright; other space-like characters are handled by the whitespace rule.
 _SOFT_HYPHEN = "\u00ad"
-# ``\s`` matches exactly the characters for which ``str.isspace()`` is true.
-_NEWLINE_RUN = re.compile(r"\s*\n\s*")
-_BLANK_RUN = re.compile(r"[^\S\n]+")
 
 # Turkish has dotted and dotless i as distinct letters, so the standard
 # Unicode lowercase mapping (I -> i) merges words that must stay apart.
@@ -47,8 +43,9 @@ def normalize_text(raw: str) -> str:
     non-breaking spaces and repeated blanks do not. Leading and trailing
     whitespace is dropped entirely. Total function: never raises.
     """
-    text = _NEWLINE_RUN.sub("\n", raw.replace(_SOFT_HYPHEN, ""))
-    return _BLANK_RUN.sub(" ", text).strip()
+    # ``str.split()`` splits at exactly the characters for which ``isspace()`` is true
+    lines = (" ".join(line.split()) for line in raw.replace(_SOFT_HYPHEN, "").split("\n"))
+    return "\n".join(filter(None, lines))
 
 
 def _is_punct(ch: str) -> bool:

@@ -125,15 +125,15 @@ class TestIngest:
         assert payload["context"]["command"] == "ingest"
 
     @staticmethod
-    def _rebucketed(tmp_path, bucketing) -> list[str]:
-        """argv of the fixture config with ``bucketing``, over ``tmp_path / "out"``."""
+    def _configured(tmp_path, **settings) -> list[str]:
+        """argv of the fixture config with ``settings``, over ``tmp_path / "out"``."""
         raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
         raw.update(
-            bucketing=bucketing,
+            settings,
             corpus_root=str(FIXTURES / "mini_corpus"),
             analyzer_tsv=str(FIXTURES / "analyzer_stub.tsv"),
         )
-        config = tmp_path / "rebucketed.json"
+        config = tmp_path / "configured.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
         return ["--config", str(config), "--output-dir", str(tmp_path / "out")]
 
@@ -143,7 +143,7 @@ class TestIngest:
     def test_reingest_drops_the_periods_it_no_longer_has(self, tmp_path, capsys, bucketing):
         out = tmp_path / "out"
         assert run_cli(out, "ingest") == 0
-        argv = self._rebucketed(tmp_path, bucketing)
+        argv = self._configured(tmp_path, bucketing=bucketing)
         assert main([*argv, "ingest"]) == 0
         assert main([*argv, "analyze", "freq", "--word", "kanun"]) == 0
         labels = [f"{start}-{end}" for start, end in bucketing]
@@ -153,13 +153,23 @@ class TestIngest:
             held = {path.name.split(".", 1)[0] for path in (out / artifact).iterdir()}
             assert held == set(labels), artifact
 
+    def test_reingest_drops_the_orders_it_no_longer_has(self, tmp_path):
+        out = tmp_path / "out"
+        assert main([*self._configured(tmp_path, ngram_orders=[1, 2, 3]), "ingest"]) == 0
+        assert len(list((out / "ngrams").iterdir())) == 12
+        assert main([*self._configured(tmp_path, ngram_orders=[1]), "ingest"]) == 0
+        assert sorted(path.name for path in (out / "ngrams").iterdir()) == [
+            f"{label}.n1.{level}.tsv" for label in ("1930-1939", "1980-1989")
+            for level in ("lemma", "surface")
+        ]
+
     def test_failed_reingest_keeps_the_previous_periods(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli(out, "ingest") == 0
         before = _tree_digest(out)
         shutil.rmtree(out / "ngrams")
         (out / "ngrams").write_bytes(b"")  # the n-gram writes fail after the vocabularies
-        assert main([*self._rebucketed(tmp_path, [[1980, 1989]]), "ingest"]) == 1
+        assert main([*self._configured(tmp_path, bucketing=[[1980, 1989]]), "ingest"]) == 1
         after = _tree_digest(out)
         assert {k: v for k, v in after.items() if k.startswith(("vocab/", "tokens/"))} == {
             k: v for k, v in before.items() if k.startswith(("vocab/", "tokens/"))
@@ -627,7 +637,7 @@ _NO_VOCABULARY = ("no lemma vocabulary artifacts under {out}/vocab", "ingest")
 _NO_VECTORS = "no {kind} embeddings for period 1930-1939 at {out}/embeddings/1930-1939.{kind}.vec"
 _NO_TRANSFORM = (
     "no transform 1980-1989->1930-1939 at {out}/transforms/1980-1989__to__1930-1939.svd.txt",
-    f"align --from {_L} --to {_P}",
+    f"align --from {_L} --to {_P} --kind svd",
 )
 
 # (removed file or directory, command, message, run_first); {out} is the output directory
@@ -679,6 +689,17 @@ def test_missing_artifact_is_one_json_line(built, tmp_path, capsys, removed, arg
         "context": {"command": argv[0], "run_first": run_first},
     }
     assert not (out / "reports").exists()
+
+
+def test_following_run_first_of_a_missing_cbow_transform_succeeds(built, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(built, out)
+    (out / "transforms" / f"{_L}__to__{_P}.cbow.txt").unlink()
+    assert run_cli(out, *_ALIGNED, "--kind", "cbow") == 3
+    run_first = json.loads(capsys.readouterr().err)["context"]["run_first"]
+    assert run_first == f"align --from {_L} --to {_P} --kind cbow"
+    assert run_cli(out, *run_first.split()) == 0
+    assert run_cli(out, *_ALIGNED, "--kind", "cbow") == 0
 
 
 class TestConfigErrors:
@@ -1040,7 +1061,7 @@ class TestThreePeriods:
         command = ["query", "semantic-change", "--word", "kanun", "--periods", _P, _P50, _L]
         assert main([*argv, "--output-dir", str(tmp_path / "out"), *command]) == 3
         payload = json.loads(capsys.readouterr().err)
-        assert payload["context"]["run_first"] == f"align --from {_L} --to {_P50}"
+        assert payload["context"]["run_first"] == f"align --from {_L} --to {_P50} --kind svd"
 
 
 class TestEdgeTokens:

@@ -3,13 +3,15 @@ import errno
 import io
 import json
 import re
+import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diacorpus.corpus import (
@@ -30,6 +32,14 @@ from diacorpus.corpus import (
     write_artifact,
 )
 from diacorpus.errors import IngestError, ParameterError
+from diacorpus.preprocess import (
+    FilterConfig,
+    filter_vocabulary,
+    lemma_surfaces,
+    normalize_text,
+    token_surfaces,
+    turkish_lower,
+)
 from diacorpus.alignment import AlignmentTransform, read_transform, write_transform
 from diacorpus.embeddings import (
     EmbeddingSet,
@@ -215,6 +225,49 @@ class TestDeterminismAndStats:
             assert stats.avg_tokens_per_document == pytest.approx(
                 stats.token_count_raw / stats.document_count
             )
+
+
+# short runs of letters (with Turkish İ/I), of punctuation and symbols that split
+# off a chunk's edges and of the soft hyphen normalization drops, between runs of
+# any whitespace characters, so that chunks repeat and differ only in case
+_INGEST_TEXTS = st.lists(
+    st.text(st.sampled_from("açİIiı.,'-()«$+\u00ad"), min_size=1, max_size=3)
+    | st.text(
+        st.sampled_from([chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]),
+        min_size=1,
+        max_size=2,
+    ),
+    max_size=16,
+).map("".join)
+
+
+class TestIngestLeafAgainstWholeDocuments:
+    """Ingest tokenizes each distinct chunk once; its ids and type order equal a
+    reference that tokenizes every whole document."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(texts=["«İI» I i\u00a0ı.", "i\u00adI ı\u2029İ"], divisor=10_000_000, alphabetic_only=False)
+    @given(
+        texts=st.lists(_INGEST_TEXTS, max_size=4),
+        divisor=st.sampled_from([10, 10_000_000]),
+        alphabetic_only=st.booleans(),
+    )
+    def test_token_ids_and_type_order(self, texts, divisor, alphabetic_only):
+        config = FilterConfig(threshold_divisor=divisor, alphabetic_only=alphabetic_only)
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, dict(enumerate(texts)), config)
+        documents = [token_surfaces(normalize_text(text)) for text in texts]
+        surfaces = [s for document in documents for s in document]
+        assert leaf.doc_offsets.tolist() == np.cumsum([0, *map(len, documents)]).tolist()
+        assert leaf.stats.unique_surface_count == len(set(surfaces))
+        levels = {"surface": map(turkish_lower, surfaces), "lemma": lemma_surfaces(surfaces)}
+        for level, words in levels.items():
+            words = list(words)
+            # a Counter keeps its words in order of first occurrence
+            entries = filter_vocabulary(Counter(words), len(words), config)
+            vocabulary = leaf.vocabulary if level == "lemma" else leaf.surface_vocabulary
+            assert list(vocabulary.entries.items()) == list(entries.items())
+            row = {w: i for i, w in enumerate(vocabulary_order(vocabulary))}
+            assert leaf.token_ids[level].tolist() == [row.get(w, -1) for w in words]
 
 
 class TestCsvTable:
@@ -529,7 +582,7 @@ class TestArtifactRoundTrip:
         grams = st.tuples(*[_TURKISH_WORDS] * order)
         entries = data.draw(st.dictionaries(grams, st.integers(1, 10**9)))
         path = tmp_path_factory.mktemp("ngrams") / "n.tsv"
-        table = NgramTable(period, order, entries)
+        table = NgramTable.from_entries(period, order, entries)
         write_ngrams(table, path)
         loaded = read_ngrams(path, order)
         assert (loaded.period, list(loaded.entries.items())) == (period, list(entries.items()))

@@ -3,6 +3,7 @@ import math
 import unicodedata
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from diacorpus.corpus import CHUNK_VALUES, PeriodCorpus, TimePeriod
@@ -10,6 +11,7 @@ from diacorpus.errors import MissingArtifactError, ParameterError
 from diacorpus.lexicon import (
     NgramTable,
     Vocabulary,
+    _gram_keys,
     cofrequency,
     common_words,
     create_ngrams,
@@ -141,6 +143,29 @@ class TestCreateVocabulary:
         leaf = next(l for l in fixture_tree.leaves() if l.period == period)
         assert leaf.vocabulary.entries == expected_entries
         assert leaf.vocabulary.token_total == expected_total
+
+
+class TestGramKeys:
+    """The int64 gram key orders rows of rank columns as ``np.lexsort`` does."""
+
+    @pytest.mark.parametrize("size", [3, 2**21 - 1, 2**21, 2**31])
+    def test_keys_sort_as_lexsort(self, size):
+        rng = np.random.default_rng(size)
+        columns = [rng.integers(0, size, 3000) for _ in range(3)]
+        # repeated rows and the extreme ranks, so runs and the top of the range occur
+        columns = [np.concatenate([c, c[:50], [0, size - 1, size - 1]]) for c in columns]
+        keys = _gram_keys(columns, size)
+        assert keys.dtype == np.int64 and keys.min() >= 0
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(columns[::-1]))
+        assert len(np.unique(keys)) == len(np.unique(np.stack(columns, axis=1), axis=0))
+        if size < 2**21:  # no fold can overflow, so the keys are the plain fold
+            assert np.array_equal(keys, (columns[0] * size + columns[1]) * size + columns[2])
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_window(self, rows):
+        columns = [np.full(rows, 2**21 - 1, dtype=np.int64) for _ in range(3)]
+        keys = _gram_keys(columns, 2**21)
+        assert keys.dtype == np.int64 and len(keys) == rows and np.all(keys >= 0)
 
 
 class TestNgrams:
@@ -393,7 +418,7 @@ class TestFileFormats:
     def test_streamed_ngrams_equal_the_one_string_render(self, tmp_path, count):
         words = [f"w{i}" for i in range(200)]
         grams = [(words[i % 200], words[i // 200], "çay") for i in range(count)]
-        table = NgramTable(PERIOD_1930, 3, dict(zip(grams, range(count + 7, 7, -1))))
+        table = NgramTable.from_entries(PERIOD_1930, 3, dict(zip(grams, range(count + 7, 7, -1))))
         path = tmp_path / "grams.tsv"
         write_ngrams(table, path)
         lines = [f"#period=1930-1939 #tokens={table.total()}"]

@@ -92,7 +92,7 @@ class TestFixtureAgainstReference:
             table = create_ngrams(leaf, order, level)
             sequences = fixture_sequences(fixture_config, leaf, level)
             entries = reference_ngrams(_vocabulary(leaf, level), sequences, order)
-            reference = NgramTable(leaf.period, order, entries, level)
+            reference = NgramTable.from_entries(leaf.period, order, entries, level)
             assert list(table.entries.items()) == list(reference.entries.items())
             assert ngram_bytes(table, tmp_path / "id.tsv") == ngram_bytes(
                 reference, tmp_path / "reference.tsv"
