@@ -120,6 +120,8 @@ def train_cbow(
         raise ParameterError("negatives must be at least 1")
     if epochs < 1:
         raise ParameterError("epochs must be at least 1")
+    if seed < 0:
+        raise ParameterError("seed must be at least 0")
     ids = leaf.require_token_ids()
     vocab = create_vocabulary(leaf)
     if not vocab.entries or vocab.token_total == 0:

@@ -187,8 +187,8 @@ def _same_kind(default, value) -> bool:
     """Whether a JSON value fits a setting whose default is ``default`` (ints pass as reals)."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
+    if isinstance(default, float):  # finite only: json reads NaN, Infinity and 1e400 as floats
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, type(default))
 
 
@@ -206,9 +206,9 @@ def _config_section(raw: dict, key: str, cls):
     unknown = sorted(set(section) - set(defaults))
     if unknown:
         raise ParameterError(f"config {key!r} has unknown keys: {', '.join(unknown)}")
-    mistyped = sorted(k for k, v in section.items() if not _same_kind(defaults[k], v))
-    if mistyped:
-        raise ParameterError(f"config {key!r} has values of the wrong type: {', '.join(mistyped)}")
+    bad = sorted(k for k, v in section.items() if not _same_kind(defaults[k], v))
+    if bad:
+        raise ParameterError(f"config {key!r} has mistyped or non-finite values: {', '.join(bad)}")
     return cls(**section)
 
 
@@ -528,6 +528,12 @@ def cmd_freq(config: RunConfig, args: argparse.Namespace) -> str:
     return _write_report(config.output_dir / "reports", name, series_records(series), header)
 
 
+def _build_ppmi(config: RunConfig, leaf: PeriodCorpus) -> embeddings_mod.PPMIMatrix:
+    """A leaf's association matrix from its token ids; no command reads the ``ppmi`` export."""
+    cooc = embeddings_mod.count_cooccurrences(leaf, config.embedding.window)
+    return embeddings_mod.build_ppmi(cooc, config.embedding.alpha)  # frees cooc before any SVD
+
+
 def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
     leaves = _load_vocab_artifacts(config).leaves()
     # load every store and build every period's result before writing anything,
@@ -543,10 +549,7 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
                 downsample=cfg.downsample, smoothing_alpha=cfg.alpha, seed=cfg.seed,
                 epochs=cfg.epochs,
             )
-        # no name for the counts, so they are freed before the SVD runs
-        ppmi = embeddings_mod.build_ppmi(
-            embeddings_mod.count_cooccurrences(leaf, cfg.window), cfg.alpha
-        )
+        ppmi = _build_ppmi(config, leaf)
         return ppmi if args.kind == "ppmi" else embeddings_mod.svd_embeddings(ppmi, cfg.dim)[0]
 
     results = [build(leaf) for leaf in leaves]
@@ -616,15 +619,13 @@ def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
 
 
 def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
-    label, out = args.period.label, config.output_dir
-    name = _word_report_name("collocations", args.word, label)
-    vocab_path = _period_vocabulary_path(config, args.period)
-    ppmi_path = _existing(config, "ppmi", period=label)
-    ppmi = embeddings_mod.read_ppmi(ppmi_path, _read_vocabulary(vocab_path))
-    _require_header(ppmi_path, "period", ppmi.period.label, label)
-    ranking = embeddings_mod.collocations(args.word, args.top_k, ppmi)
+    name = _word_report_name("collocations", args.word, args.period.label)
+    leaf = PeriodCorpus(args.period)
+    leaf.vocabulary = _read_vocabulary(_period_vocabulary_path(config, args.period))
+    lexicon_mod.read_token_ids(_existing(config, "tokens", period=args.period), leaf)
+    ranking = embeddings_mod.collocations(args.word, args.top_k, _build_ppmi(config, leaf))
     records = ranking_records(ranking, "association")
-    return _write_report(out / "reports", name, records)
+    return _write_report(config.output_dir / "reports", name, records)
 
 
 def cmd_dict(config: RunConfig, args: argparse.Namespace) -> str:

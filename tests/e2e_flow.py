@@ -56,6 +56,7 @@ GOLDEN_FILES = [
     "reports/freq_belge.csv",
     "reports/freq_belge.json",
     "reports/aligned_most_similar_televizyon_1980-1989_1930-1939.json",
+    "reports/collocations_kanun_1930-1939.json",
 ]
 
 

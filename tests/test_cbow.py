@@ -111,6 +111,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             train_cbow(leaf, dim=4, epochs=0)
 
+    def test_negative_seed_rejected(self):
+        leaf = two_class_leaf(seed=2, docs=4)
+        with pytest.raises(ParameterError, match="seed"):
+            train_cbow(leaf, dim=4, seed=-3)
+
 
 def reference_cbow(
     vocabulary,

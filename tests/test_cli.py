@@ -14,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diacorpus
+from diacorpus import cli, embeddings
 from diacorpus.alignment import read_transform
 from diacorpus.cli import _write_report, main, ranking_records, to_json
 from diacorpus.corpus import csv_table
-from diacorpus.embeddings import most_similar, read_embeddings
+from diacorpus.embeddings import collocations, most_similar, read_embeddings, read_ppmi
+from diacorpus.lexicon import read_vocabulary
 
-from conftest import BAD_ASSOCIATIONS, EDGE_TOKENS, FIXTURES, with_edge_token
+from conftest import EDGE_TOKENS, FIXTURES, GOLDEN, with_edge_token
+from e2e_flow import run_flow
 
 CONFIG = str(FIXTURES / "fixture_config.json")
 
@@ -30,6 +33,18 @@ def _child_env(**extra) -> dict:
     env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def _fixture_config(tmp_path, embedding: str) -> str:
+    """Write the fixture config, with absolute paths and the JSON text ``embedding``
+    (which may hold ``NaN`` or ``1e400``) over its embedding settings; return its path."""
+    raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+    for key in ("corpus_root", "analyzer_tsv"):
+        raw[key] = str(FIXTURES / raw[key])
+    raw["embedding"] = "EMBEDDING"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw).replace('"EMBEDDING"', embedding), encoding="utf-8")
+    return str(path)
 
 
 def run_cli(out_dir, *args, capsys=None):
@@ -582,7 +597,7 @@ def test_period_not_in_corpus_is_usage_error(workspace, tmp_path, capsys, case):
     argv = ["--config", CONFIG, *_NOT_IN_CORPUS[case]]
     _assert_usage_error(
         workspace, tmp_path, capsys, argv, f"no corpus leaf for period {_P50}",
-        artifacts=("vocab", "ppmi", "embeddings", "transforms"),
+        artifacts=("vocab", "embeddings", "transforms"),
     )
 
 
@@ -649,14 +664,14 @@ _MISSING_ARTIFACTS = [
          "no token ids for period 1980-1989 at {out}/tokens/1980-1989.npz", "ingest")
         for argv in _EMBEDS
     ),
+    ("tokens/1930-1939.npz", _COLLOCATIONS,
+     "no token ids for period 1930-1939 at {out}/tokens/1930-1939.npz", "ingest"),
     *(
         (f"embeddings/1930-1939.{kind}.vec", [*argv, "--kind", kind],
          _NO_VECTORS.replace("{kind}", kind), f"embed {kind}")
         for kind in ("svd", "cbow")
         for argv in _VECTOR_READERS
     ),
-    ("ppmi/1930-1939.tsv", _COLLOCATIONS,
-     "no association matrix for period 1930-1939 at {out}/ppmi/1930-1939.tsv", "embed ppmi"),
     ("transforms/1980-1989__to__1930-1939.svd.txt", _ALIGNED, *_NO_TRANSFORM),
     ("transforms/1980-1989__to__1930-1939.svd.txt", _CHANGE, *_NO_TRANSFORM),
 ]
@@ -754,6 +769,34 @@ class TestConfigErrors:
         changes = {"embedding": {"alpha": 1, "downsample": 0}, "ngram_orders": []}
         assert main(["--config", self._config(tmp_path, **changes), "dict"]) == 0
 
+    @pytest.mark.parametrize("kind", ["ppmi", "cbow"])
+    @pytest.mark.parametrize(
+        "key, literal", [("alpha", "NaN"), ("alpha", "1e400"), ("downsample", "NaN")]
+    )
+    def test_non_finite_real_is_usage_error_naming_the_key(
+        self, tmp_path, capsys, kind, key, literal
+    ):
+        """json reads these literals as floats; an embedding built from them is not finite."""
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        config = _fixture_config(tmp_path, f'{{"dim": 16, "{key}": {literal}}}')
+        code = main(["--config", config, "--output-dir", str(out), "embed", kind])
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert payload["message"].endswith(f"non-finite values: {key}")
+        assert not (out / "ppmi").exists() and not (out / "embeddings").exists()
+
+    def test_negative_seed_is_usage_error_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        config = _fixture_config(tmp_path, '{"dim": 16, "epochs": 1, "seed": -3}')
+        code = main(["--config", config, "--output-dir", str(out), "embed", "cbow"])
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert "seed" in payload["message"]
+        assert "traceback" not in payload["context"]
+        assert not (out / "embeddings").exists()
+
 
 class TestEmbedReadsTokenStore:
     def test_embed_does_not_need_the_corpus(self, tmp_path):
@@ -789,11 +832,12 @@ class TestEmbedReadsTokenStore:
         assert json.loads(err)["context"]["run_first"] == "ingest"
         assert not (tmp_path / "embeddings").exists()
 
-    def test_corrupt_store_is_usage_error_naming_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["embed", "ppmi"], _COLLOCATIONS], ids=["embed", "query"])
+    def test_corrupt_store_is_usage_error_naming_the_file(self, tmp_path, capsys, argv):
         assert run_cli(tmp_path, "ingest") == 0
         store = tmp_path / "tokens" / "1930-1939.npz"
         store.write_bytes(store.read_bytes()[:100])
-        code, _, err = run_cli(tmp_path, "embed", "ppmi", capsys=capsys)
+        code, _, err = run_cli(tmp_path, *argv, capsys=capsys)
         assert code == 2
         assert "1930-1939.npz" in json.loads(err)["message"]
 
@@ -804,6 +848,40 @@ class TestEmbedReadsTokenStore:
         code, _, err = run_cli(tmp_path, "embed", "svd", capsys=capsys)
         assert code == 2
         assert "1930-1939.lemma.tsv: line" in json.loads(err)["message"]
+
+
+class TestCollocationsRebuildsPPMI:
+    """``query collocations`` counts its period's matrix from the token store, with
+    the configured window and alpha, as ``embed`` does; the PPMI export is not read."""
+
+    REPORT = "collocations_kanun_1930-1939.json"
+
+    def test_after_ingest_alone_writes_the_golden(self, tmp_path):
+        assert run_cli(tmp_path, "ingest") == 0
+        assert run_cli(tmp_path, *_COLLOCATIONS) == 0
+        report = tmp_path / "reports" / self.REPORT
+        assert report.read_bytes() == (GOLDEN / self.REPORT).read_bytes()
+        assert not (tmp_path / "ppmi").exists()
+
+    def test_report_equals_the_library_over_the_ppmi_export(self, tmp_path):
+        config = _fixture_config(tmp_path, '{"dim": 16, "window": 1, "alpha": 1.0}')
+        out = tmp_path / "out"
+        for step in (["ingest"], ["embed", "ppmi"], _COLLOCATIONS):
+            assert main(["--config", config, "--output-dir", str(out), *step]) == 0, step
+        vocabulary = read_vocabulary(out / "vocab" / "1930-1939.lemma.tsv")
+        ppmi = read_ppmi(out / "ppmi" / "1930-1939.tsv", vocabulary)
+        assert (ppmi.window, ppmi.alpha) == (1, 1.0)
+        expected = to_json(ranking_records(collocations("kanun", 10, ppmi), "association"))
+        assert (out / "reports" / self.REPORT).read_text(encoding="utf-8") == expected
+        assert expected != (GOLDEN / self.REPORT).read_text(encoding="utf-8")
+
+    def test_no_command_calls_read_ppmi(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a command read the PPMI export")
+
+        monkeypatch.setattr(embeddings, "read_ppmi", forbidden)
+        run_flow(CONFIG, str(tmp_path))  # every step must exit 0
+        assert "read_ppmi" not in Path(cli.__file__).read_text(encoding="utf-8")
 
 
 class TestBlasThreads:
@@ -946,24 +1024,6 @@ class TestEmbedAlignQuery:
         assert code == 2
         assert "bilgisayar" in json.loads(captured.err)["message"]
 
-    def test_corrupt_ppmi_value_is_usage_error_naming_the_line(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "ingest") == 0
-        assert run_cli(tmp_path, "embed", "ppmi") == 0
-        ppmi = tmp_path / "ppmi" / "1930-1939.tsv"
-        lines = ppmi.read_text(encoding="utf-8").splitlines()
-        row, col, _ = lines[1].split("\t")
-        lines[1] = f"{row}\t{col}\tnotanumber"
-        ppmi.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, _, err = run_cli(
-            tmp_path, "query", "collocations", "--word", "kanun", "--period", "1930-1939",
-            capsys=capsys,
-        )
-        assert code == 2
-        assert err.count("\n") <= 1
-        payload = json.loads(err)
-        assert payload["error"] == 2
-        assert "1930-1939.tsv: line 2" in payload["message"]
-
     def test_negative_dim_vec_is_usage_error_naming_the_file(self, workspace, tmp_path, capsys):
         shutil.copytree(workspace / "vocab", tmp_path / "vocab")
         vec = tmp_path / "embeddings" / "1930-1939.svd.vec"
@@ -1080,12 +1140,8 @@ class TestEdgeTokens:
                     "--target", "1980-1989", "--base", "1930-1939",
                 ],
             ),
-            (
-                "ppmi/1930-1939.tsv",
-                ["query", "collocations", "--word", "kanun", "--period", "1930-1939"],
-            ),
         ],
-        ids=["vec", "transform", "ppmi"],
+        ids=["vec", "transform"],
     )
     def test_edge_token_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token
@@ -1095,15 +1151,10 @@ class TestEdgeTokens:
     @pytest.mark.parametrize(
         "artifact,command,token",
         [
-            *(("vocab/1930-1939.lemma.tsv", ["analyze", "freq", "--word", "belge"], count)
-              for count in ("-5", "2_6_4")),
-            *(("ppmi/1930-1939.tsv", ["query", "collocations", "--word", "kanun", "--period", _P],
-               value) for value in BAD_ASSOCIATIONS),
+            ("vocab/1930-1939.lemma.tsv", ["analyze", "freq", "--word", "belge"], count)
+            for count in ("-5", "2_6_4")
         ],
-        ids=[
-            *(f"freq-{count}" for count in ("-5", "2_6_4")),
-            *(f"collocations-{value}" for value in BAD_ASSOCIATIONS),
-        ],
+        ids=[f"freq-{count}" for count in ("-5", "2_6_4")],
     )
     def test_bad_count_or_association_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token
@@ -1115,7 +1166,7 @@ def _assert_line_3_error(workspace, tmp_path, capsys, artifact, command, token):
     """``command`` over a copy of the workspace artifacts, with the last value on line 3
     of ``artifact`` replaced by ``token``, exits 2 with one JSON line naming that line,
     nothing on stdout and no report."""
-    for artifacts in ("vocab", "ppmi", "embeddings", "transforms"):
+    for artifacts in ("vocab", "embeddings", "transforms"):
         shutil.copytree(workspace / artifacts, tmp_path / artifacts)
     path = tmp_path / artifact
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -1145,24 +1196,19 @@ class TestHeaderMismatch:
                 ["query", "most-similar", "--word", "kanun", "--period", _P],
             ),
             (
-                "ppmi/1930-1939.tsv",
-                "#period=1930-1939", "#period=1980-1989",
-                ["query", "collocations", "--word", "kanun", "--period", _P],
-            ),
-            (
                 "vocab/1930-1939.lemma.tsv",
                 "#period=1930-1939", "#period=1940-1949",
                 ["analyze", "freq", "--word", "belge"],
             ),
         ],
-        ids=["vec-period", "vec-kind", "ppmi-period", "vocabulary-period"],
+        ids=["vec-period", "vec-kind", "vocabulary-period"],
     )
     def test_header_naming_another_artifact_is_usage_error(
         self, workspace, tmp_path, capsys, artifact, old, new, command
     ):
         """An artifact whose header names another period or kind than its file
         exits 2 with one JSON line naming the file, and writes no report."""
-        for artifacts in ("vocab", "ppmi", "embeddings", "transforms"):
+        for artifacts in ("vocab", "embeddings", "transforms"):
             shutil.copytree(workspace / artifacts, tmp_path / artifacts)
         path = tmp_path / artifact
         header, rest = path.read_text(encoding="utf-8").split("\n", 1)
@@ -1196,23 +1242,17 @@ class TestDuplicateRecords:
         "artifact,command,message",
         [
             (
-                "ppmi/1930-1939.tsv",
-                ["query", "collocations", "--word", "kanun", "--period", "1930-1939"],
-                r"1930-1939\.tsv: 1 word pair\(s\) listed twice",
-            ),
-            (
                 "vocab/1930-1939.lemma.tsv",
                 ["analyze", "divergence"],
                 r"1930-1939\.lemma\.tsv: line 3: word '[^']+' listed twice",
             ),
         ],
-        ids=["ppmi-collocations", "vocabulary-divergence"],
+        ids=["vocabulary-divergence"],
     )
     def test_duplicated_line_is_usage_error(
         self, workspace, tmp_path, capsys, artifact, command, message
     ):
-        for artifacts in ("vocab", "ppmi"):
-            shutil.copytree(workspace / artifacts, tmp_path / artifacts)
+        shutil.copytree(workspace / "vocab", tmp_path / "vocab")
         path = tmp_path / artifact
         lines = path.read_text(encoding="utf-8").splitlines()
         lines.insert(2, lines[1])

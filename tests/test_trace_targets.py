@@ -4,7 +4,7 @@
 outside the package. A refactor that renames such an attribute, or stops
 calling through it, would make a ``--trace 1`` run crash or silently lose
 spans, so every target is wrapped here and must be reached by the canonical
-end-to-end flow.
+end-to-end flow, except the one listed below that no command calls.
 """
 
 from __future__ import annotations
@@ -40,4 +40,7 @@ def test_every_trace_target_is_reached_by_the_cli(tmp_path, monkeypatch):
         targets.add(target)
     run_flow(str(FIXTURES / "fixture_config.json"), str(tmp_path))
     reached = {span[2] for span in tracer.spans}
-    assert targets - reached == set()
+    # no command reads the PPMI export back (each rebuilds the matrix from token
+    # ids), so the tracer's `embeddings.ppmi_read` target is never reached; it
+    # must still exist, since a traced run looks every target up by name
+    assert targets - reached == {"diacorpus.embeddings.read_ppmi"}
