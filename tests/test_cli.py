@@ -1140,8 +1140,9 @@ class TestEdgeTokens:
                     "--target", "1980-1989", "--base", "1930-1939",
                 ],
             ),
+            ("vocab/1930-1939.lemma.tsv", _COLLOCATIONS),
         ],
-        ids=["vec", "transform"],
+        ids=["vec", "transform", "vocabulary-collocations"],
     )
     def test_edge_token_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token
@@ -1151,10 +1152,11 @@ class TestEdgeTokens:
     @pytest.mark.parametrize(
         "artifact,command,token",
         [
-            ("vocab/1930-1939.lemma.tsv", ["analyze", "freq", "--word", "belge"], count)
+            ("vocab/1930-1939.lemma.tsv", command, count)
+            for command in (["analyze", "freq", "--word", "belge"], _COLLOCATIONS)
             for count in ("-5", "2_6_4")
         ],
-        ids=[f"freq-{count}" for count in ("-5", "2_6_4")],
+        ids=[f"{name}-{count}" for name in ("freq", "collocations") for count in ("-5", "2_6_4")],
     )
     def test_bad_count_or_association_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token
@@ -1166,7 +1168,7 @@ def _assert_line_3_error(workspace, tmp_path, capsys, artifact, command, token):
     """``command`` over a copy of the workspace artifacts, with the last value on line 3
     of ``artifact`` replaced by ``token``, exits 2 with one JSON line naming that line,
     nothing on stdout and no report."""
-    for artifacts in ("vocab", "embeddings", "transforms"):
+    for artifacts in ("vocab", "tokens", "embeddings", "transforms"):
         shutil.copytree(workspace / artifacts, tmp_path / artifacts)
     path = tmp_path / artifact
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -1200,15 +1202,20 @@ class TestHeaderMismatch:
                 "#period=1930-1939", "#period=1940-1949",
                 ["analyze", "freq", "--word", "belge"],
             ),
+            (
+                "vocab/1930-1939.lemma.tsv",
+                "#period=1930-1939", "#period=1940-1949",
+                _COLLOCATIONS,
+            ),
         ],
-        ids=["vec-period", "vec-kind", "vocabulary-period"],
+        ids=["vec-period", "vec-kind", "vocabulary-period", "vocabulary-period-collocations"],
     )
     def test_header_naming_another_artifact_is_usage_error(
         self, workspace, tmp_path, capsys, artifact, old, new, command
     ):
         """An artifact whose header names another period or kind than its file
         exits 2 with one JSON line naming the file, and writes no report."""
-        for artifacts in ("vocab", "embeddings", "transforms"):
+        for artifacts in ("vocab", "tokens", "embeddings", "transforms"):
             shutil.copytree(workspace / artifacts, tmp_path / artifacts)
         path = tmp_path / artifact
         header, rest = path.read_text(encoding="utf-8").split("\n", 1)
@@ -1246,13 +1253,19 @@ class TestDuplicateRecords:
                 ["analyze", "divergence"],
                 r"1930-1939\.lemma\.tsv: line 3: word '[^']+' listed twice",
             ),
+            (
+                "vocab/1930-1939.lemma.tsv",
+                _COLLOCATIONS,
+                r"1930-1939\.lemma\.tsv: line 3: word '[^']+' listed twice",
+            ),
         ],
-        ids=["vocabulary-divergence"],
+        ids=["vocabulary-divergence", "vocabulary-collocations"],
     )
     def test_duplicated_line_is_usage_error(
         self, workspace, tmp_path, capsys, artifact, command, message
     ):
-        shutil.copytree(workspace / "vocab", tmp_path / "vocab")
+        for artifacts in ("vocab", "tokens"):
+            shutil.copytree(workspace / artifacts, tmp_path / artifacts)
         path = tmp_path / artifact
         lines = path.read_text(encoding="utf-8").splitlines()
         lines.insert(2, lines[1])
