@@ -144,6 +144,8 @@ def train_cbow(
         raise ComputationUndefinedError(
             f"period {leaf.period.label} has no trainable sentence after filtering"
         )
+    # a context slot past the longest sentence is always empty, so a wider window trains alike
+    window = min(window, max(map(len, sentences)) - 1)
 
     total = counts.sum()
     if downsample > 0:
@@ -156,8 +158,11 @@ def train_cbow(
 
     rng = np.random.default_rng(seed)
     size = len(order)
-    vectors_in = (rng.random((size, dim)) - 0.5) / dim
-    vectors_out = np.zeros((size, dim))
+    try:
+        vectors_in = (rng.random((size, dim)) - 0.5) / dim
+        vectors_out = np.zeros((size, dim))
+    except (ValueError, MemoryError) as exc:
+        raise ParameterError(f"embedding dim {dim} is too large: {exc}") from exc
     window_offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
 
     budget = float(epochs) * sum(len(s) for s in sentences)
@@ -174,7 +179,10 @@ def train_cbow(
             n = len(kept)
             if n < 2:
                 continue  # no position has a context, so no negatives are drawn
-            draws = np.searchsorted(noise_cdf, rng.random((n, negatives)))
+            try:
+                draws = np.searchsorted(noise_cdf, rng.random((n, negatives)))
+            except (ValueError, MemoryError) as exc:
+                raise ParameterError(f"negatives {negatives} is too large: {exc}") from exc
             np.clip(draws, 0, size - 1, out=draws)
             targets = np.column_stack((kept, draws))
             windows = np.arange(n)[:, None] + window_offsets

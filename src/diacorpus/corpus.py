@@ -552,17 +552,17 @@ def parse_numbers(
 CHUNK_VALUES = 1 << 14
 
 
-def write_artifact(path: str | Path, content: str | bytes | Iterable[str]) -> None:
+def write_artifact(path: str | Path, content: str | bytes | Iterable[str | bytes]) -> None:
     """Write an artifact, text as UTF-8 or bytes as is, creating its parent directories.
 
-    ``content`` is one ``str`` or ``bytes``, or an iterable of ``str`` chunks
-    that a writer renders one at a time; each chunk is encoded straight into
-    the temp file, so a text artifact is streamed with the bytes of the
-    joined text and never held whole. The temp file sits in the target's
-    directory and then replaces the target in one step, so a write that
-    fails (a chunk that raises included), or a process killed mid-write,
-    leaves the previous artifact intact. A write that raises removes its
-    temp file.
+    ``content`` is one ``str`` or ``bytes``, or an iterable of ``str`` or
+    ``bytes`` chunks that a writer renders one at a time; each chunk goes
+    straight into the temp file (a ``str`` as UTF-8), so a text artifact is
+    streamed with the bytes of the joined text and never held whole. The
+    temp file sits in the target's directory and then replaces the target in
+    one step, so a write that fails (a chunk that raises included), or a
+    process killed mid-write, leaves the previous artifact intact. A write
+    that raises removes its temp file.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -368,12 +368,36 @@ def _header_line(period: TimePeriod, token_total: int) -> str:
     return f"#period={period.label} #tokens={token_total}"
 
 
+def _write_counts(
+    path: str | Path, header: str, counts: np.ndarray, keys: Callable[[slice], list[bytes]]
+) -> None:
+    """Write a count TSV: ``header``, then one ``key<TAB>count`` line per row.
+
+    ``keys(part)`` gives the UTF-8 keys of a slice of rows. Rows are rendered
+    ``CHUNK_VALUES`` at a time as bytes, each run of equal counts with one
+    join, so a count-descending table costs about one join per distinct count.
+    """
+
+    def chunks() -> Iterator[bytes]:
+        yield f"{header}\n".encode("utf-8")
+        for start in range(0, len(counts), CHUNK_VALUES):
+            part = slice(start, start + CHUNK_VALUES)
+            rows, values = keys(part), counts[part]
+            # counts are >= 0, so a chunk's first row starts a run
+            starts = np.flatnonzero(np.diff(values, prepend=-1)).tolist()
+            tails = [b"\t%d\n" % count for count in values[starts].tolist()]
+            ends = starts[1:] + [len(rows)]
+            yield b"".join(tail.join(rows[a:b]) + tail for a, b, tail in zip(starts, ends, tails))
+
+    write_artifact(path, chunks())
+
+
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """TSV export: header line, then lemma<TAB>frequency, frequency-descending."""
-    lines = [_header_line(vocab.period, vocab.token_total)]
-    for word in vocabulary_order(vocab):
-        lines.append(f"{word}\t{vocab.entries[word]}")
-    write_artifact(path, "\n".join(lines) + "\n")
+    words = vocabulary_order(vocab)
+    counts = np.array([vocab.entries[w] for w in words], dtype=np.int64)
+    keys = [w.encode("utf-8") for w in words]
+    _write_counts(path, _header_line(vocab.period, vocab.token_total), counts, keys.__getitem__)
 
 
 def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple[dict, dict]:
@@ -473,21 +497,18 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
 
 
 def write_ngrams(table: NgramTable, path: str | Path) -> None:
-    """TSV export: header line, then space-joined gram<TAB>frequency in row order.
+    """TSV export: header line, then space-joined gram<TAB>frequency in row order."""
+    words = np.array([w.encode("utf-8") for w in table.words.tolist()], dtype=object)
+    spaced = words + b" "
+    *heads, last = table.columns
 
-    Rows are rendered ``CHUNK_VALUES`` at a time.
-    """
-    header = _header_line(table.period, table.total())
+    def keys(part: slice) -> list[bytes]:
+        grams = words[last[part]]
+        for column in reversed(heads):
+            grams = spaced[column[part]] + grams
+        return grams.tolist()
 
-    def chunks() -> Iterator[str]:
-        yield f"{header}\n"
-        for start in range(0, len(table.counts), CHUNK_VALUES):
-            part = slice(start, start + CHUNK_VALUES)
-            grams = zip(*(table.words[c[part]].tolist() for c in table.columns))
-            lines = zip(map(" ".join, grams), map(str, table.counts[part].tolist()))
-            yield "\n".join(map("\t".join, lines)) + "\n"
-
-    write_artifact(path, chunks())
+    _write_counts(path, _header_line(table.period, table.total()), table.counts, keys)
 
 
 def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:

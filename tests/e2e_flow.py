@@ -36,6 +36,14 @@ E2E_STEPS = [
 GOLDEN_FILES = [
     "vocab/1930-1939.lemma.tsv",
     "vocab/1980-1989.lemma.tsv",
+    "vocab/1930-1939.surface.tsv",
+    "vocab/1980-1989.surface.tsv",
+    *(
+        f"ngrams/{period}.n{order}.{level}.tsv"
+        for period in ("1930-1939", "1980-1989")
+        for order in (1, 2, 3)
+        for level in ("surface", "lemma")
+    ),
     "stats.json",
     "reports/jaccard.csv",
     "reports/jaccard.json",

@@ -116,6 +116,21 @@ class TestValidation:
         with pytest.raises(ParameterError, match="seed"):
             train_cbow(leaf, dim=4, seed=-3)
 
+    @pytest.mark.parametrize("size", [10**12, 10**20])
+    @pytest.mark.parametrize("key", ["dim", "negatives"])
+    def test_huge_size_rejected_naming_the_key(self, key, size):
+        leaf = two_class_leaf(seed=2, docs=4)
+        with pytest.raises(ParameterError, match=f"{key} {size} is too large"):
+            train_cbow(leaf, **{"dim": 4, key: size}, downsample=0.0, epochs=1)
+
+    @pytest.mark.parametrize("window", [10**12, 10**20])
+    def test_window_past_the_longest_sentence_trains_alike(self, window):
+        leaf = two_class_leaf(seed=2, docs=4)
+        longest = int(np.diff(leaf.doc_offsets).max())
+        capped = train_cbow(leaf, dim=4, window=longest - 1, downsample=0.0, epochs=1)
+        wide = train_cbow(leaf, dim=4, window=window, downsample=0.0, epochs=1)
+        assert np.array_equal(wide.matrix, capped.matrix)
+
 
 def reference_cbow(
     vocabulary,

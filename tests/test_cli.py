@@ -110,6 +110,12 @@ class TestIngest:
         assert (workspace / "ngrams" / "1980-1989.n3.surface.tsv").is_file()
         assert (workspace / "stats.csv").is_file()
 
+    @pytest.mark.parametrize("level", ["surface", "lemma"])
+    @pytest.mark.parametrize("period", ["1930-1939", "1980-1989"])
+    def test_unigram_table_is_the_vocabulary(self, workspace, period, level):
+        unigrams = workspace / "ngrams" / f"{period}.n1.{level}.tsv"
+        assert unigrams.read_bytes() == (workspace / "vocab" / f"{period}.{level}.tsv").read_bytes()
+
     def test_rerun_is_bit_identical(self, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"
@@ -796,6 +802,33 @@ class TestConfigErrors:
         assert "seed" in payload["message"]
         assert "traceback" not in payload["context"]
         assert not (out / "embeddings").exists()
+
+    @pytest.mark.parametrize("size", ["1000000000000", "100000000000000000000"])
+    @pytest.mark.parametrize("key", ["dim", "negatives"])
+    def test_huge_cbow_size_is_usage_error_naming_the_key(self, tmp_path, capsys, key, size):
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        config = _fixture_config(tmp_path, f'{{"dim": 16, "epochs": 1, "{key}": {size}}}')
+        code = main(["--config", config, "--output-dir", str(out), "embed", "cbow"])
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert f"{key} {size} is too large" in payload["message"]
+        assert "traceback" not in payload["context"]
+        assert not (out / "embeddings").exists()
+
+    def test_cbow_window_past_the_longest_document_trains_alike(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        longest = 0
+        for store in (out / "tokens").glob("*.npz"):
+            with np.load(store) as arrays:
+                longest = max(longest, int(np.diff(arrays["offsets"]).max()))
+        vectors = []
+        for window in (longest, 1000000000000, 100000000000000000000):
+            config = _fixture_config(tmp_path, f'{{"dim": 16, "epochs": 1, "window": {window}}}')
+            assert main(["--config", config, "--output-dir", str(out), "embed", "cbow"]) == 0
+            vectors.append(_tree_digest(out / "embeddings"))
+        assert vectors[1:] == [vectors[0]] * 2
 
 
 class TestEmbedReadsTokenStore:

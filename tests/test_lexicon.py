@@ -2,10 +2,14 @@ import json
 import math
 import unicodedata
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from diacorpus import lexicon
 from diacorpus.corpus import CHUNK_VALUES, PeriodCorpus, TimePeriod
 from diacorpus.errors import MissingArtifactError, ParameterError
 from diacorpus.lexicon import (
@@ -389,6 +393,10 @@ def test_queries_store_nothing_on_the_leaf():
     assert state() == before
 
 
+# short words over 'a' and Turkish letters of two UTF-8 bytes, so equal counts are common
+_REFERENCE_WORDS = st.text("aıİğâ", min_size=1, max_size=3)
+
+
 class TestFileFormats:
     def test_vocabulary_roundtrip(self, tmp_path, fixture_tree):
         leaf = fixture_tree.leaves()[0]
@@ -425,6 +433,37 @@ class TestFileFormats:
         for gram, freq in table.entries.items():
             lines.append(f"{' '.join(gram)}\t{freq}")
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @settings(max_examples=150, deadline=None)
+    @example(order=2, rows=[], chunk=2)  # an empty table
+    @example(  # one run of equal counts, across a chunk edge
+        order=3, rows=[(("ı", "İ", "ğ"), 4), (("â", "a", "ı"), 4), (("ğ", "â", "â"), 4)], chunk=2
+    )
+    @given(
+        order=st.integers(1, 3),
+        rows=st.lists(st.tuples(st.tuples(*[_REFERENCE_WORDS] * 3), st.integers(1, 3)), max_size=12),
+        chunk=st.sampled_from([2, CHUNK_VALUES]),
+    )
+    def test_writers_match_the_one_row_reference(self, tmp_path_factory, order, rows, chunk):
+        entries: dict = {}
+        for gram, count in rows:
+            entries.setdefault(gram[:order], count)
+        written = dict(sorted(entries.items(), key=lambda kv: (-kv[1], kv[0])))
+        header = f"#period=1930-1939 #tokens={sum(written.values())}"
+        lines = [header] + [f"{' '.join(gram)}\t{count}" for gram, count in written.items()]
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        folder = tmp_path_factory.mktemp("counts")
+        with mock.patch.object(lexicon, "CHUNK_VALUES", chunk):
+            write_ngrams(NgramTable.from_entries(PERIOD_1930, order, written), folder / "n.tsv")
+            if order == 1:
+                words = {gram[0]: count for gram, count in written.items()}
+                vocab = Vocabulary(PERIOD_1930, words, sum(words.values()))
+                write_vocabulary(vocab, folder / "v.tsv")
+        assert (folder / "n.tsv").read_bytes() == expected
+        assert read_ngrams(folder / "n.tsv", order).entries == written
+        if order == 1:
+            assert (folder / "v.tsv").read_bytes() == expected
+            assert read_vocabulary(folder / "v.tsv").entries == words
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -24,6 +24,11 @@ GOLDEN = REPO / "tests" / "golden"
 
 
 def main() -> None:
+    # each golden is saved under its basename, so two entries must not share one
+    names = [Path(rel).name for rel in GOLDEN_FILES]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        sys.exit(f"GOLDEN_FILES entries share a basename: {', '.join(shared)}")
     with tempfile.TemporaryDirectory() as scratch:
         run_flow(str(CONFIG), scratch)
         for rel in GOLDEN_FILES:
