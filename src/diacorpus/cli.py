@@ -4,7 +4,7 @@ The CLI is a thin shell over the library: every report is produced by the
 same functions a library caller would use, serialized with the same helpers,
 so command output and library output are byte-identical. Reports carry no
 timestamps and all iteration is ordered, so re-running a command over
-unchanged inputs rewrites identical bytes.
+unchanged inputs leaves the identical files in place.
 
 Exit codes: 0 success, 1 internal error, 2 usage/parameter error,
 3 missing artifact. Failures print a machine-readable JSON object

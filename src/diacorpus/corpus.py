@@ -18,9 +18,11 @@ computes it.
 from __future__ import annotations
 
 import datetime as dt
+import io
 import json
 import os
 import re
+import stat
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -550,6 +552,8 @@ def parse_numbers(
 # renders into one chunk for ``write_artifact``: enough that the per-chunk
 # cost vanishes, few enough that a chunk's strings stay a few MB.
 CHUNK_VALUES = 1 << 14
+# how write_artifact opens an old target: no symlink followed, no wait for a FIFO writer
+_OLD_FLAGS = sum(getattr(os, flag, 0) for flag in ("O_NOFOLLOW", "O_NONBLOCK"))
 
 
 def write_artifact(path: str | Path, content: str | bytes | Iterable[str | bytes]) -> None:
@@ -562,7 +566,10 @@ def write_artifact(path: str | Path, content: str | bytes | Iterable[str | bytes
     temp file sits in the target's directory and then replaces the target in
     one step, so a write that fails (a chunk that raises included), or a
     process killed mid-write, leaves the previous artifact intact. A write
-    that raises removes its temp file.
+    that raises removes its temp file. A regular file at the target that
+    already holds exactly the new bytes stays in place (same inode, mtime and
+    mode): each chunk is compared with the old file's next bytes, one more
+    chunk-sized buffer, and the temp file is removed.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -571,10 +578,21 @@ def write_artifact(path: str | Path, content: str | bytes | Iterable[str | bytes
     temp = target.with_name(f".{os.getpid()}-{threading.get_ident()}.tmp")
     chunks = [content] if isinstance(content, (str, bytes)) else content
     try:
-        with temp.open("wb") as out:
+        old = open(target, "rb", opener=lambda name, flags: os.open(name, flags | _OLD_FLAGS))
+        same = stat.S_ISREG(os.fstat(old.fileno()).st_mode)
+    except OSError:  # missing, a symlink, a directory or unreadable: replaced
+        old, same = io.BytesIO(), False
+    try:
+        with old, temp.open("wb") as out:
             for chunk in chunks:
-                out.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-        os.replace(temp, target)
+                data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
+                out.write(data)
+                same = same and old.read(len(data)) == data  # no read past a difference
+            same = same and not old.read(1)
+        if same:
+            temp.unlink()
+        else:
+            os.replace(temp, target)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise

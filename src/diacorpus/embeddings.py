@@ -402,8 +402,8 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
     words = np.array(sorted(ppmi.vocab_index, key=ppmi.vocab_index.get), dtype=object)
     values = ppmi.values
     rows = _row_ids(values)
-    # a compressed-row matrix may store a row's columns in any order
-    order = np.lexsort((values.indices, rows))
+    # a compressed-row matrix may store a row's columns in any order; one int64 key sorts both
+    order = np.argsort(rows * len(words) + values.indices, kind="stable")
     header = f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"
 
     def chunks() -> Iterator[str]:

@@ -128,6 +128,26 @@ class TestIngest:
         assert run_cli(first, "ingest") == 0  # overwrite in place
         assert _tree_digest(first) == digest_first
 
+    def test_rerun_leaves_unchanged_files_in_place(self, tmp_path):
+        def identities():
+            return {
+                str(p.relative_to(out)): (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in out.rglob("*") if p.is_file()
+            }
+
+        out = tmp_path / "out"
+        run_flow(CONFIG, str(out))
+        digest, before = _tree_digest(out), identities()
+        run_flow(CONFIG, str(out))
+        assert identities() == before
+        assert _tree_digest(out) == digest
+        assert run_cli(out, "analyze", "divergence", "--pair", "1930-1939", "1980-1989", "--top-k", "5") == 0
+        after = identities()
+        assert after.keys() == before.keys()
+        assert sorted(k for k in after if after[k] != before[k]) == [
+            f"reports/jsd_contributions_1930-1939_1980-1989.{ext}" for ext in ("csv", "json")
+        ]
+
     def test_empty_manifest_gives_usage_error_json(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

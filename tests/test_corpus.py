@@ -2,6 +2,7 @@ import datetime as dt
 import errno
 import io
 import json
+import os
 import re
 import sys
 import warnings
@@ -694,3 +695,95 @@ class TestWriteArtifact:
         expected = "".join(chunks).encode("utf-8")
         assert (tmp_path / "chunked.tsv").read_bytes() == expected
         assert (tmp_path / "whole.tsv").read_bytes() == expected
+
+    NEW_CHUNKS = ["#head\n", "", "çay\tşey\n" * 300, "ğ" * 5000, "\n"]
+
+    @staticmethod
+    def _identity(path: Path) -> tuple[int, int, int]:
+        info = path.lstat()
+        return info.st_ino, info.st_mtime_ns, info.st_mode
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            lambda: "same text\n" * 100,
+            lambda: b"same bytes\n" * 100,
+            lambda: iter(TestWriteArtifact.NEW_CHUNKS),
+        ],
+        ids=["text", "bytes", "chunks"],
+    )
+    def test_identical_content_leaves_the_target_in_place(self, tmp_path, content):
+        path = tmp_path / "reports" / "artifact.csv"
+        write_artifact(path, content())
+        expected = path.read_bytes()
+        os.utime(path, ns=(10**18, 10**18))  # a rewrite could not keep this mtime
+        path.chmod(0o444)  # nor this mode
+        before = self._identity(path)
+        write_artifact(path, content())
+        assert self._identity(path) == before
+        assert path.read_bytes() == expected
+        assert [p.name for p in path.parent.iterdir()] == ["artifact.csv"]
+
+    @pytest.mark.parametrize(
+        "old",
+        [
+            lambda new: new + b"\n",
+            lambda new: new[:-1],
+            lambda new: new[:-1] + b"!",
+            lambda new: b"",
+            lambda new: b"!" + new[1:],
+        ],
+        ids=["longer", "shorter", "last-byte", "empty", "first-byte"],
+    )
+    def test_different_old_bytes_are_replaced(self, tmp_path, old):
+        expected = "".join(self.NEW_CHUNKS).encode("utf-8")
+        path = tmp_path / "artifact.tsv"
+        path.write_bytes(old(expected))
+        inode = path.stat().st_ino
+        write_artifact(path, iter(self.NEW_CHUNKS))
+        assert path.read_bytes() == expected
+        assert path.stat().st_ino != inode
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+
+    def test_symlink_target_becomes_a_regular_file(self, tmp_path):
+        pointed = tmp_path / "pointed.csv"
+        pointed.write_bytes(b"same\n")  # the new bytes: a followed link would compare equal
+        before = self._identity(pointed)
+        path = tmp_path / "artifact.csv"
+        path.symlink_to(pointed)
+        write_artifact(path, "same\n")
+        assert not path.is_symlink()
+        assert path.read_bytes() == b"same\n"
+        assert self._identity(pointed) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.csv", "pointed.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_target_is_replaced_without_waiting_for_a_writer(self, tmp_path):
+        path = tmp_path / "artifact.csv"
+        os.mkfifo(path)
+        write_artifact(path, "")
+        assert path.is_file()
+        assert path.read_bytes() == b""
+
+    def test_directory_target_raises_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "artifact.csv"
+        (path / "inside").mkdir(parents=True)
+        with pytest.raises(OSError):
+            write_artifact(path, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+        assert [p.name for p in path.iterdir()] == ["inside"]
+
+    def test_chunk_raising_after_an_identical_prefix_keeps_the_target(self, tmp_path):
+        path = tmp_path / "artifact.csv"
+        write_artifact(path, "line\n" * 2000)
+        before = self._identity(path)
+
+        def chunks():
+            yield "line\n" * 1000
+            raise RuntimeError("render failed")
+
+        with pytest.raises(RuntimeError, match="render failed"):
+            write_artifact(path, chunks())
+        assert self._identity(path) == before
+        assert path.read_bytes() == b"line\n" * 2000
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]

@@ -602,6 +602,21 @@ class TestMemory:
         # the whole-file render peaked at ~6x the file
         assert peak < 2 * path.stat().st_size
 
+    def test_write_ppmi_over_an_identical_file_keeps_the_bound(self, tmp_path):
+        ppmi = ppmi_with_entries(200_000)
+        path = tmp_path / "assoc.tsv"
+        write_ppmi(ppmi, path)
+        inode = path.stat().st_ino
+        tracemalloc.start()
+        try:
+            write_ppmi(ppmi, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # comparing with the old file adds one chunk-sized buffer, no copy of it
+        assert path.stat().st_ino == inode
+        assert peak < 2 * path.stat().st_size
+
     def test_count_peak_stays_below_four_key_arrays(self):
         leaf = zipf_leaf(250_000, 3_000)
         tracemalloc.start()
