@@ -1,6 +1,6 @@
 """Diachronic corpus analytics toolkit.
 
-Ingests timestamped document collections into a period-bucketed corpus tree
+Ingests timestamped document collections into a corpus of period leaves
 and computes vocabulary divergence, aligned word embeddings, semantic-change
 series, and writing-convention trends, with a CLI that emits machine-readable
 reports.
@@ -14,7 +14,6 @@ from .alignment import (
 )
 from .cbow import train_cbow
 from .corpus import (
-    CorpusNode,
     CorpusStats,
     DiachronicCorpus,
     DocumentRecord,

@@ -185,11 +185,11 @@ def train_cbow(
                 raise ParameterError(f"negatives {negatives} is too large: {exc}") from exc
             np.clip(draws, 0, size - 1, out=draws)
             targets = np.column_stack((kept, draws))
-            windows = np.arange(n)[:, None] + window_offsets
             for start in range(0, n, BLOCK_POSITIONS):
-                block = slice(start, start + BLOCK_POSITIONS)
+                stop = min(start + BLOCK_POSITIONS, n)
+                windows = np.arange(start, stop)[:, None] + window_offsets
                 loss_sum += _train_block(
-                    vectors_in, vectors_out, kept, windows[block], targets[block], lr
+                    vectors_in, vectors_out, kept, windows, targets[start:stop], lr
                 )
             loss_examples += n
         epoch_losses.append(loss_sum / max(1, loss_examples))

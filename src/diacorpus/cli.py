@@ -36,6 +36,7 @@ from .corpus import (
     csv_table,
     load_manifest,
     require_distinct,
+    sweep_temp_files,
     write_artifact,
 )
 from .dictionary import (
@@ -760,7 +761,9 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.from_file(args.config)
         if args.output_dir:
             config.output_dir = Path(args.output_dir)
-        with _Lock(config.output_dir):
+        with _Lock(config.output_dir):  # no other command writes here: temp files are stale
+            for name in {".", "reports", *(Path(t).parent for t, _, _ in ARTIFACTS.values())}:
+                sweep_temp_files(config.output_dir / name)
             print(args.handler(config, args), end="")
         return EXIT_OK
     except Exception as exc:

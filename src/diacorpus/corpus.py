@@ -1,18 +1,17 @@
-"""Period-bucketed corpus tree and the one walk over its periods.
+"""Period-bucketed corpus and the one walk over its periods.
 
-A corpus is a tree: ``PeriodCorpus`` leaves hold the documents of one time
-period, ``DiachronicCorpus`` composites group children covering disjoint,
-ascending periods, and ``leaves()`` flattens any node to its leaves.
-``select_leaves(node, periods)`` is the one place a range of periods is
-picked and ordered; every per-period analysis walks its result, and
+A corpus (``DiachronicCorpus``) is its ``PeriodCorpus`` leaves, one per time
+period, sorted by period and never overlapping; ``leaves()`` returns them in
+that order. ``select_leaves(node, periods)`` is the one place a range of
+periods is picked; every per-period analysis walks its result, and
 ``per_period(node, periods, fn)`` turns a function of a leaf into a
 ``TimeSeriesResult``.
 
-The tree is immutable after ``build_corpus_tree`` (or after the CLI loads a
-leaf's vocabularies and token ids from ingest's artifacts). A leaf holds its
-documents, stats, token ids and vocabularies and caches nothing else: each
-call that needs an n-gram table or a co-occurrence or association matrix
-computes it.
+The corpus is immutable after ``build_corpus_tree`` (or after the CLI loads
+a leaf's vocabularies and token ids from ingest's artifacts). A leaf holds
+its documents, stats, token ids and vocabularies and caches nothing else:
+each call that needs an n-gram table or a co-occurrence or association
+matrix computes it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import os
 import re
 import stat
 import threading
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Sequence
@@ -135,17 +133,7 @@ class TimeSeriesResult:
         return len(self.entries)
 
 
-class CorpusNode(ABC):
-    """Common interface of leaves and composites."""
-
-    period: TimePeriod
-
-    @abstractmethod
-    def leaves(self) -> list["PeriodCorpus"]:
-        ...
-
-
-class PeriodCorpus(CorpusNode):
+class PeriodCorpus:
     """Leaf corpus: the documents of one time period, their token ids and vocabularies."""
 
     def __init__(self, period: TimePeriod, documents: Sequence[DocumentRecord] = ()):
@@ -160,9 +148,6 @@ class PeriodCorpus(CorpusNode):
         self.doc_offsets: np.ndarray | None = None
         self.vocabulary: "Vocabulary | None" = None
         self.surface_vocabulary: "Vocabulary | None" = None
-
-    def leaves(self) -> list["PeriodCorpus"]:
-        return [self]
 
     def require_token_ids(self, level: str = "lemma") -> np.ndarray:
         """The leaf's token ids at ``level``; raise unless ingest built or stored them."""
@@ -191,27 +176,22 @@ class PeriodCorpus(CorpusNode):
         return leaf
 
 
-class DiachronicCorpus(CorpusNode):
-    """Composite node spanning the union of its children's periods."""
+class DiachronicCorpus:
+    """A corpus: its period leaves, sorted by period, no two of which overlap."""
 
-    def __init__(self, children: Sequence[CorpusNode]):
-        if not children:
+    def __init__(self, leaves: Sequence[PeriodCorpus]):
+        if not leaves:
             raise ParameterError("a diachronic corpus needs at least one child")
-        ordered = sorted(children, key=lambda c: (c.period.start_year, c.period.end_year))
-        for left, right in zip(ordered, ordered[1:]):
+        self._leaves = sorted(leaves, key=lambda leaf: leaf.period)
+        for left, right in zip(self._leaves, self._leaves[1:]):
             if left.period.overlaps(right.period):
                 raise ParameterError(
                     f"child periods overlap: {left.period.label} and {right.period.label}"
                 )
-        self.children: list[CorpusNode] = list(ordered)
-        self.period = TimePeriod(ordered[0].period.start_year, ordered[-1].period.end_year)
         self.unbucketed_documents: list[DocumentRecord] = []
 
     def leaves(self) -> list[PeriodCorpus]:
-        out: list[PeriodCorpus] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return list(self._leaves)
 
 
 def require_distinct(items: Sequence, kind: str = "period") -> None:
@@ -222,9 +202,9 @@ def require_distinct(items: Sequence, kind: str = "period") -> None:
 
 
 def select_leaves(
-    node: CorpusNode, periods: Sequence[TimePeriod] | None = None
+    node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None
 ) -> list[PeriodCorpus]:
-    """Leaves of ``node`` restricted to ``periods`` (all leaves when None).
+    """Leaves of ``node`` restricted to ``periods`` (all leaves when None), in period order.
 
     Raises ParameterError if ``periods`` is empty, or a requested period is
     listed twice or has no leaf.
@@ -235,17 +215,15 @@ def select_leaves(
     if not periods:
         raise ParameterError("no periods selected")
     require_distinct(periods)
-    by_period = {leaf.period: leaf for leaf in leaves}
-    out = []
+    held = {leaf.period for leaf in leaves}
     for period in periods:
-        if period not in by_period:
+        if period not in held:
             raise ParameterError(f"no corpus leaf for period {period.label}")
-        out.append(by_period[period])
-    return sorted(out, key=lambda l: l.period)
+    return [leaf for leaf in leaves if leaf.period in periods]
 
 
 def per_period(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     periods: Sequence[TimePeriod] | None,
     fn: Callable[[PeriodCorpus], Any],
 ) -> TimeSeriesResult:
@@ -279,6 +257,8 @@ def parse_manifest(content: str) -> list[DocumentRecord]:
             path = entry["path"]
         except KeyError as exc:
             raise IngestError(f"manifest entry {i} misses required key {exc}") from exc
+        if not all(isinstance(value, str) for value in (doc_id, date_text, path)):
+            raise IngestError(f"manifest entry {i}: id, date and path must be strings")
         if doc_id in seen:
             raise IngestError(f"duplicate document id {doc_id!r} in manifest")
         seen.add(doc_id)
@@ -384,16 +364,17 @@ def build_corpus_tree(
     filter_config: FilterConfig = FilterConfig(),
     analyzer: MorphAnalyzer | None = None,
 ) -> DiachronicCorpus:
-    """Ingest documents into a preprocessed two-level corpus tree.
+    """Ingest documents into a preprocessed corpus of period leaves.
 
-    Documents are assigned to buckets by publication year. With the default
-    bucketing, each observed year falls into its calendar decade; an explicit
-    bucket list may leave documents unassigned, which are collected on the
-    returned root's ``unbucketed_documents`` rather than silently dropped.
-    Leaves carry populated stats and filtered vocabularies on return.
+    Documents are assigned to buckets by publication year, in ``doc_id`` order
+    whatever the order of ``records``. With the default bucketing, each year
+    falls into its calendar decade; an explicit bucket list may leave documents
+    unassigned, which are collected on ``unbucketed_documents`` rather than
+    silently dropped. Leaves carry populated stats and filtered vocabularies.
     """
     if not records:
         raise IngestError("manifest lists no documents")
+    records = sorted(records, key=lambda record: record.doc_id)
 
     if bucketing is None:
         buckets = sorted({decade_bucket(r.date.year) for r in records})
@@ -416,7 +397,7 @@ def build_corpus_tree(
             unbucketed.append(record)
 
     root_dir = Path(corpus_root if corpus_root is not None else "")
-    children: list[PeriodCorpus] = []
+    leaves: list[PeriodCorpus] = []
     for bucket in buckets:
         docs = assigned[bucket]
         if not docs:
@@ -424,11 +405,11 @@ def build_corpus_tree(
         leaf = PeriodCorpus(bucket, docs)
         texts = [read_input_text(root_dir / doc.path, f"document {doc.doc_id!r}") for doc in docs]
         _ingest_leaf(leaf, texts, filter_config, analyzer)
-        children.append(leaf)
+        leaves.append(leaf)
 
-    if not children:
+    if not leaves:
         raise IngestError("no document fell into any bucket")
-    tree = DiachronicCorpus(children)
+    tree = DiachronicCorpus(leaves)
     tree.unbucketed_documents = unbucketed
     return tree
 
@@ -596,3 +577,10 @@ def write_artifact(path: str | Path, content: str | bytes | Iterable[str | bytes
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def sweep_temp_files(directory: Path) -> None:
+    """Remove the temp files, ``.<pid>-<thread>.tmp``, that killed writers left in ``directory``."""
+    for path in directory.glob(".*.tmp"):
+        if re.fullmatch(r"\.\d+-\d+\.tmp", path.name):
+            path.unlink()

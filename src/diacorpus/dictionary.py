@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import CorpusNode, TimePeriod, TimeSeriesResult
+from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult
 from .errors import DictionaryError, ParameterError
 from .lexicon import frequency
 from .preprocess import read_input_text
@@ -76,17 +76,6 @@ def load_dictionary(source: Path | str) -> list[DictionaryEntry]:
     return entries
 
 
-def dump_dictionary(entries: Sequence[DictionaryEntry]) -> str:
-    """Serialize entries back to the dictionary JSON shape (round-trip stable)."""
-    payload = []
-    for entry in entries:
-        item: dict = {"modern": entry.modern, "old": list(entry.old_forms)}
-        if entry.senses:
-            item["senses"] = list(entry.senses)
-        payload.append(item)
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-
-
 def load_sample_dictionary() -> list[DictionaryEntry]:
     """The bundled sample of well-known replacement pairs."""
     text = resources.files("diacorpus.data").joinpath("sample_dictionary.json").read_text(
@@ -96,7 +85,7 @@ def load_sample_dictionary() -> list[DictionaryEntry]:
 
 
 def replacement_series(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     modern: str,
     old: str,
     periods: Sequence[TimePeriod] | None = None,
@@ -112,7 +101,7 @@ def replacement_series(
 
 
 def crossover_period(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     modern: str,
     old: str,
     periods: Sequence[TimePeriod] | None = None,

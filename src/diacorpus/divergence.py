@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusNode, TimePeriod, TimeSeriesResult, csv_table, select_leaves
+from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary
 
@@ -130,21 +130,21 @@ def _pairwise_matrix(vocabularies: list[Vocabulary], metric: str) -> DivergenceM
 
 
 def jaccard_matrix(
-    node: CorpusNode, periods: Sequence[TimePeriod] | None = None
+    node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None
 ) -> DivergenceMatrix:
     leaves = select_leaves(node, periods)
     return _pairwise_matrix([create_vocabulary(l) for l in leaves], "jaccard")
 
 
 def jsd_matrix(
-    node: CorpusNode, periods: Sequence[TimePeriod] | None = None
+    node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None
 ) -> DivergenceMatrix:
     leaves = select_leaves(node, periods)
     return _pairwise_matrix([create_vocabulary(l) for l in leaves], "jsd")
 
 
 def contributions_between(
-    node: CorpusNode, period_a: TimePeriod, period_b: TimePeriod, top_k: int
+    node: DiachronicCorpus, period_a: TimePeriod, period_b: TimePeriod, top_k: int
 ) -> ContributionRanking:
     """JSD contributions ranking ``period_a`` against ``period_b``, in that order."""
     leaves = {leaf.period: leaf for leaf in select_leaves(node, [period_a, period_b])}
@@ -153,7 +153,7 @@ def contributions_between(
 
 
 def survived_words(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     base_period: TimePeriod,
     periods: Sequence[TimePeriod] | None = None,
 ) -> TimeSeriesResult:

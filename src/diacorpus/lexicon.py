@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import (
     CHUNK_VALUES,
-    CorpusNode,
+    DiachronicCorpus,
     PeriodCorpus,
     TimePeriod,
     TimeSeriesResult,
@@ -194,14 +194,14 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
 
 
 def exists(
-    node: CorpusNode, word: str, periods: Sequence[TimePeriod] | None = None
+    node: DiachronicCorpus, word: str, periods: Sequence[TimePeriod] | None = None
 ) -> TimeSeriesResult:
     """Per-period membership of a word in the filtered vocabulary."""
     return per_period(node, periods, lambda leaf: word in create_vocabulary(leaf))
 
 
 def frequency(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     word: str,
     periods: Sequence[TimePeriod] | None = None,
     normalize: bool = False,
@@ -216,7 +216,7 @@ def frequency(
 
 
 def merge_vocabulary(
-    node: CorpusNode, periods: Sequence[TimePeriod] | None = None, level: str = "lemma"
+    node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None, level: str = "lemma"
 ) -> Vocabulary:
     """Entry-wise merge of the range's vocabularies, folded in period order."""
     leaves = select_leaves(node, periods)
@@ -227,7 +227,7 @@ def merge_vocabulary(
 
 
 def common_words(
-    node: CorpusNode, periods: Sequence[TimePeriod] | None = None, level: str = "lemma"
+    node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None, level: str = "lemma"
 ) -> set[str]:
     """Words present in every period of the range (set intersection)."""
     leaves = select_leaves(node, periods)
@@ -246,7 +246,7 @@ def _average_word_length(vocab: Vocabulary) -> float:
 
 
 def vocab_metrics(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     periods: Sequence[TimePeriod] | None = None,
     ngram_order: int = 1,
     level: str = "lemma",
@@ -272,7 +272,7 @@ def vocab_metrics(
 
 
 def words_matching(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     kind: str,
     pattern: str,
     periods: Sequence[TimePeriod] | None = None,
@@ -305,7 +305,7 @@ def occurrence_rate(
 
 
 def morpheme_frequency(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     pattern: str,
     periods: Sequence[TimePeriod] | None = None,
     per_million: bool = True,
@@ -329,7 +329,7 @@ def morpheme_frequency(
 
 
 def cofrequency(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     word_u: str,
     word_v: str,
     periods: Sequence[TimePeriod] | None = None,

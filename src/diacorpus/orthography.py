@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import CorpusNode, TimePeriod, TimeSeriesResult, csv_table, select_leaves
+from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary, merge_vocabulary, occurrence_rate
 
@@ -85,7 +85,7 @@ def detect_variant_pairs(
 
 
 def ending_ratio_rows(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     pair_class: str,
     periods: Sequence[TimePeriod] | None = None,
     level: str = "surface",
@@ -121,7 +121,7 @@ def ending_ratio_rows(
 
 
 def ending_ratio(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     pair_class: str,
     periods: Sequence[TimePeriod] | None = None,
     level: str = "surface",
@@ -143,7 +143,7 @@ def ending_ratio_csv(
 
 
 def circumflex_frequency(
-    node: CorpusNode,
+    node: DiachronicCorpus,
     periods: Sequence[TimePeriod] | None = None,
     letters: frozenset[str] = CIRCUMFLEX_LETTERS,
     level: str = "lemma",

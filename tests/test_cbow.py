@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -130,6 +131,24 @@ class TestValidation:
         capped = train_cbow(leaf, dim=4, window=longest - 1, downsample=0.0, epochs=1)
         wide = train_cbow(leaf, dim=4, window=window, downsample=0.0, epochs=1)
         assert np.array_equal(wide.matrix, capped.matrix)
+
+    def test_context_windows_are_built_per_block(self):
+        import scipy.sparse  # noqa: F401 - its first import would count toward the peak
+
+        rng = np.random.default_rng(5)
+        words = ["k" + "".join(rng.choice(list("abcdefgh"), 5)) for _ in range(300)]
+        text = " ".join(rng.choice(words, size=20_000))
+        config = FilterConfig(threshold_divisor=10_000_000)
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d": text}, config)
+        window = 50
+        tracemalloc.start()
+        try:
+            train_cbow(leaf, dim=8, window=window, downsample=0.0, epochs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # less than the int64 context indices of the whole 20,000-token sentence
+        assert peak < 20_000 * 2 * window * 8
 
 
 def reference_cbow(

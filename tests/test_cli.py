@@ -851,6 +851,77 @@ class TestConfigErrors:
         assert vectors[1:] == [vectors[0]] * 2
 
 
+class TestManifestOrder:
+    def test_permuted_manifest_writes_the_same_bytes(self, tmp_path):
+        """Each period's documents are in id order, so manifest order changes no file."""
+        manifest = json.loads((FIXTURES / "mini_corpus" / "manifest.json").read_text("utf-8"))
+        orders = {
+            "given": manifest,
+            "reversed": manifest[::-1],
+            "shuffled": [manifest[i] for i in np.random.default_rng(7).permutation(len(manifest))],
+        }
+        digests = {}
+        for name, records in orders.items():
+            corpus = tmp_path / name / "corpus"
+            corpus.mkdir(parents=True)
+            shutil.copytree(FIXTURES / "mini_corpus" / "docs", corpus / "docs")
+            (corpus / "manifest.json").write_text(json.dumps(records), encoding="utf-8")
+            raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+            raw.update(corpus_root=str(corpus), analyzer_tsv=str(FIXTURES / raw["analyzer_tsv"]))
+            config = tmp_path / name / "config.json"
+            config.write_text(json.dumps(raw), encoding="utf-8")
+            out = tmp_path / name / "out"
+            argv = ["--config", str(config), "--output-dir", str(out)]
+            steps = (["ingest"], ["embed", "svd"], ["embed", "cbow"], ["analyze", "divergence"])
+            for step in steps:
+                assert main([*argv, *step]) == 0, (name, step)
+            digests[name] = _tree_digest(out)
+        assert {"tokens/1930-1939.npz", "embeddings/1980-1989.cbow.vec"} <= set(digests["given"])
+        assert digests["reversed"] == digests["given"]
+        assert digests["shuffled"] == digests["given"]
+
+    @pytest.mark.parametrize("field,value", [("id", "1"), ("date", "1931"), ("path", "null")])
+    def test_field_that_is_no_string_is_usage_error(self, tmp_path, capsys, field, value):
+        entry = {"id": '"a"', "date": '"1931-01-01"', "path": '"a.txt"', field: value}
+        manifest = "[{" + ", ".join(f'"{k}": {v}' for k, v in entry.items()) + "}]"
+        assert main([*_corpus_config(tmp_path, manifest.encode()), "ingest"]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "manifest entry 0: id, date and path must be strings"
+
+
+class TestStaleTempFiles:
+    """Once a command holds the lock, a file named like a ``write_artifact``
+    temp file is a killed writer's, and the command removes it first."""
+
+    STALE = (".12-34.tmp", "reports/.5-6.tmp", "vocab/.7-8.tmp", "tokens/.9-10.tmp",
+             "ngrams/.11-12.tmp", "ppmi/.13-14.tmp", "embeddings/.15-16.tmp",
+             "transforms/.17-18.tmp")
+    KEPT = (".keep.tmp", "notes.tmp", ".1-2.tmp.bak", "ngrams/.keep.tmp")
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["ingest"], 0),
+            (["dict"], 0),
+            (["analyze", "survived", "--base-period", "1940-1949"], 2),  # fails after the sweep
+        ],
+    )
+    def test_any_command_removes_exactly_the_stale_temp_files(self, tmp_path, argv, code):
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        for root in (clean, out):
+            assert run_cli(root, "ingest") == 0
+        for name in self.STALE + self.KEPT:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(b"partial")
+        assert run_cli(out, *argv) == run_cli(clean, *argv) == code
+        assert not any((out / name).exists() for name in self.STALE)
+        digest = _tree_digest(out)
+        assert {name: digest.pop(name) for name in self.KEPT} == {
+            name: hashlib.sha256(b"partial").hexdigest() for name in self.KEPT
+        }
+        assert digest == _tree_digest(clean)
+
+
 class TestEmbedReadsTokenStore:
     def test_embed_does_not_need_the_corpus(self, tmp_path):
         shutil.copytree(FIXTURES / "mini_corpus", tmp_path / "mini_corpus")

@@ -98,17 +98,11 @@ class TestTreeConstruction:
 
     def test_composite_period_spans_children(self):
         tree = DiachronicCorpus([PeriodCorpus(PERIOD_1980), PeriodCorpus(PERIOD_1930)])
-        assert tree.period == TimePeriod(1930, 1989)
-        assert [c.period for c in tree.children] == [PERIOD_1930, PERIOD_1980]
+        assert [l.period for l in tree.leaves()] == [PERIOD_1930, PERIOD_1980]
 
     def test_select_leaves_rejects_a_repeated_period(self, fixture_tree):
         with pytest.raises(ParameterError, match="period 1930-1939 is listed twice"):
             select_leaves(fixture_tree, [PERIOD_1930, PERIOD_1980, PERIOD_1930])
-
-    def test_nested_composites_flatten_in_period_order(self):
-        inner = DiachronicCorpus([PeriodCorpus(TimePeriod(1940, 1949)), PeriodCorpus(PERIOD_1980)])
-        outer = DiachronicCorpus([inner, PeriodCorpus(PERIOD_1930)])
-        assert [l.period.start_year for l in outer.leaves()] == [1930, 1940, 1980]
 
 
 class TestBucketing:
@@ -183,11 +177,6 @@ class TestPerPeriod:
     def test_reversed_periods_give_period_order(self, fixture_tree):
         series = per_period(fixture_tree, [PERIOD_1980, PERIOD_1930], unique_word_count)
         assert series.periods() == [PERIOD_1930, PERIOD_1980]
-
-    def test_bare_leaf_gives_one_entry(self, fixture_tree):
-        leaf = fixture_tree.leaves()[0]
-        series = per_period(leaf, None, unique_word_count)
-        assert series.entries == [(leaf.period, len(leaf.vocabulary.entries))]
 
     @pytest.mark.parametrize(
         "periods,message",

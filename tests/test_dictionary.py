@@ -3,7 +3,6 @@ import pytest
 from diacorpus.dictionary import (
     DictionaryEntry,
     crossover_period,
-    dump_dictionary,
     load_dictionary,
     load_sample_dictionary,
     replacement_series,
@@ -44,12 +43,6 @@ class TestLoadDictionary:
         assert by_modern["gerek"] == ("mucip", "lazım")
         assert by_modern["kurul"] == ("heyet", "encümen")
         assert by_modern["belge"] == ("vesika",)
-
-    def test_roundtrip_is_fixed_point(self):
-        entries = load_sample_dictionary()
-        dumped = dump_dictionary(entries)
-        assert load_dictionary(dumped) == entries
-        assert dump_dictionary(load_dictionary(dumped)) == dumped
 
     def test_path_is_read_and_str_is_json_text(self, tmp_path):
         text = '[{"modern": "yıl", "old": ["sene"]}]'

@@ -134,8 +134,8 @@ class TestCreateVocabulary:
             lambda: create_ngrams(leaf, 1),
             lambda: count_cooccurrences(leaf),
             lambda: train_cbow(leaf, dim=4),
-            lambda: cofrequency(leaf, "yıl", "sene"),
-            lambda: vocab_metrics(leaf),
+            lambda: cofrequency(_tree_of(leaf), "yıl", "sene"),
+            lambda: vocab_metrics(_tree_of(leaf)),
         ):
             with pytest.raises(MissingArtifactError) as info:
                 build()
@@ -219,7 +219,7 @@ class TestExistsAndFrequency:
 
     def test_normalized_by_hand(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "yıl yıl kış güz"})
-        series = frequency(leaf, "yıl", normalize=True)
+        series = frequency(_tree_of(leaf), "yıl", normalize=True)
         assert series.values() == [0.5]
 
     def test_fixture_replacement_pair_crosses_over(self, fixture_tree):
@@ -238,7 +238,7 @@ class TestExistsAndFrequency:
     def test_normalized_frequencies_sum_to_one(self, fixture_tree):
         for leaf in fixture_tree.leaves():
             total = sum(
-                frequency(leaf, w, normalize=True).values()[0]
+                frequency(_tree_of(leaf), w, normalize=True).values()[0]
                 for w in leaf.vocabulary.entries
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -282,9 +282,9 @@ class TestVocabMetrics:
         metrics = vocab_metrics(_tree_of(leaf))
         assert metrics["average_word_length"].values() == [2.5]
 
-    def test_bare_leaf_gives_one_entry_series(self):
+    def test_one_period_gives_one_entry_series(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
-        metrics = vocab_metrics(leaf)
+        metrics = vocab_metrics(_tree_of(leaf))
         assert metrics["unique_word_count"].entries == [(PERIOD_1930, 2)]
         assert metrics["average_word_length"].entries == [(PERIOD_1930, 2.5)]
         assert metrics["ngram_count"].entries == [(PERIOD_1930, 3)]
@@ -313,7 +313,7 @@ class TestVocabMetrics:
 class TestWordsMatchingAndMorphemes:
     def test_suffix_match(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "kitab kitap kitap"})
-        series = words_matching(leaf, "suffix", "b")
+        series = words_matching(_tree_of(leaf), "suffix", "b")
         assert series.values() == [{"kitab"}]
 
     def test_prefix_tele_on_fixture(self, fixture_tree):
@@ -327,7 +327,7 @@ class TestWordsMatchingAndMorphemes:
     def test_morpheme_rate_by_hand(self):
         # one circumflex per lemma occurrence, frequency 2, in a 4-token corpus
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "kâğıt kâğıt kalem uç"})
-        series = morpheme_frequency(leaf, "â")
+        series = morpheme_frequency(_tree_of(leaf), "â")
         assert series.values() == [pytest.approx(2 / 4 * 1_000_000)]
 
     def test_morpheme_raw_count(self, fixture_tree):
@@ -340,7 +340,7 @@ class TestWordsMatchingAndMorphemes:
 class TestCoFrequency:
     def test_single_pair(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb"})
-        series = cofrequency(leaf, "aa", "bb")
+        series = cofrequency(_tree_of(leaf), "aa", "bb")
         assert series.values() == [1]
 
     def test_symmetric(self, fixture_tree):
@@ -364,15 +364,15 @@ class TestCoFrequency:
 
     def test_a_word_with_itself_counts_twice(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa aa bb", "d2": "aa"})
-        assert cofrequency(leaf, "aa", "aa", window=1).values() == [2]
-        assert cofrequency(leaf, "aa", "bb", window=1).values() == [1]
-        assert cofrequency(leaf, "aa", "aa", window=5).values() == [2]
+        assert cofrequency(_tree_of(leaf), "aa", "aa", window=1).values() == [2]
+        assert cofrequency(_tree_of(leaf), "aa", "bb", window=1).values() == [1]
+        assert cofrequency(_tree_of(leaf), "aa", "aa", window=5).values() == [2]
 
     @pytest.mark.parametrize("word", ["aa", "yokkelime"])
     def test_window_below_one_is_an_error(self, word):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb"})
         with pytest.raises(ParameterError, match="window must be at least 1"):
-            cofrequency(leaf, word, "bb", window=0)
+            cofrequency(_tree_of(leaf), word, "bb", window=0)
 
 
 def test_queries_store_nothing_on_the_leaf():
@@ -387,9 +387,9 @@ def test_queries_store_nothing_on_the_leaf():
     before = state()
     create_ngrams(leaf, 2)
     build_ppmi(count_cooccurrences(leaf))
-    cofrequency(leaf, "aa", "bb")
-    morpheme_frequency(leaf, "a")
-    vocab_metrics(leaf, ngram_order=2)
+    cofrequency(_tree_of(leaf), "aa", "bb")
+    morpheme_frequency(_tree_of(leaf), "a")
+    vocab_metrics(_tree_of(leaf), ngram_order=2)
     assert state() == before
 
 
