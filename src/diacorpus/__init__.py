@@ -44,12 +44,10 @@ from .embeddings import (
     CooccurrenceMatrix,
     EmbeddingSet,
     PPMIMatrix,
-    association,
     build_ppmi,
     collocations,
     count_cooccurrences,
     most_similar,
-    similarity,
     svd_embeddings,
 )
 from .errors import (

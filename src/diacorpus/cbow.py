@@ -7,14 +7,15 @@ dropped with the classic rate-based rule (keep probability
 ``min(1, sqrt(rate / fraction))``).
 
 Each sentence (document) is trained in blocks of at most
-``BLOCK_POSITIONS`` consecutive kept positions, one minibatch per block:
-every position reads the vectors as they stood at the start of its block,
-and the block's summed gradients are applied once. Context windows span the
-whole kept sentence, so they are not cut at block edges. A negative draw
-equal to its center word gets weight 0. Per sentence the random stream is
-the keep-mask draw, ``rng.random(len(sentence))``, then every position's
-negatives, ``rng.random((kept, negatives))`` in row-major order, the same
-doubles in the same order as a one-position-at-a-time trainer consumes.
+``min(BLOCK_POSITIONS, max(1, BLOCK_SLOTS // (2 * window)))`` consecutive
+kept positions, one minibatch per block: every position reads the vectors as
+they stood at the start of its block, and the block's summed gradients are
+applied once. Context windows span the whole kept sentence, so they are not
+cut at block edges. A negative draw equal to its center word gets weight 0.
+Per sentence the random stream is the keep-mask draw,
+``rng.random(len(sentence))``, then every position's negatives,
+``rng.random((kept, negatives))`` in row-major order, the same doubles in
+the same order as a one-position-at-a-time trainer consumes.
 
 Updates use einsum and scipy sparse products, never BLAS, so given a seed
 training is bit-identical across runs and BLAS thread counts; multi-worker
@@ -33,6 +34,8 @@ from .lexicon import create_vocabulary, vocabulary_order
 # Consecutive kept positions of one sentence trained as one minibatch; the
 # cap is word2vec's MAX_SENTENCE_LENGTH.
 BLOCK_POSITIONS = 1000
+# Context slots (positions x 2 * window) a block may gather; binds above window 32.
+BLOCK_SLOTS = 1 << 16
 
 LR_START = 0.025
 LR_END = 0.0001
@@ -164,6 +167,7 @@ def train_cbow(
     except (ValueError, MemoryError) as exc:
         raise ParameterError(f"embedding dim {dim} is too large: {exc}") from exc
     window_offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    block = min(BLOCK_POSITIONS, max(1, BLOCK_SLOTS // (2 * window)))
 
     budget = float(epochs) * sum(len(s) for s in sentences)
     consumed = 0
@@ -185,8 +189,8 @@ def train_cbow(
                 raise ParameterError(f"negatives {negatives} is too large: {exc}") from exc
             np.clip(draws, 0, size - 1, out=draws)
             targets = np.column_stack((kept, draws))
-            for start in range(0, n, BLOCK_POSITIONS):
-                stop = min(start + BLOCK_POSITIONS, n)
+            for start in range(0, n, block):
+                stop = min(start + block, n)
                 windows = np.arange(start, stop)[:, None] + window_offsets
                 loss_sum += _train_block(
                     vectors_in, vectors_out, kept, windows, targets[start:stop], lr
@@ -200,6 +204,5 @@ def train_cbow(
         matrix=vectors_in,
         dim=dim,
         provenance="cbow",
-        seed=seed,
         training_loss=epoch_losses,
     )

@@ -392,15 +392,12 @@ def _period_vocabulary_path(config: RunConfig, period: TimePeriod) -> Path:
 
 
 def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
-    """Rebuild a tree of vocabulary-only leaves from the files written by ingest."""
+    """Rebuild a corpus of leaves that hold only their lemma vocabularies, as ingest wrote them."""
     leaves = []
     for path in _lemma_vocabulary_paths(config):
         vocab = _read_vocabulary(path)
         leaf = PeriodCorpus(vocab.period)
         leaf.vocabulary = vocab
-        surface_path = _artifact_path(config, "surface", period=leaf.period)
-        if surface_path.is_file():
-            leaf.surface_vocabulary = _read_vocabulary(surface_path, level="surface")
         leaves.append(leaf)
     return DiachronicCorpus(leaves)
 
@@ -478,6 +475,9 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
     periods = _parse_periods(args.periods)
     require_distinct(args.classes, "class")
     tree = _load_vocab_artifacts(config)
+    for leaf in tree.leaves():  # the ending ratios read surface forms
+        path = _existing(config, "surface", period=leaf.period)
+        leaf.surface_vocabulary = _read_vocabulary(path, level="surface")
     # compute every analysis first, so a failing class writes no report
     class_rows = {
         pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)

@@ -55,10 +55,11 @@ class TimePeriod:
     end_year: int
 
     def __post_init__(self) -> None:
+        for year in (self.start_year, self.end_year):
+            if not 0 <= year <= 9999:  # the years a label holds and ``parse`` reads
+                raise ParameterError(f"period year {year} is outside 0-9999")
         if self.start_year > self.end_year:
-            raise ParameterError(
-                f"period start {self.start_year} is after end {self.end_year}"
-            )
+            raise ParameterError(f"period start {self.start_year} is after end {self.end_year}")
 
     @property
     def label(self) -> str:
@@ -119,12 +120,6 @@ class TimeSeriesResult:
 
     def values(self) -> list[Any]:
         return [v for _, v in self.entries]
-
-    def value_for(self, period: TimePeriod) -> Any:
-        for p, v in self.entries:
-            if p == period:
-                return v
-        raise ParameterError(f"no entry for period {period.label}")
 
     def __iter__(self) -> Iterator[tuple[TimePeriod, Any]]:
         return iter(self.entries)

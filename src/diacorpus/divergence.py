@@ -30,9 +30,6 @@ class DivergenceMatrix:
     values: np.ndarray
     metric: str
 
-    def value(self, a: TimePeriod, b: TimePeriod) -> float:
-        return float(self.values[self.periods.index(a), self.periods.index(b)])
-
     def to_csv(self) -> str:
         labels = [p.label for p in self.periods]
         return csv_table(

@@ -82,14 +82,12 @@ class CooccurrenceMatrix:
     counts: CSRArrays
     window: int
     row_totals: np.ndarray = field(init=False)
-    col_totals: np.ndarray = field(init=False)
     grand_total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        counts, (rows, cols) = self.counts, self.counts.shape
+        counts, rows = self.counts, self.counts.shape[0]
         # a weighted bincount sums in float64, exact for integer counts below 2**53
         self.row_totals = np.bincount(_row_ids(counts), counts.data, rows).astype(np.int64)
-        self.col_totals = np.bincount(counts.indices, counts.data, cols).astype(np.int64)
         self.grand_total = int(self.row_totals.sum())
 
     def pair_count(self, word_u: str, word_v: str) -> int:
@@ -138,7 +136,6 @@ class EmbeddingSet:
     matrix: np.ndarray
     dim: int
     provenance: str  # "svd" | "cbow"
-    seed: int | None = None
     training_loss: list[float] | None = None
 
     def __post_init__(self) -> None:
@@ -160,24 +157,6 @@ class EmbeddingSet:
         return self.matrix[i]
 
 
-def _window_pairs(leaf: PeriodCorpus, window: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The in-window token pairs of a leaf, one ``(left, right)`` id array pair per offset.
-
-    For each offset 1..``window``, the vocabulary ids of the tokens at
-    positions i and i + offset, for every i where both lie in one document and
-    both survived filtering; positions count the full token sequence.
-    """
-    if window < 1:
-        raise ParameterError("window must be at least 1")
-    ids = leaf.require_token_ids()
-    pairs = []
-    for offset in range(1, min(window, len(ids) - 1) + 1):
-        left, right = ids[:-offset], ids[offset:]
-        mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
-        pairs.append((left[mask], right[mask]))
-    return pairs
-
-
 def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatrix:
     """Count symmetric in-window co-occurrences over the filtered vocabulary.
 
@@ -187,7 +166,14 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     pairs. Pairs touching a filtered-out token are skipped; positions are
     counted over the full token sequence.
     """
-    pairs = _window_pairs(leaf, window)
+    if window < 1:
+        raise ParameterError("window must be at least 1")
+    ids = leaf.require_token_ids()
+    pairs = []  # per offset, the (left, right) ids of positions i and i + offset
+    for offset in range(1, min(window, len(ids) - 1) + 1):
+        left, right = ids[:-offset], ids[offset:]
+        mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
+        pairs.append((left[mask], right[mask]))
     order = vocabulary_order(create_vocabulary(leaf))
     index = {w: i for i, w in enumerate(order)}
     size = len(order)
@@ -224,7 +210,8 @@ def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
     grand = float(cooc.grand_total)
     p_joint = counts.data.astype(np.float64) / grand
     p_row = cooc.row_totals.astype(np.float64) / grand
-    smoothed = cooc.col_totals.astype(np.float64) ** alpha
+    # the counts are symmetric, so the context (column) marginal is the row marginal
+    smoothed = cooc.row_totals.astype(np.float64) ** alpha
     p_col_smoothed = smoothed / smoothed.sum()
     log_ratio = np.log(p_joint / (p_row[rows] * p_col_smoothed[cols]))
     keep = log_ratio > 0
@@ -288,10 +275,6 @@ def cosine(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
     return float(np.dot(vec_a, vec_b) / norm)
 
 
-def similarity(word_u: str, word_v: str, embedding_set: EmbeddingSet) -> float:
-    return cosine(embedding_set.vector(word_u), embedding_set.vector(word_v))
-
-
 def rank_by_cosine(
     query_vector: np.ndarray, embedding_set: EmbeddingSet, top_k: int, exclude: str | None = None
 ) -> list[tuple[str, float]]:
@@ -330,10 +313,6 @@ def collocations(word: str, top_k: int, ppmi: PPMIMatrix) -> list[tuple[str, flo
         key=lambda kv: (-kv[1], kv[0]),
     )
     return ranked[:top_k]
-
-
-def association(word_u: str, word_v: str, ppmi: PPMIMatrix) -> float:
-    return ppmi.association(word_u, word_v)
 
 
 # ---------------------------------------------------------------------------

@@ -308,22 +308,18 @@ def morpheme_frequency(
     node: DiachronicCorpus,
     pattern: str,
     periods: Sequence[TimePeriod] | None = None,
-    per_million: bool = True,
     level: str = "lemma",
 ) -> TimeSeriesResult:
     """Per-period usage rate of a character pattern, per million filtered tokens.
 
     Occurrences are counted inside each vocabulary word (non-overlapping) and
-    weighted by the word's token frequency; ``per_million=False`` gives the
-    raw weighted count.
+    weighted by the word's token frequency.
     """
     if not pattern:
         raise ParameterError("morpheme pattern must be non-empty")
 
-    def rate(leaf: PeriodCorpus) -> int | float | None:
-        vocab = create_vocabulary(leaf, level)
-        raw, per_m = occurrence_rate(vocab, lambda word: word.count(pattern))
-        return per_m if per_million else raw
+    def rate(leaf: PeriodCorpus) -> float | None:
+        return occurrence_rate(create_vocabulary(leaf, level), lambda word: word.count(pattern))[1]
 
     return per_period(node, periods, rate)
 
@@ -337,26 +333,14 @@ def cofrequency(
 ) -> TimeSeriesResult:
     """Per-period co-occurrence count of a word pair under the window rule.
 
-    The counts come from the leaf's token ids, so it needs leaves that hold
-    them. It equals ``count_cooccurrences(leaf, window).pair_count(word_u, word_v)``
-    without building the matrix: a word paired with itself counts twice.
+    Each value is ``count_cooccurrences(leaf, window).pair_count(word_u, word_v)``,
+    so it needs leaves that hold token ids, and a word paired with itself counts twice.
     """
-    from .embeddings import _window_pairs  # deferred: embeddings imports lexicon
+    from .embeddings import count_cooccurrences  # deferred: embeddings imports lexicon
 
-    def count(leaf: PeriodCorpus) -> int:
-        pairs = _window_pairs(leaf, window)
-        index = {w: i for i, w in enumerate(vocabulary_order(create_vocabulary(leaf)))}
-        u, v = index.get(word_u), index.get(word_v)
-        if u is None or v is None:
-            return 0
-        # a pair counts once for each direction that matches, as in the matrix
-        return sum(
-            int(np.count_nonzero((a == u) & (b == v)))
-            for left, right in pairs
-            for a, b in ((left, right), (right, left))
-        )
-
-    return per_period(node, periods, count)
+    return per_period(
+        node, periods, lambda leaf: count_cooccurrences(leaf, window).pair_count(word_u, word_v)
+    )
 
 
 # ---------------------------------------------------------------------------

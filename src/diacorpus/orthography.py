@@ -89,17 +89,13 @@ def ending_ratio_rows(
     pair_class: str,
     periods: Sequence[TimePeriod] | None = None,
     level: str = "surface",
-    weighting: str = "tokens",
     exclusions: frozenset[str] = DEFAULT_EXCLUSIONS,
 ) -> list[tuple[TimePeriod, int, int, float | None]]:
     """Per-period (soft_total, hard_total, ratio) over the detected pairs.
 
-    With ``weighting`` "tokens" the totals sum token frequencies; "types"
-    counts how many pair members occur at all. Ratio is None where the hard
-    side is absent.
+    The totals sum the token frequencies of the pairs' soft and hard forms.
+    Ratio is None where the hard side is absent.
     """
-    if weighting not in ("tokens", "types"):
-        raise ParameterError(f"unknown weighting {weighting!r}")
     merged = merge_vocabulary(node, periods=None, level=level)
     pairs = detect_variant_pairs(merged, pair_class, exclusions)
     if not pairs:
@@ -109,12 +105,8 @@ def ending_ratio_rows(
     rows = []
     for leaf in select_leaves(node, periods):
         vocab = create_vocabulary(leaf, level=level)
-        if weighting == "tokens":
-            soft_total = sum(vocab.frequency(p.soft_form) for p in pairs)
-            hard_total = sum(vocab.frequency(p.hard_form) for p in pairs)
-        else:
-            soft_total = sum(1 for p in pairs if p.soft_form in vocab)
-            hard_total = sum(1 for p in pairs if p.hard_form in vocab)
+        soft_total = sum(vocab.frequency(p.soft_form) for p in pairs)
+        hard_total = sum(vocab.frequency(p.hard_form) for p in pairs)
         ratio = soft_total / hard_total if hard_total else None
         rows.append((leaf.period, soft_total, hard_total, ratio))
     return rows
@@ -125,10 +117,9 @@ def ending_ratio(
     pair_class: str,
     periods: Sequence[TimePeriod] | None = None,
     level: str = "surface",
-    weighting: str = "tokens",
     exclusions: frozenset[str] = DEFAULT_EXCLUSIONS,
 ) -> TimeSeriesResult:
-    rows = ending_ratio_rows(node, pair_class, periods, level, weighting, exclusions)
+    rows = ending_ratio_rows(node, pair_class, periods, level, exclusions)
     return TimeSeriesResult([(period, ratio) for period, _, _, ratio in rows])
 
 

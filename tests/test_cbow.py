@@ -150,6 +150,23 @@ class TestValidation:
         # less than the int64 context indices of the whole 20,000-token sentence
         assert peak < 20_000 * 2 * window * 8
 
+    def test_a_block_gathers_a_bounded_number_of_context_slots(self):
+        import scipy.sparse  # noqa: F401 - its first import would count toward the peak
+
+        rng = np.random.default_rng(7)
+        words = ["k" + "".join(rng.choice(list("abcdefgh"), 5)) for _ in range(300)]
+        text = " ".join(rng.choice(words, size=3_000))
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d": text}, FilterConfig(10_000_000))
+        tracemalloc.start()
+        try:
+            # the window is cut to the sentence, 2,999 slots on each side
+            train_cbow(leaf, dim=8, window=10**12, downsample=0.0, epochs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few BLOCK_SLOTS-sized index arrays, not 1,000 positions x 5,998 slots
+        assert peak < 16 * cbow.BLOCK_SLOTS * 8
+
 
 def reference_cbow(
     vocabulary,

@@ -194,6 +194,16 @@ class TestIngest:
             held = {path.name.split(".", 1)[0] for path in (out / artifact).iterdir()}
             assert held == set(labels), artifact
 
+    @pytest.mark.parametrize(
+        "bucketing", [[[-5, 1939], [1980, 1989]], [[1930, 1939], [1980, 12000]]], ids=["-5", "12000"]
+    )
+    def test_year_outside_a_label_is_usage_error_at_load(self, tmp_path, capsys, bucketing):
+        code = main([*self._configured(tmp_path, bucketing=bucketing), "ingest"])
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert "outside 0-9999" in payload["message"]
+        assert not (tmp_path / "out" / "vocab").exists()
+
     def test_reingest_drops_the_orders_it_no_longer_has(self, tmp_path):
         out = tmp_path / "out"
         assert main([*self._configured(tmp_path, ngram_orders=[1, 2, 3]), "ingest"]) == 0
@@ -700,6 +710,8 @@ _MISSING_ARTIFACTS = [
     ),
     ("transforms/1980-1989__to__1930-1939.svd.txt", _ALIGNED, *_NO_TRANSFORM),
     ("transforms/1980-1989__to__1930-1939.svd.txt", _CHANGE, *_NO_TRANSFORM),
+    ("vocab/1980-1989.surface.tsv", ["analyze", "ortho"],
+     "no surface vocabulary at {out}/vocab/1980-1989.surface.tsv", "ingest"),
 ]
 
 
@@ -730,6 +742,13 @@ def test_missing_artifact_is_one_json_line(built, tmp_path, capsys, removed, arg
         "context": {"command": argv[0], "run_first": run_first},
     }
     assert not (out / "reports").exists()
+
+
+def test_only_ortho_reads_the_surface_vocabularies(built, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(built, out)
+    (out / "vocab" / "1980-1989.surface.tsv").unlink()
+    assert run_cli(out, "analyze", "survived", "--base-period", _P) == 0
 
 
 def test_following_run_first_of_a_missing_cbow_transform_succeeds(built, tmp_path, capsys):

@@ -87,6 +87,12 @@ class TestTimePeriod:
     def test_decade_bucket(self):
         assert decade_bucket(1935) == PERIOD_1930
         assert decade_bucket(1921) == TimePeriod(1920, 1929)
+        assert decade_bucket(9999) == TimePeriod(9990, 9999)
+
+    @pytest.mark.parametrize("years", [(-1, 5), (1990, 10000)])
+    def test_year_outside_a_label_rejected(self, years):
+        with pytest.raises(ParameterError, match="outside 0-9999"):
+            TimePeriod(*years)
 
 
 class TestTreeConstruction:

@@ -163,7 +163,7 @@ class TestMatrices:
         jac = jaccard_matrix(fixture_tree)
         leaves = fixture_tree.leaves()
         expected = jaccard_similarity(leaves[0].vocabulary, leaves[1].vocabulary)
-        assert jac.value(PERIOD_1930, PERIOD_1980) == expected
+        assert jac.values[0, 1] == expected
 
     def test_divergence_nondecreasing_from_base(self, fixture_tree):
         jsd = jsd_matrix(fixture_tree)
@@ -181,7 +181,7 @@ class TestSurvivedWords:
     def test_base_period_is_self_intersection(self, fixture_tree):
         series = survived_words(fixture_tree, PERIOD_1930)
         base_size = len(fixture_tree.leaves()[0].vocabulary.entries)
-        assert series.value_for(PERIOD_1930) == base_size
+        assert dict(series)[PERIOD_1930] == base_size
 
     def test_matches_independent_set_intersection(self, fixture_tree):
         series = survived_words(fixture_tree, PERIOD_1930)
@@ -189,7 +189,7 @@ class TestSurvivedWords:
         expected = len(
             set(leaves[0].vocabulary.entries) & set(leaves[1].vocabulary.entries)
         )
-        assert series.value_for(PERIOD_1980) == expected
+        assert dict(series)[PERIOD_1980] == expected
 
     def test_disjoint_later_vocab(self):
         from diacorpus.corpus import DiachronicCorpus, PeriodCorpus
@@ -197,7 +197,7 @@ class TestSurvivedWords:
         early = PeriodCorpus.from_texts(PERIOD_1930, {"d": "aa bb"})
         late = PeriodCorpus.from_texts(PERIOD_1980, {"d": "cc dd"})
         series = survived_words(DiachronicCorpus([early, late]), PERIOD_1930)
-        assert series.value_for(PERIOD_1980) == 0
+        assert dict(series)[PERIOD_1980] == 0
 
     def test_unknown_base_period(self, fixture_tree):
         with pytest.raises(ParameterError):

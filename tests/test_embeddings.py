@@ -11,7 +11,6 @@ from diacorpus.embeddings import (
     CSRArrays,
     EmbeddingSet,
     PPMIMatrix,
-    association,
     build_ppmi,
     collocations,
     cosine,
@@ -19,7 +18,6 @@ from diacorpus.embeddings import (
     most_similar,
     read_embeddings,
     read_ppmi,
-    similarity,
     svd_embeddings,
     vocabulary_order,
     write_embeddings,
@@ -320,7 +318,7 @@ class TestQueries:
 
     def test_self_similarity_is_one(self, toy):
         _, words = toy
-        assert similarity("aa", "aa", words) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(words.vector("aa"), words.vector("aa")) == pytest.approx(1.0, abs=1e-12)
 
     def test_most_similar_excludes_query(self, toy):
         _, words = toy
@@ -331,7 +329,7 @@ class TestQueries:
     def test_association_of_never_cooccurring_pair(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb", "d2": "cc dd"})
         ppmi = build_ppmi(count_cooccurrences(leaf, window=2))
-        assert association("aa", "dd", ppmi) == 0.0
+        assert ppmi.association("aa", "dd") == 0.0
 
     @pytest.mark.parametrize("source", ["built", "read"])
     def test_association_reads_stored_zero_and_oov_cells(self, tmp_path, source):
@@ -343,20 +341,20 @@ class TestQueries:
             ppmi = read_ppmi(tmp_path / "assoc.tsv", leaf.vocabulary)
         aa, bb, dd = (ppmi.vocab_index[w] for w in ("aa", "bb", "dd"))
         assert expected[aa, bb] > 0  # a stored cell
-        assert association("aa", "bb", ppmi) == expected[aa, bb]
-        assert association("aa", "dd", ppmi) == expected[aa, dd] == 0.0  # a zero cell
+        assert ppmi.association("aa", "bb") == expected[aa, bb]
+        assert ppmi.association("aa", "dd") == expected[aa, dd] == 0.0  # a zero cell
         for pair in [("yok", "aa"), ("aa", "yok")]:
             with pytest.raises(OutOfVocabularyError, match="yok"):
-                association(*pair, ppmi)
+                ppmi.association(*pair)
 
     def test_association_and_collocations_on_unsorted_rows(self):
         ppmi = _unsorted_csr_ppmi()
         canonical = PPMIMatrix(
             ppmi.period, ppmi.vocab_index, ppmi.values.sorted_indices(), ppmi.alpha, ppmi.window
         )
-        assert association("zz", "zz", ppmi) == 1 / 3  # stored after a later column
-        assert association("mm", "zz", ppmi) == 7.0
-        assert association("aa", "zz", ppmi) == 0.0
+        assert ppmi.association("zz", "zz") == 1 / 3  # stored after a later column
+        assert ppmi.association("mm", "zz") == 7.0
+        assert ppmi.association("aa", "zz") == 0.0
         for word in ppmi.vocab_index:
             assert collocations(word, 3, ppmi) == collocations(word, 3, canonical)
         assert collocations("mm", 3, ppmi) == [("zz", 7.0), ("aa", 1e-300)]

@@ -330,12 +330,6 @@ class TestWordsMatchingAndMorphemes:
         series = morpheme_frequency(_tree_of(leaf), "â")
         assert series.values() == [pytest.approx(2 / 4 * 1_000_000)]
 
-    def test_morpheme_raw_count(self, fixture_tree):
-        raw = morpheme_frequency(fixture_tree, "î", per_million=False)
-        leaf = fixture_tree.leaves()[0]
-        expected = sum(w.count("î") * f for w, f in leaf.vocabulary.entries.items())
-        assert raw.values()[0] == expected
-
 
 class TestCoFrequency:
     def test_single_pair(self):
@@ -367,6 +361,12 @@ class TestCoFrequency:
         assert cofrequency(_tree_of(leaf), "aa", "aa", window=1).values() == [2]
         assert cofrequency(_tree_of(leaf), "aa", "bb", window=1).values() == [1]
         assert cofrequency(_tree_of(leaf), "aa", "aa", window=5).values() == [2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_leaf_with_every_token_filtered_out(self):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "12 34 56 78"})
+        assert leaf.vocabulary.entries == {}
+        assert cofrequency(_tree_of(leaf), "aa", "bb").values() == [0]
 
     @pytest.mark.parametrize("word", ["aa", "yokkelime"])
     def test_window_below_one_is_an_error(self, word):

@@ -117,13 +117,6 @@ class TestEndingRatio:
         assert rows[0][1] == 3 and rows[0][2] == 0
         assert rows[1][1] == 0 and rows[1][2] == 3
 
-    def test_type_weighting(self):
-        tree = _two_period_tree(
-            "kitab kitab kitab kitap mektub mektup", "kitap kitap kitab mektup mektub"
-        )
-        rows = ending_ratio_rows(tree, "b-p", weighting="types")
-        assert rows[0][1] == 2 and rows[0][2] == 2
-
 
 class TestCircumflex:
     def test_counts_by_hand(self):
