@@ -99,6 +99,17 @@ def procrustes_align(source: EmbeddingSet, target: EmbeddingSet) -> AlignmentTra
     )
 
 
+def _check_dims(transform: AlignmentTransform, *sets: EmbeddingSet) -> None:
+    """Raise ParameterError unless every set has the transform's dimension."""
+    for embedding in sets:
+        if embedding.dim != transform.dim:
+            raise ParameterError(
+                f"transform {transform.source_period.label}->{transform.target_period.label} "
+                f"is {transform.dim}-dim, but the {embedding.period.label} embeddings are "
+                f"{embedding.dim}-dim"
+            )
+
+
 def alignment_residual(transform: AlignmentTransform, source: EmbeddingSet, target: EmbeddingSet) -> float:
     """Frobenius residual of the transform over the shared vocabulary rows."""
     _, rows_a, rows_b = _shared_rows(source, target)
@@ -130,6 +141,7 @@ def aligned_most_similar(
             f"{transform.target_period.label}, not "
             f"{target_set.period.label}->{base_set.period.label}"
         )
+    _check_dims(transform, target_set, base_set)
     aligned = transform.apply(target_set.vector(word))
     return rank_by_cosine(aligned, base_set, top_k)
 
@@ -170,6 +182,7 @@ def semantic_change(
                 f"{step.target_period.label}; expected "
                 f"{current.period.label}->{ordered[i].period.label}"
             )
+        _check_dims(step, current, ordered[i])
         to_base = step.matrix if to_base is None else step.matrix @ to_base
         if base_vector is None or word not in current.vocab_index:
             entries.append((current.period, None))

@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import PeriodCorpus
 from .embeddings import EmbeddingSet
 from .errors import ComputationUndefinedError, ParameterError
-from .lexicon import create_vocabulary, vocabulary_order
+from .lexicon import create_vocabulary
 
 # Consecutive kept positions of one sentence trained as one minibatch; the
 # cap is word2vec's MAX_SENTENCE_LENGTH.
@@ -132,9 +132,8 @@ def train_cbow(
             f"period {leaf.period.label} has an empty vocabulary; nothing to train on"
         )
 
-    order = vocabulary_order(vocab)
-    index = {w: i for i, w in enumerate(order)}
-    counts = np.array([vocab.entries[w] for w in order], dtype=np.float64)
+    index = {w: i for i, w in enumerate(vocab.entries)}
+    counts = np.array(list(vocab.entries.values()), dtype=np.float64)
 
     # Out-of-vocabulary tokens are dropped before windowing, as usual for
     # word2vec-style training.
@@ -160,7 +159,7 @@ def train_cbow(
     noise_cdf = np.cumsum(noise / noise.sum())
 
     rng = np.random.default_rng(seed)
-    size = len(order)
+    size = len(index)
     try:
         vectors_in = (rng.random((size, dim)) - 0.5) / dim
         vectors_out = np.zeros((size, dim))

@@ -45,6 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .lexicon import Vocabulary
 
 _PERIOD_LABEL = re.compile(r"^(\d{1,4})-(\d{1,4})$")
+# fromisoformat alone reads 20200101 and week dates on Python 3.11+, not on 3.10
+_MANIFEST_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True, order=True)
@@ -136,7 +138,7 @@ class PeriodCorpus:
         self.documents: list[DocumentRecord] = list(documents)
         self.stats: CorpusStats | None = None
         # Per level ("lemma", "surface"): one int32 id per raw token, the row
-        # of its word in ``vocabulary_order`` of that level's vocabulary, or
+        # of its word in that level's ``Vocabulary.entries``, or
         # -1 for a token filtered out. Document d holds the tokens
         # ``doc_offsets[d]:doc_offsets[d + 1]``.
         self.token_ids: dict[str, np.ndarray] = {}
@@ -233,7 +235,7 @@ def decade_bucket(year: int) -> TimePeriod:
 
 
 def parse_manifest(content: str) -> list[DocumentRecord]:
-    """Parse manifest JSON text into document records."""
+    """Parse manifest JSON text into document records; each date is ``YYYY-MM-DD``."""
     try:
         raw = json.loads(content)
     except json.JSONDecodeError as exc:
@@ -258,6 +260,8 @@ def parse_manifest(content: str) -> list[DocumentRecord]:
             raise IngestError(f"duplicate document id {doc_id!r} in manifest")
         seen.add(doc_id)
         try:
+            if not _MANIFEST_DATE.fullmatch(date_text):
+                raise ValueError("not YYYY-MM-DD")
             date = dt.date.fromisoformat(date_text)
         except ValueError as exc:
             raise IngestError(f"document {doc_id!r}: cannot parse date {date_text!r}") from exc
@@ -288,7 +292,7 @@ def _ingest_leaf(
     chunk, and case folding and lemmatization once per distinct surface of the
     leaf, which relies on the analyzer being pure (see ``MorphAnalyzer``).
     """
-    from .lexicon import Vocabulary, vocabulary_order  # deferred: lexicon imports corpus types
+    from .lexicon import Vocabulary  # deferred: lexicon imports corpus types
 
     # surface type -> type number in order of first occurrence; whitespace chunk -> its types
     type_numbers: dict[str, int] = {}
@@ -315,8 +319,6 @@ def _ingest_leaf(
     doc_offsets = np.array(offsets, dtype=np.int64)
     n_raw = len(token_types)
 
-    # Types are in first-occurrence order, so each word's key is inserted
-    # where a per-token count would insert it.
     vocabularies: dict[str, Vocabulary] = {}
     unique_words: dict[str, int] = {}
     for level, words in type_words.items():
@@ -330,7 +332,7 @@ def _ingest_leaf(
             token_total=sum(filtered.values()),
             level=level,
         )
-        row = {w: i for i, w in enumerate(vocabulary_order(vocab))}
+        row = {w: i for i, w in enumerate(vocab.entries)}
         type_ids = np.array([row.get(w, -1) for w in words], dtype=np.int32)
         leaf.token_ids[level] = type_ids[token_types_arr]
         vocabularies[level] = vocab

@@ -26,7 +26,7 @@ from .corpus import (
     write_artifact,
 )
 from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
-from .lexicon import Vocabulary, create_vocabulary, same_document, vocabulary_order
+from .lexicon import Vocabulary, create_vocabulary, same_document
 from .preprocess import is_word
 
 # Dense factorization is exact and repeats its bytes at a fixed BLAS thread
@@ -174,9 +174,8 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
         left, right = ids[:-offset], ids[offset:]
         mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
         pairs.append((left[mask], right[mask]))
-    order = vocabulary_order(create_vocabulary(leaf))
-    index = {w: i for i, w in enumerate(order)}
-    size = len(order)
+    index = {w: i for i, w in enumerate(create_vocabulary(leaf).entries)}
+    size = len(index)
     # one int64 key row * size + column per directed pair, sorted in place:
     # each run of equal keys is one cell and its length the cell's count
     keys = np.concatenate(
@@ -407,8 +406,7 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
     head, records = read_artifact(
         path, "association", period=TimePeriod.parse, window=int, alpha=float
     )
-    order = vocabulary_order(vocabulary)
-    index = {w: i for i, w in enumerate(order)}
+    index = {w: i for i, w in enumerate(vocabulary.entries)}
     rows, cols, numbers = [], [], {}
     for lineno, line in records:
         fields = line.split("\t")
@@ -420,7 +418,7 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
         rows.append(index[row_word])
         cols.append(index[col_word])
     data = parse_numbers(path, numbers, 1, positive=True)[:, 0]
-    size = len(order)
+    size = len(index)
     keys = np.array(rows, dtype=np.int64) * size + np.array(cols, dtype=np.int64)
     sort = np.argsort(keys, kind="stable")  # one pass over a file written in row-major order
     keys, data = keys[sort], data[sort]

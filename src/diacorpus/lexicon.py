@@ -1,10 +1,12 @@
 """Per-period vocabularies, n-gram tables, and count/frequency/pattern queries.
 
-Vocabularies are lemma-level by default; a case-folded surface-level table is
-kept alongside for n-grams and the writing-convention analyses. Each range
-query computes its per-period values from the leaves and stores nothing on
-them. An n-gram table is arrays (``NgramTable``); its ``entries`` dict is
-built on demand, never by ingest, and ``NgramTable.from_entries`` inverts it.
+The range queries read lemma-level vocabularies; a case-folded surface-level
+table is kept alongside for n-grams and the writing-convention analyses. A
+vocabulary's ``entries`` are in row order, which token ids, n-gram ranks and
+every matrix share. Each range query computes its per-period values from the
+leaves and stores nothing on them. An n-gram table is arrays (``NgramTable``);
+its ``entries`` dict is built on demand, never by ingest, and
+``NgramTable.from_entries`` inverts it.
 """
 
 from __future__ import annotations
@@ -37,18 +39,25 @@ NGRAM_ORDERS = (1, 2, 3)
 LEVELS = ("surface", "lemma")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
     """Filtered word-frequency table of one period.
 
-    ``token_total`` is the number of corpus tokens whose word survived
-    filtering, so normalized frequencies over the entries sum to one.
+    ``entries`` are in row order: count descending, then word. It is the row
+    order of the vocabulary TSV, of token ids and of every matrix artifact;
+    ``__post_init__`` puts any entries given into it. ``token_total`` is the
+    number of corpus tokens whose word survived filtering, so normalized
+    frequencies over the entries sum to one.
     """
 
     period: TimePeriod
     entries: dict[str, int]
     token_total: int
     level: str = "lemma"
+
+    def __post_init__(self) -> None:
+        rows = sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+        object.__setattr__(self, "entries", dict(rows))
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -111,15 +120,6 @@ class NgramTable:
         return int(self.counts.sum())
 
 
-def vocabulary_order(vocab: Vocabulary) -> list[str]:
-    """Canonical row order of a vocabulary: frequency-descending, then lexicographic.
-
-    It is the row order of the vocabulary TSV, of token ids and of every
-    matrix artifact.
-    """
-    return [w for w, _ in sorted(vocab.entries.items(), key=lambda kv: (-kv[1], kv[0]))]
-
-
 def same_document(doc_offsets: np.ndarray, shift: int) -> np.ndarray:
     """Mask over token positions i < n - shift: tokens i and i + shift share a document."""
     document = np.repeat(np.arange(len(doc_offsets) - 1), np.diff(doc_offsets))
@@ -163,7 +163,7 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
     frequency-descending, then by gram; one argsort of ``_gram_keys`` groups them.
     """
     _check_ngram_order(order)
-    words = vocabulary_order(create_vocabulary(leaf, level))
+    words = list(create_vocabulary(leaf, level).entries)
     ids = leaf.require_token_ids(level)
     # ranks follow the words' lexicographic order, so sorting rank columns
     # sorts the grams as tuples of strings
@@ -226,12 +226,10 @@ def merge_vocabulary(
     return merged
 
 
-def common_words(
-    node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None, level: str = "lemma"
-) -> set[str]:
+def common_words(node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None) -> set[str]:
     """Words present in every period of the range (set intersection)."""
     leaves = select_leaves(node, periods)
-    sets = [set(create_vocabulary(leaf, level).entries) for leaf in leaves]
+    sets = [set(create_vocabulary(leaf).entries) for leaf in leaves]
     out = sets[0].copy()
     for s in sets[1:]:
         out &= s
@@ -249,7 +247,6 @@ def vocab_metrics(
     node: DiachronicCorpus,
     periods: Sequence[TimePeriod] | None = None,
     ngram_order: int = 1,
-    level: str = "lemma",
 ) -> dict:
     """Bundle of per-period vocabulary metrics plus range-wide common words.
 
@@ -259,15 +256,15 @@ def vocab_metrics(
     _check_ngram_order(ngram_order)
     return {
         "unique_word_count": per_period(
-            node, periods, lambda leaf: len(create_vocabulary(leaf, level).entries)
+            node, periods, lambda leaf: len(create_vocabulary(leaf).entries)
         ),
         "average_word_length": per_period(
-            node, periods, lambda leaf: _average_word_length(create_vocabulary(leaf, level))
+            node, periods, lambda leaf: _average_word_length(create_vocabulary(leaf))
         ),
         "ngram_count": per_period(
-            node, periods, lambda leaf: create_ngrams(leaf, ngram_order, level).total()
+            node, periods, lambda leaf: create_ngrams(leaf, ngram_order).total()
         ),
-        "common_words": common_words(node, periods, level),
+        "common_words": common_words(node, periods),
     }
 
 
@@ -276,7 +273,6 @@ def words_matching(
     kind: str,
     pattern: str,
     periods: Sequence[TimePeriod] | None = None,
-    level: str = "lemma",
 ) -> TimeSeriesResult:
     """Per-period sets of vocabulary words matching a prefix/suffix/substring pattern."""
     matches = {"prefix": str.startswith, "suffix": str.endswith, "substring": str.__contains__}
@@ -287,7 +283,7 @@ def words_matching(
     match = matches[kind]
 
     def matching(leaf: PeriodCorpus) -> set[str]:
-        return {w for w in create_vocabulary(leaf, level).entries if match(w, pattern)}
+        return {w for w in create_vocabulary(leaf).entries if match(w, pattern)}
 
     return per_period(node, periods, matching)
 
@@ -308,7 +304,6 @@ def morpheme_frequency(
     node: DiachronicCorpus,
     pattern: str,
     periods: Sequence[TimePeriod] | None = None,
-    level: str = "lemma",
 ) -> TimeSeriesResult:
     """Per-period usage rate of a character pattern, per million filtered tokens.
 
@@ -319,7 +314,7 @@ def morpheme_frequency(
         raise ParameterError("morpheme pattern must be non-empty")
 
     def rate(leaf: PeriodCorpus) -> float | None:
-        return occurrence_rate(create_vocabulary(leaf, level), lambda word: word.count(pattern))[1]
+        return occurrence_rate(create_vocabulary(leaf), lambda word: word.count(pattern))[1]
 
     return per_period(node, periods, rate)
 
@@ -377,10 +372,9 @@ def _write_counts(
 
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """TSV export: header line, then lemma<TAB>frequency, frequency-descending."""
-    words = vocabulary_order(vocab)
-    counts = np.array([vocab.entries[w] for w in words], dtype=np.int64)
-    keys = [w.encode("utf-8") for w in words]
+    """TSV export: header line, then word<TAB>count in row order."""
+    counts = np.array(list(vocab.entries.values()), dtype=np.int64)
+    keys = [w.encode("utf-8") for w in vocab.entries]
     _write_counts(path, _header_line(vocab.period, vocab.token_total), counts, keys.__getitem__)
 
 
@@ -471,8 +465,7 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
     size = len(vocab.entries)
     if len(ids) and (ids.min() < -1 or ids.max() >= size):
         raise ParameterError(f"{path}: lemma ids outside [-1, {size})")
-    expected = [vocab.entries[w] for w in vocabulary_order(vocab)]
-    if np.bincount(ids[ids >= 0], minlength=size).tolist() != expected:
+    if np.bincount(ids[ids >= 0], minlength=size).tolist() != list(vocab.entries.values()):
         raise ParameterError(
             f"{path}: lemma ids do not reproduce the counts of the {leaf.period.label} vocabulary"
         )

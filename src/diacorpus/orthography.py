@@ -7,8 +7,9 @@ soft-form to hard-form token frequency tracks the spelling shift. The -c/-ç
 and -g/-k classes exist but are not part of the default analysis set because
 such endings are rare.
 
-The ending analysis runs over surface forms by default, since stemming can
-canonicalize final consonants and mask exactly the variation being measured.
+The ending analysis runs over surface forms, since stemming can canonicalize
+final consonants and mask exactly the variation being measured; the
+circumflex count runs over lemmas.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ PAIR_CLASSES: dict[str, tuple[str, str]] = {
 DEFAULT_CLASSES = ("b-p", "d-t")
 
 # "et" is an auxiliary verb whose sheer frequency would swamp the d-t ratio.
-DEFAULT_EXCLUSIONS = frozenset({"et"})
+EXCLUSIONS = frozenset({"et"})
 
 CIRCUMFLEX_LETTERS = frozenset("âîûÂÎÛ")
 
@@ -55,15 +56,11 @@ class VariantPair:
             )
 
 
-def detect_variant_pairs(
-    vocab: Vocabulary,
-    pair_class: str,
-    exclusions: frozenset[str] = DEFAULT_EXCLUSIONS,
-) -> list[VariantPair]:
+def detect_variant_pairs(vocab: Vocabulary, pair_class: str) -> list[VariantPair]:
     """Find soft/hard spelling pairs present in a (merged) vocabulary.
 
     Each pair is emitted exactly once, soft form first. A pair is skipped
-    when either of its forms is excluded.
+    when either of its forms is in ``EXCLUSIONS``.
     """
     if pair_class not in PAIR_CLASSES:
         raise ParameterError(
@@ -78,7 +75,7 @@ def detect_variant_pairs(
         counterpart = word[:-1] + hard_letter
         if counterpart not in words:
             continue
-        if word in exclusions or counterpart in exclusions:
+        if word in EXCLUSIONS or counterpart in EXCLUSIONS:
             continue
         pairs.append(VariantPair(soft_form=word, hard_form=counterpart, pair_class=pair_class))
     return pairs
@@ -88,23 +85,21 @@ def ending_ratio_rows(
     node: DiachronicCorpus,
     pair_class: str,
     periods: Sequence[TimePeriod] | None = None,
-    level: str = "surface",
-    exclusions: frozenset[str] = DEFAULT_EXCLUSIONS,
 ) -> list[tuple[TimePeriod, int, int, float | None]]:
     """Per-period (soft_total, hard_total, ratio) over the detected pairs.
 
     The totals sum the token frequencies of the pairs' soft and hard forms.
     Ratio is None where the hard side is absent.
     """
-    merged = merge_vocabulary(node, periods=None, level=level)
-    pairs = detect_variant_pairs(merged, pair_class, exclusions)
+    merged = merge_vocabulary(node, periods=None, level="surface")
+    pairs = detect_variant_pairs(merged, pair_class)
     if not pairs:
         raise ComputationUndefinedError(
             f"no {pair_class} variant pairs detected in the merged vocabulary"
         )
     rows = []
     for leaf in select_leaves(node, periods):
-        vocab = create_vocabulary(leaf, level=level)
+        vocab = create_vocabulary(leaf, "surface")
         soft_total = sum(vocab.frequency(p.soft_form) for p in pairs)
         hard_total = sum(vocab.frequency(p.hard_form) for p in pairs)
         ratio = soft_total / hard_total if hard_total else None
@@ -113,13 +108,9 @@ def ending_ratio_rows(
 
 
 def ending_ratio(
-    node: DiachronicCorpus,
-    pair_class: str,
-    periods: Sequence[TimePeriod] | None = None,
-    level: str = "surface",
-    exclusions: frozenset[str] = DEFAULT_EXCLUSIONS,
+    node: DiachronicCorpus, pair_class: str, periods: Sequence[TimePeriod] | None = None
 ) -> TimeSeriesResult:
-    rows = ending_ratio_rows(node, pair_class, periods, level, exclusions)
+    rows = ending_ratio_rows(node, pair_class, periods)
     return TimeSeriesResult([(period, ratio) for period, _, _, ratio in rows])
 
 
@@ -134,10 +125,7 @@ def ending_ratio_csv(
 
 
 def circumflex_frequency(
-    node: DiachronicCorpus,
-    periods: Sequence[TimePeriod] | None = None,
-    letters: frozenset[str] = CIRCUMFLEX_LETTERS,
-    level: str = "lemma",
+    node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None
 ) -> tuple[TimeSeriesResult, TimeSeriesResult]:
     """Circumflexed-letter occurrences per period: (raw counts, per million tokens).
 
@@ -147,8 +135,8 @@ def circumflex_frequency(
     raw_entries: list[tuple[TimePeriod, int]] = []
     rate_entries: list[tuple[TimePeriod, float | None]] = []
     for leaf in select_leaves(node, periods):
-        vocab = create_vocabulary(leaf, level=level)
-        raw, rate = occurrence_rate(vocab, lambda word: sum(ch in letters for ch in word))
+        vocab = create_vocabulary(leaf)
+        raw, rate = occurrence_rate(vocab, lambda w: sum(ch in CIRCUMFLEX_LETTERS for ch in w))
         raw_entries.append((leaf.period, raw))
         rate_entries.append((leaf.period, rate))
     return TimeSeriesResult(raw_entries), TimeSeriesResult(rate_entries)

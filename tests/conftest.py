@@ -47,6 +47,15 @@ def assert_canonical(matrix) -> None:
     assert np.all(keys[1:] > keys[:-1])
 
 
+def row_order(entries: dict[str, int]) -> list[str]:
+    """A vocabulary's words in row order: count descending, then word.
+
+    The rule is written out here, not read from ``Vocabulary``, so the
+    oracles that index rows stay independent of the code they check.
+    """
+    return sorted(entries, key=lambda w: (-entries[w], w))
+
+
 def document_sequences(texts, level="lemma", analyzer=None) -> list[list[str]]:
     """Each document's words at ``level``, rebuilt from its raw text.
 

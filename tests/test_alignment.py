@@ -232,6 +232,29 @@ class TestSemanticChange:
             semantic_change("w00", sets, [wrong, wrong])
 
 
+class TestTransformDim:
+    """A transform fitted at one dim, applied to sets of another, is a usage
+    error naming its periods and both dims, not a numpy shape error."""
+
+    def _sets(self, dim, seed=12):
+        rng = np.random.default_rng(seed)
+        return _set(rng.normal(size=(10, dim)), PERIOD_1930), _set(
+            rng.normal(size=(10, dim)), PERIOD_1980
+        )
+
+    def test_aligned_most_similar(self):
+        base, target = self._sets(4)
+        stale = procrustes_align(*reversed(self._sets(6)))
+        with pytest.raises(ParameterError, match=r"1980-1989->1930-1939 is 6-dim, .* 4-dim"):
+            aligned_most_similar("w00", 3, target, base, stale)
+
+    def test_semantic_change(self):
+        base, later = self._sets(4)
+        stale = procrustes_align(*reversed(self._sets(6)))
+        with pytest.raises(ParameterError, match=r"1980-1989->1930-1939 is 6-dim, .* 4-dim"):
+            semantic_change("w00", [base, later], [stale])
+
+
 class TestTransformFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)

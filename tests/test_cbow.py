@@ -11,10 +11,9 @@ from diacorpus.cbow import train_cbow
 from diacorpus.corpus import PeriodCorpus
 from diacorpus.embeddings import cosine
 from diacorpus.errors import ComputationUndefinedError, ParameterError
-from diacorpus.lexicon import vocabulary_order
 from diacorpus.preprocess import FilterConfig
 
-from conftest import PERIOD_1930, document_sequences
+from conftest import PERIOD_1930, document_sequences, row_order
 
 CLASS_A = ("karga", "martı", "serçe", "saka")
 CLASS_B = ("çekiç", "keski", "burgu", "zımba")
@@ -190,7 +189,7 @@ def reference_cbow(
     kept sentence lengths and the number of negative draws equal to their
     center.
     """
-    order = vocabulary_order(vocabulary)
+    order = row_order(vocabulary.entries)
     index = {w: i for i, w in enumerate(order)}
     counts = np.array([vocabulary.entries[w] for w in order], dtype=np.float64)
     sentences = [

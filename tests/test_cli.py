@@ -762,6 +762,30 @@ def test_following_run_first_of_a_missing_cbow_transform_succeeds(built, tmp_pat
     assert run_cli(out, *_ALIGNED, "--kind", "cbow") == 0
 
 
+@pytest.mark.parametrize("argv", [_ALIGNED, _CHANGE], ids=lambda argv: argv[1])
+def test_transform_of_another_dim_is_usage_error(built, tmp_path, capsys, argv):
+    """Vectors re-embedded at dim 8 after a dim-16 ``align`` leave its transform
+    stale: exit 2 with one JSON line naming the transform and both dims,
+    nothing on stdout and no report."""
+    out = tmp_path / "out"
+    shutil.copytree(built, out)
+    raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+    config = _fixture_config(tmp_path, json.dumps({**raw["embedding"], "dim": 8}))
+    assert main(["--config", config, "--output-dir", str(out), "embed", "svd"]) == 0
+    capsys.readouterr()
+    code = main(["--config", config, "--output-dir", str(out), *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == 2
+    assert f"transform {_L}->{_P} is 16-dim" in payload["message"]
+    assert "embeddings are 8-dim" in payload["message"]
+    assert payload["context"]["command"] == "query"
+    assert not (out / "reports").exists()
+
+
 class TestConfigErrors:
     def _config(self, tmp_path, **changes):
         raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))

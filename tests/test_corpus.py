@@ -55,7 +55,6 @@ from diacorpus.lexicon import (
     Vocabulary,
     read_ngrams,
     read_vocabulary,
-    vocabulary_order,
     write_ngrams,
     write_vocabulary,
 )
@@ -68,6 +67,7 @@ from conftest import (
     PERIOD_1930,
     PERIOD_1980,
     fixture_sequences,
+    row_order,
     with_edge_token,
 )
 
@@ -153,6 +153,16 @@ class TestIngestErrors:
     def test_bad_date(self):
         with pytest.raises(IngestError, match="cannot parse date"):
             parse_manifest('[{"id": "a", "date": "not-a-date", "path": "x"}]')
+
+    @pytest.mark.parametrize("text", ["20200101", "2020-W01-1", "2020-W01"])
+    def test_date_other_than_yyyy_mm_dd_rejected(self, text):
+        # fromisoformat reads these on Python 3.11+ but not on 3.10
+        with pytest.raises(IngestError, match=f"document 'x': cannot parse date '{text}'"):
+            parse_manifest(f'[{{"id": "x", "date": "{text}", "path": "x"}}]')
+
+    def test_yyyy_mm_dd_date_parses(self):
+        (record,) = parse_manifest('[{"id": "x", "date": "1930-01-01", "path": "x"}]')
+        assert record.date == dt.date(1930, 1, 1)
 
     def test_duplicate_id(self):
         with pytest.raises(IngestError, match="duplicate"):
@@ -258,11 +268,12 @@ class TestIngestLeafAgainstWholeDocuments:
         levels = {"surface": map(turkish_lower, surfaces), "lemma": lemma_surfaces(surfaces)}
         for level, words in levels.items():
             words = list(words)
-            # a Counter keeps its words in order of first occurrence
             entries = filter_vocabulary(Counter(words), len(words), config)
             vocabulary = leaf.vocabulary if level == "lemma" else leaf.surface_vocabulary
-            assert list(vocabulary.entries.items()) == list(entries.items())
-            row = {w: i for i, w in enumerate(vocabulary_order(vocabulary))}
+            assert vocabulary.entries == entries
+            rows = row_order(entries)
+            assert list(vocabulary.entries) == rows
+            row = {w: i for i, w in enumerate(rows)}
             assert leaf.token_ids[level].tolist() == [row.get(w, -1) for w in words]
 
 
@@ -604,7 +615,7 @@ class TestArtifactRoundTrip:
             (list(cells.values()), ([i for i, _ in cells], [j for _, j in cells])),
             shape=(size, size),
         )
-        index = {w: i for i, w in enumerate(vocabulary_order(vocab))}
+        index = {w: i for i, w in enumerate(row_order(entries))}
         path = tmp_path_factory.mktemp("ppmi") / "p.tsv"
         write_ppmi(PPMIMatrix(period, index, values, alpha, window), path)
         loaded = read_ppmi(path, vocab)

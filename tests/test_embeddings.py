@@ -19,7 +19,6 @@ from diacorpus.embeddings import (
     read_embeddings,
     read_ppmi,
     svd_embeddings,
-    vocabulary_order,
     write_embeddings,
     write_ppmi,
 )
@@ -30,7 +29,7 @@ from diacorpus.errors import (
 )
 from diacorpus.lexicon import Vocabulary
 
-from conftest import PERIOD_1930, assert_canonical, document_sequences, stored_cells
+from conftest import PERIOD_1930, assert_canonical, document_sequences, row_order, stored_cells
 
 
 def synthetic_word(i):
@@ -62,7 +61,7 @@ def random_leaf(rng, max_types=20, max_tokens=200):
 
 def oracle_dense_counts(texts, vocabulary, window):
     """Independent dense co-occurrence counting by explicit pair enumeration."""
-    order = vocabulary_order(vocabulary)
+    order = row_order(vocabulary.entries)
     index = {w: i for i, w in enumerate(order)}
     dense = np.zeros((len(order), len(order)))
     for seq in document_sequences(texts):

@@ -414,6 +414,20 @@ class TestFileFormats:
         body = path.read_text(encoding="utf-8").splitlines()[1:]
         assert body == ["cc\t5", "aa\t2", "bb\t2"]
 
+    def test_vocabulary_entries_in_row_order(self):
+        vocab = Vocabulary(PERIOD_1930, {"bb": 2, "dd": 1, "aa": 2, "cc": 5}, 10)
+        assert list(vocab.entries.items()) == [("cc", 5), ("aa", 2), ("bb", 2), ("dd", 1)]
+
+    def test_shuffled_vocabulary_file_reads_in_row_order(self, tmp_path):
+        canonical = "#period=1930-1939 #tokens=10\ncc\t5\naa\t2\nbb\t2\ndd\t1\n"
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text("#period=1930-1939 #tokens=10\nbb\t2\ndd\t1\ncc\t5\naa\t2\n",
+                            encoding="utf-8")
+        vocab = read_vocabulary(shuffled)
+        assert list(vocab.entries) == ["cc", "aa", "bb", "dd"]
+        write_vocabulary(vocab, tmp_path / "written.tsv")
+        assert (tmp_path / "written.tsv").read_bytes() == canonical.encode("utf-8")
+
     def test_ngram_roundtrip(self, tmp_path):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb aa bb"})
         table = create_ngrams(leaf, 2)

@@ -10,6 +10,7 @@ from diacorpus.orthography import (
     ending_ratio,
     ending_ratio_rows,
 )
+from diacorpus.preprocess import LookupAnalyzer
 
 from conftest import PERIOD_1930, PERIOD_1980, fixture_sequences
 
@@ -132,9 +133,10 @@ class TestCircumflex:
         assert per_million.values() == [0.0]
 
     def test_single_letter_per_occurrence(self):
-        # surface level keeps the full form; only the î counts, once per token
-        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d": "abidevî abidevî"})
-        raw, _ = circumflex_frequency(DiachronicCorpus([leaf]), level="surface")
+        # the analyzer keeps the full form as the lemma; only the î counts, once per token
+        analyzer = LookupAnalyzer({"abidevî": "abidevî"})
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d": "abidevî abidevî"}, analyzer=analyzer)
+        raw, _ = circumflex_frequency(DiachronicCorpus([leaf]))
         assert raw.values() == [2]
 
     def test_duplication_doubles_raw_not_rate(self, fixture_config, fixture_tree):

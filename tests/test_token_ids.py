@@ -26,7 +26,6 @@ from diacorpus.lexicon import (
     create_ngrams,
     read_token_ids,
     read_vocabulary,
-    vocabulary_order,
     write_ngrams,
     write_token_ids,
 )
@@ -37,6 +36,7 @@ from conftest import (
     assert_canonical,
     document_sequences,
     fixture_sequences,
+    row_order,
     stored_cells,
 )
 
@@ -153,7 +153,7 @@ class TestGeneratedLeaves:
             ids = leaf.token_ids[level]
             assert ids.dtype == np.int32
             vocab = _vocabulary(leaf, level)
-            rows = vocabulary_order(vocab)
+            rows = row_order(vocab.entries)
             sequences = document_sequences(_texts(documents), level)
             expected = [w if w in vocab else None for seq in sequences for w in seq]
             assert [rows[i] if i >= 0 else None for i in ids.tolist()] == expected
