@@ -5,11 +5,14 @@ rotating one onto the other. ``procrustes_align`` finds the orthogonal matrix
 R minimizing ``||W1 @ R - W2||_F`` over the rows of the two periods' shared
 vocabulary; the minimization itself is the contract, and every produced
 transform is checked to beat the identity mapping's residual. Row-vector
-convention throughout: ``aligned = vector @ R``.
+convention throughout: ``aligned = vector @ R``. A transform records the
+digests of the two stores it was fitted on (``EmbeddingSet.digest``), and
+the queries apply it only to sets with those digests.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +36,7 @@ class AlignmentTransform:
     target_period: TimePeriod
     matrix: np.ndarray
     shared_vocab: list[str]
+    fitted_on: tuple[str, str]  # the source and target sets' digests
 
     def __post_init__(self) -> None:
         if not self.shared_vocab:
@@ -96,18 +100,27 @@ def procrustes_align(source: EmbeddingSet, target: EmbeddingSet) -> AlignmentTra
         target_period=target.period,
         matrix=rotation,
         shared_vocab=shared,
+        fitted_on=(source.digest(), target.digest()),
     )
 
 
-def _check_dims(transform: AlignmentTransform, *sets: EmbeddingSet) -> None:
-    """Raise ParameterError unless every set has the transform's dimension."""
-    for embedding in sets:
+def _check_fit(transform: AlignmentTransform, source: EmbeddingSet, target: EmbeddingSet) -> None:
+    """Raise ParameterError unless the transform was fitted on these two sets:
+    first their dimension, then their digests."""
+    source_label, target_label = transform.source_period.label, transform.target_period.label
+    for embedding in (source, target):
         if embedding.dim != transform.dim:
             raise ParameterError(
-                f"transform {transform.source_period.label}->{transform.target_period.label} "
+                f"transform {source_label}->{target_label} "
                 f"is {transform.dim}-dim, but the {embedding.period.label} embeddings are "
                 f"{embedding.dim}-dim"
             )
+    if (source.digest(), target.digest()) != transform.fitted_on:
+        raise ParameterError(
+            f"transform {source_label}->{target_label} was fitted on other embeddings than "
+            f"these; run align --from {source_label} --to {target_label} "
+            f"--kind {source.provenance} again"
+        )
 
 
 def alignment_residual(transform: AlignmentTransform, source: EmbeddingSet, target: EmbeddingSet) -> float:
@@ -141,7 +154,7 @@ def aligned_most_similar(
             f"{transform.target_period.label}, not "
             f"{target_set.period.label}->{base_set.period.label}"
         )
-    _check_dims(transform, target_set, base_set)
+    _check_fit(transform, target_set, base_set)
     aligned = transform.apply(target_set.vector(word))
     return rank_by_cosine(aligned, base_set, top_k)
 
@@ -182,7 +195,7 @@ def semantic_change(
                 f"{step.target_period.label}; expected "
                 f"{current.period.label}->{ordered[i].period.label}"
             )
-        _check_dims(step, current, ordered[i])
+        _check_fit(step, current, ordered[i])
         to_base = step.matrix if to_base is None else step.matrix @ to_base
         if base_vector is None or word not in current.vocab_index:
             entries.append((current.period, None))
@@ -198,15 +211,26 @@ def semantic_change(
 
 
 def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
-    """Text export: header then d rows of d reals; row-vector convention (v @ R)."""
+    """Text file: header then d rows of d reals; row-vector convention (v @ R).
+
+    The header holds the dimension, the two periods and the two digests of ``fitted_on``.
+    """
     dim = transform.dim
+    source_sha256, target_sha256 = transform.fitted_on
     lines = [
-        f"d={dim} from={transform.source_period.label} to={transform.target_period.label}"
+        f"d={dim} from={transform.source_period.label} to={transform.target_period.label} "
+        f"from_sha256={source_sha256} to_sha256={target_sha256}"
     ]
     for row in transform.matrix:
         lines.append(" ".join(repr(float(x)) for x in row))
     lines.append("#shared=" + " ".join(transform.shared_vocab))
     write_artifact(path, "\n".join(lines) + "\n")
+
+
+def _sha256(text: str) -> str:
+    if not re.fullmatch("[0-9a-f]{64}", text):
+        raise ValueError(f"{text!r} is not a sha256 hex digest")
+    return text
 
 
 def read_transform(path: str | Path) -> AlignmentTransform:
@@ -215,7 +239,8 @@ def read_transform(path: str | Path) -> AlignmentTransform:
     The ``#shared=`` line of ``is_word`` words comes once, as the last non-blank line.
     """
     head, records = read_artifact(
-        path, "transform", d=int, **{"from": TimePeriod.parse, "to": TimePeriod.parse}
+        path, "transform", d=int, **{"from": TimePeriod.parse, "to": TimePeriod.parse},
+        from_sha256=_sha256, to_sha256=_sha256,
     )
     dim = head["d"]
     if dim < 1:
@@ -233,7 +258,8 @@ def read_transform(path: str | Path) -> AlignmentTransform:
     shared = last.removeprefix("#shared=").split(" ") if last != "#shared=" else []
     if not all(map(is_word, shared)):
         raise ParameterError(f"{path}: line {shared_at}: a shared word is empty or has whitespace")
+    fitted_on = (head["from_sha256"], head["to_sha256"])
     try:
-        return AlignmentTransform(head["from"], head["to"], matrix, shared)
+        return AlignmentTransform(head["from"], head["to"], matrix, shared, fitted_on)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc

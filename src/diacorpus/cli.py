@@ -94,7 +94,7 @@ ARTIFACTS = {
     "tokens": ("tokens/{period}.npz", "token ids for period {period}", "ingest"),
     "ngrams": ("ngrams/{period}.n{order}.{level}.tsv", "n-gram table", "ingest"),
     "ppmi": ("ppmi/{period}.tsv", "association matrix for period {period}", "embed ppmi"),
-    "vectors": ("embeddings/{period}.{kind}.vec", "{kind} embeddings for period {period}",
+    "vectors": ("embeddings/{period}.{kind}.npz", "{kind} embeddings for period {period}",
                 "embed {kind}"),
     "transform": ("transforms/{source}__to__{target}.{kind}.txt", "transform {source}->{target}",
                   "align --from {source} --to {target} --kind {kind}"),
@@ -559,6 +559,8 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
     paths = [_artifact_path(config, artifact, period=l.period, kind=args.kind) for l in leaves]
     for result, path in zip(results, paths):
         write(result, path)
+    if artifact == "vectors":  # each store has its .vec export beside it
+        paths = [p for path in paths for p in (path, path.with_suffix(".vec"))]
     return to_json({"written": [path.as_posix() for path in paths]})
 
 

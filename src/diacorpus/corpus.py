@@ -23,6 +23,7 @@ import os
 import re
 import stat
 import threading
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Sequence
@@ -456,6 +457,33 @@ def read_artifact(
     except (ValueError, ParameterError) as exc:
         raise ParameterError(f"{path}: line 1: bad {kind} header {first!r}: {exc}") from exc
     return header, lines
+
+
+def read_store(
+    path: str | Path, kind: str, keys: Sequence[str]
+) -> tuple[dict[str, np.ndarray], bytes]:
+    """Load an ``np.savez`` archive holding exactly the arrays ``keys``: those arrays by
+    name, and the file's bytes, read once, for a caller that hashes them.
+
+    Nothing is unpickled. A file that cannot be read, is no ``.npz`` archive,
+    holds another set of names, or holds a pickled (object) array or a member
+    that is no ``.npy`` array, raises ParameterError naming it.
+    """
+    try:
+        data = Path(path).read_bytes()
+        store = np.load(io.BytesIO(data), allow_pickle=False)
+        if not isinstance(store, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("not an .npz archive")
+        with store:
+            if sorted(store.files) != sorted(keys):
+                raise ValueError(f"it holds {sorted(store.files)}, not {sorted(keys)}")
+            arrays = {key: store[key] for key in keys}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParameterError(f"{path}: unreadable {kind}: {exc}") from exc
+    for key, array in arrays.items():
+        if not isinstance(array, np.ndarray):  # a member not named '.npy' loads as bytes
+            raise ParameterError(f"{path}: unreadable {kind}: {key} is not an .npy array")
+    return arrays, data
 
 
 def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:

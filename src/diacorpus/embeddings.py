@@ -11,6 +11,7 @@ product ``W @ C.T`` reconstructs the association matrix.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -23,6 +24,7 @@ from .corpus import (
     TimePeriod,
     parse_numbers,
     read_artifact,
+    read_store,
     write_artifact,
 )
 from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
@@ -137,6 +139,7 @@ class EmbeddingSet:
     dim: int
     provenance: str  # "svd" | "cbow"
     training_loss: list[float] | None = None
+    store_sha256: str | None = None  # of the store file the set was read from
 
     def __post_init__(self) -> None:
         if self.matrix.shape != (len(self.vocab_index), self.dim):
@@ -149,6 +152,11 @@ class EmbeddingSet:
 
     def words(self) -> list[str]:
         return sorted(self.vocab_index, key=self.vocab_index.__getitem__)
+
+    def digest(self) -> str:
+        """The sha256 of the set's store: the file it was read from, else the bytes
+        ``write_embeddings`` writes for it."""
+        return self.store_sha256 or _sha256(_store_bytes(self))
 
     def vector(self, word: str) -> np.ndarray:
         i = self.vocab_index.get(word)
@@ -319,11 +327,42 @@ def collocations(word: str, top_k: int, ppmi: PPMIMatrix) -> list[tuple[str, flo
 # ---------------------------------------------------------------------------
 
 
-def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
-    """Text export: a header line, then one 'word v1 .. vd' line per vocabulary word.
+_STORE_KEYS = ("vectors", "words", "period", "provenance")
 
-    Reals are written in shortest round-trip form so reloading reproduces the
-    exact doubles. Rows are rendered about ``CHUNK_VALUES`` values at a time.
+
+def _sha256(data: bytes) -> str:
+    # here, not at module level: hashlib loads OpenSSL, a few MB of resident
+    # memory that a command hashing nothing (embed) would carry at its peak
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _store_bytes(embedding_set: EmbeddingSet) -> bytes:
+    """The set's ``.npz`` store; ``np.savez`` stamps no time, so the bytes depend only on
+    the arrays. Words are UTF-8 bytes: a NumPy string array drops a trailing NUL."""
+    words = embedding_set.words()
+    vectors = embedding_set.matrix[[embedding_set.vocab_index[w] for w in words]]
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        vectors=vectors.astype(np.float64, copy=False),
+        words=np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8),
+        period=np.array(embedding_set.period.label),
+        provenance=np.array(embedding_set.provenance),
+    )
+    return buffer.getvalue()
+
+
+def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
+    """Write the set's store to ``path`` (``.npz``) and its text export beside it, at
+    ``path`` with the suffix ``.vec``; every reader loads the store.
+
+    The store holds ``vectors`` (float64, one row per word in ``words()``
+    order), ``words`` (the UTF-8 bytes of those words joined by ``\\n``, as
+    uint8) and the 0-d strings ``period`` and ``provenance``. The export is a
+    header line, then one 'word v1 .. vd' line per word, reals in shortest
+    round-trip form, rendered about ``CHUNK_VALUES`` values at a time.
     """
     header = (
         f"dim={embedding_set.dim} vocab={len(embedding_set.vocab_index)} "
@@ -340,34 +379,52 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
             lines = zip(words[start : start + step], *(map(repr, c) for c in columns))
             yield "\n".join(map(" ".join, lines)) + "\n"
 
-    write_artifact(path, chunks())
+    write_artifact(Path(path).with_suffix(".vec"), chunks())
+    write_artifact(path, _store_bytes(embedding_set))  # last: what the commands read
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
-    """Load an embedding file; a malformed file raises ParameterError naming it (and the line).
+    """Load an embedding store; a malformed one raises ParameterError naming it.
 
-    The header's ``dim`` is positive, and its ``vocab`` words are ``is_word`` words listed once.
+    The archive holds exactly the arrays ``write_embeddings`` writes:
+    ``vectors`` 2-D float64 of finite values, with at least one column and
+    one row per word; ``words`` 1-D uint8, UTF-8 text of ``is_word`` words
+    joined by ``\\n``, none listed twice; ``period`` a 0-d string that parses
+    and ``provenance`` a 0-d string. The set keeps the sha256 of the file.
     """
-    head, records = read_artifact(
-        path, "embedding", dim=int, vocab=int, provenance=str, period=TimePeriod.parse
-    )
-    dim, vocab_size = head["dim"], head["vocab"]
-    if dim < 1:
-        raise ParameterError(f"{path}: line 1: dim={dim} is not a positive dimension")
-    vocab_index: dict[str, int] = {}
-    numbers: dict[int, str] = {}
-    for lineno, line in records:
-        word, _, numbers[lineno] = line.partition(" ")
-        if not is_word(word):
-            raise ParameterError(f"{path}: line {lineno}: word {word!r} is empty or has whitespace")
-        if word in vocab_index:
-            raise ParameterError(f"{path}: line {lineno}: word {word!r} listed twice")
-        vocab_index[word] = len(vocab_index)
-    if len(vocab_index) != vocab_size:
-        raise ParameterError(f"{path}: header says {vocab_size} words, found {len(vocab_index)}")
-    rows = parse_numbers(path, numbers, dim)
+    arrays, data = read_store(path, "embedding store", _STORE_KEYS)
+    vectors, encoded, period, provenance = (arrays[key] for key in _STORE_KEYS)
+    if vectors.ndim != 2 or vectors.dtype != np.float64 or vectors.shape[1] < 1:
+        raise ParameterError(
+            f"{path}: vectors must be a 2-D float64 array of at least one column, "
+            f"not {vectors.dtype} of shape {vectors.shape}"
+        )
+    if encoded.ndim != 1 or encoded.dtype != np.uint8:
+        raise ParameterError(
+            f"{path}: words must be a 1-D uint8 array, not {encoded.dtype} of shape {encoded.shape}"
+        )
     try:
-        return EmbeddingSet(head["period"], vocab_index, rows, dim, head["provenance"])
+        text = encoded.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: words are not UTF-8: {exc}") from exc
+    words = text.split("\n") if text else []
+    if text.split() != words:  # each word non-empty and free of whitespace
+        word = next(w for w in words if not is_word(w))
+        raise ParameterError(f"{path}: word {word!r} is empty or has whitespace")
+    vocab_index = dict(zip(words, range(len(words))))
+    if len(vocab_index) != len(words):  # a repeated word keeps the row of its last listing
+        word = next(w for i, w in enumerate(words) if vocab_index[w] != i)
+        raise ParameterError(f"{path}: word {word!r} listed twice")
+    for key, array in (("period", period), ("provenance", provenance)):
+        if array.ndim != 0 or array.dtype.kind != "U":
+            raise ParameterError(
+                f"{path}: {key} must be a 0-d string array, not {array.dtype} of shape {array.shape}"
+            )
+    try:
+        return EmbeddingSet(
+            TimePeriod.parse(str(period)), vocab_index, vectors, vectors.shape[1], str(provenance),
+            store_sha256=_sha256(data),
+        )
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
 

@@ -12,7 +12,6 @@ its ``entries`` dict is built on demand, never by ingest, and
 from __future__ import annotations
 
 import io
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from .corpus import (
     parse_numbers,
     per_period,
     read_artifact,
+    read_store,
     select_leaves,
     write_artifact,
 )
@@ -431,7 +431,8 @@ def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
 def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
     """Load a stored lemma id array into a leaf that holds its lemma vocabulary.
 
-    The ids must index that vocabulary's rows and reproduce its counts; any
+    The archive holds exactly ``lemma`` and ``offsets`` (``read_store``), and
+    the ids must index that vocabulary's rows and reproduce its counts; any
     other content raises ParameterError naming the file.
     """
     path = Path(path)
@@ -440,15 +441,8 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
         raise MissingArtifactError(
             f"no token ids for period {leaf.period.label} at {path}", needed_command="ingest"
         )
-    try:
-        with open(path, "rb") as file:
-            store = np.load(file, allow_pickle=False)
-            if not isinstance(store, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            with store:
-                ids, offsets = store["lemma"], store["offsets"]
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise ParameterError(f"{path}: unreadable token store: {exc}") from exc
+    arrays, _ = read_store(path, "token store", ("lemma", "offsets"))
+    ids, offsets = arrays["lemma"], arrays["offsets"]
     if ids.ndim != 1 or ids.dtype != np.int32:
         raise ParameterError(
             f"{path}: lemma ids must be a 1-D int32 array, not {ids.dtype} of shape {ids.shape}"

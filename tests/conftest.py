@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -95,3 +96,97 @@ def with_edge_token(lines: list[str], token: str) -> list[str]:
     or tab, replaced by ``token``."""
     cut = max(lines[2].rfind(" "), lines[2].rfind("\t")) + 1
     return [*lines[:2], lines[2][:cut] + token, *lines[3:]]
+
+
+def store_arrays(path) -> dict[str, np.ndarray]:
+    """Every array of an ``.npz`` store, by name."""
+    with np.load(path) as store:
+        return {name: store[name] for name in store.files}
+
+
+def savez_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+UNPICKLED: list[bool] = []  # one entry per unpickled ``Tripwire``
+
+
+def _trip() -> None:
+    UNPICKLED.append(True)
+
+
+class Tripwire:
+    """An object whose unpickling appends to ``UNPICKLED``."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _npy(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _with_word(arrays: dict, index: int, word: bytes | None) -> dict:
+    """The store's arrays with word ``index`` replaced by ``word`` (None: the first word)."""
+    words = arrays["words"].tobytes().split(b"\n")
+    words[index] = words[0] if word is None else word
+    return {**arrays, "words": np.frombuffer(b"\n".join(words), dtype=np.uint8)}
+
+
+def _with_value(vectors: np.ndarray, value: float) -> np.ndarray:
+    vectors = vectors.copy()
+    vectors[-1, -1] = value
+    return vectors
+
+
+# name -> (a corruption of a clean vector store's arrays, giving arrays or file
+# bytes, and a fragment of the reader's error message)
+STORE_CORRUPTIONS = {
+    "not-a-zip": (lambda a: b"not an archive", "unreadable embedding store"),
+    "empty-file": (lambda a: b"", "unreadable embedding store"),
+    "npy-not-npz": (lambda a: _npy(a["vectors"]), "not an .npz archive"),
+    "truncated": (lambda a: savez_bytes(a)[:-40], "unreadable embedding store"),
+    "key-missing": (lambda a: {k: v for k, v in a.items() if k != "provenance"}, "it holds"),
+    "extra-key": (lambda a: {**a, "extra": np.zeros(1)}, "it holds"),
+    "pickled-vectors": (
+        lambda a: {**a, "vectors": np.array([Tripwire() for _ in a["vectors"]], dtype=object)},
+        "Object arrays cannot be loaded",
+    ),
+    "int64-vectors": (lambda a: {**a, "vectors": a["vectors"].astype(np.int64)}, "2-D float64"),
+    "float32-vectors": (lambda a: {**a, "vectors": a["vectors"].astype(np.float32)}, "2-D float64"),
+    "1-d-vectors": (lambda a: {**a, "vectors": a["vectors"][:, 0]}, "2-D float64"),
+    "no-columns": (lambda a: {**a, "vectors": a["vectors"][:, :0]}, "at least one column"),
+    "rows-not-words": (lambda a: {**a, "vectors": a["vectors"][:-1]}, "does not match"),
+    "nan-value": (lambda a: {**a, "vectors": _with_value(a["vectors"], np.nan)}, "non-finite"),
+    "inf-value": (lambda a: {**a, "vectors": _with_value(a["vectors"], -np.inf)}, "non-finite"),
+    "duplicate-word": (lambda a: _with_word(a, -1, None), "listed twice"),
+    "empty-word": (lambda a: _with_word(a, 1, b""), "is empty or has whitespace"),
+    **{
+        f"word-{word!r}": (
+            lambda a, word=word: _with_word(a, 1, word.encode()), "is empty or has whitespace"
+        )
+        for word in ["a b", "a\tb", "a\x0cb", "a\x85b", "a\u2028b", "a\r"]
+    },
+    "non-utf8-words": (lambda a: _with_word(a, 1, b"\xff"), "words are not UTF-8"),
+    "string-words": (
+        lambda a: {**a, "words": np.array(a["words"].tobytes().decode().split("\n"))},
+        "words must be a 1-D uint8 array",
+    ),
+    "period-unparsable": (lambda a: {**a, "period": np.array("thirties")}, "cannot parse period"),
+    "period-1-d": (
+        lambda a: {**a, "period": np.array([a["period"][()]])}, "period must be a 0-d string"
+    ),
+    "provenance-bytes": (
+        lambda a: {**a, "provenance": np.array(b"svd")}, "provenance must be a 0-d string"
+    ),
+}
+
+
+def write_corrupt_store(path, name: str) -> None:
+    """Rewrite the vector store at ``path`` with the corruption ``STORE_CORRUPTIONS[name]``."""
+    content = STORE_CORRUPTIONS[name][0](store_arrays(path))
+    path.write_bytes(content if isinstance(content, bytes) else savez_bytes(content))

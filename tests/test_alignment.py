@@ -49,7 +49,8 @@ class TestTransformValidation:
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(ParameterError, match="is not orthogonal"):
             AlignmentTransform(
-                PERIOD_1980, PERIOD_1930, np.array([[bad, 0.0], [0.0, 1.0]]), ["aa"]
+                PERIOD_1980, PERIOD_1930, np.array([[bad, 0.0], [0.0, 1.0]]), ["aa"],
+                ("0" * 64, "1" * 64),
             )
 
 
@@ -255,6 +256,36 @@ class TestTransformDim:
             semantic_change("w00", [base, later], [stale])
 
 
+class TestTransformFit:
+    """A transform applies only to the two sets it was fitted on: a set of the
+    same dim with other vectors is a usage error naming the transform."""
+
+    def _sets(self, seed):
+        rng = np.random.default_rng(seed)
+        return _set(rng.normal(size=(10, 4)), PERIOD_1930), _set(
+            rng.normal(size=(10, 4)), PERIOD_1980
+        )
+
+    def test_fitted_on_records_the_set_digests(self):
+        base, target = self._sets(12)
+        transform = procrustes_align(target, base)
+        assert transform.fitted_on == (target.digest(), base.digest())
+        assert len(set(transform.fitted_on)) == 2
+
+    def test_aligned_most_similar(self):
+        base, target = self._sets(12)
+        stale = procrustes_align(self._sets(13)[1], base)
+        with pytest.raises(ParameterError, match=r"1980-1989->1930-1939 was fitted on other"):
+            aligned_most_similar("w00", 3, target, base, stale)
+        assert aligned_most_similar("w00", 3, target, base, procrustes_align(target, base))
+
+    def test_semantic_change(self):
+        base, later = self._sets(12)
+        stale = procrustes_align(later, self._sets(13)[0])
+        with pytest.raises(ParameterError, match=r"run align --from 1980-1989 --to 1930-1939"):
+            semantic_change("w00", [base, later], [stale])
+
+
 class TestTransformFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -268,6 +299,7 @@ class TestTransformFiles:
         assert loaded.source_period == PERIOD_1980
         assert loaded.target_period == PERIOD_1930
         assert loaded.shared_vocab == transform.shared_vocab
+        assert loaded.fitted_on == transform.fitted_on
 
     @pytest.mark.parametrize(
         "corrupt",

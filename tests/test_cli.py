@@ -21,7 +21,17 @@ from diacorpus.corpus import csv_table
 from diacorpus.embeddings import collocations, most_similar, read_embeddings, read_ppmi
 from diacorpus.lexicon import read_vocabulary
 
-from conftest import EDGE_TOKENS, FIXTURES, GOLDEN, with_edge_token
+from conftest import (
+    EDGE_TOKENS,
+    FIXTURES,
+    GOLDEN,
+    STORE_CORRUPTIONS,
+    UNPICKLED,
+    savez_bytes,
+    store_arrays,
+    with_edge_token,
+    write_corrupt_store,
+)
 from e2e_flow import run_flow
 
 CONFIG = str(FIXTURES / "fixture_config.json")
@@ -138,6 +148,8 @@ class TestIngest:
         out = tmp_path / "out"
         run_flow(CONFIG, str(out))
         digest, before = _tree_digest(out), identities()
+        stores = {f"embeddings/{p}.{kind}.npz" for p in (_P, _L) for kind in ("svd", "cbow")}
+        assert stores <= before.keys()
         run_flow(CONFIG, str(out))
         assert identities() == before
         assert _tree_digest(out) == digest
@@ -685,7 +697,7 @@ _VECTOR_READERS = [
 ]
 _COLLOCATIONS = ["query", "collocations", "--word", "kanun", "--period", _P]
 _NO_VOCABULARY = ("no lemma vocabulary artifacts under {out}/vocab", "ingest")
-_NO_VECTORS = "no {kind} embeddings for period 1930-1939 at {out}/embeddings/1930-1939.{kind}.vec"
+_NO_VECTORS = "no {kind} embeddings for period 1930-1939 at {out}/embeddings/1930-1939.{kind}.npz"
 _NO_TRANSFORM = (
     "no transform 1980-1989->1930-1939 at {out}/transforms/1980-1989__to__1930-1939.svd.txt",
     f"align --from {_L} --to {_P} --kind svd",
@@ -703,7 +715,7 @@ _MISSING_ARTIFACTS = [
     ("tokens/1930-1939.npz", _COLLOCATIONS,
      "no token ids for period 1930-1939 at {out}/tokens/1930-1939.npz", "ingest"),
     *(
-        (f"embeddings/1930-1939.{kind}.vec", [*argv, "--kind", kind],
+        (f"embeddings/1930-1939.{kind}.npz", [*argv, "--kind", kind],
          _NO_VECTORS.replace("{kind}", kind), f"embed {kind}")
         for kind in ("svd", "cbow")
         for argv in _VECTOR_READERS
@@ -784,6 +796,82 @@ def test_transform_of_another_dim_is_usage_error(built, tmp_path, capsys, argv):
     assert "embeddings are 8-dim" in payload["message"]
     assert payload["context"]["command"] == "query"
     assert not (out / "reports").exists()
+
+
+@pytest.mark.parametrize("argv", [_ALIGNED, _CHANGE], ids=lambda argv: argv[1])
+def test_transform_of_other_vectors_at_the_same_dim_is_usage_error(built, tmp_path, capsys, argv):
+    """Vectors re-embedded at the same dim with another window after ``align`` leave
+    its transform stale: exit 2 with one JSON line naming the transform and asking
+    for ``align`` again, nothing on stdout and no report. Running ``align`` again
+    fixes it."""
+    out = tmp_path / "out"
+    shutil.copytree(built, out)
+    raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+    config = _fixture_config(tmp_path, json.dumps({**raw["embedding"], "window": 4}))
+    prefix = ["--config", config, "--output-dir", str(out)]
+    assert main([*prefix, "embed", "svd"]) == 0
+    capsys.readouterr()
+    code = main([*prefix, *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == 2
+    assert f"transform {_L}->{_P} was fitted on other embeddings" in payload["message"]
+    assert f"run align --from {_L} --to {_P} --kind svd again" in payload["message"]
+    assert payload["context"]["command"] == "query"
+    assert not (out / "reports").exists()
+    assert main([*prefix, "align", "--from", _L, "--to", _P]) == 0
+    assert main([*prefix, *argv]) == 0
+
+
+def _reference_vec(path: Path) -> tuple[dict, list[str], np.ndarray]:
+    """A ``.vec`` export parsed one line and one value at a time: its header fields,
+    its words and its rows."""
+    header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    fields = dict(field.split("=") for field in header.split(" "))
+    words = [line.split(" ")[0] for line in lines]
+    rows = [[float(value) for value in line.split(" ")[1:]] for line in lines]
+    return fields, words, np.array(rows, dtype=np.float64)
+
+
+class TestVectorStore:
+    @pytest.mark.parametrize("kind", ["svd", "cbow"])
+    @pytest.mark.parametrize("period", [_P, _L])
+    def test_store_equals_the_vec_export(self, built, period, kind):
+        """Each store read back holds, bit for bit, what its ``.vec`` export says."""
+        store = built / "embeddings" / f"{period}.{kind}.npz"
+        loaded = read_embeddings(store)
+        fields, words, rows = _reference_vec(store.with_suffix(".vec"))
+        assert fields == {
+            "dim": str(loaded.dim), "vocab": str(len(words)), "provenance": kind, "period": period,
+        }
+        assert loaded.words() == words and len(words) > 10
+        assert loaded.matrix.dtype == rows.dtype and loaded.matrix.shape == rows.shape
+        assert loaded.matrix.tobytes() == rows.tobytes()
+        assert loaded.digest() == hashlib.sha256(store.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", STORE_CORRUPTIONS)
+    def test_corrupt_store_is_usage_error_naming_the_file(self, workspace, tmp_path, capsys, name):
+        """A corrupt store exits 2 with one JSON line naming it, nothing on stdout,
+        no report, and nothing unpickled."""
+        for artifacts in ("vocab", "tokens", "embeddings"):
+            shutil.copytree(workspace / artifacts, tmp_path / artifacts)
+        path = tmp_path / "embeddings" / "1930-1939.svd.npz"
+        write_corrupt_store(path, name)
+        argv = ["query", "most-similar", "--word", "kanun", "--period", _P]
+        code, out, err = run_cli(tmp_path, *argv, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == 2
+        assert f"{path}: " in payload["message"]
+        assert STORE_CORRUPTIONS[name][1] in payload["message"]
+        assert "traceback" not in payload["context"]
+        assert not (tmp_path / "reports").exists()
+        assert UNPICKLED == []
 
 
 class TestConfigErrors:
@@ -919,7 +1007,8 @@ class TestManifestOrder:
             for step in steps:
                 assert main([*argv, *step]) == 0, (name, step)
             digests[name] = _tree_digest(out)
-        assert {"tokens/1930-1939.npz", "embeddings/1980-1989.cbow.vec"} <= set(digests["given"])
+        assert {"tokens/1930-1939.npz", "embeddings/1980-1989.cbow.npz",
+                "embeddings/1980-1989.cbow.vec"} <= set(digests["given"])
         assert digests["reversed"] == digests["given"]
         assert digests["shuffled"] == digests["given"]
 
@@ -1053,7 +1142,8 @@ class TestCollocationsRebuildsPPMI:
 
 class TestBlasThreads:
     def test_embeddings_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        """Dense SVD and CBOW vectors are byte-identical with one and two BLAS threads."""
+        """Dense SVD and CBOW vectors, stores and exports, are byte-identical with one
+        and two BLAS threads."""
         vectors = {}
         for threads in ("1", "2"):
             env = _child_env(OPENBLAS_NUM_THREADS=threads)
@@ -1065,9 +1155,12 @@ class TestBlasThreads:
                     capture_output=True, text=True, env=env, timeout=300,
                 )
                 assert result.returncode == 0, (args, result.stderr)
-            vectors[threads] = {p.name: p.read_bytes() for p in (out / "embeddings").glob("*.vec")}
+            vectors[threads] = {p.name: p.read_bytes() for p in (out / "embeddings").iterdir()}
         assert sorted(vectors["1"]) == [
-            "1930-1939.cbow.vec", "1930-1939.svd.vec", "1980-1989.cbow.vec", "1980-1989.svd.vec",
+            f"{period}.{kind}.{suffix}"
+            for period in ("1930-1939", "1980-1989")
+            for kind in ("cbow", "svd")
+            for suffix in ("npz", "vec")
         ]
         assert vectors["1"] == vectors["2"]
 
@@ -1079,11 +1172,11 @@ import diacorpus.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-loaded = {"import diacorpus.cli": [0, scipy_modules()]}
+loaded = {"import diacorpus.cli": [0, scipy_modules(), "hashlib" in sys.modules]}
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = diacorpus.cli.main(args)
-    loaded[" ".join(args[4:])] = [code, scipy_modules()]
+    loaded[" ".join(args[4:])] = [code, scipy_modules(), "hashlib" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -1092,7 +1185,8 @@ class TestScipyImports:
     def test_only_embed_loads_scipy(self, workspace, tmp_path):
         """A fresh interpreter runs every command but ``embed cbow`` without loading
         scipy; ``embed svd`` loads it only for the sparse solver, and the fixture's
-        50-word vocabularies take the dense path.
+        50-word vocabularies take the dense path. No command before ``align``, the
+        first to read a vector store, loads hashlib.
 
         The pytest process has scipy loaded already, so the probe is a new
         process; the commands run in order, so a later entry sees what every
@@ -1122,14 +1216,17 @@ class TestScipyImports:
         assert result.returncode == 0, result.stderr
         loaded = json.loads(result.stdout)
         assert len(loaded) == len(commands) + 1
-        for command, (code, modules) in loaded.items():
+        for command, (code, modules, _) in loaded.items():
             assert code == 0, command
             assert modules == [], command
+        # hashlib (OpenSSL, a few MB resident) loads with the first vector store read
+        hashing = [command for command, (_, _, hashlib_loaded) in loaded.items() if hashlib_loaded]
+        assert hashing[0].startswith("align")
 
 
 class TestEmbedAlignQuery:
     def test_cli_query_equals_library_bytes(self, workspace):
-        embedding_set = read_embeddings(workspace / "embeddings" / "1930-1939.svd.vec")
+        embedding_set = read_embeddings(workspace / "embeddings" / "1930-1939.svd.npz")
         expected = to_json(ranking_records(most_similar("kanun", 10, embedding_set)))
         actual = (workspace / "reports" / "most_similar_kanun_1930-1939.json").read_text(
             encoding="utf-8"
@@ -1191,11 +1288,14 @@ class TestEmbedAlignQuery:
         assert code == 2
         assert "bilgisayar" in json.loads(captured.err)["message"]
 
-    def test_negative_dim_vec_is_usage_error_naming_the_file(self, workspace, tmp_path, capsys):
+    def test_zero_dim_store_is_usage_error_naming_the_file(self, workspace, tmp_path, capsys):
         shutil.copytree(workspace / "vocab", tmp_path / "vocab")
-        vec = tmp_path / "embeddings" / "1930-1939.svd.vec"
-        vec.parent.mkdir()
-        vec.write_text("dim=-1 vocab=0 provenance=svd period=1930-1939\n", encoding="utf-8")
+        store = tmp_path / "embeddings" / "1930-1939.svd.npz"
+        store.parent.mkdir()
+        store.write_bytes(savez_bytes({
+            "vectors": np.zeros((0, 0)), "words": np.zeros(0, dtype=np.uint8),
+            "period": np.array("1930-1939"), "provenance": np.array("svd"),
+        }))
         code, out, err = run_cli(
             tmp_path, "query", "most-similar", "--word", "kanun", "--period", "1930-1939",
             capsys=capsys,
@@ -1205,7 +1305,9 @@ class TestEmbedAlignQuery:
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == 2
-        assert "1930-1939.svd.vec: line 1" in payload["message"]
+        assert f"{store}: vectors must be a 2-D float64 array of at least one column" in (
+            payload["message"]
+        )
         assert "traceback" not in payload["context"]
         assert not (tmp_path / "reports").exists()
 
@@ -1250,7 +1352,7 @@ class TestThreePeriods:
 
     def test_series_equal_an_independent_composition(self, flow):
         _, out = flow
-        sets = [read_embeddings(out / "embeddings" / f"{p}.svd.vec") for p in (_P, _P50, _L)]
+        sets = [read_embeddings(out / "embeddings" / f"{p}.svd.npz") for p in (_P, _P50, _L)]
         step_1950 = read_transform(out / "transforms" / f"{_P50}__to__{_P}.svd.txt").matrix
         step_1980 = read_transform(out / "transforms" / f"{_L}__to__{_P50}.svd.txt").matrix
         # row vectors: a 1980s vector goes to the 1950s, then to the 1930s
@@ -1297,10 +1399,6 @@ class TestEdgeTokens:
         "artifact,command",
         [
             (
-                "embeddings/1930-1939.svd.vec",
-                ["query", "most-similar", "--word", "kanun", "--period", "1930-1939"],
-            ),
-            (
                 "transforms/1980-1989__to__1930-1939.svd.txt",
                 [
                     "query", "aligned-most-similar", "--word", "televizyon",
@@ -1309,7 +1407,7 @@ class TestEdgeTokens:
             ),
             ("vocab/1930-1939.lemma.tsv", _COLLOCATIONS),
         ],
-        ids=["vec", "transform", "vocabulary-collocations"],
+        ids=["transform", "vocabulary-collocations"],
     )
     def test_edge_token_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token
@@ -1355,12 +1453,12 @@ class TestHeaderMismatch:
         "artifact,old,new,command",
         [
             (
-                "embeddings/1980-1989.svd.vec",
+                "embeddings/1980-1989.svd.npz",
                 "period=1980-1989", "period=1930-1939",
                 ["query", "most-similar", "--word", "kanun", "--period", _L],
             ),
             (
-                "embeddings/1930-1939.svd.vec",
+                "embeddings/1930-1939.svd.npz",
                 "provenance=svd", "provenance=cbow",
                 ["query", "most-similar", "--word", "kanun", "--period", _P],
             ),
@@ -1375,19 +1473,26 @@ class TestHeaderMismatch:
                 _COLLOCATIONS,
             ),
         ],
-        ids=["vec-period", "vec-kind", "vocabulary-period", "vocabulary-period-collocations"],
+        ids=["store-period", "store-kind", "vocabulary-period", "vocabulary-period-collocations"],
     )
     def test_header_naming_another_artifact_is_usage_error(
         self, workspace, tmp_path, capsys, artifact, old, new, command
     ):
-        """An artifact whose header names another period or kind than its file
-        exits 2 with one JSON line naming the file, and writes no report."""
+        """An artifact whose header (a store's 0-d string array) names another period
+        or kind than its file exits 2 with one JSON line naming the file, and writes
+        no report."""
         for artifacts in ("vocab", "tokens", "embeddings", "transforms"):
             shutil.copytree(workspace / artifacts, tmp_path / artifacts)
         path = tmp_path / artifact
-        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-        assert old in header
-        path.write_text(header.replace(old, new) + "\n" + rest, encoding="utf-8")
+        if path.suffix == ".npz":
+            arrays = store_arrays(path)
+            (key, held), (_, value) = old.split("="), new.split("=")
+            assert str(arrays[key]) == held
+            path.write_bytes(savez_bytes({**arrays, key: np.array(value)}))
+        else:
+            header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            assert old in header
+            path.write_text(header.replace(old, new) + "\n" + rest, encoding="utf-8")
         code, out, err = run_cli(tmp_path, *command, capsys=capsys)
         assert code == 2
         assert out == ""

@@ -5,7 +5,6 @@ import json
 import os
 import re
 import sys
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -302,10 +301,9 @@ class TestReadArtifactLines:
             read_vocabulary,
             lambda path: read_ngrams(path, 1),
             lambda path: read_ppmi(path, Vocabulary(PERIOD_1930, {"aa": 1}, 1)),
-            read_embeddings,
             read_transform,
         ],
-        ids=["vocabulary", "ngrams", "ppmi", "embeddings", "transform"],
+        ids=["vocabulary", "ngrams", "ppmi", "transform"],
     )
     def test_non_utf8_artifact_is_parameter_error_naming_the_file(self, tmp_path, read):
         path = tmp_path / "artifact.txt"
@@ -341,13 +339,14 @@ _CLEAN_ARTIFACTS = {
         lambda path: read_ppmi(path, _PAIR_VOCABULARY),
         ["#period=1930-1939 #window=2 #alpha=0.75", "aa\tbb\t0.5", "bb\taa\t0.5"],
     ),
-    "embeddings": (
-        read_embeddings,
-        ["dim=2 vocab=2 provenance=svd period=1930-1939", "aa 1.0 0.0", "bb 0.0 1.0"],
-    ),
     "transform": (
         read_transform,
-        ["d=2 from=1980-1989 to=1930-1939", "1.0 0.0", "0.0 1.0", "#shared=aa bb"],
+        [
+            f"d=2 from=1980-1989 to=1930-1939 from_sha256={'0' * 64} to_sha256={'f' * 64}",
+            "1.0 0.0",
+            "0.0 1.0",
+            "#shared=aa bb",
+        ],
     ),
 }
 _BAD_HEADER = r"artifact\.txt: line 1: bad [a-z-]+ header"
@@ -369,7 +368,6 @@ _CORRUPTIONS = [
             ("vocabulary", r"artifact\.txt: line 3: word 'aa' listed twice"),
             ("ngrams", r"artifact\.txt: line 3: gram 'aa' listed twice"),
             ("ppmi", r"artifact\.txt: 1 word pair\(s\) listed twice"),
-            ("embeddings", r"artifact\.txt: line 3: word 'aa' listed twice"),
         ]
     ),
     *(
@@ -394,24 +392,6 @@ _CORRUPTIONS = [
         r"artifact\.txt: the last line is not the '#shared=' line",
     ),
     (
-        "embeddings",
-        "negative-dim",
-        lambda lines: [lines[0].replace("dim=2", "dim=-1"), *lines[1:]],
-        r"artifact\.txt: line 1: dim=-1 is not a positive dimension",
-    ),
-    (
-        "embeddings",
-        "negative-vocab",
-        lambda lines: [lines[0].replace("vocab=2", "vocab=-1"), *lines[1:]],
-        r"artifact\.txt: header says -1 words, found 2",
-    ),
-    (
-        "embeddings",
-        "nan-value",
-        lambda lines: [lines[0], "aa nan 0.0", *lines[2:]],
-        r"artifact\.txt: line 2: a value is not finite",
-    ),
-    (
         "transform",
         "empty-shared",
         lambda lines: [*lines[:-1], "#shared="],
@@ -425,11 +405,17 @@ _CORRUPTIONS = [
     ),
     (
         "transform",
+        "digest-not-hex",
+        lambda lines: [lines[0].replace("0" * 64, "0" * 63 + "g"), *lines[1:]],
+        r"artifact\.txt: line 1: bad transform header .* is not a sha256 hex digest",
+    ),
+    (
+        "transform",
         "not-orthogonal",
         lambda lines: [lines[0], "5.0 0.0", *lines[2:]],
         r"artifact\.txt: transform 1980-1989->1930-1939 is not orthogonal",
     ),
-    # The word rule: a vocabulary or n-gram key, a .vec word and a '#shared='
+    # The word rule: a vocabulary or n-gram key and a '#shared='
     # word are non-empty and hold no whitespace, not even a character that
     # str.splitlines() would take for a line break.
     *(
@@ -441,15 +427,6 @@ _CORRUPTIONS = [
         )
         for kind, noun in [("vocabulary", "word"), ("ngrams", "gram")]
         for word in [*_NOT_WORDS, "a b"]
-    ),
-    *(
-        (
-            "embeddings",
-            f"word-{word!r}",
-            lambda lines, word=word: [lines[0], f"{word} 1.0 0.0", lines[2]],
-            rf"artifact\.txt: line 2: word {re.escape(repr(word))} is empty or has whitespace",
-        )
-        for word in [*_NOT_WORDS, "a\tb"]
     ),
     *(
         (
@@ -486,7 +463,7 @@ class TestArtifactRecordRules:
             read(path)
 
     @pytest.mark.parametrize("token", EDGE_TOKENS)
-    @pytest.mark.parametrize("kind", ["embeddings", "transform", "ppmi"])
+    @pytest.mark.parametrize("kind", ["transform", "ppmi"])
     def test_value_not_an_ascii_finite_float_names_the_line(self, tmp_path, kind, token):
         read, lines = _CLEAN_ARTIFACTS[kind]
         path = tmp_path / "artifact.txt"
@@ -519,15 +496,6 @@ class TestArtifactRecordRules:
         path.write_text("\n\n".join(with_edge_token(lines, "nan")) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"artifact\.txt: line 5: "):
             read(path)
-
-    def test_empty_embedding_file_loads_without_a_warning(self, tmp_path):
-        path = tmp_path / "artifact.txt"
-        path.write_text("dim=2 vocab=0 provenance=svd period=1930-1939\n", encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            loaded = read_embeddings(path)
-        assert loaded.vocab_index == {}
-        assert loaded.matrix.shape == (0, 2)
 
     @pytest.mark.parametrize("kind", _CLEAN_ARTIFACTS)
     def test_empty_file_is_parameter_error_naming_the_file(self, tmp_path, kind):
@@ -570,10 +538,17 @@ _TURKISH_WORDS = st.text("abcçdefgğhıijklmnoöprsştuüvyzâîû", min_size=1
 _PERIODS = st.integers(1000, 2990).map(lambda year: TimePeriod(year, year + 9))
 _REALS = st.floats(allow_nan=False, allow_infinity=False)
 _ROUNDTRIP = settings(max_examples=60, deadline=None)
+# a word of a vector store: Turkish and circumflexed letters, perhaps a trailing NUL
+_STORE_WORDS = st.builds(
+    str.__add__,
+    st.text("abcçdefgğhıİijklmnoöprsştuüvyzâîû", min_size=1, max_size=8),
+    st.sampled_from(["", "\x00"]),
+)
+_SHA256 = st.binary(min_size=32, max_size=32).map(bytes.hex)
 
 
 class TestArtifactRoundTrip:
-    """Write then read each text format on drawn contents; the reader returns them exactly."""
+    """Write then read each format on drawn contents; the reader returns them exactly."""
 
     @_ROUNDTRIP
     @given(period=_PERIODS, entries=st.dictionaries(_TURKISH_WORDS, st.integers(1, 10**9)))
@@ -626,23 +601,27 @@ class TestArtifactRoundTrip:
     @_ROUNDTRIP
     @given(
         period=_PERIODS,
-        words=st.lists(_TURKISH_WORDS, min_size=1, max_size=8, unique=True),
+        words=st.lists(_STORE_WORDS, min_size=1, max_size=8, unique=True),
         dim=st.integers(1, 4),
         provenance=st.sampled_from(["svd", "cbow"]),
         data=st.data(),
     )
     def test_embeddings(self, tmp_path_factory, period, words, dim, provenance, data):
+        """The binary store, on words with Turkish and circumflexed letters and a trailing
+        NUL (which a NumPy string array would drop)."""
         row = st.lists(_REALS, min_size=dim, max_size=dim)
         rows = data.draw(st.lists(row, min_size=len(words), max_size=len(words)))
         original = EmbeddingSet(
             period, {w: i for i, w in enumerate(words)}, np.array(rows), dim, provenance
         )
-        path = tmp_path_factory.mktemp("vec") / "e.vec"
+        path = tmp_path_factory.mktemp("store") / "e.npz"
         write_embeddings(original, path)
         loaded = read_embeddings(path)
         assert (loaded.period, loaded.provenance, loaded.dim) == (period, provenance, dim)
         assert loaded.vocab_index == original.vocab_index
-        assert np.array_equal(loaded.matrix, original.matrix)
+        assert loaded.matrix.dtype == np.float64
+        assert loaded.matrix.tobytes() == original.matrix.tobytes()
+        assert loaded.digest() == original.digest()
 
     @_ROUNDTRIP
     @given(
@@ -650,15 +629,17 @@ class TestArtifactRoundTrip:
         shared=st.lists(_TURKISH_WORDS, min_size=1, max_size=8, unique=True),
         dim=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
+        fitted_on=st.tuples(_SHA256, _SHA256),
     )
-    def test_transform(self, tmp_path_factory, periods, shared, dim, seed):
+    def test_transform(self, tmp_path_factory, periods, shared, dim, seed, fitted_on):
         rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
-        original = AlignmentTransform(*periods, rotation, shared)
+        original = AlignmentTransform(*periods, rotation, shared, fitted_on)
         path = tmp_path_factory.mktemp("transform") / "t.txt"
         write_transform(original, path)
         loaded = read_transform(path)
         assert (loaded.source_period, loaded.target_period) == periods
         assert loaded.shared_vocab == shared
+        assert loaded.fitted_on == fitted_on
         assert np.array_equal(loaded.matrix, rotation)
 
 

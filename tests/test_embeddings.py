@@ -1,6 +1,9 @@
+import hashlib
 import math
 import random
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +32,17 @@ from diacorpus.errors import (
 )
 from diacorpus.lexicon import Vocabulary
 
-from conftest import PERIOD_1930, assert_canonical, document_sequences, row_order, stored_cells
+from conftest import (
+    PERIOD_1930,
+    STORE_CORRUPTIONS,
+    UNPICKLED,
+    assert_canonical,
+    document_sequences,
+    row_order,
+    store_arrays,
+    stored_cells,
+    write_corrupt_store,
+)
 
 
 def synthetic_word(i):
@@ -299,10 +312,12 @@ class TestSvd:
         leaf = PeriodCorpus.from_texts(PERIOD_1930, docs)
         assert len(leaf.vocabulary.entries) > _DENSE_SVD_LIMIT
         ppmi = build_ppmi(count_cooccurrences(leaf, window=2))
-        for name in ("first.vec", "second.vec"):
+        for name in ("first", "second"):
             words_set, _ = svd_embeddings(ppmi, dim=8)
-            write_embeddings(words_set, tmp_path / name)
-        assert (tmp_path / "first.vec").read_bytes() == (tmp_path / "second.vec").read_bytes()
+            write_embeddings(words_set, tmp_path / f"{name}.npz")
+        for suffix in (".npz", ".vec"):
+            first, second = (tmp_path / f"{name}{suffix}" for name in ("first", "second"))
+            assert first.read_bytes() == second.read_bytes()
 
 
 class TestQueries:
@@ -487,8 +502,8 @@ class TestFileFormats:
         index = dict(zip(rng.permutation([f"w{i}" for i in range(words)]).tolist(), range(words)))
         matrix = rng.normal(size=(words, dim)) * 10.0 ** rng.integers(-300, 300, size=(words, dim))
         embedding_set = EmbeddingSet(PERIOD_1930, index, matrix, dim, "svd")
+        write_embeddings(embedding_set, tmp_path / "emb.npz")
         path = tmp_path / "emb.vec"
-        write_embeddings(embedding_set, path)
         assert path.read_bytes() == reference_vec_text(embedding_set).encode("utf-8")
 
     def test_embedding_roundtrip_is_lossless(self, tmp_path):
@@ -501,14 +516,15 @@ class TestFileFormats:
             dim=4,
             provenance="svd",
         )
-        path = tmp_path / "emb.vec"
-        write_embeddings(original, path)
-        loaded = read_embeddings(path)
+        write_embeddings(original, tmp_path / "emb.npz")
+        loaded = read_embeddings(tmp_path / "emb.npz")
         assert np.array_equal(loaded.matrix, original.matrix)
         assert loaded.vocab_index == original.vocab_index
         assert loaded.provenance == "svd"
-        write_embeddings(loaded, tmp_path / "emb2.vec")
-        assert (tmp_path / "emb.vec").read_bytes() == (tmp_path / "emb2.vec").read_bytes()
+        write_embeddings(loaded, tmp_path / "emb2.npz")
+        for suffix in (".npz", ".vec"):
+            first, second = (tmp_path / f"{name}{suffix}" for name in ("emb", "emb2"))
+            assert first.read_bytes() == second.read_bytes()
 
     def test_ppmi_roundtrip_is_lossless(self, tmp_path):
         leaf = PeriodCorpus.from_texts(
@@ -542,30 +558,6 @@ class TestFileFormats:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda fields: fields[:1] + ["notanumber"] + fields[2:],  # non-numeric value
-            lambda fields: fields[:-1],  # a value missing
-            lambda fields: fields + ["0.5"],  # a value too many
-        ],
-    )
-    def test_corrupt_embedding_row_names_file_and_line(self, tmp_path, corrupt):
-        original = EmbeddingSet(
-            period=PERIOD_1930,
-            vocab_index={f"w{i}": i for i in range(3)},
-            matrix=np.arange(12.0).reshape(3, 4),
-            dim=4,
-            provenance="svd",
-        )
-        path = tmp_path / "emb.vec"
-        write_embeddings(original, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[2] = " ".join(corrupt(lines[2].split(" ")))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParameterError, match=r"emb\.vec: line 3\b"):
-            read_embeddings(path)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
             lambda fields: fields[:2] + ["notanumber"],  # non-numeric value
             lambda fields: fields[:2],  # the value missing
             lambda fields: fields + ["0.5"],  # a field too many
@@ -582,6 +574,63 @@ class TestFileFormats:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"assoc\.tsv: line 2\b"):
             read_ppmi(path, leaf.vocabulary)
+
+
+def _clean_store(path, words=("aa", "bb", "cc"), dim=2):
+    """Write a store of ``words`` with distinct vectors; return the set written."""
+    matrix = np.arange(len(words) * dim, dtype=np.float64).reshape(len(words), dim) - 2.5
+    original = EmbeddingSet(PERIOD_1930, {w: i for i, w in enumerate(words)}, matrix, dim, "svd")
+    write_embeddings(original, path)
+    return original
+
+
+class TestVectorStore:
+    def test_store_arrays_and_their_order(self, tmp_path):
+        """``vectors`` in ``words()`` order, the words as UTF-8 bytes joined by newlines,
+        and the period and provenance as 0-d strings; nothing else."""
+        index = {"âîû": 1, "kitab\x00": 2, "İçğıöşü": 0}
+        matrix = np.array([[1.0, -0.0], [2.5, 1e-300], [-3.0, 4.0]])
+        write_embeddings(EmbeddingSet(PERIOD_1930, index, matrix, 2, "cbow"), tmp_path / "e.npz")
+        arrays = store_arrays(tmp_path / "e.npz")
+        assert list(arrays) == ["vectors", "words", "period", "provenance"]
+        assert arrays["vectors"].dtype == np.float64
+        assert arrays["vectors"].tobytes() == matrix.tobytes()
+        assert arrays["words"].dtype == np.uint8
+        assert arrays["words"].tobytes() == "İçğıöşü\nâîû\nkitab\x00".encode("utf-8")
+        assert (arrays["period"].shape, str(arrays["period"])) == ((), "1930-1939")
+        assert (arrays["provenance"].shape, str(arrays["provenance"])) == ((), "cbow")
+        loaded = read_embeddings(tmp_path / "e.npz")
+        assert loaded.vocab_index == index
+        assert loaded.matrix.tobytes() == matrix.tobytes()
+        assert loaded.digest() == hashlib.sha256((tmp_path / "e.npz").read_bytes()).hexdigest()
+
+    def test_empty_store_loads_without_a_warning(self, tmp_path):
+        _clean_store(tmp_path / "e.npz", words=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = read_embeddings(tmp_path / "e.npz")
+        assert loaded.vocab_index == {}
+        assert loaded.matrix.shape == (0, 2)
+
+    @pytest.mark.parametrize("name", STORE_CORRUPTIONS)
+    def test_corrupt_store_is_parameter_error_naming_the_file(self, tmp_path, name):
+        path = tmp_path / "e.npz"
+        _clean_store(path)
+        write_corrupt_store(path, name)
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: ")) as info:
+            read_embeddings(path)
+        assert STORE_CORRUPTIONS[name][1] in str(info.value)
+        assert UNPICKLED == []
+
+    def test_pickled_store_trips_when_unpickled(self, tmp_path):
+        """The tripwire of the pickled case works, so its silence above means no unpickling."""
+        path = tmp_path / "e.npz"
+        _clean_store(path)
+        write_corrupt_store(path, "pickled-vectors")
+        with np.load(path, allow_pickle=True) as store:
+            store["vectors"]
+        assert UNPICKLED == [True, True, True]
+        UNPICKLED.clear()
 
 
 class TestMemory:
