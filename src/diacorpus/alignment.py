@@ -12,7 +12,6 @@ the queries apply it only to sets with those digests.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TimePeriod, TimeSeriesResult, parse_numbers, read_artifact, write_artifact
-from .embeddings import EmbeddingSet, cosine, rank_by_cosine
+from .corpus import TimePeriod, TimeSeriesResult, read_store, savez_bytes, write_artifact
+from .embeddings import EmbeddingSet, cosine, decode_string, decode_words, encode_words, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
-from .preprocess import is_word
 
 _ORTHOGONALITY_TOL = 1e-8
 
@@ -210,56 +208,42 @@ def semantic_change(
 # ---------------------------------------------------------------------------
 
 
+_TRANSFORM_KEYS = ("matrix", "shared", "source", "target", "source_sha256", "target_sha256")
+
+
 def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
-    """Text file: header then d rows of d reals; row-vector convention (v @ R).
-
-    The header holds the dimension, the two periods and the two digests of ``fitted_on``.
-    """
-    dim = transform.dim
-    source_sha256, target_sha256 = transform.fitted_on
-    lines = [
-        f"d={dim} from={transform.source_period.label} to={transform.target_period.label} "
-        f"from_sha256={source_sha256} to_sha256={target_sha256}"
-    ]
-    for row in transform.matrix:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    lines.append("#shared=" + " ".join(transform.shared_vocab))
-    write_artifact(path, "\n".join(lines) + "\n")
-
-
-def _sha256(text: str) -> str:
-    if not re.fullmatch("[0-9a-f]{64}", text):
-        raise ValueError(f"{text!r} is not a sha256 hex digest")
-    return text
+    """Write the transform's ``.npz`` store: ``matrix`` (d x d float64, row-vector
+    convention ``v @ R``), ``shared`` (``encode_words``), and the 0-d strings
+    ``source`` and ``target`` (period labels) and ``source_sha256`` and
+    ``target_sha256`` (the digests of ``fitted_on``)."""
+    write_artifact(path, savez_bytes(
+        matrix=transform.matrix.astype(np.float64, copy=False),
+        shared=encode_words(transform.shared_vocab),
+        source=np.array(transform.source_period.label),
+        target=np.array(transform.target_period.label),
+        **{key: np.array(digest) for key, digest in zip(_TRANSFORM_KEYS[4:], transform.fitted_on)},
+    ))
 
 
 def read_transform(path: str | Path) -> AlignmentTransform:
-    """Load a transform file; a malformed file raises ParameterError naming it (and the line).
-
-    The ``#shared=`` line of ``is_word`` words comes once, as the last non-blank line.
-    """
-    head, records = read_artifact(
-        path, "transform", d=int, **{"from": TimePeriod.parse, "to": TimePeriod.parse},
-        from_sha256=_sha256, to_sha256=_sha256,
-    )
-    dim = head["d"]
-    if dim < 1:
-        raise ParameterError(f"{path}: line 1: d={dim} is not a positive dimension")
-    numbers = dict(records)
-    shared_at, last = numbers.popitem() if numbers else (1, "")
-    if not last.startswith("#shared="):
-        raise ParameterError(f"{path}: the last line is not the '#shared=' line")
-    for lineno, line in numbers.items():
-        if line.startswith("#shared="):
-            raise ParameterError(f"{path}: line {lineno}: a second '#shared=' line")
-    matrix = parse_numbers(path, numbers, dim)
-    if matrix.shape != (dim, dim):
-        raise ParameterError(f"{path}: expected a {dim}x{dim} matrix, got {matrix.shape}")
-    shared = last.removeprefix("#shared=").split(" ") if last != "#shared=" else []
-    if not all(map(is_word, shared)):
-        raise ParameterError(f"{path}: line {shared_at}: a shared word is empty or has whitespace")
-    fitted_on = (head["from_sha256"], head["to_sha256"])
+    """Load a transform store; unless it holds exactly the arrays ``write_transform``
+    writes, with ``matrix`` square, at least one ``decode_words`` word in ``shared``,
+    periods that parse and digests of 64 lowercase hex digits, ParameterError names it."""
+    arrays, _ = read_store(path, "transform store", _TRANSFORM_KEYS)
+    matrix = arrays["matrix"]
+    if matrix.ndim != 2 or matrix.dtype != np.float64 or not 1 <= len(matrix) == matrix.shape[1]:
+        raise ParameterError(
+            f"{path}: matrix must be a square 2-D float64 array of at least one row, "
+            f"not {matrix.dtype} of shape {matrix.shape}"
+        )
+    shared = list(decode_words(path, "shared", arrays["shared"]))
+    source, target, *fitted_on = (decode_string(path, k, arrays[k]) for k in _TRANSFORM_KEYS[2:])
+    for key, digest in zip(_TRANSFORM_KEYS[4:], fitted_on):
+        if len(digest) != 64 or digest.strip("0123456789abcdef"):
+            raise ParameterError(f"{path}: {key} {digest!r} is not 64 lowercase hex digits")
     try:
-        return AlignmentTransform(head["from"], head["to"], matrix, shared, fitted_on)
+        return AlignmentTransform(
+            TimePeriod.parse(source), TimePeriod.parse(target), matrix, shared, tuple(fitted_on)
+        )
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc

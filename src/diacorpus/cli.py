@@ -96,7 +96,7 @@ ARTIFACTS = {
     "ppmi": ("ppmi/{period}.tsv", "association matrix for period {period}", "embed ppmi"),
     "vectors": ("embeddings/{period}.{kind}.npz", "{kind} embeddings for period {period}",
                 "embed {kind}"),
-    "transform": ("transforms/{source}__to__{target}.{kind}.txt", "transform {source}->{target}",
+    "transform": ("transforms/{source}__to__{target}.{kind}.npz", "transform {source}->{target}",
                   "align --from {source} --to {target} --kind {kind}"),
 }
 

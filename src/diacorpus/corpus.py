@@ -459,6 +459,14 @@ def read_artifact(
     return header, lines
 
 
+def savez_bytes(**arrays: np.ndarray) -> bytes:
+    """The ``np.savez`` archive of ``arrays``, in argument order. It stamps no time,
+    so the bytes depend only on the arrays."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
 def read_store(
     path: str | Path, kind: str, keys: Sequence[str]
 ) -> tuple[dict[str, np.ndarray], bytes]:
@@ -497,41 +505,39 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise ParameterError(f"{path}: not a UTF-8 text file: {exc}") from exc
 
 
-_NUMBER_ROW = dict(delimiter=" ", comments=None, quotechar=None, ndmin=2)
+_NUMBER_ROW = dict(delimiter=" ", comments=None, quotechar=None, ndmin=1)
 # Every character a row of number literals may hold: np.loadtxt strips other
 # whitespace around a number, so rows are checked against this first. The
 # letters of nan and inf pass, so those rows fail the finiteness rule instead.
 _LITERAL_ALPHABET = b"0123456789+-.eE nafi"
 
 
-def _parse_rows(texts: Collection[str], width: int, dtype) -> np.ndarray:
-    """``texts`` as a (len, width) array; ValueError unless each is ``width`` literals."""
+def _parse_rows(texts: Collection[str], dtype) -> np.ndarray:
+    """``texts`` as a 1-D array; ValueError unless each is one literal."""
     joined = " ".join(texts)
     if not joined.isascii() or joined.encode("ascii").translate(None, _LITERAL_ALPHABET):
         raise ValueError("a character outside the number literal alphabet")
     if not all(texts):  # loadtxt skips an empty row
         raise ValueError("an empty row")
     values = np.loadtxt(texts, dtype=dtype, **_NUMBER_ROW)
-    if values.shape != (len(texts), width):
-        raise ValueError(f"expected {len(texts)} rows of {width}, got {values.shape}")
+    if values.shape != (len(texts),):
+        raise ValueError(f"expected {len(texts)} rows of 1, got {values.shape}")
     return values
 
 
-def parse_numbers(
-    path: str | Path, rows: dict[int, str], width: int, dtype=np.float64, positive: bool = False
-) -> np.ndarray:
-    """Rows of ``width`` ASCII number literals separated by single spaces, keyed by line
-    number, parsed in one numpy call.
+def parse_numbers(path: str | Path, rows: dict[int, str], dtype) -> np.ndarray:
+    """Rows of one ASCII number literal each, keyed by line number, parsed in one
+    numpy call into a 1-D array of values above 0.
 
     ``float64`` reals are ``repr`` output of finite numbers; ``int64`` integers
-    are decimal literals. With ``positive``, every value is above 0. A bad
-    row, one holding any other character (a tab, a form feed, U+0085) too, is
-    a ParameterError naming the file, the line and its text.
+    are decimal literals. A bad row, one holding any other character (a tab, a
+    form feed, U+0085) too, is a ParameterError naming the file, the line and
+    its text.
     """
     if not rows:  # loadtxt warns on empty input
-        return np.empty((0, width), dtype=dtype)
+        return np.empty(0, dtype=dtype)
     try:
-        values = _parse_rows(rows.values(), width, dtype)
+        values = _parse_rows(rows.values(), dtype)
     except ValueError as bulk:
         # rows parse independently, so bisect for the first bad one:
         # texts[:lo] parse and texts[lo:hi] hold a bad row
@@ -540,17 +546,15 @@ def parse_numbers(
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                _parse_rows(texts[lo:mid], width, dtype)
+                _parse_rows(texts[lo:mid], dtype)
                 lo = mid
             except ValueError:
                 hi = mid
-        literals = f"{width} ASCII {np.dtype(dtype).name} literal(s)"
-        lineno = list(rows)[lo]
-        raise ParameterError(f"{path}: line {lineno}: {texts[lo]!r} is not {literals}") from bulk
-    bad = (~np.isfinite(values) | (positive & (values <= 0))).any(axis=1)
+        literals = f"1 ASCII {np.dtype(dtype).name} literal(s)"
+        raise ParameterError(f"{path}: line {list(rows)[lo]}: {texts[lo]!r} is not {literals}") from bulk
+    bad = ~np.isfinite(values) | (values <= 0)
     if bad.any():
-        rule = "finite and above 0" if positive else "finite"
-        raise ParameterError(f"{path}: line {list(rows)[bad.argmax()]}: a value is not {rule}")
+        raise ParameterError(f"{path}: line {list(rows)[bad.argmax()]}: a value is not finite and above 0")
     return values
 
 

@@ -11,10 +11,9 @@ product ``W @ C.T`` reconstructs the association matrix.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .corpus import (
     parse_numbers,
     read_artifact,
     read_store,
+    savez_bytes,
     write_artifact,
 )
 from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
@@ -338,20 +338,52 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def encode_words(words: Sequence[str]) -> np.ndarray:
+    """Words as a store holds them: their UTF-8 bytes joined by ``\\n``, one uint8 array
+    (a NumPy string array would drop a trailing NUL)."""
+    return np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+
+
+def decode_words(path: str | Path, key: str, encoded: np.ndarray) -> dict[str, int]:
+    """The row of each word ``encode_words`` stored as ``key``; ParameterError naming the
+    file unless ``encoded`` is 1-D uint8 UTF-8 text of ``is_word`` words, each listed once."""
+    if encoded.ndim != 1 or encoded.dtype != np.uint8:
+        raise ParameterError(
+            f"{path}: {key} must be a 1-D uint8 array, not {encoded.dtype} of shape {encoded.shape}"
+        )
+    try:
+        text = encoded.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: {key} are not UTF-8: {exc}") from exc
+    words = text.split("\n") if text else []
+    if text.split() != words:  # each word non-empty and free of whitespace
+        word = next(w for w in words if not is_word(w))
+        raise ParameterError(f"{path}: word {word!r} is empty or has whitespace")
+    rows = dict(zip(words, range(len(words))))
+    if len(rows) != len(words):  # a repeated word keeps the row of its last listing
+        word = next(w for i, w in enumerate(words) if rows[w] != i)
+        raise ParameterError(f"{path}: word {word!r} listed twice")
+    return rows
+
+
+def decode_string(path: str | Path, key: str, array: np.ndarray) -> str:
+    """The 0-d string array ``key`` of a store; ParameterError naming the file for any other."""
+    if array.ndim != 0 or array.dtype.kind != "U":
+        raise ParameterError(
+            f"{path}: {key} must be a 0-d string array, not {array.dtype} of shape {array.shape}"
+        )
+    return str(array)
+
+
 def _store_bytes(embedding_set: EmbeddingSet) -> bytes:
-    """The set's ``.npz`` store; ``np.savez`` stamps no time, so the bytes depend only on
-    the arrays. Words are UTF-8 bytes: a NumPy string array drops a trailing NUL."""
     words = embedding_set.words()
     vectors = embedding_set.matrix[[embedding_set.vocab_index[w] for w in words]]
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
+    return savez_bytes(
         vectors=vectors.astype(np.float64, copy=False),
-        words=np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8),
+        words=encode_words(words),
         period=np.array(embedding_set.period.label),
         provenance=np.array(embedding_set.provenance),
     )
-    return buffer.getvalue()
 
 
 def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
@@ -359,10 +391,10 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
     ``path`` with the suffix ``.vec``; every reader loads the store.
 
     The store holds ``vectors`` (float64, one row per word in ``words()``
-    order), ``words`` (the UTF-8 bytes of those words joined by ``\\n``, as
-    uint8) and the 0-d strings ``period`` and ``provenance``. The export is a
-    header line, then one 'word v1 .. vd' line per word, reals in shortest
-    round-trip form, rendered about ``CHUNK_VALUES`` values at a time.
+    order), ``words`` (those words, ``encode_words``) and the 0-d strings
+    ``period`` and ``provenance``. The export is a header line, then one
+    'word v1 .. vd' line per word, reals in shortest round-trip form,
+    rendered about ``CHUNK_VALUES`` values at a time.
     """
     header = (
         f"dim={embedding_set.dim} vocab={len(embedding_set.vocab_index)} "
@@ -388,41 +420,22 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
     The archive holds exactly the arrays ``write_embeddings`` writes:
     ``vectors`` 2-D float64 of finite values, with at least one column and
-    one row per word; ``words`` 1-D uint8, UTF-8 text of ``is_word`` words
-    joined by ``\\n``, none listed twice; ``period`` a 0-d string that parses
-    and ``provenance`` a 0-d string. The set keeps the sha256 of the file.
+    one row per word; ``words`` as ``decode_words`` reads them; ``period`` a
+    0-d string that parses and ``provenance`` a 0-d string. The set keeps the
+    sha256 of the file.
     """
     arrays, data = read_store(path, "embedding store", _STORE_KEYS)
-    vectors, encoded, period, provenance = (arrays[key] for key in _STORE_KEYS)
+    vectors = arrays["vectors"]
     if vectors.ndim != 2 or vectors.dtype != np.float64 or vectors.shape[1] < 1:
         raise ParameterError(
             f"{path}: vectors must be a 2-D float64 array of at least one column, "
             f"not {vectors.dtype} of shape {vectors.shape}"
         )
-    if encoded.ndim != 1 or encoded.dtype != np.uint8:
-        raise ParameterError(
-            f"{path}: words must be a 1-D uint8 array, not {encoded.dtype} of shape {encoded.shape}"
-        )
-    try:
-        text = encoded.tobytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: words are not UTF-8: {exc}") from exc
-    words = text.split("\n") if text else []
-    if text.split() != words:  # each word non-empty and free of whitespace
-        word = next(w for w in words if not is_word(w))
-        raise ParameterError(f"{path}: word {word!r} is empty or has whitespace")
-    vocab_index = dict(zip(words, range(len(words))))
-    if len(vocab_index) != len(words):  # a repeated word keeps the row of its last listing
-        word = next(w for i, w in enumerate(words) if vocab_index[w] != i)
-        raise ParameterError(f"{path}: word {word!r} listed twice")
-    for key, array in (("period", period), ("provenance", provenance)):
-        if array.ndim != 0 or array.dtype.kind != "U":
-            raise ParameterError(
-                f"{path}: {key} must be a 0-d string array, not {array.dtype} of shape {array.shape}"
-            )
+    vocab_index = decode_words(path, "words", arrays["words"])
+    period, provenance = (decode_string(path, key, arrays[key]) for key in _STORE_KEYS[2:])
     try:
         return EmbeddingSet(
-            TimePeriod.parse(str(period)), vocab_index, vectors, vectors.shape[1], str(provenance),
+            TimePeriod.parse(period), vocab_index, vectors, vectors.shape[1], provenance,
             store_sha256=_sha256(data),
         )
     except ParameterError as exc:
@@ -474,7 +487,7 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
             raise ParameterError(f"{path}: line {lineno}: word not in vocabulary: {line!r}")
         rows.append(index[row_word])
         cols.append(index[col_word])
-    data = parse_numbers(path, numbers, 1, positive=True)[:, 0]
+    data = parse_numbers(path, numbers, np.float64)
     size = len(index)
     keys = np.array(rows, dtype=np.int64) * size + np.array(cols, dtype=np.int64)
     sort = np.argsort(keys, kind="stable")  # one pass over a file written in row-major order

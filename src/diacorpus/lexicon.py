@@ -11,7 +11,6 @@ its ``entries`` dict is built on demand, never by ingest, and
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from .corpus import (
     per_period,
     read_artifact,
     read_store,
+    savez_bytes,
     select_leaves,
     write_artifact,
 )
@@ -403,7 +403,7 @@ def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple
         if key in keys:
             raise ParameterError(f"{path}: line {lineno}: {noun} {text!r} listed twice")
         keys[key] = None
-    values = parse_numbers(path, counts, 1, np.int64, positive=True)[:, 0].tolist()
+    values = parse_numbers(path, counts, np.int64).tolist()
     if sum(values) != head["tokens"]:
         raise ParameterError(f"{path}: counts sum to {sum(values)}, not #tokens={head['tokens']}")
     return head, dict(zip(keys, values))
@@ -420,12 +420,9 @@ def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
 
     The archive holds two arrays: ``lemma`` (int32, one id per raw token,
     -1 for a filtered-out token) and ``offsets`` (int64, document starts plus
-    the token count). ``np.savez`` stamps no time, so the bytes depend only on
-    the arrays.
+    the token count).
     """
-    buffer = io.BytesIO()
-    np.savez(buffer, lemma=leaf.require_token_ids("lemma"), offsets=leaf.doc_offsets)
-    write_artifact(path, buffer.getvalue())
+    write_artifact(path, savez_bytes(lemma=leaf.require_token_ids("lemma"), offsets=leaf.doc_offsets))
 
 
 def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:

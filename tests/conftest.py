@@ -76,11 +76,11 @@ def fixture_sequences(config: RunConfig, leaf: PeriodCorpus, level="lemma") -> l
     return document_sequences(texts, level, config.analyzer())
 
 
-# Values that are not the ASCII literal of a finite float, which the .vec,
-# transform and PPMI readers reject: a digit separator, an Arabic-Indic digit
-# and a literal padded with spaces (all accepted by ``float()``), hex, nan, a
-# literal that overflows to infinity, and literals beside a whitespace
-# character other than the space (accepted by ``np.loadtxt``).
+# Values that are not the ASCII literal of a finite float, which the PPMI reader
+# rejects, and the vocabulary reader as counts: a digit separator, an
+# Arabic-Indic digit and a literal padded with spaces (all accepted by
+# ``float()``), hex, nan, a literal that overflows to infinity, and literals
+# beside a whitespace character other than the space (accepted by ``np.loadtxt``).
 EDGE_TOKENS = ["1_0", "\u0661", " 5 ", "0x10", "nan", "1e999", "5\x85", "\x0c5"]
 
 
@@ -130,63 +130,104 @@ def _npy(array: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-def _with_word(arrays: dict, index: int, word: bytes | None) -> dict:
-    """The store's arrays with word ``index`` replaced by ``word`` (None: the first word)."""
-    words = arrays["words"].tobytes().split(b"\n")
+def _with_word(arrays: dict, key: str, index: int, word: bytes | None) -> dict:
+    """The store's arrays with word ``index`` of ``key`` replaced by ``word`` (None: the
+    first word)."""
+    words = arrays[key].tobytes().split(b"\n")
     words[index] = words[0] if word is None else word
-    return {**arrays, "words": np.frombuffer(b"\n".join(words), dtype=np.uint8)}
+    return {**arrays, key: np.frombuffer(b"\n".join(words), dtype=np.uint8)}
 
 
-def _with_value(vectors: np.ndarray, value: float) -> np.ndarray:
-    vectors = vectors.copy()
-    vectors[-1, -1] = value
-    return vectors
+def _with_value(matrix: np.ndarray, value: float) -> np.ndarray:
+    matrix = matrix.copy()
+    matrix[-1, -1] = value
+    return matrix
+
+
+def _store_corruptions(kind: str, matrix: str, words: str, period: str, dropped: str) -> dict:
+    """The corruptions every store can suffer: ``matrix`` names its float64 array,
+    ``words`` its encoded words, ``period`` a 0-d period label and ``dropped`` the
+    key that goes missing."""
+    return {
+        "not-a-zip": (lambda a: b"not an archive", f"unreadable {kind}"),
+        "empty-file": (lambda a: b"", f"unreadable {kind}"),
+        "npy-not-npz": (lambda a: _npy(a[matrix]), "not an .npz archive"),
+        "truncated": (lambda a: savez_bytes(a)[:-40], f"unreadable {kind}"),
+        "key-missing": (lambda a: {k: v for k, v in a.items() if k != dropped}, "it holds"),
+        "extra-key": (lambda a: {**a, "extra": np.zeros(1)}, "it holds"),
+        f"pickled-{matrix}": (
+            lambda a: {**a, matrix: np.array([Tripwire() for _ in a[matrix]], dtype=object)},
+            "Object arrays cannot be loaded",
+        ),
+        f"int64-{matrix}": (lambda a: {**a, matrix: a[matrix].astype(np.int64)}, "2-D float64"),
+        f"1-d-{matrix}": (lambda a: {**a, matrix: a[matrix][:, 0]}, "2-D float64"),
+        "duplicate-word": (lambda a: _with_word(a, words, -1, None), "listed twice"),
+        "empty-word": (lambda a: _with_word(a, words, 1, b""), "is empty or has whitespace"),
+        f"non-utf8-{words}": (lambda a: _with_word(a, words, 1, b"\xff"), f"{words} are not UTF-8"),
+        f"{period}-unparsable": (
+            lambda a: {**a, period: np.array("thirties")}, "cannot parse period"
+        ),
+        f"{period}-1-d": (
+            lambda a: {**a, period: np.array([a[period][()]])}, f"{period} must be a 0-d string"
+        ),
+    }
 
 
 # name -> (a corruption of a clean vector store's arrays, giving arrays or file
 # bytes, and a fragment of the reader's error message)
 STORE_CORRUPTIONS = {
-    "not-a-zip": (lambda a: b"not an archive", "unreadable embedding store"),
-    "empty-file": (lambda a: b"", "unreadable embedding store"),
-    "npy-not-npz": (lambda a: _npy(a["vectors"]), "not an .npz archive"),
-    "truncated": (lambda a: savez_bytes(a)[:-40], "unreadable embedding store"),
-    "key-missing": (lambda a: {k: v for k, v in a.items() if k != "provenance"}, "it holds"),
-    "extra-key": (lambda a: {**a, "extra": np.zeros(1)}, "it holds"),
-    "pickled-vectors": (
-        lambda a: {**a, "vectors": np.array([Tripwire() for _ in a["vectors"]], dtype=object)},
-        "Object arrays cannot be loaded",
-    ),
-    "int64-vectors": (lambda a: {**a, "vectors": a["vectors"].astype(np.int64)}, "2-D float64"),
+    **_store_corruptions("embedding store", "vectors", "words", "period", "provenance"),
     "float32-vectors": (lambda a: {**a, "vectors": a["vectors"].astype(np.float32)}, "2-D float64"),
-    "1-d-vectors": (lambda a: {**a, "vectors": a["vectors"][:, 0]}, "2-D float64"),
     "no-columns": (lambda a: {**a, "vectors": a["vectors"][:, :0]}, "at least one column"),
     "rows-not-words": (lambda a: {**a, "vectors": a["vectors"][:-1]}, "does not match"),
     "nan-value": (lambda a: {**a, "vectors": _with_value(a["vectors"], np.nan)}, "non-finite"),
     "inf-value": (lambda a: {**a, "vectors": _with_value(a["vectors"], -np.inf)}, "non-finite"),
-    "duplicate-word": (lambda a: _with_word(a, -1, None), "listed twice"),
-    "empty-word": (lambda a: _with_word(a, 1, b""), "is empty or has whitespace"),
     **{
         f"word-{word!r}": (
-            lambda a, word=word: _with_word(a, 1, word.encode()), "is empty or has whitespace"
+            lambda a, word=word: _with_word(a, "words", 1, word.encode()),
+            "is empty or has whitespace",
         )
         for word in ["a b", "a\tb", "a\x0cb", "a\x85b", "a\u2028b", "a\r"]
     },
-    "non-utf8-words": (lambda a: _with_word(a, 1, b"\xff"), "words are not UTF-8"),
     "string-words": (
         lambda a: {**a, "words": np.array(a["words"].tobytes().decode().split("\n"))},
         "words must be a 1-D uint8 array",
-    ),
-    "period-unparsable": (lambda a: {**a, "period": np.array("thirties")}, "cannot parse period"),
-    "period-1-d": (
-        lambda a: {**a, "period": np.array([a["period"][()]])}, "period must be a 0-d string"
     ),
     "provenance-bytes": (
         lambda a: {**a, "provenance": np.array(b"svd")}, "provenance must be a 0-d string"
     ),
 }
 
+# the same for a clean transform store
+TRANSFORM_CORRUPTIONS = {
+    **_store_corruptions("transform store", "matrix", "shared", "source", "target_sha256"),
+    "non-square-matrix": (lambda a: {**a, "matrix": a["matrix"][:-1]}, "square 2-D float64"),
+    "empty-matrix": (lambda a: {**a, "matrix": np.zeros((0, 0))}, "at least one row"),
+    "not-orthogonal": (lambda a: {**a, "matrix": 2 * a["matrix"]}, "is not orthogonal"),
+    "nan-value": (lambda a: {**a, "matrix": _with_value(a["matrix"], np.nan)}, "is not orthogonal"),
+    "no-shared-words": (
+        lambda a: {**a, "shared": np.zeros(0, dtype=np.uint8)}, "non-empty shared vocabulary"
+    ),
+    "word-'a b'": (lambda a: _with_word(a, "shared", 1, b"a b"), "is empty or has whitespace"),
+    "target-unparsable": (lambda a: {**a, "target": np.array("1930s")}, "cannot parse period"),
+    **{
+        f"digest-{name}": (
+            lambda a, key=key, digest=digest: {**a, key: np.array(digest)},
+            "is not 64 lowercase hex digits",
+        )
+        for name, key, digest in [
+            ("not-hex", "source_sha256", "0" * 63 + "g"),
+            ("upper-case", "target_sha256", "F" * 64),
+            ("too-short", "target_sha256", "f" * 63),
+        ]
+    },
+    "digest-bytes": (
+        lambda a: {**a, "source_sha256": np.array(b"0" * 64)}, "source_sha256 must be a 0-d string"
+    ),
+}
 
-def write_corrupt_store(path, name: str) -> None:
-    """Rewrite the vector store at ``path`` with the corruption ``STORE_CORRUPTIONS[name]``."""
-    content = STORE_CORRUPTIONS[name][0](store_arrays(path))
+
+def write_corrupt_store(path, corrupt) -> None:
+    """Rewrite the store at ``path`` with ``corrupt``, a function of a corruption table."""
+    content = corrupt(store_arrays(path))
     path.write_bytes(content if isinstance(content, bytes) else savez_bytes(content))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,14 @@ from diacorpus.errors import (
     ParameterError,
 )
 
-from conftest import PERIOD_1930, PERIOD_1980
+from conftest import (
+    PERIOD_1930,
+    PERIOD_1980,
+    TRANSFORM_CORRUPTIONS,
+    UNPICKLED,
+    store_arrays,
+    write_corrupt_store,
+)
 
 PERIOD_1940 = TimePeriod(1940, 1949)
 
@@ -292,7 +301,7 @@ class TestTransformFiles:
         a = _set(rng.normal(size=(20, 5)), PERIOD_1980)
         b = _set(rng.normal(size=(20, 5)), PERIOD_1930)
         transform = procrustes_align(a, b)
-        path = tmp_path / "transform.txt"
+        path = tmp_path / "transform.npz"
         write_transform(transform, path)
         loaded = read_transform(path)
         assert np.array_equal(loaded.matrix, transform.matrix)
@@ -301,23 +310,42 @@ class TestTransformFiles:
         assert loaded.shared_vocab == transform.shared_vocab
         assert loaded.fitted_on == transform.fitted_on
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda values: values[:1] + ["notanumber"] + values[2:],  # non-numeric value
-            lambda values: values[:-1],  # a value missing
-            lambda values: values + ["0.5"],  # a value too many
-        ],
-    )
-    def test_corrupt_row_names_file_and_line(self, tmp_path, corrupt):
+    def test_store_arrays_and_their_order(self, tmp_path):
+        """``matrix`` as fitted, the shared words as UTF-8 bytes joined by newlines, and
+        the periods and digests as 0-d strings; nothing else."""
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        fitted_on = ("0" * 64, "f" * 64)
+        shared = ["İçğıöşü", "âîû", "kitab\x00"]
+        write_transform(
+            AlignmentTransform(PERIOD_1980, PERIOD_1930, rotation, shared, fitted_on),
+            tmp_path / "t.npz",
+        )
+        arrays = store_arrays(tmp_path / "t.npz")
+        assert list(arrays) == [
+            "matrix", "shared", "source", "target", "source_sha256", "target_sha256"
+        ]
+        assert arrays["matrix"].dtype == np.float64
+        assert arrays["matrix"].tobytes() == rotation.tobytes()
+        assert arrays["shared"].dtype == np.uint8
+        assert arrays["shared"].tobytes() == "İçğıöşü\nâîû\nkitab\x00".encode("utf-8")
+        strings = {key: (arrays[key].shape, str(arrays[key])) for key in list(arrays)[2:]}
+        assert strings == {
+            "source": ((), "1980-1989"),
+            "target": ((), "1930-1939"),
+            "source_sha256": ((), "0" * 64),
+            "target_sha256": ((), "f" * 64),
+        }
+
+    @pytest.mark.parametrize("name", TRANSFORM_CORRUPTIONS)
+    def test_corrupt_store_is_parameter_error_naming_the_file(self, tmp_path, name):
         rng = np.random.default_rng(13)
         transform = procrustes_align(
             _set(rng.normal(size=(20, 5)), PERIOD_1980), _set(rng.normal(size=(20, 5)))
         )
-        path = tmp_path / "transform.txt"
+        path = tmp_path / "transform.npz"
         write_transform(transform, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[2] = " ".join(corrupt(lines[2].split(" ")))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParameterError, match=r"transform\.txt: line 3\b"):
+        write_corrupt_store(path, TRANSFORM_CORRUPTIONS[name][0])
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: ")) as info:
             read_transform(path)
+        assert TRANSFORM_CORRUPTIONS[name][1] in str(info.value)
+        assert UNPICKLED == []

@@ -26,6 +26,7 @@ from conftest import (
     FIXTURES,
     GOLDEN,
     STORE_CORRUPTIONS,
+    TRANSFORM_CORRUPTIONS,
     UNPICKLED,
     savez_bytes,
     store_arrays,
@@ -149,6 +150,7 @@ class TestIngest:
         run_flow(CONFIG, str(out))
         digest, before = _tree_digest(out), identities()
         stores = {f"embeddings/{p}.{kind}.npz" for p in (_P, _L) for kind in ("svd", "cbow")}
+        stores.add(f"transforms/{_L}__to__{_P}.svd.npz")
         assert stores <= before.keys()
         run_flow(CONFIG, str(out))
         assert identities() == before
@@ -699,7 +701,7 @@ _COLLOCATIONS = ["query", "collocations", "--word", "kanun", "--period", _P]
 _NO_VOCABULARY = ("no lemma vocabulary artifacts under {out}/vocab", "ingest")
 _NO_VECTORS = "no {kind} embeddings for period 1930-1939 at {out}/embeddings/1930-1939.{kind}.npz"
 _NO_TRANSFORM = (
-    "no transform 1980-1989->1930-1939 at {out}/transforms/1980-1989__to__1930-1939.svd.txt",
+    "no transform 1980-1989->1930-1939 at {out}/transforms/1980-1989__to__1930-1939.svd.npz",
     f"align --from {_L} --to {_P} --kind svd",
 )
 
@@ -720,8 +722,8 @@ _MISSING_ARTIFACTS = [
         for kind in ("svd", "cbow")
         for argv in _VECTOR_READERS
     ),
-    ("transforms/1980-1989__to__1930-1939.svd.txt", _ALIGNED, *_NO_TRANSFORM),
-    ("transforms/1980-1989__to__1930-1939.svd.txt", _CHANGE, *_NO_TRANSFORM),
+    ("transforms/1980-1989__to__1930-1939.svd.npz", _ALIGNED, *_NO_TRANSFORM),
+    ("transforms/1980-1989__to__1930-1939.svd.npz", _CHANGE, *_NO_TRANSFORM),
     ("vocab/1980-1989.surface.tsv", ["analyze", "ortho"],
      "no surface vocabulary at {out}/vocab/1980-1989.surface.tsv", "ingest"),
 ]
@@ -766,12 +768,29 @@ def test_only_ortho_reads_the_surface_vocabularies(built, tmp_path):
 def test_following_run_first_of_a_missing_cbow_transform_succeeds(built, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(built, out)
-    (out / "transforms" / f"{_L}__to__{_P}.cbow.txt").unlink()
+    (out / "transforms" / f"{_L}__to__{_P}.cbow.npz").unlink()
     assert run_cli(out, *_ALIGNED, "--kind", "cbow") == 3
     run_first = json.loads(capsys.readouterr().err)["context"]["run_first"]
     assert run_first == f"align --from {_L} --to {_P} --kind cbow"
     assert run_cli(out, *run_first.split()) == 0
     assert run_cli(out, *_ALIGNED, "--kind", "cbow") == 0
+
+
+@pytest.mark.parametrize("argv", [_ALIGNED, _CHANGE], ids=lambda argv: argv[1])
+def test_text_transform_of_an_older_version_is_not_read(built, tmp_path, capsys, argv):
+    """A ``.txt`` transform in place of the store is a missing transform: exit 3
+    asking for ``align``."""
+    out = tmp_path / "out"
+    shutil.copytree(built, out)
+    store = out / "transforms" / f"{_L}__to__{_P}.svd.npz"
+    store.with_suffix(".txt").write_text(
+        "d=1 from=1980-1989 to=1930-1939\n1.0\n#shared=a\n", encoding="utf-8"
+    )
+    store.unlink()
+    assert run_cli(out, *argv) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["context"]["run_first"] == f"align --from {_L} --to {_P} --kind svd"
+    assert str(store) in payload["message"]
 
 
 @pytest.mark.parametrize("argv", [_ALIGNED, _CHANGE], ids=lambda argv: argv[1])
@@ -836,6 +855,22 @@ def _reference_vec(path: Path) -> tuple[dict, list[str], np.ndarray]:
     return fields, words, np.array(rows, dtype=np.float64)
 
 
+# (store, a command that reads it, a corruption, a fragment of its error message)
+_CORRUPT_STORES = [
+    *(
+        pytest.param(
+            "embeddings/1930-1939.svd.npz", ["query", "most-similar", "--word", "kanun", "--period", _P],
+            *case, id=name,
+        )
+        for name, case in STORE_CORRUPTIONS.items()
+    ),
+    *(
+        pytest.param(f"transforms/{_L}__to__{_P}.svd.npz", _ALIGNED, *case, id=f"transform-{name}")
+        for name, case in TRANSFORM_CORRUPTIONS.items()
+    ),
+]
+
+
 class TestVectorStore:
     @pytest.mark.parametrize("kind", ["svd", "cbow"])
     @pytest.mark.parametrize("period", [_P, _L])
@@ -852,15 +887,16 @@ class TestVectorStore:
         assert loaded.matrix.tobytes() == rows.tobytes()
         assert loaded.digest() == hashlib.sha256(store.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("name", STORE_CORRUPTIONS)
-    def test_corrupt_store_is_usage_error_naming_the_file(self, workspace, tmp_path, capsys, name):
-        """A corrupt store exits 2 with one JSON line naming it, nothing on stdout,
-        no report, and nothing unpickled."""
-        for artifacts in ("vocab", "tokens", "embeddings"):
+    @pytest.mark.parametrize("store,argv,corrupt,fragment", _CORRUPT_STORES)
+    def test_corrupt_store_is_usage_error_naming_the_file(
+        self, workspace, tmp_path, capsys, store, argv, corrupt, fragment
+    ):
+        """A corrupt vector or transform store exits 2 with one JSON line naming it,
+        nothing on stdout, no report, and nothing unpickled."""
+        for artifacts in ("vocab", "tokens", "embeddings", "transforms"):
             shutil.copytree(workspace / artifacts, tmp_path / artifacts)
-        path = tmp_path / "embeddings" / "1930-1939.svd.npz"
-        write_corrupt_store(path, name)
-        argv = ["query", "most-similar", "--word", "kanun", "--period", _P]
+        path = tmp_path / store
+        write_corrupt_store(path, corrupt)
         code, out, err = run_cli(tmp_path, *argv, capsys=capsys)
         assert code == 2
         assert out == ""
@@ -868,7 +904,7 @@ class TestVectorStore:
         payload = json.loads(err)
         assert payload["error"] == 2
         assert f"{path}: " in payload["message"]
-        assert STORE_CORRUPTIONS[name][1] in payload["message"]
+        assert fragment in payload["message"]
         assert "traceback" not in payload["context"]
         assert not (tmp_path / "reports").exists()
         assert UNPICKLED == []
@@ -1353,8 +1389,8 @@ class TestThreePeriods:
     def test_series_equal_an_independent_composition(self, flow):
         _, out = flow
         sets = [read_embeddings(out / "embeddings" / f"{p}.svd.npz") for p in (_P, _P50, _L)]
-        step_1950 = read_transform(out / "transforms" / f"{_P50}__to__{_P}.svd.txt").matrix
-        step_1980 = read_transform(out / "transforms" / f"{_L}__to__{_P50}.svd.txt").matrix
+        step_1950 = read_transform(out / "transforms" / f"{_P50}__to__{_P}.svd.npz").matrix
+        step_1980 = read_transform(out / "transforms" / f"{_L}__to__{_P50}.svd.npz").matrix
         # row vectors: a 1980s vector goes to the 1950s, then to the 1930s
         to_base = [np.eye(len(step_1950)), step_1950, step_1980 @ step_1950]
         for word in self.WORDS:
@@ -1386,7 +1422,7 @@ class TestThreePeriods:
     def test_missing_step_asks_for_its_alignment(self, flow, tmp_path, capsys):
         argv, out = flow
         shutil.copytree(out, tmp_path / "out")
-        (tmp_path / "out" / "transforms" / f"{_L}__to__{_P50}.svd.txt").unlink()
+        (tmp_path / "out" / "transforms" / f"{_L}__to__{_P50}.svd.npz").unlink()
         command = ["query", "semantic-change", "--word", "kanun", "--periods", _P, _P50, _L]
         assert main([*argv, "--output-dir", str(tmp_path / "out"), *command]) == 3
         payload = json.loads(capsys.readouterr().err)
@@ -1397,17 +1433,8 @@ class TestEdgeTokens:
     @pytest.mark.parametrize("token", EDGE_TOKENS)
     @pytest.mark.parametrize(
         "artifact,command",
-        [
-            (
-                "transforms/1980-1989__to__1930-1939.svd.txt",
-                [
-                    "query", "aligned-most-similar", "--word", "televizyon",
-                    "--target", "1980-1989", "--base", "1930-1939",
-                ],
-            ),
-            ("vocab/1930-1939.lemma.tsv", _COLLOCATIONS),
-        ],
-        ids=["transform", "vocabulary-collocations"],
+        [("vocab/1930-1939.lemma.tsv", _COLLOCATIONS)],
+        ids=["vocabulary-collocations"],
     )
     def test_edge_token_is_usage_error_naming_line_3(
         self, workspace, tmp_path, capsys, artifact, command, token

@@ -301,9 +301,8 @@ class TestReadArtifactLines:
             read_vocabulary,
             lambda path: read_ngrams(path, 1),
             lambda path: read_ppmi(path, Vocabulary(PERIOD_1930, {"aa": 1}, 1)),
-            read_transform,
         ],
-        ids=["vocabulary", "ngrams", "ppmi", "transform"],
+        ids=["vocabulary", "ngrams", "ppmi"],
     )
     def test_non_utf8_artifact_is_parameter_error_naming_the_file(self, tmp_path, read):
         path = tmp_path / "artifact.txt"
@@ -339,15 +338,6 @@ _CLEAN_ARTIFACTS = {
         lambda path: read_ppmi(path, _PAIR_VOCABULARY),
         ["#period=1930-1939 #window=2 #alpha=0.75", "aa\tbb\t0.5", "bb\taa\t0.5"],
     ),
-    "transform": (
-        read_transform,
-        [
-            f"d=2 from=1980-1989 to=1930-1939 from_sha256={'0' * 64} to_sha256={'f' * 64}",
-            "1.0 0.0",
-            "0.0 1.0",
-            "#shared=aa bb",
-        ],
-    ),
 }
 _BAD_HEADER = r"artifact\.txt: line 1: bad [a-z-]+ header"
 # not a word: empty, or holding a whitespace character that str.splitlines() breaks at
@@ -379,45 +369,9 @@ _CORRUPTIONS = [
         )
         for kind in ("vocabulary", "ngrams")
     ),
-    (
-        "transform",
-        "second-shared",
-        lambda lines: [*lines[:-1], "#shared=aa", lines[-1]],
-        r"artifact\.txt: line 4: a second '#shared=' line",
-    ),
-    (
-        "transform",
-        "shared-not-last",
-        lambda lines: lines[:-1],
-        r"artifact\.txt: the last line is not the '#shared=' line",
-    ),
-    (
-        "transform",
-        "empty-shared",
-        lambda lines: [*lines[:-1], "#shared="],
-        r"artifact\.txt: alignment transform needs a non-empty shared vocabulary",
-    ),
-    (
-        "transform",
-        "zero-dim",
-        lambda lines: [lines[0].replace("d=2", "d=0"), lines[-1]],
-        r"artifact\.txt: line 1: d=0 is not a positive dimension",
-    ),
-    (
-        "transform",
-        "digest-not-hex",
-        lambda lines: [lines[0].replace("0" * 64, "0" * 63 + "g"), *lines[1:]],
-        r"artifact\.txt: line 1: bad transform header .* is not a sha256 hex digest",
-    ),
-    (
-        "transform",
-        "not-orthogonal",
-        lambda lines: [lines[0], "5.0 0.0", *lines[2:]],
-        r"artifact\.txt: transform 1980-1989->1930-1939 is not orthogonal",
-    ),
-    # The word rule: a vocabulary or n-gram key and a '#shared='
-    # word are non-empty and hold no whitespace, not even a character that
-    # str.splitlines() would take for a line break.
+    # The word rule: a vocabulary or n-gram key is non-empty and holds no
+    # whitespace, not even a character that str.splitlines() would take for a
+    # line break.
     *(
         (
             kind,
@@ -427,15 +381,6 @@ _CORRUPTIONS = [
         )
         for kind, noun in [("vocabulary", "word"), ("ngrams", "gram")]
         for word in [*_NOT_WORDS, "a b"]
-    ),
-    *(
-        (
-            "transform",
-            f"shared-word-{word!r}",
-            lambda lines, word=word: [*lines[:-1], f"#shared=aa {word}"],
-            r"artifact\.txt: line 4: a shared word is empty or has whitespace",
-        )
-        for word in [*_NOT_WORDS, "a\tb"]
     ),
 ]
 
@@ -463,9 +408,8 @@ class TestArtifactRecordRules:
             read(path)
 
     @pytest.mark.parametrize("token", EDGE_TOKENS)
-    @pytest.mark.parametrize("kind", ["transform", "ppmi"])
-    def test_value_not_an_ascii_finite_float_names_the_line(self, tmp_path, kind, token):
-        read, lines = _CLEAN_ARTIFACTS[kind]
+    def test_value_not_an_ascii_finite_float_names_the_line(self, tmp_path, token):
+        read, lines = _CLEAN_ARTIFACTS["ppmi"]
         path = tmp_path / "artifact.txt"
         path.write_text("\n".join(with_edge_token(lines, token)) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"artifact\.txt: line 3: "):
@@ -487,8 +431,8 @@ class TestArtifactRecordRules:
 
     @pytest.mark.parametrize("kind", _CLEAN_ARTIFACTS)
     def test_blank_lines_are_skipped_and_counted(self, tmp_path, kind):
-        """Blank lines anywhere after the header, a transform's '#shared=' line included,
-        are ignored, and a later line's error still names its line in the file."""
+        """Blank lines anywhere after the header are ignored, and a later line's error
+        still names its line in the file."""
         read, lines = _CLEAN_ARTIFACTS[kind]
         path = tmp_path / "artifact.txt"
         path.write_text("\n\n".join(lines) + "\n\n\n", encoding="utf-8")
@@ -511,27 +455,39 @@ class TestParseNumbers:
     @pytest.mark.parametrize("template", ["{c}5", "5{c}", "5 {c}7", "5{c} 7"])
     def test_whitespace_beside_a_literal_is_rejected(self, char, dtype, template):
         text = template.format(c=char)
-        width = len(text.split(" "))
-        rows = {2: " ".join(["3"] * width), 3: text}
+        rows = {2: "3", 3: text}
         with pytest.raises(ParameterError, match=rf"^p: line 3: {re.escape(repr(text))} is not"):
-            parse_numbers("p", rows, width, dtype)
+            parse_numbers("p", rows, dtype)
 
-    @pytest.mark.parametrize("bad", ["1.0 x", "1.0", "", "1.0 2.0 3.0", "1.0 \u0661"])
+    @pytest.mark.parametrize(
+        "bad", ["x", "1.0 x", "1.0 2.0", "", "1.0 2.0 3.0", "\u0661", "1.0 \u0661"]
+    )
     @pytest.mark.parametrize("line", [2, 1036, 2000], ids=["first", "middle", "last"])
     def test_a_bad_row_is_named_wherever_it_is(self, bad, line):
-        rows = {n: f"{n}.5 -1e-3" for n in range(2, 2001, 2)}  # blank lines between rows
+        rows = {n: f"{n}.5" for n in range(2, 2001, 2)}  # blank lines between rows
         rows[line] = bad
         text = re.escape(repr(bad))
         with pytest.raises(
-            ParameterError, match=rf"^p: line {line}: {text} is not 2 ASCII float64 literal\(s\)$"
+            ParameterError, match=rf"^p: line {line}: {text} is not 1 ASCII float64 literal\(s\)$"
         ):
-            parse_numbers("p", rows, 2)
+            parse_numbers("p", rows, np.float64)
 
     def test_the_first_of_two_bad_rows_is_named(self):
-        rows = {n: "1.0 2.0" for n in range(2, 1002)}
+        rows = {n: "1.0" for n in range(2, 1002)}
         rows[700], rows[300] = "x", "y"
         with pytest.raises(ParameterError, match=r"^p: line 300: 'y' is not"):
-            parse_numbers("p", rows, 2)
+            parse_numbers("p", rows, np.float64)
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "1e999"])
+    def test_a_value_not_finite_and_above_0_is_named(self, value):
+        rows = {2: "1.5", 4: value, 5: "0"}
+        with pytest.raises(ParameterError, match=r"^p: line 4: a value is not finite and above 0$"):
+            parse_numbers("p", rows, np.float64)
+
+    def test_one_literal_per_row_gives_one_value_per_row(self):
+        values = parse_numbers("p", {2: "3", 5: "10"}, np.int64)
+        assert values.dtype == np.int64 and values.tolist() == [3, 10]
+        assert parse_numbers("p", {}, np.float64).shape == (0,)
 
 
 _TURKISH_WORDS = st.text("abcçdefgğhıijklmnoöprsştuüvyzâîû", min_size=1, max_size=8)
@@ -626,21 +582,23 @@ class TestArtifactRoundTrip:
     @_ROUNDTRIP
     @given(
         periods=st.tuples(_PERIODS, _PERIODS),
-        shared=st.lists(_TURKISH_WORDS, min_size=1, max_size=8, unique=True),
+        shared=st.lists(_STORE_WORDS, min_size=1, max_size=8, unique=True),
         dim=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
         fitted_on=st.tuples(_SHA256, _SHA256),
     )
     def test_transform(self, tmp_path_factory, periods, shared, dim, seed, fitted_on):
+        """The binary store, on shared words with Turkish and circumflexed letters and a
+        trailing NUL."""
         rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
         original = AlignmentTransform(*periods, rotation, shared, fitted_on)
-        path = tmp_path_factory.mktemp("transform") / "t.txt"
+        path = tmp_path_factory.mktemp("transform") / "t.npz"
         write_transform(original, path)
         loaded = read_transform(path)
         assert (loaded.source_period, loaded.target_period) == periods
         assert loaded.shared_vocab == shared
         assert loaded.fitted_on == fitted_on
-        assert np.array_equal(loaded.matrix, rotation)
+        assert loaded.matrix.tobytes() == rotation.tobytes()
 
 
 class TestWriteArtifact:

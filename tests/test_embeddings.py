@@ -616,7 +616,7 @@ class TestVectorStore:
     def test_corrupt_store_is_parameter_error_naming_the_file(self, tmp_path, name):
         path = tmp_path / "e.npz"
         _clean_store(path)
-        write_corrupt_store(path, name)
+        write_corrupt_store(path, STORE_CORRUPTIONS[name][0])
         with pytest.raises(ParameterError, match=re.escape(f"{path}: ")) as info:
             read_embeddings(path)
         assert STORE_CORRUPTIONS[name][1] in str(info.value)
@@ -626,7 +626,7 @@ class TestVectorStore:
         """The tripwire of the pickled case works, so its silence above means no unpickling."""
         path = tmp_path / "e.npz"
         _clean_store(path)
-        write_corrupt_store(path, "pickled-vectors")
+        write_corrupt_store(path, STORE_CORRUPTIONS["pickled-vectors"][0])
         with np.load(path, allow_pickle=True) as store:
             store["vectors"]
         assert UNPICKLED == [True, True, True]
