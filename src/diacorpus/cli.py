@@ -9,6 +9,9 @@ unchanged inputs leaves the identical files in place.
 Exit codes: 0 success, 1 internal error, 2 usage/parameter error,
 3 missing artifact. Failures print a machine-readable JSON object
 {"error": code, "message": ..., "context": {...}} on stderr.
+
+The handlers that compute with vectors import ``embeddings``, ``alignment``
+and ``cbow`` themselves, so the vocabulary commands start without numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +25,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from . import alignment as alignment_mod
-from . import cbow as cbow_mod
 from . import divergence as divergence_mod
-from . import embeddings as embeddings_mod
 from . import lexicon as lexicon_mod
 from . import orthography as orthography_mod
 from .corpus import (
@@ -343,7 +343,10 @@ def cmd_ingest(config: RunConfig, args: argparse.Namespace) -> str:
         for order in config.ngram_orders:
             for level in lexicon_mod.LEVELS:
                 path = _artifact_path(config, "ngrams", period=label, order=order, level=level)
-                lexicon_mod.write_ngrams(lexicon_mod.create_ngrams(leaf, order, level), path)
+                if order == 1:  # the unigram table is the vocabulary, row for row
+                    lexicon_mod.write_vocabulary(lexicon_mod.create_vocabulary(leaf, level), path)
+                else:
+                    lexicon_mod.write_ngrams(lexicon_mod.create_ngrams(leaf, order, level), path)
                 written.add(path)
     payload = _stats_payload(tree)
     write_artifact(out / "stats.json", to_json(payload))
@@ -529,13 +532,18 @@ def cmd_freq(config: RunConfig, args: argparse.Namespace) -> str:
     return _write_report(config.output_dir / "reports", name, series_records(series), header)
 
 
-def _build_ppmi(config: RunConfig, leaf: PeriodCorpus) -> embeddings_mod.PPMIMatrix:
+def _build_ppmi(config: RunConfig, leaf: PeriodCorpus):
     """A leaf's association matrix from its token ids; no command reads the ``ppmi`` export."""
+    from . import embeddings as embeddings_mod
+
     cooc = embeddings_mod.count_cooccurrences(leaf, config.embedding.window)
     return embeddings_mod.build_ppmi(cooc, config.embedding.alpha)  # frees cooc before any SVD
 
 
 def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import cbow as cbow_mod
+    from . import embeddings as embeddings_mod
+
     leaves = _load_vocab_artifacts(config).leaves()
     # load every store and build every period's result before writing anything,
     # so a missing store or a failing period leaves no output
@@ -565,6 +573,8 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
 
 
 def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
+    from . import embeddings as embeddings_mod
+
     _period_vocabulary_path(config, period)  # a period not in the corpus is exit 2, not 3
     path = _existing(config, "vectors", period=period, kind=kind)
     embedding_set = embeddings_mod.read_embeddings(path)
@@ -574,6 +584,8 @@ def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
 
 
 def cmd_align(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import alignment as alignment_mod
+
     source, target = args.source, args.target
     require_distinct([source, target])
     source_set = _read_embedding_artifact(config, source, args.kind)
@@ -584,12 +596,9 @@ def cmd_align(config: RunConfig, args: argparse.Namespace) -> str:
     return to_json({"written": path.as_posix(), "shared_words": len(transform.shared_vocab)})
 
 
-def _read_transform_artifact(config: RunConfig, source: TimePeriod, target: TimePeriod, kind: str):
-    path = _existing(config, "transform", source=source, target=target, kind=kind)
-    return alignment_mod.read_transform(path)
-
-
 def cmd_most_similar(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import embeddings as embeddings_mod
+
     name = _word_report_name("most_similar", args.word, args.period.label)
     embedding_set = _read_embedding_artifact(config, args.period, args.kind)
     ranking = embeddings_mod.most_similar(args.word, args.top_k, embedding_set)
@@ -597,24 +606,30 @@ def cmd_most_similar(config: RunConfig, args: argparse.Namespace) -> str:
 
 
 def cmd_aligned_most_similar(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import alignment as alignment_mod
+
     target, base = args.target, args.base
     require_distinct([target, base])
     name = _word_report_name("aligned_most_similar", args.word, target.label, base.label)
     target_set = _read_embedding_artifact(config, target, args.kind)
     base_set = _read_embedding_artifact(config, base, args.kind)
-    transform = _read_transform_artifact(config, target, base, args.kind)
+    path = _existing(config, "transform", source=target, target=base, kind=args.kind)
     ranking = alignment_mod.aligned_most_similar(
-        args.word, args.top_k, target_set, base_set, transform
+        args.word, args.top_k, target_set, base_set, alignment_mod.read_transform(path)
     )
     return _write_report(config.output_dir / "reports", name, ranking_records(ranking))
 
 
 def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import alignment as alignment_mod
+
     periods = sorted(_parse_periods(args.periods))
     name = _word_report_name("semantic_change", args.word)
     sets = [_read_embedding_artifact(config, p, args.kind) for p in periods]
     transforms = [
-        _read_transform_artifact(config, later, earlier, args.kind)
+        alignment_mod.read_transform(
+            _existing(config, "transform", source=later, target=earlier, kind=args.kind)
+        )
         for earlier, later in zip(periods, periods[1:])
     ]
     series = alignment_mod.semantic_change(args.word, sets, transforms)
@@ -622,6 +637,8 @@ def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
 
 
 def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import embeddings as embeddings_mod
+
     name = _word_report_name("collocations", args.word, args.period.label)
     leaf = PeriodCorpus(args.period)
     leaf.vocabulary = _read_vocabulary(_period_vocabulary_path(config, args.period))

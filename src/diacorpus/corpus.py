@@ -12,6 +12,9 @@ a leaf's vocabularies and token ids from ingest's artifacts). A leaf holds
 its documents, stats, token ids and vocabularies and caches nothing else:
 each call that needs an n-gram table or a co-occurrence or association
 matrix computes it.
+
+numpy is imported inside the functions that build or read arrays, so a
+command that only reads vocabularies starts without it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import datetime as dt
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -27,8 +31,6 @@ import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import IngestError, MissingArtifactError, ParameterError
 from .preprocess import (
@@ -42,7 +44,9 @@ from .preprocess import (
     turkish_lower,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
+
     from .lexicon import Vocabulary
 
 _PERIOD_LABEL = re.compile(r"^(\d{1,4})-(\d{1,4})$")
@@ -293,6 +297,8 @@ def _ingest_leaf(
     chunk, and case folding and lemmatization once per distinct surface of the
     leaf, which relies on the analyzer being pure (see ``MorphAnalyzer``).
     """
+    import numpy as np
+
     from .lexicon import Vocabulary  # deferred: lexicon imports corpus types
 
     # surface type -> type number in order of first occurrence; whitespace chunk -> its types
@@ -462,6 +468,8 @@ def read_artifact(
 def savez_bytes(**arrays: np.ndarray) -> bytes:
     """The ``np.savez`` archive of ``arrays``, in argument order. It stamps no time,
     so the bytes depend only on the arrays."""
+    import numpy as np
+
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
@@ -477,6 +485,8 @@ def read_store(
     holds another set of names, or holds a pickled (object) array or a member
     that is no ``.npy`` array, raises ParameterError naming it.
     """
+    import numpy as np
+
     try:
         data = Path(path).read_bytes()
         store = np.load(io.BytesIO(data), allow_pickle=False)
@@ -505,56 +515,42 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise ParameterError(f"{path}: not a UTF-8 text file: {exc}") from exc
 
 
-_NUMBER_ROW = dict(delimiter=" ", comments=None, quotechar=None, ndmin=1)
-# Every character a row of number literals may hold: np.loadtxt strips other
-# whitespace around a number, so rows are checked against this first. The
-# letters of nan and inf pass, so those rows fail the finiteness rule instead.
-_LITERAL_ALPHABET = b"0123456789+-.eE nafi"
+# Every character a number literal may hold; the letters of nan and inf
+# pass, so those rows fail the finiteness rule instead.
+_LITERAL_ALPHABET = b"0123456789+-.eEnafi"
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _parse_rows(texts: Collection[str], dtype) -> np.ndarray:
-    """``texts`` as a 1-D array; ValueError unless each is one literal."""
-    joined = " ".join(texts)
+def _parse_rows(texts: Collection[str], kind: type) -> list:
+    """``texts`` as values of ``kind``; ValueError unless each is one literal."""
+    joined = "".join(texts)
     if not joined.isascii() or joined.encode("ascii").translate(None, _LITERAL_ALPHABET):
         raise ValueError("a character outside the number literal alphabet")
-    if not all(texts):  # loadtxt skips an empty row
-        raise ValueError("an empty row")
-    values = np.loadtxt(texts, dtype=dtype, **_NUMBER_ROW)
-    if values.shape != (len(texts),):
-        raise ValueError(f"expected {len(texts)} rows of 1, got {values.shape}")
+    values = list(map(kind, texts))  # int() and float() reject an empty row
+    if kind is int and values and (min(values) not in _INT64 or max(values) not in _INT64):
+        raise ValueError("a count outside int64")
     return values
 
 
-def parse_numbers(path: str | Path, rows: dict[int, str], dtype) -> np.ndarray:
-    """Rows of one ASCII number literal each, keyed by line number, parsed in one
-    numpy call into a 1-D array of values above 0.
-
-    ``float64`` reals are ``repr`` output of finite numbers; ``int64`` integers
-    are decimal literals. A bad row, one holding any other character (a tab, a
-    form feed, U+0085) too, is a ParameterError naming the file, the line and
-    its text.
+def parse_numbers(path: str | Path, rows: dict[int, str], kind: type) -> list:
+    """Rows of one ASCII literal of ``kind`` each, keyed by line number, as a list of
+    values above 0: ``float`` reals as ``repr`` writes finite numbers, ``int`` decimal
+    counts that fit in int64. The first row that is no such literal (one holding a
+    space, a tab or U+0085 too), else the first value not finite and above 0, is a
+    ParameterError naming the file and the line.
     """
-    if not rows:  # loadtxt warns on empty input
-        return np.empty(0, dtype=dtype)
     try:
-        values = _parse_rows(rows.values(), dtype)
+        values = _parse_rows(rows.values(), kind)
     except ValueError as bulk:
-        # rows parse independently, so bisect for the first bad one:
-        # texts[:lo] parse and texts[lo:hi] hold a bad row
-        texts = list(rows.values())
-        lo, hi = 0, len(texts)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
+        for lineno, text in rows.items():  # name the first bad row
             try:
-                _parse_rows(texts[lo:mid], dtype)
-                lo = mid
+                _parse_rows([text], kind)
             except ValueError:
-                hi = mid
-        literals = f"1 ASCII {np.dtype(dtype).name} literal(s)"
-        raise ParameterError(f"{path}: line {list(rows)[lo]}: {texts[lo]!r} is not {literals}") from bulk
-    bad = ~np.isfinite(values) | (values <= 0)
-    if bad.any():
-        raise ParameterError(f"{path}: line {list(rows)[bad.argmax()]}: a value is not finite and above 0")
+                literals = f"1 ASCII {kind.__name__}64 literal(s)"  # int64 or float64
+                raise ParameterError(f"{path}: line {lineno}: {text!r} is not {literals}") from bulk
+    bad = next((n for n, value in zip(rows, values) if not 0 < value < math.inf), None)
+    if bad is not None:
+        raise ParameterError(f"{path}: line {bad}: a value is not finite and above 0")
     return values
 
 

@@ -8,18 +8,22 @@ sum_w |c(w)| = JSD exactly, where
 c(w) = 1/2 * (p(w) * log2(p(w)/m(w)) + q(w) * log2(q(w)/m(w)))
 signed negative when the word is relatively more frequent in the first
 period and positive when in the second.
+
+numpy is imported inside the array functions, so ``survived_words``, which
+compares word sets only, runs without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 @dataclass
@@ -63,6 +67,8 @@ def jaccard_similarity(vocab_a: Vocabulary, vocab_b: Vocabulary) -> float:
 
 
 def _distributions(vocab_a: Vocabulary, vocab_b: Vocabulary) -> tuple[list[str], np.ndarray, np.ndarray]:
+    import numpy as np
+
     if not vocab_a.entries or not vocab_b.entries:
         empty = vocab_a if not vocab_a.entries else vocab_b
         raise ComputationUndefinedError(
@@ -75,6 +81,8 @@ def _distributions(vocab_a: Vocabulary, vocab_b: Vocabulary) -> tuple[list[str],
 
 
 def _half_kl_terms(dist: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     # termwise p * log2(p / m) with 0 log 0 := 0
     terms = np.zeros_like(dist)
     mask = dist > 0
@@ -98,6 +106,8 @@ def jsd_contributions(
     returned list keeps the ``top_k`` largest by magnitude, ties broken
     lexicographically.
     """
+    import numpy as np
+
     if top_k < 1:
         raise ParameterError("top_k must be at least 1")
     union, p, q = _distributions(vocab_a, vocab_b)
@@ -113,6 +123,8 @@ def jsd_contributions(
 
 
 def _pairwise_matrix(vocabularies: list[Vocabulary], metric: str) -> DivergenceMatrix:
+    import numpy as np
+
     n = len(vocabularies)
     values = np.zeros((n, n), dtype=np.float64)
     fn = jaccard_similarity if metric == "jaccard" else jensen_shannon

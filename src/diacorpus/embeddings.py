@@ -487,7 +487,7 @@ def read_ppmi(path: str | Path, vocabulary: Vocabulary) -> PPMIMatrix:
             raise ParameterError(f"{path}: line {lineno}: word not in vocabulary: {line!r}")
         rows.append(index[row_word])
         cols.append(index[col_word])
-    data = parse_numbers(path, numbers, np.float64)
+    data = np.array(parse_numbers(path, numbers, float), dtype=np.float64)
     size = len(index)
     keys = np.array(rows, dtype=np.int64) * size + np.array(cols, dtype=np.int64)
     sort = np.argsort(keys, kind="stable")  # one pass over a file written in row-major order

@@ -7,6 +7,9 @@ every matrix share. Each range query computes its per-period values from the
 leaves and stores nothing on them. An n-gram table is arrays (``NgramTable``);
 its ``entries`` dict is built on demand, never by ingest, and
 ``NgramTable.from_entries`` inverts it.
+
+numpy is imported inside the functions that build or read arrays, so reading
+a vocabulary and its range queries need only the standard library.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .corpus import (
     CHUNK_VALUES,
@@ -34,6 +35,9 @@ from .corpus import (
 )
 from .errors import MissingArtifactError, ParameterError
 from .preprocess import is_word
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 NGRAM_ORDERS = (1, 2, 3)
 LEVELS = ("surface", "lemma")
@@ -106,6 +110,8 @@ class NgramTable:
     @classmethod
     def from_entries(cls, period: TimePeriod, order: int, entries: dict, level: str = "lemma"):
         """The table of ``gram -> count`` entries, its rows in the entries' order."""
+        import numpy as np
+
         grams = np.array(list(entries), dtype=object).reshape(len(entries), order)
         words, ranks = np.unique(grams, return_inverse=True)  # sorted as ``sorted`` sorts
         counts = np.array(list(entries.values()), dtype=np.int64)
@@ -122,6 +128,8 @@ class NgramTable:
 
 def same_document(doc_offsets: np.ndarray, shift: int) -> np.ndarray:
     """Mask over token positions i < n - shift: tokens i and i + shift share a document."""
+    import numpy as np
+
     document = np.repeat(np.arange(len(doc_offsets) - 1), np.diff(doc_offsets))
     return document[: max(len(document) - shift, 0)] == document[shift:]
 
@@ -147,6 +155,8 @@ def _gram_keys(columns: Sequence[np.ndarray], size: int) -> np.ndarray:
     """Per row of rank ``columns`` (ranks below ``size``), an int64 key that sorts as
     ``np.lexsort(columns[::-1])``: ``key * size + rank``, folded left to right. Before
     a fold that could pass int64 (at order 3, ``size >= 2**21``) keys become dense ranks."""
+    import numpy as np
+
     keys, span = np.zeros(len(columns[0]), dtype=np.int64), 1  # every key is below span
     for column in columns:
         if span > np.iinfo(np.int64).max // max(size, 1):  # dense ranks are below len(keys)
@@ -162,6 +172,8 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
     every member survived vocabulary filtering. Rows are in written order:
     frequency-descending, then by gram; one argsort of ``_gram_keys`` groups them.
     """
+    import numpy as np
+
     _check_ngram_order(order)
     words = list(create_vocabulary(leaf, level).entries)
     ids = leaf.require_token_ids(level)
@@ -356,6 +368,7 @@ def _write_counts(
     ``CHUNK_VALUES`` at a time as bytes, each run of equal counts with one
     join, so a count-descending table costs about one join per distinct count.
     """
+    import numpy as np
 
     def chunks() -> Iterator[bytes]:
         yield f"{header}\n".encode("utf-8")
@@ -373,6 +386,8 @@ def _write_counts(
 
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """TSV export: header line, then word<TAB>count in row order."""
+    import numpy as np
+
     counts = np.array(list(vocab.entries.values()), dtype=np.int64)
     keys = [w.encode("utf-8") for w in vocab.entries]
     _write_counts(path, _header_line(vocab.period, vocab.token_total), counts, keys.__getitem__)
@@ -403,7 +418,7 @@ def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple
         if key in keys:
             raise ParameterError(f"{path}: line {lineno}: {noun} {text!r} listed twice")
         keys[key] = None
-    values = parse_numbers(path, counts, np.int64).tolist()
+    values = parse_numbers(path, counts, int)
     if sum(values) != head["tokens"]:
         raise ParameterError(f"{path}: counts sum to {sum(values)}, not #tokens={head['tokens']}")
     return head, dict(zip(keys, values))
@@ -432,6 +447,8 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
     the ids must index that vocabulary's rows and reproduce its counts; any
     other content raises ParameterError naming the file.
     """
+    import numpy as np
+
     path = Path(path)
     vocab = create_vocabulary(leaf)
     if not path.is_file():
@@ -466,6 +483,8 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
 
 def write_ngrams(table: NgramTable, path: str | Path) -> None:
     """TSV export: header line, then space-joined gram<TAB>frequency in row order."""
+    import numpy as np
+
     words = np.array([w.encode("utf-8") for w in table.words.tolist()], dtype=object)
     spaced = words + b" "
     *heads, last = table.columns

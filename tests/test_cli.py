@@ -1201,36 +1201,46 @@ class TestBlasThreads:
         assert vectors["1"] == vectors["2"]
 
 
-_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
 import diacorpus.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(code):
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return [code, scipy, "hashlib" in sys.modules, "numpy" in sys.modules]
 
-loaded = {"import diacorpus.cli": [0, scipy_modules(), "hashlib" in sys.modules]}
+steps = [loaded(0)]
 for args in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = diacorpus.cli.main(args)
-    loaded[" ".join(args[4:])] = [code, scipy_modules(), "hashlib" in sys.modules]
-print(json.dumps(loaded))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        steps.append(loaded(diacorpus.cli.main(args)))
+print(json.dumps(steps))
 """
 
 
 class TestScipyImports:
     def test_only_embed_loads_scipy(self, workspace, tmp_path):
-        """A fresh interpreter runs every command but ``embed cbow`` without loading
-        scipy; ``embed svd`` loads it only for the sparse solver, and the fixture's
-        50-word vocabularies take the dense path. No command before ``align``, the
-        first to read a vector store, loads hashlib.
+        """A fresh interpreter imports the CLI, prints ``--help``, fails one usage
+        error and runs the vocabulary commands (``analyze freq``, ``survived``,
+        ``ortho``, ``dict-crossover`` and ``dict``) without loading numpy. Then it
+        runs every command but ``embed cbow`` without loading scipy; ``embed svd``
+        loads it only for the sparse solver, and the fixture's 50-word vocabularies
+        take the dense path. No command before ``align``, the first to read a
+        vector store, loads hashlib.
 
-        The pytest process has scipy loaded already, so the probe is a new
-        process; the commands run in order, so a later entry sees what every
+        The pytest process has numpy and scipy loaded already, so the probe is a
+        new process; the commands run in order, so a later entry sees what every
         earlier command loaded.
         """
         out = tmp_path / "out"
         shutil.copytree(workspace, out)
         prefix = ["--config", CONFIG, "--output-dir", str(out)]
+        vocabulary_only = [
+            ["analyze", "freq", "--word", "belge"],
+            ["analyze", "survived", "--base-period", "1930-1939"],
+            ["analyze", "ortho"],
+            ["analyze", "dict-crossover"],
+            ["dict"],
+        ]
         commands = [
             ["ingest"],
             ["embed", "ppmi"],
@@ -1245,19 +1255,90 @@ class TestScipyImports:
             ["dict"],
             ["query", "collocations", "--word", "kanun", "--period", "1930-1939"],
         ]
+        steps = [
+            ["--help"],
+            prefix + ["analyze", "no-such-analysis"],
+            *(prefix + c for c in vocabulary_only + commands),
+        ]
         result = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, json.dumps([prefix + c for c in commands])],
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(steps)],
             capture_output=True, text=True, env=_child_env(), timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        loaded = json.loads(result.stdout)
-        assert len(loaded) == len(commands) + 1
-        for command, (code, modules, _) in loaded.items():
-            assert code == 0, command
-            assert modules == [], command
+        records = json.loads(result.stdout)
+        labels = ["import diacorpus.cli", "--help", "a usage error",
+                  *(" ".join(c) for c in vocabulary_only + commands)]
+        assert len(records) == len(labels)
+        for i, (label, (code, modules, _, numpy_loaded)) in enumerate(zip(labels, records)):
+            assert code == (2 if label == "a usage error" else 0), label
+            assert modules == [], label
+            assert numpy_loaded == (i >= 3 + len(vocabulary_only)), label
         # hashlib (OpenSSL, a few MB resident) loads with the first vector store read
-        hashing = [command for command, (_, _, hashlib_loaded) in loaded.items() if hashlib_loaded]
+        hashing = [label for label, record in zip(labels, records) if record[2]]
         assert hashing[0].startswith("align")
+
+
+# every name ``diacorpus/__init__.py`` exported when it still imported them all, by module
+_PACKAGE_EXPORTS = {
+    "alignment": ["AlignmentTransform", "aligned_most_similar", "procrustes_align",
+                  "semantic_change"],
+    "cbow": ["train_cbow"],
+    "corpus": ["CorpusStats", "DiachronicCorpus", "DocumentRecord", "PeriodCorpus", "TimePeriod",
+               "TimeSeriesResult", "build_corpus_tree", "decade_bucket", "load_manifest"],
+    "dictionary": ["DictionaryEntry", "crossover_period", "load_dictionary",
+                   "load_sample_dictionary", "replacement_series"],
+    "divergence": ["ContributionRanking", "DivergenceMatrix", "jaccard_matrix", "jensen_shannon",
+                   "jsd_contributions", "jsd_matrix", "survived_words"],
+    "embeddings": ["CooccurrenceMatrix", "EmbeddingSet", "PPMIMatrix", "build_ppmi",
+                   "collocations", "count_cooccurrences", "most_similar", "svd_embeddings"],
+    "errors": ["ComputationUndefinedError", "DiacorpusError", "DictionaryError", "IngestError",
+               "MissingArtifactError", "OutOfVocabularyError", "ParameterError"],
+    "lexicon": ["NgramTable", "Vocabulary", "cofrequency", "common_words", "create_ngrams",
+                "create_vocabulary", "exists", "frequency", "merge_vocabulary",
+                "morpheme_frequency", "vocab_metrics", "words_matching"],
+    "orthography": ["VariantPair", "circumflex_frequency", "detect_variant_pairs", "ending_ratio"],
+    "preprocess": ["FilterConfig", "LookupAnalyzer", "filter_vocabulary", "frequency_threshold",
+                   "lemma_surfaces", "load_analyzer_tsv", "normalize_text", "token_surfaces",
+                   "turkish_lower"],
+}
+
+_EXPORTS_PROBE = """
+import importlib, json, sys
+import diacorpus
+
+report = {"numpy": "numpy" in sys.modules, "not_the_definition": [], "not_in_dir": []}
+for module, names in json.loads(sys.argv[1]).items():
+    for name in names:
+        namespace = {}
+        exec(f"from diacorpus import {name}", namespace)
+        if namespace[name] is not getattr(importlib.import_module(f"diacorpus.{module}"), name):
+            report["not_the_definition"].append(name)
+        if name not in dir(diacorpus):
+            report["not_in_dir"].append(name)
+try:
+    diacorpus.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+class TestPackageExports:
+    def test_every_export_resolves_to_its_definition(self):
+        """In a fresh interpreter, ``import diacorpus`` loads no numpy, each exported
+        name imports as the object its module defines and is listed by ``dir``, and
+        an unknown name raises AttributeError."""
+        result = subprocess.run(
+            [sys.executable, "-c", _EXPORTS_PROBE, json.dumps(_PACKAGE_EXPORTS)],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "numpy": False,
+            "not_the_definition": [],
+            "not_in_dir": [],
+            "unknown": "module 'diacorpus' has no attribute 'no_such_name'",
+        }
 
 
 class TestEmbedAlignQuery:

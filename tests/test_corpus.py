@@ -451,13 +451,13 @@ class TestArtifactRecordRules:
 
 class TestParseNumbers:
     @pytest.mark.parametrize("char", ["\x85", "\t", "\x0c"], ids=["nel", "tab", "form-feed"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("kind", [float, int], ids=["float64", "int64"])
     @pytest.mark.parametrize("template", ["{c}5", "5{c}", "5 {c}7", "5{c} 7"])
-    def test_whitespace_beside_a_literal_is_rejected(self, char, dtype, template):
+    def test_whitespace_beside_a_literal_is_rejected(self, char, kind, template):
         text = template.format(c=char)
         rows = {2: "3", 3: text}
         with pytest.raises(ParameterError, match=rf"^p: line 3: {re.escape(repr(text))} is not"):
-            parse_numbers("p", rows, dtype)
+            parse_numbers("p", rows, kind)
 
     @pytest.mark.parametrize(
         "bad", ["x", "1.0 x", "1.0 2.0", "", "1.0 2.0 3.0", "\u0661", "1.0 \u0661"]
@@ -470,24 +470,56 @@ class TestParseNumbers:
         with pytest.raises(
             ParameterError, match=rf"^p: line {line}: {text} is not 1 ASCII float64 literal\(s\)$"
         ):
-            parse_numbers("p", rows, np.float64)
+            parse_numbers("p", rows, float)
 
     def test_the_first_of_two_bad_rows_is_named(self):
         rows = {n: "1.0" for n in range(2, 1002)}
         rows[700], rows[300] = "x", "y"
         with pytest.raises(ParameterError, match=r"^p: line 300: 'y' is not"):
-            parse_numbers("p", rows, np.float64)
+            parse_numbers("p", rows, float)
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "1e999"])
     def test_a_value_not_finite_and_above_0_is_named(self, value):
         rows = {2: "1.5", 4: value, 5: "0"}
         with pytest.raises(ParameterError, match=r"^p: line 4: a value is not finite and above 0$"):
-            parse_numbers("p", rows, np.float64)
+            parse_numbers("p", rows, float)
 
     def test_one_literal_per_row_gives_one_value_per_row(self):
-        values = parse_numbers("p", {2: "3", 5: "10"}, np.int64)
-        assert values.dtype == np.int64 and values.tolist() == [3, 10]
-        assert parse_numbers("p", {}, np.float64).shape == (0,)
+        values = parse_numbers("p", {2: "3", 5: "10"}, int)
+        assert values == [3, 10] and all(type(v) is int for v in values)
+        assert parse_numbers("p", {}, float) == []
+
+    # one literal, its kind, and its verdict: the value it reads as, or the message
+    # after "line N: " that rejects it (a format error, or a value error)
+    @pytest.mark.parametrize(
+        "literal, kind, verdict",
+        [
+            ("+5", int, 5),
+            ("-0", int, "a value is not finite and above 0"),
+            ("5.0", int, "'5.0' is not 1 ASCII int64 literal(s)"),
+            ("1e3", int, "'1e3' is not 1 ASCII int64 literal(s)"),
+            ("0x10", int, "'0x10' is not 1 ASCII int64 literal(s)"),
+            ("9223372036854775807", int, 2**63 - 1),
+            ("9223372036854775808", int, "'9223372036854775808' is not 1 ASCII int64 literal(s)"),
+            ("+1.5", float, 1.5),
+            (".5", float, 0.5),
+            ("5.", float, 5.0),
+            ("1e-400", float, "a value is not finite and above 0"),
+            ("1e999", float, "a value is not finite and above 0"),
+            ("-0.0", float, "a value is not finite and above 0"),
+        ],
+    )
+    def test_literal_verdicts(self, literal, kind, verdict):
+        if isinstance(verdict, str):
+            with pytest.raises(ParameterError, match=rf"^p: line 7: {re.escape(verdict)}$"):
+                parse_numbers("p", {7: literal}, kind)
+        else:
+            assert parse_numbers("p", {7: literal}, kind) == [verdict]
+
+    def test_a_format_error_is_named_before_an_earlier_value_error(self):
+        rows = {2: "-5", 3: "7", 4: "9223372036854775808"}
+        with pytest.raises(ParameterError, match=r"^p: line 4: '9223372036854775808' is not"):
+            parse_numbers("p", rows, int)
 
 
 _TURKISH_WORDS = st.text("abcçdefgğhıijklmnoöprsştuüvyzâîû", min_size=1, max_size=8)
