@@ -104,8 +104,13 @@ def procrustes_align(source: EmbeddingSet, target: EmbeddingSet) -> AlignmentTra
 
 def _check_fit(transform: AlignmentTransform, source: EmbeddingSet, target: EmbeddingSet) -> None:
     """Raise ParameterError unless the transform was fitted on these two sets:
-    first their dimension, then their digests."""
+    first their periods, then their dimension, then their digests."""
     source_label, target_label = transform.source_period.label, transform.target_period.label
+    if (transform.source_period, transform.target_period) != (source.period, target.period):
+        raise ParameterError(
+            f"transform maps {source_label}->{target_label}, "
+            f"not {source.period.label}->{target.period.label}"
+        )
     for embedding in (source, target):
         if embedding.dim != transform.dim:
             raise ParameterError(
@@ -143,15 +148,6 @@ def aligned_most_similar(
     """
     if transform is None:
         transform = procrustes_align(target_set, base_set)
-    if (
-        transform.source_period != target_set.period
-        or transform.target_period != base_set.period
-    ):
-        raise ParameterError(
-            f"transform maps {transform.source_period.label}->"
-            f"{transform.target_period.label}, not "
-            f"{target_set.period.label}->{base_set.period.label}"
-        )
     _check_fit(transform, target_set, base_set)
     aligned = transform.apply(target_set.vector(word))
     return rank_by_cosine(aligned, base_set, top_k)
@@ -186,14 +182,8 @@ def semantic_change(
     )
     entries = [(base.period, None if base_vector is None else 0.0)]
     to_base: np.ndarray | None = None  # maps the current period into the base period
-    for i, (step, current) in enumerate(zip(transforms, ordered[1:])):
-        if step.source_period != current.period or step.target_period != ordered[i].period:
-            raise ParameterError(
-                f"transform {i} maps {step.source_period.label}->"
-                f"{step.target_period.label}; expected "
-                f"{current.period.label}->{ordered[i].period.label}"
-            )
-        _check_fit(step, current, ordered[i])
+    for step, current, previous in zip(transforms, ordered[1:], ordered):
+        _check_fit(step, current, previous)
         to_base = step.matrix if to_base is None else step.matrix @ to_base
         if base_vector is None or word not in current.vocab_index:
             entries.append((current.period, None))

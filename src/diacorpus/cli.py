@@ -136,20 +136,22 @@ class RunConfig:
         if "corpus_root" not in raw or "output_dir" not in raw:
             raise ParameterError("config must set corpus_root and output_dir")
 
-        def _resolve(p: str) -> Path:
-            candidate = Path(p)
+        def _resolve(key: str) -> Path:
+            if not isinstance(raw[key], str):
+                raise ParameterError(f"config {key!r} must be a path string")
+            candidate = Path(raw[key])
             return candidate if candidate.is_absolute() else base / candidate
 
         bucketing = _parse_bucketing(raw.get("bucketing"))
         filter_cfg = _config_section(raw, "filter", FilterConfig)
         embedding = _config_section(raw, "embedding", EmbeddingConfig)
-        analyzer_tsv = raw.get("analyzer_tsv")
+        analyzer_tsv = raw.get("analyzer_tsv")  # absent, null or "": no analyzer
         return cls(
-            corpus_root=_resolve(raw["corpus_root"]),
-            output_dir=_resolve(raw["output_dir"]),
+            corpus_root=_resolve("corpus_root"),
+            output_dir=_resolve("output_dir"),
             bucketing=bucketing,
             filter=filter_cfg,
-            analyzer_tsv=_resolve(analyzer_tsv) if analyzer_tsv else None,
+            analyzer_tsv=None if analyzer_tsv in (None, "") else _resolve("analyzer_tsv"),
             ngram_orders=_parse_ngram_orders(raw.get("ngram_orders", [1, 2, 3])),
             embedding=embedding,
         )
@@ -367,9 +369,9 @@ def _require_header(path: Path, field: str, held: str, asked: str) -> None:
         raise ParameterError(f"{path} holds {field} {held}, not {asked}")
 
 
-def _read_vocabulary(path: Path, level: str = "lemma") -> lexicon_mod.Vocabulary:
+def _read_vocabulary(path: Path) -> lexicon_mod.Vocabulary:
     """A vocabulary TSV whose header period is its file name's label, the part before a dot."""
-    vocab = lexicon_mod.read_vocabulary(path, level)
+    vocab = lexicon_mod.read_vocabulary(path)
     _require_header(path, "period", vocab.period.label, path.name.split(".", 1)[0])
     return vocab
 
@@ -480,7 +482,7 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
     tree = _load_vocab_artifacts(config)
     for leaf in tree.leaves():  # the ending ratios read surface forms
         path = _existing(config, "surface", period=leaf.period)
-        leaf.surface_vocabulary = _read_vocabulary(path, level="surface")
+        leaf.surface_vocabulary = _read_vocabulary(path)
     # compute every analysis first, so a failing class writes no report
     class_rows = {
         pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)

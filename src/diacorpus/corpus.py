@@ -337,7 +337,6 @@ def _ingest_leaf(
             period=leaf.period,
             entries=filtered,
             token_total=sum(filtered.values()),
-            level=level,
         )
         row = {w: i for i, w in enumerate(vocab.entries)}
         type_ids = np.array([row.get(w, -1) for w in words], dtype=np.int32)

@@ -172,13 +172,15 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     window, both directed cells are incremented, so the matrix is exactly
     symmetric and the grand total is twice the number of in-window unordered
     pairs. Pairs touching a filtered-out token are skipped; positions are
-    counted over the full token sequence.
+    counted over the full token sequence. An offset past the longest document
+    pairs nothing, so counting stops there; ``window`` keeps the value given.
     """
     if window < 1:
         raise ParameterError("window must be at least 1")
     ids = leaf.require_token_ids()
+    longest = int(np.diff(leaf.doc_offsets).max(initial=0))
     pairs = []  # per offset, the (left, right) ids of positions i and i + offset
-    for offset in range(1, min(window, len(ids) - 1) + 1):
+    for offset in range(1, min(window, longest - 1) + 1):
         left, right = ids[:-offset], ids[offset:]
         mask = (left >= 0) & (right >= 0) & same_document(leaf.doc_offsets, offset)
         pairs.append((left[mask], right[mask]))

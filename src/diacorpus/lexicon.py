@@ -57,7 +57,6 @@ class Vocabulary:
     period: TimePeriod
     entries: dict[str, int]
     token_total: int
-    level: str = "lemma"
 
     def __post_init__(self) -> None:
         rows = sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -75,8 +74,6 @@ class Vocabulary:
         return self.entries.get(word, 0) / self.token_total
 
     def merged_with(self, other: "Vocabulary") -> "Vocabulary":
-        if other.level != self.level:
-            raise ParameterError("cannot merge vocabularies of different levels")
         merged = Counter(self.entries)
         merged.update(other.entries)
         period = TimePeriod(
@@ -87,7 +84,6 @@ class Vocabulary:
             period=period,
             entries=dict(merged),
             token_total=self.token_total + other.token_total,
-            level=self.level,
         )
 
 
@@ -105,17 +101,16 @@ class NgramTable:
     words: np.ndarray
     columns: list[np.ndarray]
     counts: np.ndarray
-    level: str = "lemma"
 
     @classmethod
-    def from_entries(cls, period: TimePeriod, order: int, entries: dict, level: str = "lemma"):
+    def from_entries(cls, period: TimePeriod, order: int, entries: dict):
         """The table of ``gram -> count`` entries, its rows in the entries' order."""
         import numpy as np
 
         grams = np.array(list(entries), dtype=object).reshape(len(entries), order)
         words, ranks = np.unique(grams, return_inverse=True)  # sorted as ``sorted`` sorts
         counts = np.array(list(entries.values()), dtype=np.int64)
-        return cls(period, order, words, list(ranks.reshape(grams.shape).T), counts, level)
+        return cls(period, order, words, list(ranks.reshape(grams.shape).T), counts)
 
     @property
     def entries(self) -> dict[tuple[str, ...], int]:
@@ -197,7 +192,7 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
     counts = np.diff(firsts, append=len(keys))
     by_count = np.argsort(-counts, kind="stable")
     columns = [c[sort[firsts[by_count]]] for c in columns]
-    return NgramTable(leaf.period, order, by_rank, columns, counts[by_count], level)
+    return NgramTable(leaf.period, order, by_rank, columns, counts[by_count])
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +419,10 @@ def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple
     return head, dict(zip(keys, values))
 
 
-def read_vocabulary(path: str | Path, level: str = "lemma") -> Vocabulary:
+def read_vocabulary(path: str | Path) -> Vocabulary:
     """Load a vocabulary TSV; ``_read_counts`` states its rules and errors."""
     head, entries = _read_counts(path, "vocabulary")
-    return Vocabulary(head["period"], entries, head["tokens"], level)
+    return Vocabulary(head["period"], entries, head["tokens"])
 
 
 def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
@@ -444,17 +439,12 @@ def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
     """Load a stored lemma id array into a leaf that holds its lemma vocabulary.
 
     The archive holds exactly ``lemma`` and ``offsets`` (``read_store``), and
-    the ids must index that vocabulary's rows and reproduce its counts; any
-    other content raises ParameterError naming the file.
+    the ids must index that vocabulary's rows and reproduce its counts; a
+    missing file or any other content raises ParameterError naming the file.
     """
     import numpy as np
 
-    path = Path(path)
     vocab = create_vocabulary(leaf)
-    if not path.is_file():
-        raise MissingArtifactError(
-            f"no token ids for period {leaf.period.label} at {path}", needed_command="ingest"
-        )
     arrays, _ = read_store(path, "token store", ("lemma", "offsets"))
     ids, offsets = arrays["lemma"], arrays["offsets"]
     if ids.ndim != 1 or ids.dtype != np.int32:
@@ -498,7 +488,7 @@ def write_ngrams(table: NgramTable, path: str | Path) -> None:
     _write_counts(path, _header_line(table.period, table.total()), table.counts, keys)
 
 
-def read_ngrams(path: str | Path, order: int, level: str = "lemma") -> NgramTable:
+def read_ngrams(path: str | Path, order: int) -> NgramTable:
     """Load an n-gram TSV; ``_read_counts`` states its rules and errors."""
     head, entries = _read_counts(path, "n-gram", order)
-    return NgramTable.from_entries(head["period"], order, entries, level)
+    return NgramTable.from_entries(head["period"], order, entries)

@@ -242,6 +242,29 @@ class TestSemanticChange:
             semantic_change("w00", sets, [wrong, wrong])
 
 
+class TestTransformPeriods:
+    """A transform fitted on other periods is a usage error with one message,
+    whichever query applies it."""
+
+    MESSAGE = "transform maps 1940-1949->1930-1939, not 1980-1989->1930-1939"
+
+    def _sets(self):
+        rng = np.random.default_rng(14)
+        return [_set(rng.normal(size=(10, 4)), p) for p in (PERIOD_1930, PERIOD_1940, PERIOD_1980)]
+
+    def test_aligned_most_similar(self):
+        base, middle, target = self._sets()
+        other = procrustes_align(middle, base)
+        with pytest.raises(ParameterError, match=f"^{re.escape(self.MESSAGE)}$"):
+            aligned_most_similar("w00", 3, target, base, other)
+
+    def test_semantic_change(self):
+        base, middle, later = self._sets()
+        other = procrustes_align(middle, base)
+        with pytest.raises(ParameterError, match=f"^{re.escape(self.MESSAGE)}$"):
+            semantic_change("w00", [base, later], [other])
+
+
 class TestTransformDim:
     """A transform fitted at one dim, applied to sets of another, is a usage
     error naming its periods and both dims, not a numpy shape error."""

@@ -33,7 +33,7 @@ from conftest import (
     with_edge_token,
     write_corrupt_store,
 )
-from e2e_flow import run_flow
+from e2e_flow import E2E_STEPS, run_flow
 
 CONFIG = str(FIXTURES / "fixture_config.json")
 
@@ -450,10 +450,11 @@ def _corpus_config(tmp_path, manifest=None, document=b"kitap kalem", **settings)
     return ["--config", str(config)]
 
 
-def _spaced_stem_config(tmp_path):
-    """``--config`` of a one-document corpus whose analyzer table maps to a stem with a space."""
-    (tmp_path / "stems.tsv").write_text("kitap\taaa bbb\n", encoding="utf-8")
-    return _corpus_config(tmp_path, analyzer_tsv="stems.tsv", filter={"alphabetic_only": False})
+def _written(tmp_path, name, text) -> str:
+    """The path of a new file ``name`` under ``tmp_path`` that holds ``text``."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 def _latin1_dictionary(tmp_path):
@@ -490,7 +491,65 @@ _USAGE_ERRORS = {
     ),
     # the .vec format separates a word from its values by a space
     "analyzer stem with a space": (
-        lambda t: [*_spaced_stem_config(t), "ingest"], "stems.tsv: line 1: stem has whitespace"
+        lambda t: [*_corpus_config(t, analyzer_tsv=_written(t, "stems.tsv", "kitap\taaa bbb\n")),
+                   "ingest"],
+        "stems.tsv: line 1: stem has whitespace",
+    ),
+    "analyzer line without a tab": (
+        lambda t: [*_corpus_config(t, analyzer_tsv=_written(t, "stems.tsv", "kitap kitap\n")),
+                   "ingest"],
+        "stems.tsv: line 1 is not 'surface<TAB>stem'",
+    ),
+    "config not JSON": (
+        lambda t: ["--config", _written(t, "config.json", "{"), "ingest"], "is not valid JSON"
+    ),
+    "config without corpus_root": (
+        lambda t: ["--config", _written(t, "config.json", '{"output_dir": "out"}'), "ingest"],
+        "config must set corpus_root and output_dir",
+    ),
+    "manifest not JSON": (
+        lambda t: [*_corpus_config(t, manifest=b"["), "ingest"], "manifest is not valid JSON"
+    ),
+    "manifest not an array": (
+        lambda t: [*_corpus_config(t, manifest=b"{}"), "ingest"], "manifest must be a JSON array"
+    ),
+    "manifest entry not an object": (
+        lambda t: [*_corpus_config(t, manifest=b"[5]"), "ingest"],
+        "manifest entry 0 is not an object",
+    ),
+    "manifest entry without path": (
+        lambda t: [*_corpus_config(t, manifest=b'[{"id": "a", "date": "1931-01-01"}]'), "ingest"],
+        "manifest entry 0 misses required key 'path'",
+    ),
+    "overlapping bucketing": (
+        lambda t: [*_corpus_config(t, bucketing=[[1930, 1939], [1935, 1944]]), "ingest"],
+        "bucketing periods overlap: 1930-1939 and 1935-1944",
+    ),
+    "bucketing that no document falls into": (
+        lambda t: [*_corpus_config(t, bucketing=[[1950, 1959]]), "ingest"],
+        "no document fell into any bucket",
+    ),
+    "dict, dictionary not an array": (
+        lambda t: ["--config", CONFIG, "dict", "--dictionary", _written(t, "d.json", "{}")],
+        "dictionary must be a JSON array of entries",
+    ),
+    "dict, dictionary entry not an object": (
+        lambda t: ["--config", CONFIG, "dict", "--dictionary", _written(t, "d.json", "[5]")],
+        "entry 0 is not an object",
+    ),
+    "dict, old form not a string": (
+        lambda t: [
+            "--config", CONFIG, "dict", "--dictionary",
+            _written(t, "d.json", '[{"modern": "gün", "old": [5]}]'),
+        ],
+        "entry 0: old form must be a non-empty string",
+    ),
+    "dict, senses not a list": (
+        lambda t: [
+            "--config", CONFIG, "dict", "--dictionary",
+            _written(t, "d.json", '[{"modern": "gün", "old": ["rûz"], "senses": "day"}]'),
+        ],
+        "entry 0: 'senses' must be a list of strings",
     ),
     "dict, missing dictionary": (
         lambda t: ["--config", CONFIG, "dict", "--dictionary", str(t / "none.json")], "none.json"
@@ -949,6 +1008,18 @@ class TestConfigErrors:
         assert payload["error"] == 2
         assert payload["context"] == {"command": "dict"}
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("corpus_root", 5), ("output_dir", None), ("analyzer_tsv", 7), ("analyzer_tsv", [])],
+    )
+    def test_mistyped_path_is_usage_error_naming_the_key(self, tmp_path, capsys, key, value):
+        code = main(["--config", self._config(tmp_path, **{key: value}), "dict"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["message"] == f"config '{key}' must be a path string"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("5", encoding="utf-8")
@@ -1018,10 +1089,26 @@ class TestConfigErrors:
         assert vectors[1:] == [vectors[0]] * 2
 
 
+FIXTURE_MANIFEST = json.loads((FIXTURES / "mini_corpus" / "manifest.json").read_text("utf-8"))
+
+
+def _manifest_argv(root: Path, records: list[dict]) -> list[str]:
+    """``--config`` and ``--output-dir`` of the fixture flow under ``root``, over a
+    corpus of the fixture documents listed by the manifest ``records``."""
+    corpus = root / "corpus"
+    corpus.mkdir(parents=True)
+    shutil.copytree(FIXTURES / "mini_corpus" / "docs", corpus / "docs")
+    (corpus / "manifest.json").write_text(json.dumps(records), encoding="utf-8")
+    raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+    raw.update(corpus_root=str(corpus), analyzer_tsv=str(FIXTURES / raw["analyzer_tsv"]))
+    (root / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return ["--config", str(root / "config.json"), "--output-dir", str(root / "out")]
+
+
 class TestManifestOrder:
     def test_permuted_manifest_writes_the_same_bytes(self, tmp_path):
         """Each period's documents are in id order, so manifest order changes no file."""
-        manifest = json.loads((FIXTURES / "mini_corpus" / "manifest.json").read_text("utf-8"))
+        manifest = FIXTURE_MANIFEST
         orders = {
             "given": manifest,
             "reversed": manifest[::-1],
@@ -1029,16 +1116,7 @@ class TestManifestOrder:
         }
         digests = {}
         for name, records in orders.items():
-            corpus = tmp_path / name / "corpus"
-            corpus.mkdir(parents=True)
-            shutil.copytree(FIXTURES / "mini_corpus" / "docs", corpus / "docs")
-            (corpus / "manifest.json").write_text(json.dumps(records), encoding="utf-8")
-            raw = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
-            raw.update(corpus_root=str(corpus), analyzer_tsv=str(FIXTURES / raw["analyzer_tsv"]))
-            config = tmp_path / name / "config.json"
-            config.write_text(json.dumps(raw), encoding="utf-8")
-            out = tmp_path / name / "out"
-            argv = ["--config", str(config), "--output-dir", str(out)]
+            argv, out = _manifest_argv(tmp_path / name, records), tmp_path / name / "out"
             steps = (["ingest"], ["embed", "svd"], ["embed", "cbow"], ["analyze", "divergence"])
             for step in steps:
                 assert main([*argv, *step]) == 0, (name, step)
@@ -1055,6 +1133,44 @@ class TestManifestOrder:
         assert main([*_corpus_config(tmp_path, manifest.encode()), "ingest"]) == 2
         message = json.loads(capsys.readouterr().err)["message"]
         assert message == "manifest entry 0: id, date and path must be strings"
+
+
+class TestDocumentsListedTwice:
+    def test_counts_double_and_every_share_stays(self, tmp_path, capsys):
+        """Each document listed twice, under a second id, doubles every vocabulary
+        count, keeps the kept words, and changes no share, ratio or rate."""
+        twice = [*FIXTURE_MANIFEST, *({**e, "id": e["id"] + "-again"} for e in FIXTURE_MANIFEST)]
+        outs = {"once": tmp_path / "once", "twice": tmp_path / "twice" / "out"}
+        argvs = {
+            "once": ["--config", CONFIG, "--output-dir", str(outs["once"])],
+            "twice": _manifest_argv(tmp_path / "twice", twice),
+        }
+        for name, argv in argvs.items():
+            for step in E2E_STEPS[:6]:  # ingest and the five analyses
+                assert main([*argv, *step]) == 0, (name, step)
+        once, twice = outs["once"], outs["twice"]
+        vocabularies = sorted((once / "vocab").glob("*.tsv"))
+        assert len(vocabularies) == 4  # both periods, lemma and surface
+        for path in vocabularies:
+            single, double = read_vocabulary(path), read_vocabulary(twice / "vocab" / path.name)
+            assert double.entries == {word: 2 * count for word, count in single.entries.items()}
+            assert double.token_total == 2 * single.token_total
+        same = ["jaccard", "jsd", "jsd_contributions_1930-1939_1980-1989", "survived_1930-1939",
+                "crossover", "freq_belge"]
+        for name in (f"{stem}.{suffix}" for stem in same for suffix in ("csv", "json")):
+            assert (twice / "reports" / name).read_bytes() == (once / "reports" / name).read_bytes()
+
+        def records(out, name):
+            return json.loads((out / "reports" / f"{name}.json").read_text(encoding="utf-8"))
+
+        for name, totals, shares in [
+            ("ortho_ratio_b-p", ("soft_total", "hard_total"), ("ratio",)),
+            ("ortho_ratio_d-t", ("soft_total", "hard_total"), ("ratio",)),
+            ("circumflex", ("raw",), ("per_million",)),
+        ]:
+            for single, double in zip(records(once, name), records(twice, name), strict=True):
+                assert all(double[key] == 2 * single[key] for key in totals), name
+                assert all(double[key] == single[key] for key in shares), name
 
 
 class TestStaleTempFiles:

@@ -151,6 +151,25 @@ class TestCooccurrence:
         with pytest.raises(ParameterError):
             count_cooccurrences(leaf, window=0)
 
+    def test_counting_stops_at_the_longest_document(self, fixture_tree, monkeypatch):
+        import diacorpus.embeddings as embeddings_mod
+        from diacorpus.lexicon import same_document
+
+        leaf = fixture_tree.leaves()[0]
+        longest = int(np.diff(leaf.doc_offsets).max())
+        shifts = []
+
+        def counted(doc_offsets, shift):
+            shifts.append(shift)
+            return same_document(doc_offsets, shift)
+
+        monkeypatch.setattr(embeddings_mod, "same_document", counted)
+        wide = count_cooccurrences(leaf, 10**12)
+        assert 0 < len(shifts) <= longest - 1
+        narrow = count_cooccurrences(leaf, longest - 1)
+        assert wide.window == 10**12
+        assert np.array_equal(wide.counts.toarray(), narrow.counts.toarray())
+
 
 class TestPpmi:
     def test_degenerate_single_type(self):

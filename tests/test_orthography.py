@@ -16,7 +16,7 @@ from conftest import PERIOD_1930, PERIOD_1980, fixture_sequences
 
 
 def _vocab(entries, period=PERIOD_1930):
-    return Vocabulary(period, dict(entries), sum(entries.values()), level="surface")
+    return Vocabulary(period, dict(entries), sum(entries.values()))
 
 
 class TestDetectVariantPairs:

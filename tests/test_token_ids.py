@@ -9,6 +9,7 @@ rebuilt from the raw texts, so the two paths stay independent.
 from __future__ import annotations
 
 import io
+import re
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from diacorpus.corpus import PeriodCorpus
 from diacorpus.embeddings import count_cooccurrences
-from diacorpus.errors import MissingArtifactError, ParameterError
+from diacorpus.errors import ParameterError
 from diacorpus.lexicon import (
     NGRAM_ORDERS,
     NgramTable,
@@ -92,7 +93,7 @@ class TestFixtureAgainstReference:
             table = create_ngrams(leaf, order, level)
             sequences = fixture_sequences(fixture_config, leaf, level)
             entries = reference_ngrams(_vocabulary(leaf, level), sequences, order)
-            reference = NgramTable.from_entries(leaf.period, order, entries, level)
+            reference = NgramTable.from_entries(leaf.period, order, entries)
             assert list(table.entries.items()) == list(reference.entries.items())
             assert ngram_bytes(table, tmp_path / "id.tsv") == ngram_bytes(
                 reference, tmp_path / "reference.tsv"
@@ -221,10 +222,12 @@ class TestTokenStore:
         write_token_ids(leaf, tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
-    def test_missing_store_names_ingest(self, leaf, tmp_path):
-        with pytest.raises(MissingArtifactError) as info:
-            read_token_ids(tmp_path / "absent.npz", self._reader_leaf(leaf))
-        assert info.value.needed_command == "ingest"
+    def test_missing_store_names_the_file(self, leaf, tmp_path):
+        # the CLI checks presence first (``cli._existing``: exit 3, run ingest);
+        # the library reader treats an absent file as an unreadable one
+        path = tmp_path / "absent.npz"
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: unreadable token store")):
+            read_token_ids(path, self._reader_leaf(leaf))
 
     @pytest.mark.parametrize(
         "arrays",
