@@ -19,8 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TimePeriod, TimeSeriesResult, read_store, savez_bytes, write_artifact
-from .embeddings import EmbeddingSet, cosine, decode_string, decode_words, encode_words, rank_by_cosine
+from .corpus import (
+    LABEL, WORDS, TimePeriod, TimeSeriesResult, encode_words, read_store, savez_bytes, write_artifact
+)
+from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
 
 _ORTHOGONALITY_TOL = 1e-8
@@ -198,42 +200,39 @@ def semantic_change(
 # ---------------------------------------------------------------------------
 
 
-_TRANSFORM_KEYS = ("matrix", "shared", "source", "target", "source_sha256", "target_sha256")
+_TRANSFORM_STORE = {"matrix": (2, "float64"), "shared": WORDS, "source": LABEL, "target": LABEL,
+                    "source_sha256": LABEL, "target_sha256": LABEL}  # ``read_store`` schema
 
 
 def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
-    """Write the transform's ``.npz`` store: ``matrix`` (d x d float64, row-vector
-    convention ``v @ R``), ``shared`` (``encode_words``), and the 0-d strings
-    ``source`` and ``target`` (period labels) and ``source_sha256`` and
-    ``target_sha256`` (the digests of ``fitted_on``)."""
+    """Write the transform's ``.npz`` store: ``matrix`` (d x d, row-vector convention
+    ``v @ R``), ``shared`` (``encode_words``), the period labels ``source`` and
+    ``target``, and ``source_sha256`` and ``target_sha256`` (``fitted_on``)."""
     write_artifact(path, savez_bytes(
         matrix=transform.matrix.astype(np.float64, copy=False),
         shared=encode_words(transform.shared_vocab),
         source=np.array(transform.source_period.label),
         target=np.array(transform.target_period.label),
-        **{key: np.array(digest) for key, digest in zip(_TRANSFORM_KEYS[4:], transform.fitted_on)},
+        source_sha256=np.array(transform.fitted_on[0]),
+        target_sha256=np.array(transform.fitted_on[1]),
     ))
 
 
 def read_transform(path: str | Path) -> AlignmentTransform:
-    """Load a transform store; unless it holds exactly the arrays ``write_transform``
-    writes, with ``matrix`` square, at least one ``decode_words`` word in ``shared``,
-    periods that parse and digests of 64 lowercase hex digits, ParameterError names it."""
-    arrays, _ = read_store(path, "transform store", _TRANSFORM_KEYS)
+    """Load a transform store; unless it holds exactly the arrays of ``_TRANSFORM_STORE``,
+    with ``matrix`` square, at least one word in ``shared``, periods that parse and
+    digests of 64 lowercase hex digits, ParameterError names it."""
+    arrays, _ = read_store(path, "transform store", _TRANSFORM_STORE)
     matrix = arrays["matrix"]
-    if matrix.ndim != 2 or matrix.dtype != np.float64 or not 1 <= len(matrix) == matrix.shape[1]:
-        raise ParameterError(
-            f"{path}: matrix must be a square 2-D float64 array of at least one row, "
-            f"not {matrix.dtype} of shape {matrix.shape}"
-        )
-    shared = list(decode_words(path, "shared", arrays["shared"]))
-    source, target, *fitted_on = (decode_string(path, k, arrays[k]) for k in _TRANSFORM_KEYS[2:])
-    for key, digest in zip(_TRANSFORM_KEYS[4:], fitted_on):
+    if not 1 <= len(matrix) == matrix.shape[1]:
+        raise ParameterError(f"{path}: matrix must be a square 2-D float64 array of at least "
+                             f"one row, not of shape {matrix.shape}")
+    fitted_on = (arrays["source_sha256"], arrays["target_sha256"])
+    for key, digest in zip(("source_sha256", "target_sha256"), fitted_on):
         if len(digest) != 64 or digest.strip("0123456789abcdef"):
             raise ParameterError(f"{path}: {key} {digest!r} is not 64 lowercase hex digits")
     try:
-        return AlignmentTransform(
-            TimePeriod.parse(source), TimePeriod.parse(target), matrix, shared, tuple(fitted_on)
-        )
+        source, target = (TimePeriod.parse(arrays[key]) for key in ("source", "target"))
+        return AlignmentTransform(source, target, matrix, list(arrays["shared"]), fitted_on)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc

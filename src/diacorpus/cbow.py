@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import PeriodCorpus
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, smoothed_distribution
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import create_vocabulary
 
@@ -155,8 +155,7 @@ def train_cbow(
     else:
         keep_prob = np.ones_like(counts)
 
-    noise = counts**smoothing_alpha
-    noise_cdf = np.cumsum(noise / noise.sum())
+    noise_cdf = np.cumsum(smoothed_distribution(counts, smoothing_alpha, leaf.period))
 
     rng = np.random.default_rng(seed)
     size = len(index)

@@ -137,10 +137,7 @@ class RunConfig:
             raise ParameterError("config must set corpus_root and output_dir")
 
         def _resolve(key: str) -> Path:
-            if not isinstance(raw[key], str):
-                raise ParameterError(f"config {key!r} must be a path string")
-            candidate = Path(raw[key])
-            return candidate if candidate.is_absolute() else base / candidate
+            return _path(raw[key], f"config {key!r}", base)
 
         bucketing = _parse_bucketing(raw.get("bucketing"))
         filter_cfg = _config_section(raw, "filter", FilterConfig)
@@ -160,6 +157,14 @@ class RunConfig:
         if self.analyzer_tsv is None:
             return None
         return load_analyzer_tsv(self.analyzer_tsv)
+
+
+def _path(value, name: str, base: Path = Path()) -> Path:
+    """``value`` as a path, a relative one under ``base``; ParameterError naming the
+    config key or flag ``name`` unless it is a string without NUL, which no path holds."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ParameterError(f"{name} must be a path string")
+    return base / value  # an absolute value replaces base
 
 
 def _parse_bucketing(value) -> list[TimePeriod] | None:
@@ -781,7 +786,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         config = RunConfig.from_file(args.config)
         if args.output_dir:
-            config.output_dir = Path(args.output_dir)
+            config.output_dir = _path(args.output_dir, "--output-dir")
         with _Lock(config.output_dir):  # no other command writes here: temp files are stale
             for name in {".", "reports", *(Path(t).parent for t, _, _ in ARTIFACTS.values())}:
                 sweep_temp_files(config.output_dir / name)

@@ -37,6 +37,7 @@ from .preprocess import (
     FilterConfig,
     MorphAnalyzer,
     filter_vocabulary,
+    is_word,
     lemma_surfaces,
     normalize_text,
     read_input_text,
@@ -464,6 +465,14 @@ def read_artifact(
     return header, lines
 
 
+# A store schema maps each array of an ``.npz`` store, in file order, to a rule
+# ``(rank, dtype)``. The dtype must match exactly (a byte-swapped one fails),
+# except ``"integer"``, any integer dtype, and ``"string"``, any string dtype.
+# ``read_store`` decodes two rules: ``WORDS`` (``encode_words``) and ``LABEL``.
+WORDS = (1, "uint8")
+LABEL = (0, "string")
+
+
 def savez_bytes(**arrays: np.ndarray) -> bytes:
     """The ``np.savez`` archive of ``arrays``, in argument order. It stamps no time,
     so the bytes depend only on the arrays."""
@@ -474,15 +483,41 @@ def savez_bytes(**arrays: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-def read_store(
-    path: str | Path, kind: str, keys: Sequence[str]
-) -> tuple[dict[str, np.ndarray], bytes]:
-    """Load an ``np.savez`` archive holding exactly the arrays ``keys``: those arrays by
-    name, and the file's bytes, read once, for a caller that hashes them.
+def encode_words(words: Sequence[str]) -> np.ndarray:
+    """Words as a ``WORDS`` array: their UTF-8 bytes joined by ``\\n``, one uint8 array
+    (a NumPy string array would drop a trailing NUL)."""
+    import numpy as np
+
+    return np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+
+
+def _decode_words(path: str | Path, key: str, encoded: np.ndarray) -> dict[str, int]:
+    """The row of each word ``encode_words`` stored as ``key``; ParameterError naming the
+    file unless ``encoded`` is UTF-8 text of ``is_word`` words, each listed once."""
+    try:
+        text = encoded.tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: {key} are not UTF-8: {exc}") from exc
+    words = text.split("\n") if text else []
+    if text.split() != words:  # each word non-empty and free of whitespace
+        word = next(w for w in words if not is_word(w))
+        raise ParameterError(f"{path}: word {word!r} is empty or has whitespace")
+    rows = dict(zip(words, range(len(words))))
+    if len(rows) != len(words):  # a repeated word keeps the row of its last listing
+        word = next(w for i, w in enumerate(words) if rows[w] != i)
+        raise ParameterError(f"{path}: word {word!r} listed twice")
+    return rows
+
+
+def read_store(path: str | Path, kind: str, schema: dict[str, tuple]) -> tuple[dict, bytes]:
+    """Load an ``np.savez`` archive holding exactly the arrays of ``schema``: those
+    arrays by name, a ``WORDS`` one as ``{word: row}`` and a ``LABEL`` one as
+    ``str``, and the file's bytes, read once, for a caller that hashes them.
 
     Nothing is unpickled. A file that cannot be read, is no ``.npz`` archive,
-    holds another set of names, or holds a pickled (object) array or a member
-    that is no ``.npy`` array, raises ParameterError naming it.
+    holds another set of names, or holds a pickled (object) array, a member
+    that is no ``.npy`` array or an array that breaks its rule, raises
+    ParameterError naming it.
     """
     import numpy as np
 
@@ -492,14 +527,24 @@ def read_store(
         if not isinstance(store, np.lib.npyio.NpzFile):  # a bare .npy array
             raise ValueError("not an .npz archive")
         with store:
-            if sorted(store.files) != sorted(keys):
-                raise ValueError(f"it holds {sorted(store.files)}, not {sorted(keys)}")
-            arrays = {key: store[key] for key in keys}
+            if sorted(store.files) != sorted(schema):
+                raise ValueError(f"it holds {sorted(store.files)}, not {sorted(schema)}")
+            arrays = {key: store[key] for key in schema}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ParameterError(f"{path}: unreadable {kind}: {exc}") from exc
-    for key, array in arrays.items():
+    for key, (rank, dtype) in schema.items():
+        array = arrays[key]
         if not isinstance(array, np.ndarray):  # a member not named '.npy' loads as bytes
             raise ParameterError(f"{path}: unreadable {kind}: {key} is not an .npy array")
+        kinds = {"string": "U", "integer": "iu"}.get(dtype)
+        if array.ndim != rank or not (array.dtype.kind in kinds if kinds else array.dtype == dtype):
+            raise ParameterError(
+                f"{path}: {key} must be a {f'{rank}-D' if rank else '0-d'} {dtype} array, "
+                f"not {array.dtype} of shape {array.shape}"
+            )
+        if (rank, dtype) == WORDS:
+            array = _decode_words(path, key, array)
+        arrays[key] = str(array) if (rank, dtype) == LABEL else array
     return arrays, data
 
 

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .corpus import (
     CHUNK_VALUES,
+    LABEL,
+    WORDS,
     PeriodCorpus,
     TimePeriod,
+    encode_words,
     parse_numbers,
     read_artifact,
     read_store,
@@ -29,7 +32,6 @@ from .corpus import (
 )
 from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary, same_document
-from .preprocess import is_word
 
 # Dense factorization is exact and repeats its bytes at a fixed BLAS thread
 # count (not necessarily across thread counts); only fall back to sparse
@@ -204,6 +206,21 @@ def count_cooccurrences(leaf: PeriodCorpus, window: int = 2) -> CooccurrenceMatr
     return CooccurrenceMatrix(period=leaf.period, vocab_index=index, counts=counts, window=window)
 
 
+def smoothed_distribution(counts: np.ndarray, alpha: float, period: TimePeriod) -> np.ndarray:
+    """``counts ** alpha``, normalized to sum to 1: the smoothed context distribution of
+    PPMI and of CBOW's negative draws. ComputationUndefinedError naming alpha and the
+    period unless every share is finite and each count above 0 keeps a share above 0
+    (an alpha far from 0 overflows or underflows the powers)."""
+    with np.errstate(all="ignore"):  # reported as the error below, not as warnings
+        smoothed = counts.astype(np.float64) ** alpha
+        shares = smoothed / smoothed.sum()
+    if not (np.all(np.isfinite(shares)) and np.all(shares[counts > 0] > 0)):
+        raise ComputationUndefinedError(
+            f"alpha {alpha!r} gives no finite context distribution in period {period.label}"
+        )
+    return shares
+
+
 def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
     """Turn co-occurrence counts into the smoothed positive association matrix.
 
@@ -220,8 +237,7 @@ def build_ppmi(cooc: CooccurrenceMatrix, alpha: float = 0.75) -> PPMIMatrix:
     p_joint = counts.data.astype(np.float64) / grand
     p_row = cooc.row_totals.astype(np.float64) / grand
     # the counts are symmetric, so the context (column) marginal is the row marginal
-    smoothed = cooc.row_totals.astype(np.float64) ** alpha
-    p_col_smoothed = smoothed / smoothed.sum()
+    p_col_smoothed = smoothed_distribution(cooc.row_totals, alpha, cooc.period)
     log_ratio = np.log(p_joint / (p_row[rows] * p_col_smoothed[cols]))
     keep = log_ratio > 0
     values = CSRArrays.from_sorted(rows[keep], cols[keep], log_ratio[keep], counts.shape[0])
@@ -329,7 +345,8 @@ def collocations(word: str, top_k: int, ppmi: PPMIMatrix) -> list[tuple[str, flo
 # ---------------------------------------------------------------------------
 
 
-_STORE_KEYS = ("vectors", "words", "period", "provenance")
+_EMBEDDING_STORE = {"vectors": (2, "float64"), "words": WORDS, "period": LABEL,
+                    "provenance": LABEL}  # ``read_store`` schema
 
 
 def _sha256(data: bytes) -> str:
@@ -338,43 +355,6 @@ def _sha256(data: bytes) -> str:
     import hashlib
 
     return hashlib.sha256(data).hexdigest()
-
-
-def encode_words(words: Sequence[str]) -> np.ndarray:
-    """Words as a store holds them: their UTF-8 bytes joined by ``\\n``, one uint8 array
-    (a NumPy string array would drop a trailing NUL)."""
-    return np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
-
-
-def decode_words(path: str | Path, key: str, encoded: np.ndarray) -> dict[str, int]:
-    """The row of each word ``encode_words`` stored as ``key``; ParameterError naming the
-    file unless ``encoded`` is 1-D uint8 UTF-8 text of ``is_word`` words, each listed once."""
-    if encoded.ndim != 1 or encoded.dtype != np.uint8:
-        raise ParameterError(
-            f"{path}: {key} must be a 1-D uint8 array, not {encoded.dtype} of shape {encoded.shape}"
-        )
-    try:
-        text = encoded.tobytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: {key} are not UTF-8: {exc}") from exc
-    words = text.split("\n") if text else []
-    if text.split() != words:  # each word non-empty and free of whitespace
-        word = next(w for w in words if not is_word(w))
-        raise ParameterError(f"{path}: word {word!r} is empty or has whitespace")
-    rows = dict(zip(words, range(len(words))))
-    if len(rows) != len(words):  # a repeated word keeps the row of its last listing
-        word = next(w for i, w in enumerate(words) if rows[w] != i)
-        raise ParameterError(f"{path}: word {word!r} listed twice")
-    return rows
-
-
-def decode_string(path: str | Path, key: str, array: np.ndarray) -> str:
-    """The 0-d string array ``key`` of a store; ParameterError naming the file for any other."""
-    if array.ndim != 0 or array.dtype.kind != "U":
-        raise ParameterError(
-            f"{path}: {key} must be a 0-d string array, not {array.dtype} of shape {array.shape}"
-        )
-    return str(array)
 
 
 def _store_bytes(embedding_set: EmbeddingSet) -> bytes:
@@ -420,25 +400,19 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
 def read_embeddings(path: str | Path) -> EmbeddingSet:
     """Load an embedding store; a malformed one raises ParameterError naming it.
 
-    The archive holds exactly the arrays ``write_embeddings`` writes:
-    ``vectors`` 2-D float64 of finite values, with at least one column and
-    one row per word; ``words`` as ``decode_words`` reads them; ``period`` a
-    0-d string that parses and ``provenance`` a 0-d string. The set keeps the
-    sha256 of the file.
+    The archive holds exactly the arrays of ``_EMBEDDING_STORE``: ``vectors``
+    of finite values, with at least one column and one row per word, and a
+    ``period`` that parses. The set keeps the sha256 of the file.
     """
-    arrays, data = read_store(path, "embedding store", _STORE_KEYS)
+    arrays, data = read_store(path, "embedding store", _EMBEDDING_STORE)
     vectors = arrays["vectors"]
-    if vectors.ndim != 2 or vectors.dtype != np.float64 or vectors.shape[1] < 1:
-        raise ParameterError(
-            f"{path}: vectors must be a 2-D float64 array of at least one column, "
-            f"not {vectors.dtype} of shape {vectors.shape}"
-        )
-    vocab_index = decode_words(path, "words", arrays["words"])
-    period, provenance = (decode_string(path, key, arrays[key]) for key in _STORE_KEYS[2:])
+    if vectors.shape[1] < 1:
+        raise ParameterError(f"{path}: vectors must be a 2-D float64 array of at least one column, "
+                             f"not of shape {vectors.shape}")
     try:
         return EmbeddingSet(
-            TimePeriod.parse(period), vocab_index, vectors, vectors.shape[1], provenance,
-            store_sha256=_sha256(data),
+            TimePeriod.parse(arrays["period"]), arrays["words"], vectors, vectors.shape[1],
+            arrays["provenance"], store_sha256=_sha256(data),
         )
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc

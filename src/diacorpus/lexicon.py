@@ -435,30 +435,23 @@ def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
     write_artifact(path, savez_bytes(lemma=leaf.require_token_ids("lemma"), offsets=leaf.doc_offsets))
 
 
+_TOKEN_STORE = {"lemma": (1, "int32"), "offsets": (1, "integer")}  # ``read_store`` schema
+
+
 def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
     """Load a stored lemma id array into a leaf that holds its lemma vocabulary.
 
-    The archive holds exactly ``lemma`` and ``offsets`` (``read_store``), and
-    the ids must index that vocabulary's rows and reproduce its counts; a
-    missing file or any other content raises ParameterError naming the file.
+    The archive holds exactly the arrays of ``_TOKEN_STORE``, offsets rising from 0
+    to the token count and ids that index that vocabulary's rows and reproduce its
+    counts; a missing file or any other content raises ParameterError naming it.
     """
     import numpy as np
 
     vocab = create_vocabulary(leaf)
-    arrays, _ = read_store(path, "token store", ("lemma", "offsets"))
+    arrays, _ = read_store(path, "token store", _TOKEN_STORE)
     ids, offsets = arrays["lemma"], arrays["offsets"]
-    if ids.ndim != 1 or ids.dtype != np.int32:
-        raise ParameterError(
-            f"{path}: lemma ids must be a 1-D int32 array, not {ids.dtype} of shape {ids.shape}"
-        )
-    if (
-        offsets.ndim != 1
-        or offsets.dtype.kind not in "iu"
-        or len(offsets) == 0
-        or offsets[0] != 0
-        or offsets[-1] != len(ids)
-        or np.any(offsets[1:] < offsets[:-1])
-    ):
+    rising = len(offsets) and offsets[0] == 0 and not np.any(offsets[1:] < offsets[:-1])
+    if not rising or offsets[-1] != len(ids):
         raise ParameterError(f"{path}: document offsets must rise from 0 to {len(ids)}")
     size = len(vocab.entries)
     if len(ids) and (ids.min() < -1 or ids.max() >= size):

@@ -161,6 +161,8 @@ def _store_corruptions(kind: str, matrix: str, words: str, period: str, dropped:
         ),
         f"int64-{matrix}": (lambda a: {**a, matrix: a[matrix].astype(np.int64)}, "2-D float64"),
         f"1-d-{matrix}": (lambda a: {**a, matrix: a[matrix][:, 0]}, "2-D float64"),
+        # float64 too, but big-endian: the dtype must match exactly, not by kind
+        f"byte-swapped-{matrix}": (lambda a: {**a, matrix: a[matrix].astype(">f8")}, "2-D float64"),
         "duplicate-word": (lambda a: _with_word(a, words, -1, None), "listed twice"),
         "empty-word": (lambda a: _with_word(a, words, 1, b""), "is empty or has whitespace"),
         f"non-utf8-{words}": (lambda a: _with_word(a, words, 1, b"\xff"), f"{words} are not UTF-8"),

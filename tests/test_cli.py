@@ -1010,7 +1010,8 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("corpus_root", 5), ("output_dir", None), ("analyzer_tsv", 7), ("analyzer_tsv", [])],
+        [("corpus_root", 5), ("output_dir", None), ("analyzer_tsv", 7), ("analyzer_tsv", []),
+         ("corpus_root", "c\0x"), ("output_dir", "o\0x"), ("analyzer_tsv", "a\0x")],
     )
     def test_mistyped_path_is_usage_error_naming_the_key(self, tmp_path, capsys, key, value):
         code = main(["--config", self._config(tmp_path, **{key: value}), "dict"])
@@ -1018,6 +1019,14 @@ class TestConfigErrors:
         assert code == 2
         assert captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["message"] == f"config '{key}' must be a path string"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    def test_nul_in_output_dir_flag_is_usage_error_naming_the_flag(self, tmp_path, capsys):
+        code = main(["--config", self._config(tmp_path), "--output-dir", "a\0b", "dict"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["message"] == "--output-dir must be a path string"
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
@@ -1049,6 +1058,26 @@ class TestConfigErrors:
         assert code == 2
         assert payload["message"].endswith(f"non-finite values: {key}")
         assert not (out / "ppmi").exists() and not (out / "embeddings").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["embed", "svd"], ["embed", "cbow"], _COLLOCATIONS], ids=["svd", "cbow", "colloc"]
+    )
+    @pytest.mark.parametrize("alpha", ["1e6", "-1e6"])
+    def test_overflowing_alpha_is_usage_error_naming_it(self, tmp_path, capsys, alpha, argv):
+        """A context smoothing whose powers overflow or underflow is no distribution."""
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        before = _tree_digest(out)
+        config = _fixture_config(tmp_path, f'{{"dim": 16, "epochs": 1, "alpha": {alpha}}}')
+        capsys.readouterr()
+        code = main(["--config", config, "--output-dir", str(out), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["message"] == (
+            f"alpha {float(alpha)!r} gives no finite context distribution in period 1930-1939"
+        )
+        assert _tree_digest(out) == before
 
     def test_negative_seed_is_usage_error_naming_the_key(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1146,7 +1175,7 @@ class TestDocumentsListedTwice:
             "twice": _manifest_argv(tmp_path / "twice", twice),
         }
         for name, argv in argvs.items():
-            for step in E2E_STEPS[:6]:  # ingest and the five analyses
+            for step in E2E_STEPS[:7]:  # ingest, the five analyses and embed ppmi
                 assert main([*argv, *step]) == 0, (name, step)
         once, twice = outs["once"], outs["twice"]
         vocabularies = sorted((once / "vocab").glob("*.tsv"))
@@ -1171,6 +1200,37 @@ class TestDocumentsListedTwice:
             for single, double in zip(records(once, name), records(twice, name), strict=True):
                 assert all(double[key] == 2 * single[key] for key in totals), name
                 assert all(double[key] == single[key] for key in shares), name
+
+        def ppmi(out, period):
+            vocabulary = read_vocabulary(out / "vocab" / f"{period}.lemma.tsv")
+            return read_ppmi(out / "ppmi" / f"{period}.tsv", vocabulary)
+
+        for period in ("1930-1939", "1980-1989"):
+            single, double = ppmi(once, period), ppmi(twice, period)
+            assert (single.alpha, single.window) == (double.alpha, double.window)
+            assert np.array_equal(single.values.indptr, double.values.indptr)
+            assert np.array_equal(single.values.indices, double.values.indices)
+            assert np.max(np.abs(single.values.data - double.values.data)) <= 1e-12
+
+
+class TestDocumentOutsideEveryBucket:
+    def test_only_stats_lists_it(self, tmp_path, capsys):
+        """Under an explicit bucketing, a document dated outside every bucket changes
+        no file but ``stats.json``, which lists it as unbucketed."""
+        extra = {**FIXTURE_MANIFEST[0], "id": "doc-1955", "date": "1955-06-01"}
+        manifests = {"given": FIXTURE_MANIFEST, "extra": [*FIXTURE_MANIFEST, extra]}
+        digests, stats = {}, {}
+        for name, records in manifests.items():
+            argv = _manifest_argv(tmp_path / name, records)
+            for step in E2E_STEPS:
+                assert main([*argv, *step]) == 0, (name, step)
+            out = tmp_path / name / "out"
+            stats[name] = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+            digests[name] = _tree_digest(out)
+            del digests[name]["stats.json"]
+        assert len(digests["given"]) > 40 and digests["extra"] == digests["given"]
+        assert stats["given"]["unbucketed_documents"] == []
+        assert stats["extra"] == {**stats["given"], "unbucketed_documents": ["doc-1955"]}
 
 
 class TestStaleTempFiles:

@@ -21,6 +21,7 @@ from diacorpus.embeddings import (
     most_similar,
     read_embeddings,
     read_ppmi,
+    smoothed_distribution,
     svd_embeddings,
     write_embeddings,
     write_ppmi,
@@ -169,6 +170,24 @@ class TestCooccurrence:
         narrow = count_cooccurrences(leaf, longest - 1)
         assert wide.window == 10**12
         assert np.array_equal(wide.counts.toarray(), narrow.counts.toarray())
+
+
+class TestSmoothedDistribution:
+    def test_equals_the_normalized_powers(self):
+        counts = np.array([0, 1, 3, 12, 40000], dtype=np.int64)
+        powers = counts.astype(np.float64) ** 0.75
+        assert smoothed_distribution(counts, 0.75, PERIOD_1930).tobytes() == (
+            powers / powers.sum()
+        ).tobytes()
+
+    @pytest.mark.parametrize(
+        "counts, alpha",
+        [([1, 2], 1e6), ([12, 20], -1e6), ([1, 2], -1e6), ([0, 2], -0.5), ([1, 2], 2000.0)],
+        ids=["overflow", "all-underflow", "one-underflows", "zero-count", "sum-overflows"],
+    )
+    def test_no_finite_distribution_names_alpha_and_period(self, counts, alpha):
+        with pytest.raises(ComputationUndefinedError, match=f"alpha {alpha!r} .* 1930-1939"):
+            smoothed_distribution(np.array(counts), alpha, PERIOD_1930)
 
 
 class TestPpmi:

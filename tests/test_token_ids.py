@@ -236,6 +236,8 @@ class TestTokenStore:
              "offsets": np.array([0, 4, 4, 6])},
             {"lemma": np.array([[0, 1, -1], [0, 2, 0]], dtype=np.int32),
              "offsets": np.array([0, 6])},
+            {"lemma": np.array([0, 1, -1, 0, 2, 0], dtype=">i4"),
+             "offsets": np.array([0, 4, 4, 6])},
             {"lemma": np.array([0, 1, -1, 0, 2, 0], dtype=np.int32),
              "offsets": np.array([0, 4, 3, 6])},
             {"lemma": np.array([0, 1, -1, 0, 2, 0], dtype=np.int32),
@@ -255,9 +257,10 @@ class TestTokenStore:
              "offsets": np.array([0, 4, 4, 6])},
             {"lemma": np.array([0, 1, -1, 0, 2, 0], dtype=np.int32)},
         ],
-        ids=["int64-ids", "2d-ids", "falling-offsets", "falling-unsigned-offsets",
-             "offsets-not-from-0", "offsets-short-of-end", "float-offsets", "id-below-minus-1",
-             "id-past-vocabulary", "counts-differ", "no-offsets"],
+        ids=["int64-ids", "2d-ids", "byte-swapped-ids", "falling-offsets",
+             "falling-unsigned-offsets", "offsets-not-from-0", "offsets-short-of-end",
+             "float-offsets", "id-below-minus-1", "id-past-vocabulary", "counts-differ",
+             "no-offsets"],
     )
     def test_malformed_store_is_parameter_error(self, leaf, tmp_path, arrays):
         path = self._store(tmp_path / "bad.npz", **arrays)
