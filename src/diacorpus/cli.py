@@ -10,13 +10,15 @@ Exit codes: 0 success, 1 internal error, 2 usage/parameter error,
 3 missing artifact. Failures print a machine-readable JSON object
 {"error": code, "message": ..., "context": {...}} on stderr.
 
-The handlers that compute with vectors import ``embeddings``, ``alignment``
-and ``cbow`` themselves, so the vocabulary commands start without numpy.
+The handlers import the modules only they compute with (``divergence``,
+``orthography``, ``embeddings``, ``alignment``, ``cbow``), so the vocabulary
+commands start without numpy and the vector commands load no analysis code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -25,9 +27,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from . import divergence as divergence_mod
 from . import lexicon as lexicon_mod
-from . import orthography as orthography_mod
 from .corpus import (
     DiachronicCorpus,
     PeriodCorpus,
@@ -441,6 +441,8 @@ def _parse_periods(periods: list[TimePeriod] | None) -> list[TimePeriod] | None:
 
 
 def cmd_divergence(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import divergence as divergence_mod
+
     reports = config.output_dir / "reports"
     periods, pair = _parse_periods(args.periods), _parse_periods(args.pair)
     tree = _load_vocab_artifacts(config)
@@ -474,6 +476,8 @@ def cmd_divergence(config: RunConfig, args: argparse.Namespace) -> str:
 
 
 def cmd_survived(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import divergence as divergence_mod
+
     periods, base = _parse_periods(args.periods), args.base_period
     series = divergence_mod.survived_words(_load_vocab_artifacts(config), base, periods)
     name, header = f"survived_{base.label}", ("period", "survived_words")
@@ -481,9 +485,12 @@ def cmd_survived(config: RunConfig, args: argparse.Namespace) -> str:
 
 
 def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
+    from . import orthography as orthography_mod
+
     reports = config.output_dir / "reports"
     periods = _parse_periods(args.periods)
-    require_distinct(args.classes, "class")
+    classes = orthography_mod.DEFAULT_CLASSES if args.classes is None else args.classes
+    require_distinct(classes, "class")
     tree = _load_vocab_artifacts(config)
     for leaf in tree.leaves():  # the ending ratios read surface forms
         path = _existing(config, "surface", period=leaf.period)
@@ -491,7 +498,7 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
     # compute every analysis first, so a failing class writes no report
     class_rows = {
         pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)
-        for pair_class in args.classes
+        for pair_class in classes
     }
     raw, per_million = orthography_mod.circumflex_frequency(tree, periods)
     # The two CSVs stay rendered by orthography.ending_ratio_csv and
@@ -511,7 +518,7 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
         for (period, count), (_, rate) in zip(raw, per_million)
     ]
     _write_report(reports, "circumflex", records)
-    return to_json({"classes": list(args.classes)})
+    return to_json({"classes": list(classes)})
 
 
 def cmd_dict_crossover(config: RunConfig, args: argparse.Namespace) -> str:
@@ -548,7 +555,6 @@ def _build_ppmi(config: RunConfig, leaf: PeriodCorpus):
 
 
 def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
-    from . import cbow as cbow_mod
     from . import embeddings as embeddings_mod
 
     leaves = _load_vocab_artifacts(config).leaves()
@@ -560,6 +566,8 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
 
     def build(leaf: PeriodCorpus):
         if args.kind == "cbow":
+            from . import cbow as cbow_mod
+
             return cbow_mod.train_cbow(
                 leaf, dim=cfg.dim, window=cfg.window, negatives=cfg.negatives,
                 downsample=cfg.downsample, smoothing_alpha=cfg.alpha, seed=cfg.seed,
@@ -707,8 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     survived = analysis("survived", cmd_survived, "words of a base period surviving per period")
     survived.add_argument("--base-period", type=period, required=True)
     ortho = analysis("ortho", cmd_ortho, "variant ending ratios and circumflex frequency")
-    ortho.add_argument("--classes", nargs="*", default=list(orthography_mod.DEFAULT_CLASSES),
-                       help="variant pair classes")
+    # no default here: orthography loads only when ortho runs, and cmd_ortho fills it in
+    ortho.add_argument("--classes", nargs="*", help="variant pair classes")
     crossover = analysis("dict-crossover", cmd_dict_crossover, "replacement crossover periods")
     crossover.add_argument("--dictionary", help="replacement dictionary JSON (default: bundled)")
     crossover.add_argument("--mode", choices=["sustained", "first-touch"], default="sustained")
@@ -801,7 +809,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:  # pragma: no cover - thin process wrapper
-    sys.exit(main())
+    code = main()
+    # The process ends here. Frozen objects sit outside every generation, so
+    # interpreter shutdown runs no full collection over the objects of numpy,
+    # scipy and this package; atexit handlers and stream flushes still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,6 +12,7 @@ product ``W @ C.T`` reconstructs the association matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -141,7 +142,7 @@ class EmbeddingSet:
     dim: int
     provenance: str  # "svd" | "cbow"
     training_loss: list[float] | None = None
-    store_sha256: str | None = None  # of the store file the set was read from
+    store: bytes | None = field(default=None, repr=False)  # the store file the set was read from
 
     def __post_init__(self) -> None:
         if self.matrix.shape != (len(self.vocab_index), self.dim):
@@ -154,6 +155,12 @@ class EmbeddingSet:
 
     def words(self) -> list[str]:
         return sorted(self.vocab_index, key=self.vocab_index.__getitem__)
+
+    @cached_property
+    def store_sha256(self) -> str | None:
+        """The sha256 of ``store``, computed on first use: only a command that compares
+        digests (align and the aligned queries) pays for hashing."""
+        return None if self.store is None else _sha256(self.store)
 
     def digest(self) -> str:
         """The sha256 of the set's store: the file it was read from, else the bytes
@@ -274,10 +281,13 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
         import scipy.sparse as sp
         from scipy.sparse.linalg import svds
 
-        values = sp.csr_matrix((arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape)
+        # float64 already, so this shares the data array instead of copying it
+        values = sp.csr_matrix(
+            (arrays.data, arrays.indices, arrays.indptr), shape=arrays.shape, dtype=np.float64
+        )
         # svds returns ascending singular values; v0 pins the start vector so
         # repeated runs agree.
-        u, s, vt = svds(values.astype(np.float64), k=dim, v0=np.ones(min(values.shape)))
+        u, s, vt = svds(values, k=dim, v0=np.ones(min(values.shape)))
         order = np.argsort(-s)
         u, s, v = u[:, order], s[order], vt.T[:, order]
     u, v = _canonical_signs(u, v)
@@ -402,7 +412,7 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
     The archive holds exactly the arrays of ``_EMBEDDING_STORE``: ``vectors``
     of finite values, with at least one column and one row per word, and a
-    ``period`` that parses. The set keeps the sha256 of the file.
+    ``period`` that parses. The set keeps the file's bytes as ``store``.
     """
     arrays, data = read_store(path, "embedding store", _EMBEDDING_STORE)
     vectors = arrays["vectors"]
@@ -412,7 +422,7 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     try:
         return EmbeddingSet(
             TimePeriod.parse(arrays["period"]), arrays["words"], vectors, vectors.shape[1],
-            arrays["provenance"], store_sha256=_sha256(data),
+            arrays["provenance"], store=data,
         )
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc

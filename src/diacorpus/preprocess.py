@@ -120,6 +120,8 @@ def read_input_text(path: str | Path, what: str) -> str:
         raise IngestError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # a path holding NUL, which no file name holds
+        raise IngestError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def is_word(text: str) -> bool:

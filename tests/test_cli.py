@@ -1029,6 +1029,25 @@ class TestConfigErrors:
         assert json.loads(captured.err)["message"] == "--output-dir must be a path string"
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("read", ["config", "dictionary", "document"])
+    def test_nul_in_an_input_path_is_usage_error_naming_it(self, workspace, tmp_path, capsys, read):
+        """No file name holds NUL, so such a path is an input that cannot be read."""
+        if read == "config":
+            argv, named = ["--config", "c\0.json", "dict"], "config c\0.json"
+        elif read == "dictionary":
+            argv = ["--config", CONFIG, "--output-dir", str(workspace),
+                    "analyze", "dict-crossover", "--dictionary", "x\0y"]
+            named = "dictionary x\0y"
+        else:
+            records = [dict(FIXTURE_MANIFEST[0], path="docs/x\0y.txt"), *FIXTURE_MANIFEST[1:]]
+            argv = [*_manifest_argv(tmp_path, records), "ingest"]
+            named = f"document {records[0]['id']!r} {tmp_path / 'corpus' / records[0]['path']}"
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["message"] == f"cannot read {named}: embedded null byte"
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("5", encoding="utf-8")
@@ -1400,8 +1419,8 @@ class TestScipyImports:
         ``ortho``, ``dict-crossover`` and ``dict``) without loading numpy. Then it
         runs every command but ``embed cbow`` without loading scipy; ``embed svd``
         loads it only for the sparse solver, and the fixture's 50-word vocabularies
-        take the dense path. No command before ``align``, the first to read a
-        vector store, loads hashlib.
+        take the dense path. No command before ``align``, the first to compare
+        store digests, loads hashlib.
 
         The pytest process has numpy and scipy loaded already, so the probe is a
         new process; the commands run in order, so a later entry sees what every
@@ -1449,9 +1468,67 @@ class TestScipyImports:
             assert code == (2 if label == "a usage error" else 0), label
             assert modules == [], label
             assert numpy_loaded == (i >= 3 + len(vocabulary_only)), label
-        # hashlib (OpenSSL, a few MB resident) loads with the first vector store read
+        # hashlib (OpenSSL, a few MB resident) loads with the first digest compared
         hashing = [label for label, record in zip(labels, records) if record[2]]
         assert hashing[0].startswith("align")
+
+
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+import diacorpus.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = diacorpus.cli.main(json.loads(sys.argv[1]))
+package = sorted(m.removeprefix("diacorpus.") for m in sys.modules if m.startswith("diacorpus."))
+print(json.dumps([code, package, "hashlib" in sys.modules, "scipy" in sys.modules]))
+"""
+
+_LOADED_BY_EVERY_COMMAND = ["cli", "corpus", "dictionary", "errors", "lexicon", "preprocess"]
+
+# command -> (the diacorpus modules it loads beyond those above, hashlib loaded, scipy loaded).
+# Only the commands that compare digests (align and the aligned queries) hash a store;
+# embed cbow's sparse products load scipy, and scipy loads hashlib (through hmac).
+# The fixture's 50-word vocabularies take the dense SVD path, which needs no scipy.
+_MODULES_LOADED = {
+    "embed ppmi": (["embeddings"], False, False),
+    "embed svd": (["embeddings"], False, False),
+    "embed cbow": (["cbow", "embeddings"], True, True),
+    "align": (["alignment", "embeddings"], True, False),
+    "query most-similar": (["embeddings"], False, False),
+    "query aligned-most-similar": (["alignment", "embeddings"], True, False),
+    "query semantic-change": (["alignment", "embeddings"], True, False),
+    "query collocations": (["embeddings"], False, False),
+}
+
+
+def _command_name(argv: list[str]) -> str:
+    """``embed ppmi`` or ``query most-similar``: the command words, without flags."""
+    return " ".join(a for a in argv[:2] if not a.startswith("-"))
+
+
+class TestModulesLoaded:
+    @pytest.fixture(scope="class")
+    def out(self, built, tmp_path_factory):
+        out = tmp_path_factory.mktemp("modules") / "out"
+        shutil.copytree(built, out)
+        return out
+
+    @pytest.mark.parametrize("argv", [*_EMBEDS, *_VECTOR_READERS, _COLLOCATIONS], ids=_command_name)
+    def test_each_vector_command_loads_only_its_modules(self, out, argv):
+        """Each command runs in a fresh interpreter, which loads exactly the modules
+        of its row: no analysis module (divergence, orthography), and cbow only in
+        embed cbow."""
+        result = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE,
+             json.dumps(["--config", CONFIG, "--output-dir", str(out), *argv])],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        code, package, hashing, scipy = json.loads(result.stdout)
+        modules, hashes, uses_scipy = _MODULES_LOADED[_command_name(argv)]
+        assert code == 0
+        assert package == sorted(_LOADED_BY_EVERY_COMMAND + modules)
+        assert (hashing, scipy) == (hashes, uses_scipy)
 
 
 # every name ``diacorpus/__init__.py`` exported when it still imported them all, by module
@@ -1970,18 +2047,27 @@ class TestProcessSurface:
         assert payload["context"]["command"] == "dict"
         assert payload["context"]["exception"] == "NotADirectoryError"
 
-    def test_module_entry_point(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["dict"], 0), (["analyze", "no-such-analysis"], 2),
+         (["query", "most-similar", "--word", "kanun", "--period", _P], 3)],
+        ids=["success", "usage error", "missing artifact"],
+    )
+    def test_module_entry_point(self, tmp_path, capsys, argv, code):
+        """``python -m diacorpus.cli`` exits, prints and reports as ``main`` does."""
+        argv = ["--config", CONFIG, "--output-dir", str(tmp_path / "out"), *argv]
         result = subprocess.run(
-            [
-                sys.executable, "-m", "diacorpus.cli",
-                "--config", CONFIG, "--output-dir", str(tmp_path / "out"), "dict",
-            ],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
+            [sys.executable, "-m", "diacorpus.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
         )
-        assert result.returncode == 0
-        assert json.loads(result.stdout)["entries"] == 12
+        assert main(argv) == result.returncode == code
+        captured = capsys.readouterr()
+        assert (result.stdout, result.stderr) == (captured.out, captured.err)
+        if code:
+            assert result.stdout == "" and result.stderr.count("\n") == 1
+            assert json.loads(result.stderr)["error"] == code
+        else:
+            assert json.loads(result.stdout)["entries"] == 12 and result.stderr == ""
 
     def test_usage_error_without_command(self):
         assert main(["--config", CONFIG]) == 2
