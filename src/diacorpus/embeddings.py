@@ -34,10 +34,24 @@ from .corpus import (
 from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary, same_document
 
-# Dense factorization is exact and repeats its bytes at a fixed BLAS thread
-# count (not necessarily across thread counts); only fall back to sparse
+# Both dense solvers below are exact and repeat their bytes at a fixed BLAS
+# thread count (not necessarily across thread counts); only fall back to sparse
 # iterative SVD for vocabularies too large to densify comfortably.
 _DENSE_SVD_LIMIT = 1024
+# A dense problem of at least this many words that keeps at most 3/5 of the
+# spectrum goes through the Gram matrix (eigh of A.T @ A, then a Rayleigh-Ritz
+# step); the rest takes the full SVD. Both cutoffs are where the Gram route's
+# peak memory crosses the full SVD's, measured on random 8%-dense symmetric
+# matrices with one BLAS thread. From 192 words its peak is the lower one at
+# every share up to 3/5 (192 words at dim 115: 3.88 against 3.95 MB over the
+# input; 944 at dim 566: 41.2 against 56.8); below 192 the crossover share falls
+# (0.57-0.60 at 176 words, 0.50-0.55 at 160), and at 128 words the full SVD's
+# peak is lower at every share. In time the Gram route wins up to share 0.45
+# from 128 words (944 words at dim 100: 200 against 432 ms) and up to 3/5 from
+# 512 words; below 512 words at shares 0.5-0.6 it is up to 12% slower (192 words
+# at dim 115: 7.7 against 6.9 ms). The golden outputs were made with the full
+# SVD at 50 words.
+_GRAM_MIN_SIZE = 192
 
 
 @dataclass(frozen=True)
@@ -274,8 +288,18 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
         raise ParameterError("embedding dim must be at least 1")
     arrays = ppmi.values
     if size <= _DENSE_SVD_LIMIT or dim >= size:
-        u, s, vt = np.linalg.svd(arrays.toarray(), full_matrices=False)
-        u, s, v = u[:, :dim], s[:dim], vt.T[:, :dim]
+        dense = arrays.toarray()
+        if size < _GRAM_MIN_SIZE or 5 * dim > 3 * size:
+            u, s, vt = np.linalg.svd(dense, full_matrices=False)
+            u, s, v = u[:, :dim], s[:dim], vt.T[:, :dim]
+        else:
+            # the dim leading right singular vectors span the top eigenspace of
+            # A.T @ A; a Rayleigh-Ritz step on it recovers the exact triplets
+            _, eigenvectors = np.linalg.eigh(dense.T @ dense)
+            top = eigenvectors[:, -dim:][:, ::-1]  # eigh sorts ascending
+            q, r = np.linalg.qr(dense @ top)
+            ur, s, vrt = np.linalg.svd(r)
+            u, v = q @ ur, top @ vrt.T
     else:
         # here, not at module level: scipy slows start-up more than numpy
         import scipy.sparse as sp

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import signal
@@ -1109,6 +1110,19 @@ class TestConfigErrors:
         assert "traceback" not in payload["context"]
         assert not (out / "embeddings").exists()
 
+    def test_no_negative_samples_is_usage_error_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(out, "ingest") == 0
+        before = _tree_digest(out)
+        config = _fixture_config(tmp_path, '{"dim": 16, "epochs": 1, "negatives": 0}')
+        capsys.readouterr()
+        code = main(["--config", config, "--output-dir", str(out), "embed", "cbow"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["message"] == "negatives must be at least 1"
+        assert _tree_digest(out) == before
+
     @pytest.mark.parametrize("size", ["1000000000000", "100000000000000000000"])
     @pytest.mark.parametrize("key", ["dim", "negatives"])
     def test_huge_cbow_size_is_usage_error_naming_the_key(self, tmp_path, capsys, key, size):
@@ -1486,10 +1500,18 @@ print(json.dumps([code, package, "hashlib" in sys.modules, "scipy" in sys.module
 _LOADED_BY_EVERY_COMMAND = ["cli", "corpus", "dictionary", "errors", "lexicon", "preprocess"]
 
 # command -> (the diacorpus modules it loads beyond those above, hashlib loaded, scipy loaded).
-# Only the commands that compare digests (align and the aligned queries) hash a store;
-# embed cbow's sparse products load scipy, and scipy loads hashlib (through hmac).
-# The fixture's 50-word vocabularies take the dense SVD path, which needs no scipy.
+# Each analysis loads only the module that computes it (dict-crossover reads the sample
+# dictionary from the data package). Only the commands that compare digests (align and
+# the aligned queries) hash a store; embed cbow's sparse products load scipy, and scipy
+# loads hashlib (through hmac). The fixture's 50-word vocabularies take the full dense
+# SVD, which needs no scipy.
 _MODULES_LOADED = {
+    "ingest": ([], False, False),
+    "analyze divergence": (["divergence"], False, False),
+    "analyze survived": (["divergence"], False, False),
+    "analyze ortho": (["orthography"], False, False),
+    "analyze dict-crossover": (["data"], False, False),
+    "analyze freq": ([], False, False),
     "embed ppmi": (["embeddings"], False, False),
     "embed svd": (["embeddings"], False, False),
     "embed cbow": (["cbow", "embeddings"], True, True),
@@ -1513,11 +1535,14 @@ class TestModulesLoaded:
         shutil.copytree(built, out)
         return out
 
-    @pytest.mark.parametrize("argv", [*_EMBEDS, *_VECTOR_READERS, _COLLOCATIONS], ids=_command_name)
-    def test_each_vector_command_loads_only_its_modules(self, out, argv):
+    @pytest.mark.parametrize(
+        "argv", [["ingest"], *_ANALYSES, *_EMBEDS, *_VECTOR_READERS, _COLLOCATIONS],
+        ids=_command_name,
+    )
+    def test_each_command_loads_only_its_modules(self, out, argv):
         """Each command runs in a fresh interpreter, which loads exactly the modules
-        of its row: no analysis module (divergence, orthography), and cbow only in
-        embed cbow."""
+        of its row: an analysis module only in its own analyses, no embeddings module
+        before embed, and cbow only in embed cbow."""
         result = subprocess.run(
             [sys.executable, "-c", _MODULES_PROBE,
              json.dumps(["--config", CONFIG, "--output-dir", str(out), *argv])],
@@ -1529,6 +1554,27 @@ class TestModulesLoaded:
         assert code == 0
         assert package == sorted(_LOADED_BY_EVERY_COMMAND + modules)
         assert (hashing, scipy) == (hashes, uses_scipy)
+
+    def test_embed_svd_of_a_600_word_vocabulary_loads_no_scipy(self, tmp_path):
+        """600 words at dim 100 factor through the Gram matrix, which needs numpy alone."""
+        rng = random.Random(600)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = [f"k{a}{b}" for a in letters for b in letters][:600]
+        tokens = [w for w in words for _ in range(3)]
+        rng.shuffle(tokens)
+        document = " ".join(tokens).encode()
+        prefix = _corpus_config(tmp_path, document=document, embedding={"dim": 100})
+        assert main([*prefix, "ingest"]) == 0
+        result = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, json.dumps([*prefix, "embed", "svd"])],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [
+            0, sorted(_LOADED_BY_EVERY_COMMAND + ["embeddings"]), False, False
+        ]
+        [store] = (tmp_path / "out" / "embeddings").glob("*.svd.npz")
+        assert read_embeddings(store).matrix.shape == (600, 100)
 
 
 # every name ``diacorpus/__init__.py`` exported when it still imported them all, by module

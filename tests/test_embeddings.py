@@ -357,6 +357,64 @@ class TestSvd:
             first, second = (tmp_path / f"{name}{suffix}" for name in ("first", "second"))
             assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("size", [400, 900])
+    @pytest.mark.parametrize("dim", [16, 100, "widest"])
+    def test_gram_path_gives_the_exact_leading_triplets(self, size, dim):
+        # 192-1,024 words keeping at most 3/5 of the spectrum go through the
+        # Gram matrix; the result must be the optimal rank-dim factorization
+        dim = 3 * size // 5 if dim == "widest" else dim
+        rng = np.random.default_rng(size)
+        values = _random_sparse_ppmi(rng, size, density=0.08).values
+        words = [f"w{i:04d}" for i in rng.permutation(size)]
+        ppmi = PPMIMatrix(PERIOD_1930, {w: i for i, w in enumerate(words)}, values, 0.75)
+        embedding, context = svd_embeddings(ppmi, dim=dim)
+        dense = values.toarray()
+        exact = np.linalg.svd(dense, compute_uv=False)
+        singular = np.linalg.norm(embedding.matrix, axis=0) ** 2
+        assert np.allclose(singular, exact[:dim], rtol=1e-10, atol=0)
+        residual = np.linalg.norm(embedding.matrix @ context.T - dense)
+        assert residual == pytest.approx(np.sqrt(np.sum(exact[dim:] ** 2)), rel=1e-9)
+        u = embedding.matrix / np.sqrt(singular)
+        assert np.max(np.abs(u.T @ u - np.eye(dim))) <= 1e-12
+        # row i is the word at vocab_index row i: W = A C / S for exact triplets
+        assert embedding.vocab_index == ppmi.vocab_index
+        scale = np.abs(embedding.matrix).max()
+        assert np.max(np.abs(embedding.matrix - dense @ context / singular)) <= 1e-9 * scale
+        again, _ = svd_embeddings(ppmi, dim=dim)
+        assert again.matrix.tobytes() == embedding.matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "size, dim, solver",
+        [
+            (50, 16, "full"),
+            (191, 16, "full"),
+            (192, 16, "gram"),
+            (600, 100, "gram"),
+            (600, 360, "gram"),
+            (600, 361, "full"),
+            (600, 400, "full"),
+            (1054, 6, "svds"),
+        ],
+    )
+    def test_solver_for_each_size_and_dim(self, monkeypatch, size, dim, solver):
+        import scipy.sparse.linalg
+
+        calls = []
+
+        def spy(name, fn):
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        monkeypatch.setattr(np.linalg, "svd", spy("full", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigh", spy("gram", np.linalg.eigh))
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", spy("svds", scipy.sparse.linalg.svds))
+        ppmi = _random_sparse_ppmi(np.random.default_rng(size), size, density=0.08)
+        svd_embeddings(ppmi, dim=dim)
+        assert calls[0] == solver
+
 
 class TestQueries:
     @pytest.fixture()
@@ -611,6 +669,19 @@ class TestFileFormats:
         lines[1] = "\t".join(corrupt(lines[1].split("\t")))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"assoc\.tsv: line 2\b"):
+            read_ppmi(path, leaf.vocabulary)
+
+    def test_ppmi_word_outside_the_vocabulary_names_file_and_line(self, tmp_path):
+        leaf = PeriodCorpus.from_texts(
+            PERIOD_1930, {"d1": "aa bb cc aa bb", "d2": "bb cc bb aa cc"}
+        )
+        path = tmp_path / "assoc.tsv"
+        write_ppmi(build_ppmi(count_cooccurrences(leaf, window=2)), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = "\t".join(["zz", *lines[2].split("\t")[1:]])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        named = r"assoc\.tsv: line 3: word not in vocabulary: 'zz"
+        with pytest.raises(ParameterError, match=named):
             read_ppmi(path, leaf.vocabulary)
 
 
