@@ -36,10 +36,12 @@ from .corpus import (
     csv_table,
     load_manifest,
     require_distinct,
+    select_leaves,
     sweep_temp_files,
     write_artifact,
 )
 from .dictionary import (
+    DictionaryEntry,
     crossover_period,
     load_dictionary,
     load_sample_dictionary,
@@ -433,11 +435,9 @@ def _word_report_name(kind: str, word: str, *labels: str) -> str:
 
 
 def _parse_periods(periods: list[TimePeriod] | None) -> list[TimePeriod] | None:
-    """The periods of a ``--periods`` or ``--pair`` flag (None: all); a repeat is an error."""
-    if not periods:
-        return None
-    require_distinct(periods)
-    return periods
+    """The periods of a ``--periods`` or ``--pair`` flag; no values means all (None).
+    ``corpus.select_leaves`` rejects a period listed twice."""
+    return periods or None
 
 
 def cmd_divergence(config: RunConfig, args: argparse.Namespace) -> str:
@@ -524,9 +524,8 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
 def cmd_dict_crossover(config: RunConfig, args: argparse.Namespace) -> str:
     periods = _parse_periods(args.periods)
     tree = _load_vocab_artifacts(config)
-    entries = (
-        load_dictionary(Path(args.dictionary)) if args.dictionary else load_sample_dictionary()
-    )
+    select_leaves(tree, periods)  # checks the range, also for a dictionary of no entries
+    entries = _dictionary_entries(args)
     records = []
     for entry in entries:
         for old in entry.old_forms:
@@ -638,7 +637,8 @@ def cmd_aligned_most_similar(config: RunConfig, args: argparse.Namespace) -> str
 def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
     from . import alignment as alignment_mod
 
-    periods = sorted(_parse_periods(args.periods))
+    require_distinct(args.periods)  # the one range read without select_leaves
+    periods = sorted(args.periods)
     name = _word_report_name("semantic_change", args.word)
     sets = [_read_embedding_artifact(config, p, args.kind) for p in periods]
     transforms = [
@@ -663,10 +663,13 @@ def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
     return _write_report(config.output_dir / "reports", name, records)
 
 
+def _dictionary_entries(args: argparse.Namespace) -> list[DictionaryEntry]:
+    """The entries of ``--dictionary``, or of the bundled sample when it is not given."""
+    return load_dictionary(Path(args.dictionary)) if args.dictionary else load_sample_dictionary()
+
+
 def cmd_dict(config: RunConfig, args: argparse.Namespace) -> str:
-    entries = (
-        load_dictionary(Path(args.dictionary)) if args.dictionary else load_sample_dictionary()
-    )
+    entries = _dictionary_entries(args)
     payload = {
         "entries": len(entries),
         "pairs": sum(len(e.old_forms) for e in entries),

@@ -374,10 +374,9 @@ def build_corpus_tree(
     whatever the order of ``records``. With the default bucketing, each year
     falls into its calendar decade; an explicit bucket list may leave documents
     unassigned, which are collected on ``unbucketed_documents`` rather than
-    silently dropped. Leaves carry populated stats and filtered vocabularies.
+    silently dropped. Leaves carry populated stats and filtered vocabularies. No
+    document in any bucket, as with no records at all, is an IngestError.
     """
-    if not records:
-        raise IngestError("manifest lists no documents")
     records = sorted(records, key=lambda record: record.doc_id)
 
     if bucketing is None:
@@ -441,11 +440,11 @@ def read_artifact(
 ) -> tuple[dict[str, Any], Iterator[tuple[int, str]]]:
     """Open a UTF-8 text artifact: its typed header, then each later non-blank line, streamed.
 
-    Line 1 is space-separated ``key=value`` fields, each optionally prefixed
-    by one ``#``. Every key of ``parsers`` must appear exactly once, and no
-    other; each value is converted by its parser. A file that is not UTF-8,
-    is empty or breaks these rules raises ParameterError naming it. The lines
-    come as ``(line number, line)``, without line ends, while they are read.
+    Line 1 is space-separated ``#key=value`` fields. Every key of ``parsers``
+    must appear exactly once, and no other; each value is converted by its
+    parser. A file that is not UTF-8, is empty or breaks these rules raises
+    ParameterError naming it. The lines come as ``(line number, line)``,
+    without line ends, while they are read.
     """
     lines = _numbered_lines(path)
     _, first = next(lines, (1, None))
@@ -454,7 +453,9 @@ def read_artifact(
     header: dict[str, Any] = {}
     try:
         for field in first.split(" "):
-            key, value = field.removeprefix("#").split("=", 1)
+            if not field.startswith("#"):
+                raise ValueError(f"field {field!r} is not #key=value")
+            key, value = field[1:].split("=", 1)
             if key in header or key not in parsers:
                 raise ValueError(f"{'repeated' if key in header else 'unknown'} key {key!r}")
             header[key] = parsers[key](value)
@@ -534,7 +535,7 @@ def read_store(path: str | Path, kind: str, schema: dict[str, tuple]) -> tuple[d
         raise ParameterError(f"{path}: unreadable {kind}: {exc}") from exc
     for key, (rank, dtype) in schema.items():
         array = arrays[key]
-        if not isinstance(array, np.ndarray):  # a member not named '.npy' loads as bytes
+        if not isinstance(array, np.ndarray):  # a member without the .npy magic loads as bytes
             raise ParameterError(f"{path}: unreadable {kind}: {key} is not an .npy array")
         kinds = {"string": "U", "integer": "iu"}.get(dtype)
         if array.ndim != rank or not (array.dtype.kind in kinds if kinds else array.dtype == dtype):

@@ -12,7 +12,6 @@ product ``W @ C.T`` reconstructs the association matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -148,7 +147,8 @@ class PPMIMatrix:
 
 @dataclass
 class EmbeddingSet:
-    """Dense vocabulary-indexed vector matrix for one period."""
+    """Dense vocabulary-indexed vector matrix for one period: ``vocab_index`` maps its
+    words onto the rows 0..n-1 of ``matrix``, each row once, so ``words()`` is row order."""
 
     period: TimePeriod
     vocab_index: dict[str, int]
@@ -164,22 +164,19 @@ class EmbeddingSet:
                 f"embedding matrix shape {self.matrix.shape} does not match "
                 f"{len(self.vocab_index)} words x {self.dim} dims"
             )
+        if set(self.vocab_index.values()) != set(range(len(self.vocab_index))):
+            raise ParameterError("vocab_index must map its words onto rows 0..n-1, each row once")
         if not np.all(np.isfinite(self.matrix)):
             raise ParameterError("embedding matrix contains non-finite values")
 
     def words(self) -> list[str]:
         return sorted(self.vocab_index, key=self.vocab_index.__getitem__)
 
-    @cached_property
-    def store_sha256(self) -> str | None:
-        """The sha256 of ``store``, computed on first use: only a command that compares
-        digests (align and the aligned queries) pays for hashing."""
-        return None if self.store is None else _sha256(self.store)
-
     def digest(self) -> str:
         """The sha256 of the set's store: the file it was read from, else the bytes
-        ``write_embeddings`` writes for it."""
-        return self.store_sha256 or _sha256(_store_bytes(self))
+        ``write_embeddings`` writes for it. Computed on each call, so only a command
+        that compares digests (align and the aligned queries) pays for hashing."""
+        return _sha256(self.store if self.store is not None else _store_bytes(self))
 
     def vector(self, word: str) -> np.ndarray:
         i = self.vocab_index.get(word)
@@ -392,11 +389,10 @@ def _sha256(data: bytes) -> str:
 
 
 def _store_bytes(embedding_set: EmbeddingSet) -> bytes:
-    words = embedding_set.words()
-    vectors = embedding_set.matrix[[embedding_set.vocab_index[w] for w in words]]
     return savez_bytes(
-        vectors=vectors.astype(np.float64, copy=False),
-        words=encode_words(words),
+        # C order: np.save would store the svds route's Fortran-ordered matrix column-wise
+        vectors=np.ascontiguousarray(embedding_set.matrix, dtype=np.float64),
+        words=encode_words(embedding_set.words()),
         period=np.array(embedding_set.period.label),
         provenance=np.array(embedding_set.provenance),
     )
@@ -417,13 +413,12 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
         f"provenance={embedding_set.provenance} period={embedding_set.period.label}"
     )
     words = embedding_set.words()
-    rows = [embedding_set.vocab_index[w] for w in words]
     step = max(CHUNK_VALUES // max(embedding_set.dim, 1), 1)
 
     def chunks() -> Iterator[str]:
         yield f"{header}\n"
         for start in range(0, len(words), step):
-            columns = embedding_set.matrix[rows[start : start + step]].T.tolist()
+            columns = embedding_set.matrix[start : start + step].T.tolist()
             lines = zip(words[start : start + step], *(map(repr, c) for c in columns))
             yield "\n".join(map(" ".join, lines)) + "\n"
 

@@ -689,6 +689,27 @@ def test_repeated_period_is_usage_error(workspace, tmp_path, capsys, case):
     _assert_usage_error(workspace, tmp_path, capsys, argv, f"period {_P} is listed twice")
 
 
+@pytest.mark.parametrize("periods", [[_P, _P], [_P50]], ids=["repeated", "not-in-corpus"])
+def test_range_of_an_empty_dictionary_is_still_checked(workspace, tmp_path, capsys, periods):
+    """``dict-crossover`` checks its range before it reads the dictionary, so a
+    dictionary of no entries, which asks no frequency, still gets exit 2."""
+    (tmp_path / "empty.json").write_text("[]", encoding="utf-8")
+    argv = ["--config", CONFIG, "analyze", "dict-crossover", "--dictionary",
+            str(tmp_path / "empty.json"), "--periods", *periods]
+    named = "listed twice" if len(periods) == 2 else "no corpus leaf"
+    _assert_usage_error(workspace, tmp_path, capsys, argv, named)
+
+
+def test_repeated_period_with_no_vocabularies_is_missing_artifact(tmp_path, capsys):
+    """The repeat is a rule of the range, checked once the corpus is read: with
+    nothing ingested, the missing vocabularies come first (exit 3, run ingest)."""
+    argv = ["--config", CONFIG, "--output-dir", str(tmp_path / "out"),
+            "analyze", "freq", "--word", "belge", "--periods", _P, _P]
+    assert main(argv) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["context"]["run_first"] == "ingest"
+
+
 _NOT_IN_CORPUS = {
     "align": ["align", "--from", _P50, "--to", _P],
     "most-similar": ["query", "most-similar", "--word", "kanun", "--period", _P50],

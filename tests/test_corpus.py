@@ -174,6 +174,10 @@ class TestIngestErrors:
         with pytest.raises(IngestError, match="'gone'"):
             build_corpus_tree([_record("gone", 1935, "missing.txt")], corpus_root=tmp_path)
 
+    def test_no_records_is_ingest_error(self):
+        with pytest.raises(IngestError, match="no document fell into any bucket"):
+            build_corpus_tree([])
+
     def test_missing_manifest_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_manifest(tmp_path)
@@ -349,7 +353,9 @@ _CORRUPTIONS = [
         for name, corrupt in [
             ("repeated-key", lambda lines: [lines[0] + " " + lines[0].split(" ")[-1], *lines[1:]]),
             ("missing-key", lambda lines: [lines[0].rsplit(" ", 1)[0], *lines[1:]]),
-            ("unknown-key", lambda lines: [lines[0] + " extra=1", *lines[1:]]),
+            ("unknown-key", lambda lines: [lines[0] + " #extra=1", *lines[1:]]),
+            # one header syntax: every field is #key=value
+            ("unprefixed-field", lambda lines: [lines[0].removeprefix("#"), *lines[1:]]),
         ]
     ),
     *(

@@ -693,6 +693,38 @@ def _clean_store(path, words=("aa", "bb", "cc"), dim=2):
     return original
 
 
+class TestEmbeddingRows:
+    """Row i of an ``EmbeddingSet`` is the word that ``vocab_index`` maps to i: the
+    index maps its words onto the rows 0..n-1, each row once."""
+
+    @pytest.mark.parametrize(
+        "index", [{"a": 0, "b": 0, "c": 2}, {"a": 0, "b": 5, "c": 2}], ids=["shared", "past-end"]
+    )
+    def test_index_not_onto_each_row_once_is_parameter_error(self, index):
+        matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ParameterError, match="onto rows 0..n-1, each row once"):
+            EmbeddingSet(PERIOD_1930, index, matrix, 2, "svd")
+
+    def test_rows_in_any_word_order_are_written_as_held(self, tmp_path):
+        index = {"c": 2, "a": 0, "b": 1}
+        matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        embedding_set = EmbeddingSet(PERIOD_1930, index, matrix, 2, "svd")
+        assert embedding_set.words() == ["a", "b", "c"]
+        assert most_similar("a", 2, embedding_set) == [("c", pytest.approx(0.5 ** 0.5)), ("b", 0.0)]
+        write_embeddings(embedding_set, tmp_path / "e.npz")
+        assert (tmp_path / "e.vec").read_text(encoding="utf-8").splitlines()[1:] == [
+            "a 1.0 0.0", "b 0.0 1.0", "c 1.0 1.0"
+        ]
+
+    def test_a_fortran_ordered_matrix_writes_the_bytes_of_its_c_ordered_copy(self, tmp_path):
+        matrix = np.arange(6, dtype=np.float64).reshape(3, 2)
+        for name, held in (("c", matrix), ("f", np.asfortranarray(matrix))):
+            embedding_set = EmbeddingSet(PERIOD_1930, {"a": 0, "b": 1, "c": 2}, held, 2, "svd")
+            write_embeddings(embedding_set, tmp_path / f"{name}.npz")
+        assert (tmp_path / "c.npz").read_bytes() == (tmp_path / "f.npz").read_bytes()
+        assert read_embeddings(tmp_path / "f.npz").digest() == embedding_set.digest()
+
+
 class TestVectorStore:
     def test_store_arrays_and_their_order(self, tmp_path):
         """``vectors`` in ``words()`` order, the words as UTF-8 bytes joined by newlines,
