@@ -54,7 +54,7 @@ from .errors import (
     OutOfVocabularyError,
     ParameterError,
 )
-from .preprocess import FilterConfig, LookupAnalyzer, load_analyzer_tsv, read_input_text
+from .preprocess import FilterConfig, LookupAnalyzer, load_analyzer_tsv, nfc, read_input_text
 
 try:  # POSIX; a held lock raises BlockingIOError
     from fcntl import LOCK_EX, LOCK_NB, flock
@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     crossover.add_argument("--dictionary", help="replacement dictionary JSON (default: bundled)")
     crossover.add_argument("--mode", choices=["sustained", "first-touch"], default="sustained")
     freq = analysis("freq", cmd_freq, "frequency of one word per period")
-    freq.add_argument("--word", required=True)
+    freq.add_argument("--word", required=True, type=nfc)
     freq.add_argument("--normalize", action="store_true", help="per-million frequencies")
 
     embed = command(commands, "embed", cmd_embed, "build embedding artifacts per period")
@@ -738,22 +738,22 @@ def build_parser() -> argparse.ArgumentParser:
     query = commands.add_parser("query", help="ranked similarity and change queries")
     queries = query.add_subparsers(dest="query", required=True)
     most_similar = command(queries, "most-similar", cmd_most_similar, "nearest words in a period")
-    most_similar.add_argument("--word", required=True)
+    most_similar.add_argument("--word", required=True, type=nfc)
     most_similar.add_argument("--period", type=period, required=True)
     most_similar.add_argument("--top-k", type=int, default=10)
     most_similar.add_argument("--kind", choices=["svd", "cbow"], default="svd")
     aligned = command(queries, "aligned-most-similar", cmd_aligned_most_similar, "aligned ranking")
-    aligned.add_argument("--word", required=True)
+    aligned.add_argument("--word", required=True, type=nfc)
     aligned.add_argument("--target", type=period, required=True)
     aligned.add_argument("--base", type=period, required=True)
     aligned.add_argument("--top-k", type=int, default=10)
     aligned.add_argument("--kind", choices=["svd", "cbow"], default="svd")
     change = command(queries, "semantic-change", cmd_semantic_change, "drift across periods")
-    change.add_argument("--word", required=True)
+    change.add_argument("--word", required=True, type=nfc)
     change.add_argument("--periods", nargs="+", type=period, required=True)
     change.add_argument("--kind", choices=["svd", "cbow"], default="svd")
     collocations = command(queries, "collocations", cmd_collocations, "top PPMI associates")
-    collocations.add_argument("--word", required=True)
+    collocations.add_argument("--word", required=True, type=nfc)
     collocations.add_argument("--period", type=period, required=True)
     collocations.add_argument("--top-k", type=int, default=10)
 

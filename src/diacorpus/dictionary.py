@@ -17,7 +17,7 @@ from typing import Sequence
 from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult
 from .errors import DictionaryError, ParameterError
 from .lexicon import frequency
-from .preprocess import read_input_text
+from .preprocess import nfc, read_input_text
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,9 @@ class DictionaryEntry:
 def load_dictionary(source: Path | str) -> list[DictionaryEntry]:
     """Parse and validate a replacement dictionary.
 
-    A ``Path`` is read as a UTF-8 file; a ``str`` is the JSON text itself.
-    Duplicate (modern, old) pairs are rejected with the offending entry
-    positions.
+    A ``Path`` is read as a UTF-8 file; a ``str`` is the JSON text itself. Each
+    modern and old form is taken in NFC, as document text is. Duplicate
+    (modern, old) pairs are rejected with the offending entry positions.
     """
     raw = read_input_text(source, "dictionary") if isinstance(source, Path) else source
     try:
@@ -58,6 +58,8 @@ def load_dictionary(source: Path | str) -> list[DictionaryEntry]:
             raise DictionaryError(f"entry {i}: 'modern' must be a non-empty string")
         if not isinstance(old_forms, list) or not old_forms:
             raise DictionaryError(f"entry {i}: 'old' must be a non-empty list")
+        modern = nfc(modern)
+        old_forms = [nfc(old) if isinstance(old, str) else old for old in old_forms]
         for old in old_forms:
             if not isinstance(old, str) or not old:
                 raise DictionaryError(f"entry {i}: old form must be a non-empty string")

@@ -39,17 +39,20 @@ from .lexicon import Vocabulary, create_vocabulary, same_document
 _DENSE_SVD_LIMIT = 1024
 # A dense problem of at least this many words that keeps at most 3/5 of the
 # spectrum goes through the Gram matrix (eigh of A.T @ A, then a Rayleigh-Ritz
-# step); the rest takes the full SVD. Both cutoffs are where the Gram route's
-# peak memory crosses the full SVD's, measured on random 8%-dense symmetric
-# matrices with one BLAS thread. From 192 words its peak is the lower one at
-# every share up to 3/5 (192 words at dim 115: 3.88 against 3.95 MB over the
-# input; 944 at dim 566: 41.2 against 56.8); below 192 the crossover share falls
-# (0.57-0.60 at 176 words, 0.50-0.55 at 160), and at 128 words the full SVD's
-# peak is lower at every share. In time the Gram route wins up to share 0.45
-# from 128 words (944 words at dim 100: 200 against 432 ms) and up to 3/5 from
-# 512 words; below 512 words at shares 0.5-0.6 it is up to 12% slower (192 words
-# at dim 115: 7.7 against 6.9 ms). The golden outputs were made with the full
-# SVD at 50 words.
+# step); the rest takes the full SVD. Both cutoffs were set where the Gram
+# route's peak memory crossed the full SVD's while the route still held A
+# through eigh. Measured since it stopped, from the compressed rows both
+# solvers receive (random 8%-dense symmetric matrices, one BLAS thread), the
+# Gram route's peak is the lower one from 128 words at every share up to 0.70
+# (192 words at dim 115: 3.64 against 4.30 MB; 944 at dim 566: 40.9 against
+# 63.7); the crossover share lies at 0.70-0.80 from 144 to 300 words and at
+# 0.80-0.90 at 128 words and from 400, and at 64 words the full SVD's peak is
+# lower at every share. So memory alone would move both cutoffs down and the
+# share up; they stay until a workload runs the full-SVD side of them. In time
+# the Gram route wins up to share 0.45 from 128 words (944 words at dim 100: 200
+# against 432 ms) and up to 3/5 from 512 words; below 512 words at shares
+# 0.5-0.6 it is up to 12% slower (192 words at dim 115: 7.7 against 6.9 ms).
+# The golden outputs were made with the full SVD at 50 words.
 _GRAM_MIN_SIZE = 192
 
 
@@ -285,16 +288,25 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
         raise ParameterError("embedding dim must be at least 1")
     arrays = ppmi.values
     if size <= _DENSE_SVD_LIMIT or dim >= size:
-        dense = arrays.toarray()
         if size < _GRAM_MIN_SIZE or 5 * dim > 3 * size:
-            u, s, vt = np.linalg.svd(dense, full_matrices=False)
+            u, s, vt = np.linalg.svd(arrays.toarray(), full_matrices=False)
             u, s, v = u[:, :dim], s[:dim], vt.T[:, :dim]
         else:
             # the dim leading right singular vectors span the top eigenspace of
-            # A.T @ A; a Rayleigh-Ritz step on it recovers the exact triplets
-            _, eigenvectors = np.linalg.eigh(dense.T @ dense)
-            top = eigenvectors[:, -dim:][:, ::-1]  # eigh sorts ascending
-            q, r = np.linalg.qr(dense @ top)
+            # A.T @ A; a Rayleigh-Ritz step on it recovers the exact triplets.
+            # A is densified twice, so that no more than two n x n arrays are
+            # held at once (eigh's workspace aside)
+            dense = arrays.toarray()
+            gram = dense.T @ dense
+            del dense
+            _, eigenvectors = np.linalg.eigh(gram)
+            del gram
+            # the dim leading columns (eigh sorts ascending), copied so that the
+            # n x n eigenvectors can go; the reversed view keeps the layout, and
+            # so the arithmetic, of the products below
+            top = eigenvectors[:, -dim:].copy()[:, ::-1]
+            del eigenvectors
+            q, r = np.linalg.qr(arrays.toarray() @ top)
             ur, s, vrt = np.linalg.svd(r)
             u, v = q @ ur, top @ vrt.T
     else:

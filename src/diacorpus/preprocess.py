@@ -35,8 +35,16 @@ def turkish_lower(text: str) -> str:
     return text.translate(_TURKISH_CASEFOLD).lower()
 
 
+def nfc(text: str) -> str:
+    """``text`` in Unicode normalization form C, the one form in which text enters
+    the toolkit: a precomposed letter (â) and its decomposed spelling (a + U+0302)
+    are then one character, so they count as one word and pass ``str.isalpha``."""
+    return unicodedata.normalize("NFC", text)
+
+
 def normalize_text(raw: str) -> str:
-    """Collapse whitespace and strip characters without a clean representation.
+    """Bring text to NFC, collapse whitespace and strip characters without a clean
+    representation.
 
     Runs of whitespace collapse to a single regular space, or to a single
     newline when the run contains one, so line structure survives while tabs,
@@ -44,7 +52,8 @@ def normalize_text(raw: str) -> str:
     whitespace is dropped entirely. Total function: never raises.
     """
     # ``str.split()`` splits at exactly the characters for which ``isspace()`` is true
-    lines = (" ".join(line.split()) for line in raw.replace(_SOFT_HYPHEN, "").split("\n"))
+    text = nfc(raw.replace(_SOFT_HYPHEN, ""))  # a mark after a soft hyphen composes too
+    lines = (" ".join(line.split()) for line in text.split("\n"))
     return "\n".join(filter(None, lines))
 
 
@@ -130,9 +139,10 @@ def is_word(text: str) -> bool:
 
 
 def load_analyzer_tsv(path: str | Path) -> LookupAnalyzer:
-    """Load a two-column TSV (surface<TAB>stem, UTF-8, no header) into a LookupAnalyzer."""
+    """Load a two-column TSV (surface<TAB>stem, UTF-8, no header, read as NFC) into a
+    LookupAnalyzer."""
     table: dict[str, str] = {}
-    lines = read_input_text(path, "analyzer table").split("\n")
+    lines = nfc(read_input_text(path, "analyzer table")).split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue

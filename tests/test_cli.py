@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -1285,6 +1286,49 @@ class TestDocumentOutsideEveryBucket:
         assert len(digests["given"]) > 40 and digests["extra"] == digests["given"]
         assert stats["given"]["unbucketed_documents"] == []
         assert stats["extra"] == {**stats["given"], "unbucketed_documents": ["doc-1955"]}
+
+
+class TestOneUnicodeForm:
+    """Text enters as NFC: a decomposed (NFD) spelling is the precomposed word, in
+    the documents, the analyzer table and ``--word``; file names are never changed."""
+
+    def test_nfd_documents_and_analyzer_write_the_nfc_tree(self, tmp_path):
+        digests = {}
+        for form in ("NFC", "NFD"):
+            root = tmp_path / form
+            argv = _manifest_argv(root, FIXTURE_MANIFEST)
+            texts = [*(root / "corpus" / "docs").iterdir(), root / "analyzer.tsv"]
+            shutil.copyfile(FIXTURES / "analyzer_stub.tsv", texts[-1])
+            for path in texts:
+                text = path.read_text(encoding="utf-8")
+                path.write_text(unicodedata.normalize(form, text), encoding="utf-8")
+            config = json.loads((root / "config.json").read_text(encoding="utf-8"))
+            config["analyzer_tsv"] = str(texts[-1])
+            (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            for step in E2E_STEPS:
+                assert main([*argv, *step]) == 0, (form, step)
+            digests[form] = _tree_digest(root / "out")
+        assert len(digests["NFC"]) > 40 and digests["NFD"] == digests["NFC"]
+
+    def test_nfd_word_writes_the_nfc_words_report(self, tmp_path):
+        word = "kâğıt"  # 50 in the 1930s and 10 in the 1980s
+        assert run_cli(tmp_path, "ingest") == 0
+        reports = {}
+        for form in ("NFD", "NFC"):
+            shutil.rmtree(tmp_path / "reports", ignore_errors=True)
+            spelled = unicodedata.normalize(form, word)
+            assert run_cli(tmp_path, "analyze", "freq", "--word", spelled) == 0
+            reports[form] = {p.name: p.read_bytes() for p in (tmp_path / "reports").iterdir()}
+        assert reports["NFD"] == reports["NFC"]
+        counts = json.loads(reports["NFC"][f"freq_{word}.json"])
+        assert [entry["value"] for entry in counts] == [50, 10]
+
+    def test_document_with_an_nfd_file_name_still_opens(self, tmp_path):
+        name = unicodedata.normalize("NFD", "kâğıt.txt")
+        manifest = json.dumps([{"id": "a", "date": "1931-01-01", "path": name}])
+        argv = _corpus_config(tmp_path, manifest.encode())
+        (tmp_path / "corpus" / "a.txt").rename(tmp_path / "corpus" / name)
+        assert main([*argv, "ingest"]) == 0
 
 
 class TestStaleTempFiles:

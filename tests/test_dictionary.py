@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 
 from diacorpus.dictionary import (
@@ -24,6 +26,14 @@ class TestLoadDictionary:
         )
         with pytest.raises(DictionaryError, match="0 and 1"):
             load_dictionary(text)
+
+    def test_forms_are_read_as_nfc(self):
+        nfd = unicodedata.normalize("NFD", "hükûmet")
+        entries = load_dictionary(f'[{{"modern": "{nfd}", "old": ["{nfd}"]}}]')
+        assert entries == [DictionaryEntry(modern="hükûmet", old_forms=("hükûmet",))]
+        both = f'[{{"modern": "x", "old": ["{nfd}"]}}, {{"modern": "x", "old": ["hükûmet"]}}]'
+        with pytest.raises(DictionaryError, match="0 and 1"):
+            load_dictionary(both)
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(DictionaryError, match="line"):

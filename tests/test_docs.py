@@ -52,3 +52,13 @@ def test_readme_lists_every_artifact():
     for artifact, (path, _, command) in ARTIFACTS.items():
         path, command = (re.sub(r"\{(\w+)\}", r"<\1>", text) for text in (path, command))
         assert any(f"`{path}`" in i and i.endswith(f": `{command}`") for i in items), artifact
+
+
+def test_readme_svd_routes_name_the_cutoffs():
+    from diacorpus.embeddings import _DENSE_SVD_LIMIT, _GRAM_MIN_SIZE
+
+    routes = README.read_text(encoding="utf-8").split("decides how they are computed:", 1)[1]
+    routes = routes.lstrip("\n").split("\n\n", 1)[0]
+    assert f"- n below {_GRAM_MIN_SIZE:,}, or" in routes
+    assert f"- {_GRAM_MIN_SIZE:,} ≤ n ≤ {_DENSE_SVD_LIMIT:,} and" in routes
+    assert f"- n above {_DENSE_SVD_LIMIT:,} (unless" in routes

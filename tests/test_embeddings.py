@@ -415,6 +415,43 @@ class TestSvd:
         svd_embeddings(ppmi, dim=dim)
         assert calls[0] == solver
 
+    @staticmethod
+    def _gram_route_ppmi():
+        # 600 words at dim 24 take the Gram route; the values arrive as
+        # CSRArrays, as they do from build_ppmi
+        m = _random_sparse_ppmi(np.random.default_rng(600), 600, density=0.08).values
+        values = CSRArrays(m.indptr, m.indices, m.data, m.shape)
+        return PPMIMatrix(PERIOD_1930, {f"w{i:04d}": i for i in range(600)}, values, 0.75)
+
+    def test_gram_route_gives_the_bytes_of_the_held_dense_sequence(self):
+        # releasing the dense, Gram and eigenvector matrices early must not
+        # change one byte against the sequence that held them to the end
+        ppmi, dim = self._gram_route_ppmi(), 24
+        dense = ppmi.values.toarray()
+        _, eigenvectors = np.linalg.eigh(dense.T @ dense)
+        top = eigenvectors[:, -dim:][:, ::-1]
+        q, r = np.linalg.qr(dense @ top)
+        ur, s, vrt = np.linalg.svd(r)
+        u, v = q @ ur, top @ vrt.T
+        flip = u[np.abs(u).argmax(axis=0), np.arange(dim)] < 0
+        u[:, flip], v[:, flip] = -u[:, flip], -v[:, flip]
+        words, context = svd_embeddings(ppmi, dim=dim)
+        assert np.array_equal(words.matrix, u * np.sqrt(s))
+        assert np.array_equal(context, v * np.sqrt(s))
+
+    def test_gram_route_holds_at_most_two_square_matrices(self):
+        # the dense matrix held through eigh made three n x n float64 arrays
+        # (3.00 x n^2 * 8 B traced); LAPACK's workspace is not traced
+        ppmi = self._gram_route_ppmi()
+        svd_embeddings(ppmi, dim=24)  # warm-up: numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            svd_embeddings(ppmi, dim=24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 600 * 600 * 8
+
 
 class TestQueries:
     @pytest.fixture()

@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 
 from diacorpus.corpus import DiachronicCorpus, PeriodCorpus
@@ -125,6 +127,16 @@ class TestCircumflex:
         raw, per_million = circumflex_frequency(DiachronicCorpus([leaf]))
         assert raw.values() == [3]
         assert per_million.values()[0] == pytest.approx(3 / 4 * 1_000_000)
+
+    @pytest.mark.parametrize("form", ["NFC", "NFD"])
+    def test_decomposed_text_counts_as_precomposed(self, form):
+        # in NFD the marks are combining characters, which made kâğıt, hükûmet and
+        # İstanbul fail the alphabetic filter and every circumflex read 0
+        text = "Kâğıt resmî millî kâğıt. İstanbul İstanbul hükûmet."
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d": unicodedata.normalize(form, text)})
+        raw, _ = circumflex_frequency(DiachronicCorpus([leaf]))
+        assert raw.values() == [5]
+        assert len(leaf.vocabulary.entries) == 5
 
     def test_no_circumflex(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d": "kalem defter"})

@@ -41,7 +41,8 @@ def reference_normalize(raw):
     """The character loop normalize_text replaced, kept as its reference.
 
     Soft hyphens are dropped; each whitespace run becomes a newline if it
-    holds one, else a space; leading and trailing runs are dropped.
+    holds one, else a space; leading and trailing runs are dropped. The
+    result is then brought to NFC.
     """
     out = []
     in_run = False
@@ -60,7 +61,7 @@ def reference_normalize(raw):
             in_run = False
             run_has_newline = False
         out.append(ch)
-    return "".join(out)
+    return unicodedata.normalize("NFC", "".join(out))
 
 
 # every str.isspace() character, the soft hyphen, and a few letters
@@ -79,6 +80,10 @@ class TestNormalize:
 
     def test_soft_hyphen_removed(self):
         assert normalize_text("ka­ğıt") == "kağıt"
+
+    def test_decomposed_text_becomes_precomposed(self):
+        # a + U+0302 is â; g + U+0306 is ğ, even where a soft hyphen parted them
+        assert normalize_text("ka\u0302g\u00ad\u0306ıt") == "kâğıt"
 
     def test_golden_file(self):
         raw = (FIXTURES / "raw" / "messy_sample.txt").read_text(encoding="utf-8")
@@ -234,6 +239,11 @@ class TestLemmatize:
         path.write_text(f"kitaplar\tkitap\naaalar\t{stem}\n", encoding="utf-8")
         with pytest.raises(ParameterError, match=r"stems\.tsv: line 2: stem has whitespace"):
             load_analyzer_tsv(path)
+
+    def test_analyzer_rows_are_read_as_nfc(self, tmp_path):
+        path = tmp_path / "stems.tsv"
+        path.write_text(unicodedata.normalize("NFD", "kâğıtlar\tkâğıt\n"), encoding="utf-8")
+        assert lemma_surfaces(["kâğıtlar"], load_analyzer_tsv(path)) == ["kâğıt"]
 
     def test_f5_counts_characters_not_bytes(self):
         assert f5_stem("âbidevî") == "âbide"
