@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    LABEL, WORDS, TimePeriod, TimeSeriesResult, encode_words, read_store, savez_bytes, write_artifact
+    LABEL, WORDS, TimePeriod, TimeSeriesResult, read_store, store_bytes, write_artifact
 )
 from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
@@ -206,15 +206,16 @@ _TRANSFORM_STORE = {"matrix": (2, "float64"), "shared": WORDS, "source": LABEL, 
 
 def write_transform(transform: AlignmentTransform, path: str | Path) -> None:
     """Write the transform's ``.npz`` store: ``matrix`` (d x d, row-vector convention
-    ``v @ R``), ``shared`` (``encode_words``), the period labels ``source`` and
+    ``v @ R``), ``shared`` (a ``WORDS`` array), the period labels ``source`` and
     ``target``, and ``source_sha256`` and ``target_sha256`` (``fitted_on``)."""
-    write_artifact(path, savez_bytes(
+    write_artifact(path, store_bytes(
+        _TRANSFORM_STORE,
         matrix=transform.matrix.astype(np.float64, copy=False),
-        shared=encode_words(transform.shared_vocab),
-        source=np.array(transform.source_period.label),
-        target=np.array(transform.target_period.label),
-        source_sha256=np.array(transform.fitted_on[0]),
-        target_sha256=np.array(transform.fitted_on[1]),
+        shared=transform.shared_vocab,
+        source=transform.source_period.label,
+        target=transform.target_period.label,
+        source_sha256=transform.fitted_on[0],
+        target_sha256=transform.fitted_on[1],
     ))
 
 

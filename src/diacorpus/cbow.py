@@ -200,7 +200,6 @@ def train_cbow(
         period=leaf.period,
         vocab_index=index,
         matrix=vectors_in,
-        dim=dim,
         provenance="cbow",
         training_loss=epoch_losses,
     )

@@ -376,15 +376,9 @@ def _require_header(path: Path, field: str, held: str, asked: str) -> None:
         raise ParameterError(f"{path} holds {field} {held}, not {asked}")
 
 
-def _read_vocabulary(path: Path) -> lexicon_mod.Vocabulary:
-    """A vocabulary TSV whose header period is its file name's label, the part before a dot."""
-    vocab = lexicon_mod.read_vocabulary(path)
-    _require_header(path, "period", vocab.period.label, path.name.split(".", 1)[0])
-    return vocab
-
-
-def _lemma_vocabulary_paths(config: RunConfig) -> list[Path]:
-    """The lemma vocabularies ingest wrote, or MissingArtifactError if there are none."""
+def _corpus(config: RunConfig) -> DiachronicCorpus:
+    """One empty leaf per lemma vocabulary the last ingest wrote, its period the label in
+    the file name; MissingArtifactError if there are none, ParameterError naming a bad name."""
     pattern = _artifact_path(config, "lemma")
     paths = sorted(pattern.parent.glob(pattern.name))
     if not paths:
@@ -392,26 +386,30 @@ def _lemma_vocabulary_paths(config: RunConfig) -> list[Path]:
         raise MissingArtifactError(
             f"no {noun} artifacts under {pattern.parent}", needed_command=command
         )
-    return paths
+    leaves = []
+    for path in paths:
+        try:
+            label = path.name.removesuffix(pattern.name.lstrip("*"))  # what {period} filled
+            leaves.append(PeriodCorpus(TimePeriod.parse(label)))
+        except ParameterError as exc:
+            raise ParameterError(f"{path}: {exc}") from exc
+    return DiachronicCorpus(leaves)
 
 
-def _period_vocabulary_path(config: RunConfig, period: TimePeriod) -> Path:
-    """The lemma vocabulary of ``period``; ParameterError if the corpus has no such period."""
-    path = _artifact_path(config, "lemma", period=period)
-    if not path.is_file() and _lemma_vocabulary_paths(config):
-        raise ParameterError(f"no corpus leaf for period {period.label}")
-    return path
+def _read_vocabulary(config: RunConfig, level: str, leaf: PeriodCorpus) -> lexicon_mod.Vocabulary:
+    """The ``level`` vocabulary ingest wrote for the leaf; its header must name the same period."""
+    path = _existing(config, level, period=leaf.period)
+    vocab = lexicon_mod.read_vocabulary(path)
+    _require_header(path, "period", vocab.period.label, leaf.period.label)
+    return vocab
 
 
 def _load_vocab_artifacts(config: RunConfig) -> DiachronicCorpus:
-    """Rebuild a corpus of leaves that hold only their lemma vocabularies, as ingest wrote them."""
-    leaves = []
-    for path in _lemma_vocabulary_paths(config):
-        vocab = _read_vocabulary(path)
-        leaf = PeriodCorpus(vocab.period)
-        leaf.vocabulary = vocab
-        leaves.append(leaf)
-    return DiachronicCorpus(leaves)
+    """The corpus of ``_corpus``, each leaf holding its lemma vocabulary."""
+    tree = _corpus(config)
+    for leaf in tree.leaves():
+        leaf.vocabulary = _read_vocabulary(config, "lemma", leaf)
+    return tree
 
 
 def _word_report_name(kind: str, word: str, *labels: str) -> str:
@@ -493,8 +491,7 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
     require_distinct(classes, "class")
     tree = _load_vocab_artifacts(config)
     for leaf in tree.leaves():  # the ending ratios read surface forms
-        path = _existing(config, "surface", period=leaf.period)
-        leaf.surface_vocabulary = _read_vocabulary(path)
+        leaf.surface_vocabulary = _read_vocabulary(config, "surface", leaf)
     # compute every analysis first, so a failing class writes no report
     class_rows = {
         pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)
@@ -589,7 +586,6 @@ def cmd_embed(config: RunConfig, args: argparse.Namespace) -> str:
 def _read_embedding_artifact(config: RunConfig, period: TimePeriod, kind: str):
     from . import embeddings as embeddings_mod
 
-    _period_vocabulary_path(config, period)  # a period not in the corpus is exit 2, not 3
     path = _existing(config, "vectors", period=period, kind=kind)
     embedding_set = embeddings_mod.read_embeddings(path)
     _require_header(path, "period", embedding_set.period.label, period.label)
@@ -601,7 +597,7 @@ def cmd_align(config: RunConfig, args: argparse.Namespace) -> str:
     from . import alignment as alignment_mod
 
     source, target = args.source, args.target
-    require_distinct([source, target])
+    select_leaves(_corpus(config), [source, target])
     source_set = _read_embedding_artifact(config, source, args.kind)
     target_set = _read_embedding_artifact(config, target, args.kind)
     transform = alignment_mod.procrustes_align(source_set, target_set)
@@ -614,6 +610,7 @@ def cmd_most_similar(config: RunConfig, args: argparse.Namespace) -> str:
     from . import embeddings as embeddings_mod
 
     name = _word_report_name("most_similar", args.word, args.period.label)
+    select_leaves(_corpus(config), [args.period])
     embedding_set = _read_embedding_artifact(config, args.period, args.kind)
     ranking = embeddings_mod.most_similar(args.word, args.top_k, embedding_set)
     return _write_report(config.output_dir / "reports", name, ranking_records(ranking))
@@ -623,8 +620,8 @@ def cmd_aligned_most_similar(config: RunConfig, args: argparse.Namespace) -> str
     from . import alignment as alignment_mod
 
     target, base = args.target, args.base
-    require_distinct([target, base])
     name = _word_report_name("aligned_most_similar", args.word, target.label, base.label)
+    select_leaves(_corpus(config), [target, base])
     target_set = _read_embedding_artifact(config, target, args.kind)
     base_set = _read_embedding_artifact(config, base, args.kind)
     path = _existing(config, "transform", source=target, target=base, kind=args.kind)
@@ -637,9 +634,8 @@ def cmd_aligned_most_similar(config: RunConfig, args: argparse.Namespace) -> str
 def cmd_semantic_change(config: RunConfig, args: argparse.Namespace) -> str:
     from . import alignment as alignment_mod
 
-    require_distinct(args.periods)  # the one range read without select_leaves
-    periods = sorted(args.periods)
     name = _word_report_name("semantic_change", args.word)
+    periods = [leaf.period for leaf in select_leaves(_corpus(config), args.periods)]
     sets = [_read_embedding_artifact(config, p, args.kind) for p in periods]
     transforms = [
         alignment_mod.read_transform(
@@ -655,9 +651,9 @@ def cmd_collocations(config: RunConfig, args: argparse.Namespace) -> str:
     from . import embeddings as embeddings_mod
 
     name = _word_report_name("collocations", args.word, args.period.label)
-    leaf = PeriodCorpus(args.period)
-    leaf.vocabulary = _read_vocabulary(_period_vocabulary_path(config, args.period))
-    lexicon_mod.read_token_ids(_existing(config, "tokens", period=args.period), leaf)
+    [leaf] = select_leaves(_corpus(config), [args.period])
+    leaf.vocabulary = _read_vocabulary(config, "lemma", leaf)
+    lexicon_mod.read_token_ids(_existing(config, "tokens", period=leaf.period), leaf)
     ranking = embeddings_mod.collocations(args.word, args.top_k, _build_ppmi(config, leaf))
     records = ranking_records(ranking, "association")
     return _write_report(config.output_dir / "reports", name, records)

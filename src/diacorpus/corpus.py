@@ -50,7 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
     from .lexicon import Vocabulary
 
-_PERIOD_LABEL = re.compile(r"^(\d{1,4})-(\d{1,4})$")
+# the one spelling ``TimePeriod.label`` writes: ASCII digits, no leading zero
+_PERIOD_LABEL = re.compile(r"(0|[1-9][0-9]{0,3})-(0|[1-9][0-9]{0,3})")
 # fromisoformat alone reads 20200101 and week dates on Python 3.11+, not on 3.10
 _MANIFEST_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -84,7 +85,7 @@ class TimePeriod:
 
     @classmethod
     def parse(cls, label: str) -> "TimePeriod":
-        m = _PERIOD_LABEL.match(label)
+        m = _PERIOD_LABEL.fullmatch(label)
         if not m:
             raise ParameterError(f"cannot parse period label {label!r} (expected START-END)")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -334,11 +335,7 @@ def _ingest_leaf(
         for word, count in zip(words, type_counts):
             counts[word] = counts.get(word, 0) + count
         filtered = filter_vocabulary(counts, n_raw, filter_config)
-        vocab = Vocabulary(
-            period=leaf.period,
-            entries=filtered,
-            token_total=sum(filtered.values()),
-        )
+        vocab = Vocabulary(period=leaf.period, entries=filtered)
         row = {w: i for i, w in enumerate(vocab.entries)}
         type_ids = np.array([row.get(w, -1) for w in words], dtype=np.int32)
         leaf.token_ids[level] = type_ids[token_types_arr]
@@ -435,6 +432,12 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def header_line(**fields: Any) -> str:
+    """The line 1 that ``read_artifact`` reads: one ``#key=value`` per field, in order,
+    space-separated, without a line end."""
+    return " ".join(f"#{key}={value}" for key, value in fields.items())
+
+
 def read_artifact(
     path: str | Path, kind: str, **parsers: Callable[[str], Any]
 ) -> tuple[dict[str, Any], Iterator[tuple[int, str]]]:
@@ -469,31 +472,29 @@ def read_artifact(
 # A store schema maps each array of an ``.npz`` store, in file order, to a rule
 # ``(rank, dtype)``. The dtype must match exactly (a byte-swapped one fails),
 # except ``"integer"``, any integer dtype, and ``"string"``, any string dtype.
-# ``read_store`` decodes two rules: ``WORDS`` (``encode_words``) and ``LABEL``.
+# ``store_bytes`` encodes and ``read_store`` decodes two rules: ``WORDS`` and ``LABEL``.
 WORDS = (1, "uint8")
 LABEL = (0, "string")
 
 
-def savez_bytes(**arrays: np.ndarray) -> bytes:
-    """The ``np.savez`` archive of ``arrays``, in argument order. It stamps no time,
-    so the bytes depend only on the arrays."""
+def store_bytes(schema: dict[str, tuple], **values: Any) -> bytes:
+    """The ``np.savez`` archive of ``values``, one array per key of ``schema``, in the
+    schema's order. A ``WORDS`` value is a sequence of words, stored as their UTF-8
+    bytes joined by ``\\n`` in one uint8 array (a NumPy string array would drop a
+    trailing NUL); a ``LABEL`` value is a ``str``; any other value is an array. It
+    stamps no time, so the bytes depend only on the values."""
     import numpy as np
 
+    encoders = {WORDS: lambda words: np.frombuffer("\n".join(words).encode("utf-8"), np.uint8),
+                LABEL: np.array}
+    arrays = {key: encoders.get(rule, np.asarray)(values[key]) for key, rule in schema.items()}
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
 
 
-def encode_words(words: Sequence[str]) -> np.ndarray:
-    """Words as a ``WORDS`` array: their UTF-8 bytes joined by ``\\n``, one uint8 array
-    (a NumPy string array would drop a trailing NUL)."""
-    import numpy as np
-
-    return np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
-
-
 def _decode_words(path: str | Path, key: str, encoded: np.ndarray) -> dict[str, int]:
-    """The row of each word ``encode_words`` stored as ``key``; ParameterError naming the
+    """The row of each word ``store_bytes`` stored as ``key``; ParameterError naming the
     file unless ``encoded`` is UTF-8 text of ``is_word`` words, each listed once."""
     try:
         text = encoded.tobytes().decode("utf-8")

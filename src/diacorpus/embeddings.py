@@ -23,11 +23,11 @@ from .corpus import (
     WORDS,
     PeriodCorpus,
     TimePeriod,
-    encode_words,
+    header_line,
     parse_numbers,
     read_artifact,
     read_store,
-    savez_bytes,
+    store_bytes,
     write_artifact,
 )
 from .errors import ComputationUndefinedError, OutOfVocabularyError, ParameterError
@@ -151,26 +151,30 @@ class PPMIMatrix:
 @dataclass
 class EmbeddingSet:
     """Dense vocabulary-indexed vector matrix for one period: ``vocab_index`` maps its
-    words onto the rows 0..n-1 of ``matrix``, each row once, so ``words()`` is row order."""
+    words onto the rows 0..n-1 of ``matrix``, each row once, so ``words()`` is row order.
+    The vectors' width ``dim`` is the matrix's column count."""
 
     period: TimePeriod
     vocab_index: dict[str, int]
     matrix: np.ndarray
-    dim: int
     provenance: str  # "svd" | "cbow"
     training_loss: list[float] | None = None
     store: bytes | None = field(default=None, repr=False)  # the store file the set was read from
 
     def __post_init__(self) -> None:
-        if self.matrix.shape != (len(self.vocab_index), self.dim):
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.vocab_index):
             raise ParameterError(
                 f"embedding matrix shape {self.matrix.shape} does not match "
-                f"{len(self.vocab_index)} words x {self.dim} dims"
+                f"{len(self.vocab_index)} words: it must be 2-D, one row per word"
             )
         if set(self.vocab_index.values()) != set(range(len(self.vocab_index))):
             raise ParameterError("vocab_index must map its words onto rows 0..n-1, each row once")
         if not np.all(np.isfinite(self.matrix)):
             raise ParameterError("embedding matrix contains non-finite values")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def words(self) -> list[str]:
         return sorted(self.vocab_index, key=self.vocab_index.__getitem__)
@@ -329,7 +333,6 @@ def svd_embeddings(ppmi: PPMIMatrix, dim: int = 300) -> tuple[EmbeddingSet, np.n
         period=ppmi.period,
         vocab_index=dict(ppmi.vocab_index),
         matrix=u * scale,
-        dim=dim,
         provenance="svd",
     )
     return words, v * scale
@@ -401,12 +404,13 @@ def _sha256(data: bytes) -> str:
 
 
 def _store_bytes(embedding_set: EmbeddingSet) -> bytes:
-    return savez_bytes(
+    return store_bytes(
+        _EMBEDDING_STORE,
         # C order: np.save would store the svds route's Fortran-ordered matrix column-wise
         vectors=np.ascontiguousarray(embedding_set.matrix, dtype=np.float64),
-        words=encode_words(embedding_set.words()),
-        period=np.array(embedding_set.period.label),
-        provenance=np.array(embedding_set.provenance),
+        words=embedding_set.words(),
+        period=embedding_set.period.label,
+        provenance=embedding_set.provenance,
     )
 
 
@@ -415,7 +419,7 @@ def write_embeddings(embedding_set: EmbeddingSet, path: str | Path) -> None:
     ``path`` with the suffix ``.vec``; every reader loads the store.
 
     The store holds ``vectors`` (float64, one row per word in ``words()``
-    order), ``words`` (those words, ``encode_words``) and the 0-d strings
+    order), ``words`` (those words, a ``WORDS`` array) and the 0-d strings
     ``period`` and ``provenance``. The export is a header line, then one
     'word v1 .. vd' line per word, reals in shortest round-trip form,
     rendered about ``CHUNK_VALUES`` values at a time.
@@ -452,8 +456,8 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
                              f"not of shape {vectors.shape}")
     try:
         return EmbeddingSet(
-            TimePeriod.parse(arrays["period"]), arrays["words"], vectors, vectors.shape[1],
-            arrays["provenance"], store=data,
+            TimePeriod.parse(arrays["period"]), arrays["words"], vectors, arrays["provenance"],
+            store=data,
         )
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
@@ -469,7 +473,7 @@ def write_ppmi(ppmi: PPMIMatrix, path: str | Path) -> None:
     rows = _row_ids(values)
     # a compressed-row matrix may store a row's columns in any order; one int64 key sorts both
     order = np.argsort(rows * len(words) + values.indices, kind="stable")
-    header = f"#period={ppmi.period.label} #window={ppmi.window} #alpha={repr(ppmi.alpha)}"
+    header = header_line(period=ppmi.period, window=ppmi.window, alpha=repr(ppmi.alpha))
 
     def chunks() -> Iterator[str]:
         yield f"{header}\n"

@@ -15,7 +15,7 @@ a vocabulary and its range queries need only the standard library.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -25,12 +25,13 @@ from .corpus import (
     PeriodCorpus,
     TimePeriod,
     TimeSeriesResult,
+    header_line,
     parse_numbers,
     per_period,
     read_artifact,
     read_store,
-    savez_bytes,
     select_leaves,
+    store_bytes,
     write_artifact,
 )
 from .errors import MissingArtifactError, ParameterError
@@ -49,18 +50,19 @@ class Vocabulary:
 
     ``entries`` are in row order: count descending, then word. It is the row
     order of the vocabulary TSV, of token ids and of every matrix artifact;
-    ``__post_init__`` puts any entries given into it. ``token_total`` is the
-    number of corpus tokens whose word survived filtering, so normalized
-    frequencies over the entries sum to one.
+    ``__post_init__`` puts any entries given into it and sets ``token_total``,
+    the sum of their counts: the number of corpus tokens whose word survived
+    filtering, so normalized frequencies over the entries sum to one.
     """
 
     period: TimePeriod
     entries: dict[str, int]
-    token_total: int
+    token_total: int = field(init=False)
 
     def __post_init__(self) -> None:
         rows = sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0]))
         object.__setattr__(self, "entries", dict(rows))
+        object.__setattr__(self, "token_total", sum(self.entries.values()))
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -80,11 +82,7 @@ class Vocabulary:
             min(self.period.start_year, other.period.start_year),
             max(self.period.end_year, other.period.end_year),
         )
-        return Vocabulary(
-            period=period,
-            entries=dict(merged),
-            token_total=self.token_total + other.token_total,
-        )
+        return Vocabulary(period=period, entries=dict(merged))
 
 
 @dataclass(eq=False)
@@ -350,10 +348,6 @@ def cofrequency(
 # ---------------------------------------------------------------------------
 
 
-def _header_line(period: TimePeriod, token_total: int) -> str:
-    return f"#period={period.label} #tokens={token_total}"
-
-
 def _write_counts(
     path: str | Path, header: str, counts: np.ndarray, keys: Callable[[slice], list[bytes]]
 ) -> None:
@@ -385,7 +379,8 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
     counts = np.array(list(vocab.entries.values()), dtype=np.int64)
     keys = [w.encode("utf-8") for w in vocab.entries]
-    _write_counts(path, _header_line(vocab.period, vocab.token_total), counts, keys.__getitem__)
+    header = header_line(period=vocab.period, tokens=vocab.token_total)
+    _write_counts(path, header, counts, keys.__getitem__)
 
 
 def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple[dict, dict]:
@@ -422,7 +417,10 @@ def _read_counts(path: str | Path, kind: str, order: int | None = None) -> tuple
 def read_vocabulary(path: str | Path) -> Vocabulary:
     """Load a vocabulary TSV; ``_read_counts`` states its rules and errors."""
     head, entries = _read_counts(path, "vocabulary")
-    return Vocabulary(head["period"], entries, head["tokens"])
+    return Vocabulary(head["period"], entries)
+
+
+_TOKEN_STORE = {"lemma": (1, "int32"), "offsets": (1, "integer")}  # ``read_store`` schema
 
 
 def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
@@ -432,10 +430,8 @@ def write_token_ids(leaf: PeriodCorpus, path: str | Path) -> None:
     -1 for a filtered-out token) and ``offsets`` (int64, document starts plus
     the token count).
     """
-    write_artifact(path, savez_bytes(lemma=leaf.require_token_ids("lemma"), offsets=leaf.doc_offsets))
-
-
-_TOKEN_STORE = {"lemma": (1, "int32"), "offsets": (1, "integer")}  # ``read_store`` schema
+    ids = leaf.require_token_ids("lemma")
+    write_artifact(path, store_bytes(_TOKEN_STORE, lemma=ids, offsets=leaf.doc_offsets))
 
 
 def read_token_ids(path: str | Path, leaf: PeriodCorpus) -> None:
@@ -478,7 +474,7 @@ def write_ngrams(table: NgramTable, path: str | Path) -> None:
             grams = spaced[column[part]] + grams
         return grams.tolist()
 
-    _write_counts(path, _header_line(table.period, table.total()), table.counts, keys)
+    _write_counts(path, header_line(period=table.period, tokens=table.total()), table.counts, keys)
 
 
 def read_ngrams(path: str | Path, order: int) -> NgramTable:

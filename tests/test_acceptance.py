@@ -85,10 +85,10 @@ def test_jsd_decomposition():
             ranking = jsd_contributions(vocab_a, vocab_b, top_k=union)
             total = sum(abs(v) for _, v in ranking.pairs)
             assert abs(total - jensen_shannon(vocab_a, vocab_b)) <= 1e-9
-        same = Vocabulary(PERIOD_1930, {"a": 3, "b": 1}, 4)
+        same = Vocabulary(PERIOD_1930, {"a": 3, "b": 1})
         assert jensen_shannon(same, same) == 0.0
-        left = Vocabulary(PERIOD_1930, {"a": 1}, 1)
-        right = Vocabulary(PERIOD_1980, {"b": 1}, 1)
+        left = Vocabulary(PERIOD_1930, {"a": 1})
+        right = Vocabulary(PERIOD_1980, {"b": 1})
         assert jensen_shannon(left, right) == 1.0
 
 
@@ -99,7 +99,7 @@ def test_divergence_matrix_structure(fixture_tree):
         for i in range(4):
             entries = {f"w{rng.randint(0, 30)}": rng.randint(1, 9) for _ in range(12)}
             random_vocabs.append(
-                Vocabulary(TimePeriod(1900 + 10 * i, 1909 + 10 * i), entries, sum(entries.values()))
+                Vocabulary(TimePeriod(1900 + 10 * i, 1909 + 10 * i), entries)
             )
         from diacorpus.divergence import _pairwise_matrix
 
@@ -155,7 +155,6 @@ def _random_set(rng, period, n=40, dim=12):
         period=period,
         vocab_index={f"w{i:02d}": i for i in range(n)},
         matrix=rng.normal(size=(n, dim)),
-        dim=dim,
         provenance="svd",
     )
 
@@ -177,9 +176,9 @@ def test_procrustes():
         planted = np.eye(dim)
         planted[0, 0] = planted[1, 1] = 0.0
         planted[0, 1], planted[1, 0] = -1.0, 1.0
-        source = EmbeddingSet(PERIOD_1930, {f"w{i:02d}": i for i in range(60)}, base, dim, "svd")
+        source = EmbeddingSet(PERIOD_1930, {f"w{i:02d}": i for i in range(60)}, base, "svd")
         target = EmbeddingSet(
-            PERIOD_1980, {f"w{i:02d}": i for i in range(60)}, base @ planted, dim, "svd"
+            PERIOD_1980, {f"w{i:02d}": i for i in range(60)}, base @ planted, "svd"
         )
         recovered = procrustes_align(source, target)
         assert np.max(np.abs(recovered.matrix - planted)) <= 1e-6

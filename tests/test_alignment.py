@@ -39,7 +39,6 @@ def _set(matrix, period=PERIOD_1930, words=None):
         period=period,
         vocab_index={w: i for i, w in enumerate(words)},
         matrix=matrix,
-        dim=d,
         provenance="svd",
     )
 

@@ -701,11 +701,12 @@ def test_range_of_an_empty_dictionary_is_still_checked(workspace, tmp_path, caps
     _assert_usage_error(workspace, tmp_path, capsys, argv, named)
 
 
-def test_repeated_period_with_no_vocabularies_is_missing_artifact(tmp_path, capsys):
+@pytest.mark.parametrize("case", _REPEATED_PERIOD)
+def test_repeated_period_with_no_vocabularies_is_missing_artifact(tmp_path, capsys, case):
     """The repeat is a rule of the range, checked once the corpus is read: with
-    nothing ingested, the missing vocabularies come first (exit 3, run ingest)."""
-    argv = ["--config", CONFIG, "--output-dir", str(tmp_path / "out"),
-            "analyze", "freq", "--word", "belge", "--periods", _P, _P]
+    nothing ingested, the missing vocabularies come first (exit 3, run ingest),
+    whatever the command."""
+    argv = ["--config", CONFIG, "--output-dir", str(tmp_path / "out"), *_REPEATED_PERIOD[case]]
     assert main(argv) == 3
     payload = json.loads(capsys.readouterr().err)
     assert payload["context"]["run_first"] == "ingest"
@@ -731,6 +732,22 @@ def test_period_not_in_corpus_is_usage_error(workspace, tmp_path, capsys, case):
         workspace, tmp_path, capsys, argv, f"no corpus leaf for period {_P50}",
         artifacts=("vocab", "embeddings", "transforms"),
     )
+
+
+def test_vocabulary_named_by_no_period_label_fails_a_query(workspace, tmp_path, capsys):
+    """A query reads the periods from every lemma vocabulary's file name, so one whose
+    name is not a period label as ``TimePeriod.label`` writes it is exit 2 naming it."""
+    out = tmp_path / "out"
+    for artifact in ("vocab", "embeddings"):
+        shutil.copytree(workspace / artifact, out / artifact)
+    stray = out / "vocab" / "0930-1939.lemma.tsv"
+    shutil.copy(out / "vocab" / f"{_P}.lemma.tsv", stray)
+    argv = ["--config", CONFIG, "--output-dir", str(out),
+            "query", "most-similar", "--word", "kanun", "--period", _P]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert str(stray) in payload["message"]
+    assert not (out / "reports").exists()
 
 
 def _assert_usage_error(workspace, tmp_path, capsys, argv, named, artifacts=("vocab",)):

@@ -1,6 +1,7 @@
 import datetime as dt
 import errno
 import io
+import itertools
 import json
 import os
 import re
@@ -20,6 +21,8 @@ from diacorpus.corpus import (
     PeriodCorpus,
     TimePeriod,
     TimeSeriesResult,
+    LABEL,
+    WORDS,
     build_corpus_tree,
     csv_table,
     decade_bucket,
@@ -28,7 +31,9 @@ from diacorpus.corpus import (
     parse_numbers,
     per_period,
     read_artifact,
+    read_store,
     select_leaves,
+    store_bytes,
     write_artifact,
 )
 from diacorpus.errors import IngestError, ParameterError
@@ -92,6 +97,23 @@ class TestTimePeriod:
     def test_year_outside_a_label_rejected(self, years):
         with pytest.raises(ParameterError, match="outside 0-9999"):
             TimePeriod(*years)
+
+    @pytest.mark.parametrize(
+        "label", ["1930-1939\n", "١٩٣٠-١٩٣٩", "0930-1939"],
+        ids=["trailing-newline", "arabic-indic-digits", "leading-zero"],
+    )
+    def test_spelling_label_never_writes_is_rejected(self, label):
+        with pytest.raises(ParameterError, match="cannot parse period label"):
+            TimePeriod.parse(label)
+
+    @settings(max_examples=200, deadline=None)
+    @given(years=st.tuples(st.integers(0, 9999), st.integers(0, 9999)))
+    @example(years=(0, 0))
+    @example(years=(9, 10))
+    @example(years=(9999, 9999))
+    def test_parse_reads_back_every_label(self, years):
+        period = TimePeriod(*sorted(years))
+        assert TimePeriod.parse(period.label) == period
 
 
 class TestTreeConstruction:
@@ -304,7 +326,7 @@ class TestReadArtifactLines:
         [
             read_vocabulary,
             lambda path: read_ngrams(path, 1),
-            lambda path: read_ppmi(path, Vocabulary(PERIOD_1930, {"aa": 1}, 1)),
+            lambda path: read_ppmi(path, Vocabulary(PERIOD_1930, {"aa": 1})),
         ],
         ids=["vocabulary", "ngrams", "ppmi"],
     )
@@ -331,7 +353,7 @@ class TestReadArtifactLines:
 
 
 # A clean file of each text format: the header line, then the records.
-_PAIR_VOCABULARY = Vocabulary(PERIOD_1930, {"aa": 2, "bb": 1}, 3)
+_PAIR_VOCABULARY = Vocabulary(PERIOD_1930, {"aa": 2, "bb": 1})
 _CLEAN_ARTIFACTS = {
     "vocabulary": (read_vocabulary, ["#period=1930-1939 #tokens=3", "aa\t2", "bb\t1"]),
     "ngrams": (
@@ -541,6 +563,25 @@ _STORE_WORDS = st.builds(
 _SHA256 = st.binary(min_size=32, max_size=32).map(bytes.hex)
 
 
+_STORE_SCHEMA = {"matrix": (2, "float64"), "words": WORDS, "label": LABEL}
+_STORE_VALUES = {"matrix": np.eye(2), "words": ["kâğıt", "kitab\x00"], "label": "1930-1939"}
+
+
+class TestStoreBytes:
+    @pytest.mark.parametrize("order", list(itertools.permutations(_STORE_SCHEMA)))
+    def test_arrays_come_in_the_schema_order_whatever_the_keyword_order(self, tmp_path, order):
+        data = store_bytes(_STORE_SCHEMA, **{key: _STORE_VALUES[key] for key in order})
+        path = tmp_path / "s.npz"
+        path.write_bytes(data)
+        with np.load(path) as store:
+            assert store.files == list(_STORE_SCHEMA)
+        arrays, held = read_store(path, "test store", _STORE_SCHEMA)
+        assert held == data
+        assert arrays["matrix"].tobytes() == np.eye(2).tobytes()
+        assert arrays["words"] == {"kâğıt": 0, "kitab\x00": 1}
+        assert arrays["label"] == "1930-1939"
+
+
 class TestArtifactRoundTrip:
     """Write then read each format on drawn contents; the reader returns them exactly."""
 
@@ -548,7 +589,7 @@ class TestArtifactRoundTrip:
     @given(period=_PERIODS, entries=st.dictionaries(_TURKISH_WORDS, st.integers(1, 10**9)))
     def test_vocabulary(self, tmp_path_factory, period, entries):
         path = tmp_path_factory.mktemp("vocab") / "v.tsv"
-        vocab = Vocabulary(period, entries, sum(entries.values()))
+        vocab = Vocabulary(period, entries)
         write_vocabulary(vocab, path)
         assert read_vocabulary(path) == vocab
 
@@ -572,7 +613,7 @@ class TestArtifactRoundTrip:
         data=st.data(),
     )
     def test_ppmi(self, tmp_path_factory, period, entries, window, alpha, data):
-        vocab = Vocabulary(period, entries, sum(entries.values()))
+        vocab = Vocabulary(period, entries)
         size = len(entries)
         cells = data.draw(
             st.dictionaries(
@@ -606,7 +647,7 @@ class TestArtifactRoundTrip:
         row = st.lists(_REALS, min_size=dim, max_size=dim)
         rows = data.draw(st.lists(row, min_size=len(words), max_size=len(words)))
         original = EmbeddingSet(
-            period, {w: i for i, w in enumerate(words)}, np.array(rows), dim, provenance
+            period, {w: i for i, w in enumerate(words)}, np.array(rows), provenance
         )
         path = tmp_path_factory.mktemp("store") / "e.npz"
         write_embeddings(original, path)

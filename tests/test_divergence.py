@@ -21,7 +21,7 @@ from conftest import PERIOD_1930, PERIOD_1980
 
 
 def _vocab(entries, period=PERIOD_1930):
-    return Vocabulary(period, dict(entries), sum(entries.values()))
+    return Vocabulary(period, dict(entries))
 
 
 def oracle_jsd(p_counts, p_total, q_counts, q_total):
@@ -151,7 +151,7 @@ class TestMatrices:
         vocabs = []
         for i in range(4):
             words = {f"w{rng.randint(0, 30)}": rng.randint(1, 9) for _ in range(12)}
-            vocabs.append(Vocabulary(TimePeriod(1900 + 10 * i, 1909 + 10 * i), words, sum(words.values())))
+            vocabs.append(Vocabulary(TimePeriod(1900 + 10 * i, 1909 + 10 * i), words))
         from diacorpus.divergence import _pairwise_matrix
 
         for metric, diag in (("jaccard", 1.0), ("jsd", 0.0)):

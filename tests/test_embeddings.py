@@ -588,7 +588,7 @@ def zipf_leaf(tokens, size, seed=0):
     leaf.doc_offsets = np.linspace(0, tokens, 101).astype(np.int64)
     counts = np.bincount(ids[ids >= 0], minlength=size)
     leaf.vocabulary = Vocabulary(
-        PERIOD_1930, {f"w{i:05d}": int(c) + 1 for i, c in enumerate(counts)}, tokens
+        PERIOD_1930, {f"w{i:05d}": int(c) + 1 for i, c in enumerate(counts)}
     )
     return leaf
 
@@ -634,7 +634,7 @@ class TestFileFormats:
         rng = np.random.default_rng(dim)
         index = dict(zip(rng.permutation([f"w{i}" for i in range(words)]).tolist(), range(words)))
         matrix = rng.normal(size=(words, dim)) * 10.0 ** rng.integers(-300, 300, size=(words, dim))
-        embedding_set = EmbeddingSet(PERIOD_1930, index, matrix, dim, "svd")
+        embedding_set = EmbeddingSet(PERIOD_1930, index, matrix, "svd")
         write_embeddings(embedding_set, tmp_path / "emb.npz")
         path = tmp_path / "emb.vec"
         assert path.read_bytes() == reference_vec_text(embedding_set).encode("utf-8")
@@ -646,7 +646,6 @@ class TestFileFormats:
             period=PERIOD_1930,
             vocab_index=index,
             matrix=rng.normal(size=(6, 4)),
-            dim=4,
             provenance="svd",
         )
         write_embeddings(original, tmp_path / "emb.npz")
@@ -725,7 +724,7 @@ class TestFileFormats:
 def _clean_store(path, words=("aa", "bb", "cc"), dim=2):
     """Write a store of ``words`` with distinct vectors; return the set written."""
     matrix = np.arange(len(words) * dim, dtype=np.float64).reshape(len(words), dim) - 2.5
-    original = EmbeddingSet(PERIOD_1930, {w: i for i, w in enumerate(words)}, matrix, dim, "svd")
+    original = EmbeddingSet(PERIOD_1930, {w: i for i, w in enumerate(words)}, matrix, "svd")
     write_embeddings(original, path)
     return original
 
@@ -734,18 +733,26 @@ class TestEmbeddingRows:
     """Row i of an ``EmbeddingSet`` is the word that ``vocab_index`` maps to i: the
     index maps its words onto the rows 0..n-1, each row once."""
 
+    def test_dim_is_the_matrix_width(self):
+        matrix = np.zeros((3, 5))
+        assert EmbeddingSet(PERIOD_1930, {"a": 0, "b": 1, "c": 2}, matrix, "svd").dim == 5
+
+    def test_one_dimensional_matrix_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="must be 2-D, one row per word"):
+            EmbeddingSet(PERIOD_1930, {"a": 0, "b": 1}, np.zeros(2), "svd")
+
     @pytest.mark.parametrize(
         "index", [{"a": 0, "b": 0, "c": 2}, {"a": 0, "b": 5, "c": 2}], ids=["shared", "past-end"]
     )
     def test_index_not_onto_each_row_once_is_parameter_error(self, index):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ParameterError, match="onto rows 0..n-1, each row once"):
-            EmbeddingSet(PERIOD_1930, index, matrix, 2, "svd")
+            EmbeddingSet(PERIOD_1930, index, matrix, "svd")
 
     def test_rows_in_any_word_order_are_written_as_held(self, tmp_path):
         index = {"c": 2, "a": 0, "b": 1}
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        embedding_set = EmbeddingSet(PERIOD_1930, index, matrix, 2, "svd")
+        embedding_set = EmbeddingSet(PERIOD_1930, index, matrix, "svd")
         assert embedding_set.words() == ["a", "b", "c"]
         assert most_similar("a", 2, embedding_set) == [("c", pytest.approx(0.5 ** 0.5)), ("b", 0.0)]
         write_embeddings(embedding_set, tmp_path / "e.npz")
@@ -756,7 +763,7 @@ class TestEmbeddingRows:
     def test_a_fortran_ordered_matrix_writes_the_bytes_of_its_c_ordered_copy(self, tmp_path):
         matrix = np.arange(6, dtype=np.float64).reshape(3, 2)
         for name, held in (("c", matrix), ("f", np.asfortranarray(matrix))):
-            embedding_set = EmbeddingSet(PERIOD_1930, {"a": 0, "b": 1, "c": 2}, held, 2, "svd")
+            embedding_set = EmbeddingSet(PERIOD_1930, {"a": 0, "b": 1, "c": 2}, held, "svd")
             write_embeddings(embedding_set, tmp_path / f"{name}.npz")
         assert (tmp_path / "c.npz").read_bytes() == (tmp_path / "f.npz").read_bytes()
         assert read_embeddings(tmp_path / "f.npz").digest() == embedding_set.digest()
@@ -768,7 +775,7 @@ class TestVectorStore:
         and the period and provenance as 0-d strings; nothing else."""
         index = {"âîû": 1, "kitab\x00": 2, "İçğıöşü": 0}
         matrix = np.array([[1.0, -0.0], [2.5, 1e-300], [-3.0, 4.0]])
-        write_embeddings(EmbeddingSet(PERIOD_1930, index, matrix, 2, "cbow"), tmp_path / "e.npz")
+        write_embeddings(EmbeddingSet(PERIOD_1930, index, matrix, "cbow"), tmp_path / "e.npz")
         arrays = store_arrays(tmp_path / "e.npz")
         assert list(arrays) == ["vectors", "words", "period", "provenance"]
         assert arrays["vectors"].dtype == np.float64

@@ -40,7 +40,7 @@ from diacorpus.preprocess import FilterConfig
 
 def _set(period, seed=0, n=4, dim=2):
     matrix = np.random.default_rng(seed).normal(size=(n, dim))
-    return EmbeddingSet(period, {f"w{i}": i for i in range(n)}, matrix, dim, "svd")
+    return EmbeddingSet(period, {f"w{i}": i for i in range(n)}, matrix, "svd")
 
 
 def _ppmi():

@@ -128,7 +128,7 @@ class TestCreateVocabulary:
         from diacorpus.embeddings import count_cooccurrences
 
         leaf = PeriodCorpus(PERIOD_1930)
-        leaf.vocabulary = Vocabulary(PERIOD_1930, {"yıl": 2, "sene": 1}, token_total=3)
+        leaf.vocabulary = Vocabulary(PERIOD_1930, {"yıl": 2, "sene": 1})
         assert create_vocabulary(leaf) is leaf.vocabulary
         for build in (
             lambda: create_ngrams(leaf, 1),
@@ -244,10 +244,22 @@ class TestExistsAndFrequency:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
+class TestTokenTotal:
+    def test_total_is_the_sum_of_the_entries(self):
+        assert Vocabulary(PERIOD_1930, {"a": 2, "b": 1}).token_total == 3
+        assert Vocabulary(PERIOD_1930, {}).token_total == 0
+
+    def test_merged_total_is_the_sum_of_the_merged_entries(self):
+        merged = Vocabulary(PERIOD_1930, {"a": 2, "b": 1}).merged_with(
+            Vocabulary(PERIOD_1980, {"b": 4, "c": 5})
+        )
+        assert merged.token_total == sum(merged.entries.values()) == 12
+
+
 class TestMergeVocabulary:
     def test_entrywise_sum(self):
-        a = Vocabulary(PERIOD_1930, {"a": 1}, 1)
-        b = Vocabulary(PERIOD_1980, {"a": 2, "b": 1}, 3)
+        a = Vocabulary(PERIOD_1930, {"a": 1})
+        b = Vocabulary(PERIOD_1980, {"a": 2, "b": 1})
         merged = a.merged_with(b)
         assert merged.entries == {"a": 3, "b": 1}
         assert merged.token_total == 4
@@ -266,9 +278,9 @@ class TestMergeVocabulary:
         assert forward.period == backward.period == TimePeriod(1930, 1989)
 
     def test_associative(self):
-        a = Vocabulary(TimePeriod(1920, 1929), {"aa": 1, "bb": 2}, 3)
-        b = Vocabulary(PERIOD_1930, {"bb": 5, "cc": 1}, 6)
-        c = Vocabulary(PERIOD_1980, {"aa": 4, "cc": 9}, 13)
+        a = Vocabulary(TimePeriod(1920, 1929), {"aa": 1, "bb": 2})
+        b = Vocabulary(PERIOD_1930, {"bb": 5, "cc": 1})
+        c = Vocabulary(PERIOD_1980, {"aa": 4, "cc": 9})
         left = a.merged_with(b).merged_with(c)
         right = a.merged_with(b.merged_with(c))
         assert left.entries == right.entries
@@ -408,14 +420,14 @@ class TestFileFormats:
         assert loaded.period == leaf.period
 
     def test_vocabulary_file_sorted_by_frequency_then_word(self, tmp_path):
-        vocab = Vocabulary(PERIOD_1930, {"bb": 2, "aa": 2, "cc": 5}, 9)
+        vocab = Vocabulary(PERIOD_1930, {"bb": 2, "aa": 2, "cc": 5})
         path = tmp_path / "vocab.tsv"
         write_vocabulary(vocab, path)
         body = path.read_text(encoding="utf-8").splitlines()[1:]
         assert body == ["cc\t5", "aa\t2", "bb\t2"]
 
     def test_vocabulary_entries_in_row_order(self):
-        vocab = Vocabulary(PERIOD_1930, {"bb": 2, "dd": 1, "aa": 2, "cc": 5}, 10)
+        vocab = Vocabulary(PERIOD_1930, {"bb": 2, "dd": 1, "aa": 2, "cc": 5})
         assert list(vocab.entries.items()) == [("cc", 5), ("aa", 2), ("bb", 2), ("dd", 1)]
 
     def test_shuffled_vocabulary_file_reads_in_row_order(self, tmp_path):
@@ -471,7 +483,7 @@ class TestFileFormats:
             write_ngrams(NgramTable.from_entries(PERIOD_1930, order, written), folder / "n.tsv")
             if order == 1:
                 words = {gram[0]: count for gram, count in written.items()}
-                vocab = Vocabulary(PERIOD_1930, words, sum(words.values()))
+                vocab = Vocabulary(PERIOD_1930, words)
                 write_vocabulary(vocab, folder / "v.tsv")
         assert (folder / "n.tsv").read_bytes() == expected
         assert read_ngrams(folder / "n.tsv", order).entries == written

@@ -102,7 +102,7 @@ def pair(request, fixture_tree):
 
 def _with_matrix(embedding_set, matrix):
     return EmbeddingSet(
-        embedding_set.period, embedding_set.vocab_index, matrix, embedding_set.dim, "svd"
+        embedding_set.period, embedding_set.vocab_index, matrix, "svd"
     )
 
 
@@ -145,7 +145,7 @@ def test_reverse_transform_is_the_transpose_and_self_alignment_the_identity(pair
     forward = procrustes_align(earlier, later).matrix
     backward = procrustes_align(later, earlier).matrix
     assert np.max(np.abs(forward - backward.T)) <= EXACT
-    copy = EmbeddingSet(PERIOD_1980, earlier.vocab_index, earlier.matrix.copy(), earlier.dim, "svd")
+    copy = EmbeddingSet(PERIOD_1980, earlier.vocab_index, earlier.matrix.copy(), "svd")
     identity = procrustes_align(earlier, copy).matrix
     assert np.max(np.abs(identity - np.eye(earlier.dim))) <= EXACT
 
@@ -173,7 +173,7 @@ def test_permuting_a_sets_rows_with_its_index_gives_the_same_transform_bytes(pai
     matrix = np.empty_like(earlier.matrix)
     matrix[new] = earlier.matrix
     index = {w: int(new[i]) for w, i in earlier.vocab_index.items()}
-    permuted = EmbeddingSet(earlier.period, index, matrix, earlier.dim, "svd")
+    permuted = EmbeddingSet(earlier.period, index, matrix, "svd")
     for source, target in [(earlier, later), (later, earlier)]:
         fitted = procrustes_align(source, target)
         swapped = procrustes_align(*(permuted if s is earlier else s for s in (source, target)))

@@ -326,4 +326,4 @@ class TestVocabularyFileErrors:
     def test_well_formed_file_still_loads(self, tmp_path):
         path = tmp_path / "v.tsv"
         path.write_text("#period=1930-1939 #tokens=3\naa\t2\n\nbb\t1\n", encoding="utf-8")
-        assert read_vocabulary(path) == Vocabulary(PERIOD_1930, {"aa": 2, "bb": 1}, 3)
+        assert read_vocabulary(path) == Vocabulary(PERIOD_1930, {"aa": 2, "bb": 1})
