@@ -17,9 +17,8 @@ _EXPORTS = {
     "alignment": "AlignmentTransform aligned_most_similar procrustes_align semantic_change",
     "cbow": "train_cbow",
     "corpus": "CorpusStats DiachronicCorpus DocumentRecord PeriodCorpus TimePeriod "
-    "TimeSeriesResult build_corpus_tree decade_bucket load_manifest",
-    "dictionary": "DictionaryEntry crossover_period load_dictionary load_sample_dictionary "
-    "replacement_series",
+    "build_corpus_tree decade_bucket load_manifest",
+    "dictionary": "DictionaryEntry crossover_period load_dictionary load_sample_dictionary",
     "divergence": "ContributionRanking DivergenceMatrix jaccard_matrix jensen_shannon "
     "jsd_contributions jsd_matrix survived_words",
     "embeddings": "CooccurrenceMatrix EmbeddingSet PPMIMatrix build_ppmi collocations "
@@ -28,7 +27,7 @@ _EXPORTS = {
     "MissingArtifactError OutOfVocabularyError ParameterError",
     "lexicon": "NgramTable Vocabulary cofrequency common_words create_ngrams create_vocabulary "
     "exists frequency merge_vocabulary morpheme_frequency vocab_metrics words_matching",
-    "orthography": "VariantPair circumflex_frequency detect_variant_pairs ending_ratio",
+    "orthography": "circumflex_frequency detect_variant_pairs ending_ratio",
     "preprocess": "FilterConfig LookupAnalyzer filter_vocabulary frequency_threshold "
     "lemma_surfaces load_analyzer_tsv normalize_text token_surfaces turkish_lower",
 }

@@ -19,9 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (
-    LABEL, WORDS, TimePeriod, TimeSeriesResult, read_store, store_bytes, write_artifact
-)
+from .corpus import LABEL, WORDS, TimePeriod, read_store, store_bytes, write_artifact
 from .embeddings import EmbeddingSet, cosine, rank_by_cosine
 from .errors import ComputationUndefinedError, ParameterError
 
@@ -159,7 +157,7 @@ def semantic_change(
     word: str,
     sets: Sequence[EmbeddingSet],
     transforms: Sequence[AlignmentTransform] | None = None,
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, float | None]]:
     """Cosine distance of a word from its starting-period vector, per period.
 
     Period k reaches the starting period's space through the consecutive
@@ -192,7 +190,7 @@ def semantic_change(
             continue
         aligned = current.matrix[current.vocab_index[word]] @ to_base
         entries.append((current.period, 1.0 - cosine(aligned, base_vector)))
-    return TimeSeriesResult(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -497,7 +497,7 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
         pair_class: orthography_mod.ending_ratio_rows(tree, pair_class, periods)
         for pair_class in classes
     }
-    raw, per_million = orthography_mod.circumflex_frequency(tree, periods)
+    circumflex_rows = orthography_mod.circumflex_frequency(tree, periods)
     # The two CSVs stay rendered by orthography.ending_ratio_csv and
     # circumflex_csv: the benchmark tracer wraps both as trace targets.
     for pair_class, rows in class_rows.items():
@@ -509,10 +509,10 @@ def cmd_ortho(config: RunConfig, args: argparse.Namespace) -> str:
             for period, soft, hard, ratio in rows
         ]
         _write_report(reports, name, records)
-    write_artifact(reports / "circumflex.csv", orthography_mod.circumflex_csv(raw, per_million))
+    write_artifact(reports / "circumflex.csv", orthography_mod.circumflex_csv(circumflex_rows))
     records = [
         {"period": period.label, "raw": count, "per_million": rate}
-        for (period, count), (_, rate) in zip(raw, per_million)
+        for period, count, rate in circumflex_rows
     ]
     _write_report(reports, "circumflex", records)
     return to_json({"classes": list(classes)})

@@ -4,8 +4,8 @@ A corpus (``DiachronicCorpus``) is its ``PeriodCorpus`` leaves, one per time
 period, sorted by period and never overlapping; ``leaves()`` returns them in
 that order. ``select_leaves(node, periods)`` is the one place a range of
 periods is picked; every per-period analysis walks its result, and
-``per_period(node, periods, fn)`` turns a function of a leaf into a
-``TimeSeriesResult``.
+``per_period(node, periods, fn)`` turns a function of a leaf into a list of
+``(period, value)`` pairs, in period order.
 
 The corpus is immutable after ``build_corpus_tree`` (or after the CLI loads
 a leaf's vocabularies and token ids from ingest's artifacts). A leaf holds
@@ -114,29 +114,6 @@ class CorpusStats:
     avg_tokens_per_document: float = 0.0
 
 
-@dataclass
-class TimeSeriesResult:
-    """Uniform result shape of diachronic operations: one value per period.
-
-    Entries are kept sorted by period start year; a value of None marks a
-    period where the quantity is undefined (e.g. an out-of-vocabulary word).
-    """
-
-    entries: list[tuple[TimePeriod, Any]]
-
-    def periods(self) -> list[TimePeriod]:
-        return [p for p, _ in self.entries]
-
-    def values(self) -> list[Any]:
-        return [v for _, v in self.entries]
-
-    def __iter__(self) -> Iterator[tuple[TimePeriod, Any]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class PeriodCorpus:
     """Leaf corpus: the documents of one time period, their token ids and vocabularies."""
 
@@ -230,9 +207,9 @@ def per_period(
     node: DiachronicCorpus,
     periods: Sequence[TimePeriod] | None,
     fn: Callable[[PeriodCorpus], Any],
-) -> TimeSeriesResult:
-    """``fn(leaf)`` for each leaf of ``select_leaves(node, periods)``, in period order."""
-    return TimeSeriesResult([(leaf.period, fn(leaf)) for leaf in select_leaves(node, periods)])
+) -> list[tuple[TimePeriod, Any]]:
+    """``(leaf.period, fn(leaf))`` for each leaf of ``select_leaves(node, periods)``, in order."""
+    return [(leaf.period, fn(leaf)) for leaf in select_leaves(node, periods)]
 
 
 def decade_bucket(year: int) -> TimePeriod:

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult
+from .corpus import DiachronicCorpus, TimePeriod
 from .errors import DictionaryError, ParameterError
 from .lexicon import frequency
 from .preprocess import nfc, read_input_text
@@ -86,22 +86,6 @@ def load_sample_dictionary() -> list[DictionaryEntry]:
     return load_dictionary(text)
 
 
-def replacement_series(
-    node: DiachronicCorpus,
-    modern: str,
-    old: str,
-    periods: Sequence[TimePeriod] | None = None,
-) -> tuple[TimeSeriesResult, TimeSeriesResult]:
-    """Aligned normalized-frequency series of the modern and old word.
-
-    Values come straight from the lexicon frequency query (absent words give
-    zero); there is no separate computation path.
-    """
-    modern_series = frequency(node, modern, periods, normalize=True)
-    old_series = frequency(node, old, periods, normalize=True)
-    return modern_series, old_series
-
-
 def crossover_period(
     node: DiachronicCorpus,
     modern: str,
@@ -117,7 +101,8 @@ def crossover_period(
     """
     if mode not in ("sustained", "first-touch"):
         raise ParameterError(f"unknown crossover mode {mode!r}")
-    modern_series, old_series = replacement_series(node, modern, old, periods)
+    modern_series = frequency(node, modern, periods, normalize=True)
+    old_series = frequency(node, old, periods, normalize=True)
     values = [
         (period, m_val, o_val)
         for (period, m_val), (_, o_val) in zip(modern_series, old_series)

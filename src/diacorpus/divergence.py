@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult, csv_table, select_leaves
+from .corpus import DiachronicCorpus, TimePeriod, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary
 
@@ -165,7 +165,7 @@ def survived_words(
     node: DiachronicCorpus,
     base_period: TimePeriod,
     periods: Sequence[TimePeriod] | None = None,
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, int]]:
     """Per period at or after the base, how many base-period words still occur."""
     leaves = select_leaves(node, periods)
     base_leaf = next((l for l in leaves if l.period == base_period), None)
@@ -178,4 +178,4 @@ def survived_words(
             continue
         later_words = set(create_vocabulary(leaf).entries)
         entries.append((leaf.period, len(base_words & later_words)))
-    return TimeSeriesResult(entries)
+    return entries

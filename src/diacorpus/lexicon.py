@@ -24,7 +24,6 @@ from .corpus import (
     DiachronicCorpus,
     PeriodCorpus,
     TimePeriod,
-    TimeSeriesResult,
     header_line,
     parse_numbers,
     per_period,
@@ -200,7 +199,7 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
 
 def exists(
     node: DiachronicCorpus, word: str, periods: Sequence[TimePeriod] | None = None
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, bool]]:
     """Per-period membership of a word in the filtered vocabulary."""
     return per_period(node, periods, lambda leaf: word in create_vocabulary(leaf))
 
@@ -210,7 +209,7 @@ def frequency(
     word: str,
     periods: Sequence[TimePeriod] | None = None,
     normalize: bool = False,
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, int | float]]:
     """Per-period frequency of a word, raw or normalized by the token total."""
 
     def count(leaf: PeriodCorpus) -> int | float:
@@ -278,7 +277,7 @@ def words_matching(
     kind: str,
     pattern: str,
     periods: Sequence[TimePeriod] | None = None,
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, set[str]]]:
     """Per-period sets of vocabulary words matching a prefix/suffix/substring pattern."""
     matches = {"prefix": str.startswith, "suffix": str.endswith, "substring": str.__contains__}
     if kind not in matches:
@@ -309,7 +308,7 @@ def morpheme_frequency(
     node: DiachronicCorpus,
     pattern: str,
     periods: Sequence[TimePeriod] | None = None,
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, float | None]]:
     """Per-period usage rate of a character pattern, per million filtered tokens.
 
     Occurrences are counted inside each vocabulary word (non-overlapping) and
@@ -330,7 +329,7 @@ def cofrequency(
     word_v: str,
     periods: Sequence[TimePeriod] | None = None,
     window: int = 2,
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, int]]:
     """Per-period co-occurrence count of a word pair under the window rule.
 
     Each value is ``count_cooccurrences(leaf, window).pair_count(word_u, word_v)``,

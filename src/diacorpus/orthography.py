@@ -14,10 +14,9 @@ circumflex count runs over lemmas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import DiachronicCorpus, TimePeriod, TimeSeriesResult, csv_table, select_leaves
+from .corpus import DiachronicCorpus, TimePeriod, csv_table, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary, merge_vocabulary, occurrence_rate
 
@@ -36,31 +35,12 @@ EXCLUSIONS = frozenset({"et"})
 CIRCUMFLEX_LETTERS = frozenset("âîûÂÎÛ")
 
 
-@dataclass(frozen=True)
-class VariantPair:
-    """Two spellings identical except for the final soft/hard consonant."""
-
-    soft_form: str
-    hard_form: str
-    pair_class: str
-
-    def __post_init__(self) -> None:
-        soft, hard = PAIR_CLASSES[self.pair_class]
-        if not self.soft_form.endswith(soft) or not self.hard_form.endswith(hard):
-            raise ParameterError(
-                f"pair ({self.soft_form}, {self.hard_form}) does not match class {self.pair_class}"
-            )
-        if self.soft_form[:-1] != self.hard_form[:-1]:
-            raise ParameterError(
-                f"pair ({self.soft_form}, {self.hard_form}) differs beyond the final letter"
-            )
-
-
-def detect_variant_pairs(vocab: Vocabulary, pair_class: str) -> list[VariantPair]:
+def detect_variant_pairs(vocab: Vocabulary, pair_class: str) -> list[tuple[str, str]]:
     """Find soft/hard spelling pairs present in a (merged) vocabulary.
 
-    Each pair is emitted exactly once, soft form first. A pair is skipped
-    when either of its forms is in ``EXCLUSIONS``.
+    A pair is two words identical except for the final soft/hard consonant.
+    Each is emitted exactly once, as a ``(soft form, hard form)`` tuple. A
+    pair is skipped when either of its forms is in ``EXCLUSIONS``.
     """
     if pair_class not in PAIR_CLASSES:
         raise ParameterError(
@@ -77,7 +57,7 @@ def detect_variant_pairs(vocab: Vocabulary, pair_class: str) -> list[VariantPair
             continue
         if word in EXCLUSIONS or counterpart in EXCLUSIONS:
             continue
-        pairs.append(VariantPair(soft_form=word, hard_form=counterpart, pair_class=pair_class))
+        pairs.append((word, counterpart))
     return pairs
 
 
@@ -100,8 +80,8 @@ def ending_ratio_rows(
     rows = []
     for leaf in select_leaves(node, periods):
         vocab = create_vocabulary(leaf, "surface")
-        soft_total = sum(vocab.frequency(p.soft_form) for p in pairs)
-        hard_total = sum(vocab.frequency(p.hard_form) for p in pairs)
+        soft_total = sum(vocab.frequency(soft) for soft, _ in pairs)
+        hard_total = sum(vocab.frequency(hard) for _, hard in pairs)
         ratio = soft_total / hard_total if hard_total else None
         rows.append((leaf.period, soft_total, hard_total, ratio))
     return rows
@@ -109,9 +89,9 @@ def ending_ratio_rows(
 
 def ending_ratio(
     node: DiachronicCorpus, pair_class: str, periods: Sequence[TimePeriod] | None = None
-) -> TimeSeriesResult:
+) -> list[tuple[TimePeriod, float | None]]:
     rows = ending_ratio_rows(node, pair_class, periods)
-    return TimeSeriesResult([(period, ratio) for period, _, _, ratio in rows])
+    return [(period, ratio) for period, _, _, ratio in rows]
 
 
 def ending_ratio_csv(
@@ -126,25 +106,23 @@ def ending_ratio_csv(
 
 def circumflex_frequency(
     node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None
-) -> tuple[TimeSeriesResult, TimeSeriesResult]:
-    """Circumflexed-letter occurrences per period: (raw counts, per million tokens).
+) -> list[tuple[TimePeriod, int, float | None]]:
+    """Circumflexed-letter occurrences per period: (period, raw count, per million tokens).
 
     Occurrences inside each vocabulary word are weighted by the word's token
-    frequency. The per-million series is None for a period with no tokens.
+    frequency. The per-million value is None for a period with no tokens.
     """
-    raw_entries: list[tuple[TimePeriod, int]] = []
-    rate_entries: list[tuple[TimePeriod, float | None]] = []
+    rows = []
     for leaf in select_leaves(node, periods):
         vocab = create_vocabulary(leaf)
         raw, rate = occurrence_rate(vocab, lambda w: sum(ch in CIRCUMFLEX_LETTERS for ch in w))
-        raw_entries.append((leaf.period, raw))
-        rate_entries.append((leaf.period, rate))
-    return TimeSeriesResult(raw_entries), TimeSeriesResult(rate_entries)
+        rows.append((leaf.period, raw, rate))
+    return rows
 
 
-def circumflex_csv(raw: TimeSeriesResult, per_million: TimeSeriesResult) -> str:
-    """CSV of the two ``circumflex_frequency`` series."""
+def circumflex_csv(rows: Sequence[tuple[TimePeriod, int, float | None]]) -> str:
+    """CSV of the ``circumflex_frequency`` rows."""
     return csv_table(
         ["period", "circumflex_raw", "circumflex_per_million"],
-        ((period.label, count, rate) for (period, count), (_, rate) in zip(raw, per_million)),
+        ((period.label, count, rate) for period, count, rate in rows),
     )

@@ -109,9 +109,6 @@ class LookupAnalyzer:
     def __init__(self, table: Mapping[str, str] | None = None):
         self._table = dict(table or {})
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def stem(self, surface: str) -> str | None:
         hit = self._table.get(surface)
         if hit is None:

@@ -34,6 +34,11 @@ def fresh_tree(fixture_config) -> DiachronicCorpus:
     return _ingest_tree(fixture_config)
 
 
+def series_values(series) -> list:
+    """The values of a per-period result of ``(period, value)`` pairs, in order."""
+    return [value for _, value in series]
+
+
 def stored_cells(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row ids, column ids and values of a compressed-row matrix's stored
     cells, in storage order, read from ``indptr``, ``indices`` and ``data`` alone."""

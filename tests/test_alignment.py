@@ -25,6 +25,7 @@ from conftest import (
     PERIOD_1980,
     TRANSFORM_CORRUPTIONS,
     UNPICKLED,
+    series_values,
     store_arrays,
     write_corrupt_store,
 )
@@ -197,12 +198,12 @@ class TestSemanticChange:
     def test_starting_period_is_zero(self):
         sets = self._three_rotated_sets()
         series = semantic_change("w00", sets)
-        assert series.values()[0] == 0.0
+        assert series_values(series)[0] == 0.0
 
     def test_pure_rotations_are_undone_by_composition(self):
         sets = self._three_rotated_sets()
         series = semantic_change("w07", sets)
-        assert all(v == pytest.approx(0.0, abs=1e-8) for v in series.values())
+        assert all(v == pytest.approx(0.0, abs=1e-8) for v in series_values(series))
 
     def test_composition_order(self):
         # each later period reaches the base through the product of the
@@ -211,7 +212,7 @@ class TestSemanticChange:
         for later in (1, 2):
             direct = procrustes_align(sets[later], sets[0])
             for word in sets[0].words():
-                got = semantic_change(word, sets).values()[later]
+                got = series_values(semantic_change(word, sets))[later]
                 aligned = direct.apply(sets[later].vector(word))
                 want = 1.0 - cosine(aligned, sets[0].vector(word))
                 assert abs(got - want) <= 1e-8
@@ -219,7 +220,7 @@ class TestSemanticChange:
     def test_missing_word_yields_null_entries(self):
         sets = self._three_rotated_sets()
         series = semantic_change("yok", sets)
-        assert series.values() == [None, None, None]
+        assert series_values(series) == [None, None, None]
 
     def test_fixture_stationary_vs_swapped(self, fixture_tree):
         from diacorpus.embeddings import build_ppmi, count_cooccurrences, svd_embeddings
@@ -228,8 +229,8 @@ class TestSemanticChange:
         for leaf in fixture_tree.leaves():
             embedding, _ = svd_embeddings(build_ppmi(count_cooccurrences(leaf, 2), 0.75), 16)
             sets.append(embedding)
-        stationary = semantic_change("kanun", sets).values()
-        swapped = semantic_change("piyasa", sets).values()
+        stationary = series_values(semantic_change("kanun", sets))
+        swapped = series_values(semantic_change("piyasa", sets))
         assert stationary[0] == 0.0
         assert stationary[1] < 0.2
         assert swapped[1] > stationary[1]

@@ -1659,15 +1659,15 @@ class TestModulesLoaded:
         assert read_embeddings(store).matrix.shape == (600, 100)
 
 
-# every name ``diacorpus/__init__.py`` exported when it still imported them all, by module
+# every name ``diacorpus/__init__.py`` exports, by module
 _PACKAGE_EXPORTS = {
     "alignment": ["AlignmentTransform", "aligned_most_similar", "procrustes_align",
                   "semantic_change"],
     "cbow": ["train_cbow"],
     "corpus": ["CorpusStats", "DiachronicCorpus", "DocumentRecord", "PeriodCorpus", "TimePeriod",
-               "TimeSeriesResult", "build_corpus_tree", "decade_bucket", "load_manifest"],
+               "build_corpus_tree", "decade_bucket", "load_manifest"],
     "dictionary": ["DictionaryEntry", "crossover_period", "load_dictionary",
-                   "load_sample_dictionary", "replacement_series"],
+                   "load_sample_dictionary"],
     "divergence": ["ContributionRanking", "DivergenceMatrix", "jaccard_matrix", "jensen_shannon",
                    "jsd_contributions", "jsd_matrix", "survived_words"],
     "embeddings": ["CooccurrenceMatrix", "EmbeddingSet", "PPMIMatrix", "build_ppmi",
@@ -1677,7 +1677,7 @@ _PACKAGE_EXPORTS = {
     "lexicon": ["NgramTable", "Vocabulary", "cofrequency", "common_words", "create_ngrams",
                 "create_vocabulary", "exists", "frequency", "merge_vocabulary",
                 "morpheme_frequency", "vocab_metrics", "words_matching"],
-    "orthography": ["VariantPair", "circumflex_frequency", "detect_variant_pairs", "ending_ratio"],
+    "orthography": ["circumflex_frequency", "detect_variant_pairs", "ending_ratio"],
     "preprocess": ["FilterConfig", "LookupAnalyzer", "filter_vocabulary", "frequency_threshold",
                    "lemma_surfaces", "load_analyzer_tsv", "normalize_text", "token_surfaces",
                    "turkish_lower"],
@@ -1720,6 +1720,14 @@ class TestPackageExports:
             "not_in_dir": [],
             "unknown": "module 'diacorpus' has no attribute 'no_such_name'",
         }
+
+    def test_all_is_the_export_table_and_dir_lists_it(self):
+        import diacorpus
+
+        exported = sorted(name for names in _PACKAGE_EXPORTS.values() for name in names)
+        assert diacorpus.__all__ == exported
+        assert len(exported) == 63
+        assert set(exported) <= set(dir(diacorpus))
 
 
 class TestEmbedAlignQuery:

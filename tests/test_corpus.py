@@ -20,7 +20,6 @@ from diacorpus.corpus import (
     DocumentRecord,
     PeriodCorpus,
     TimePeriod,
-    TimeSeriesResult,
     LABEL,
     WORDS,
     build_corpus_tree,
@@ -54,14 +53,22 @@ from diacorpus.embeddings import (
     write_embeddings,
     write_ppmi,
 )
+from diacorpus.divergence import survived_words
 from diacorpus.lexicon import (
     NgramTable,
     Vocabulary,
+    cofrequency,
+    exists,
+    frequency,
+    morpheme_frequency,
     read_ngrams,
     read_vocabulary,
+    vocab_metrics,
+    words_matching,
     write_ngrams,
     write_vocabulary,
 )
+from diacorpus.orthography import circumflex_frequency, ending_ratio, ending_ratio_rows
 
 from conftest import (
     BAD_ASSOCIATIONS,
@@ -209,15 +216,48 @@ def unique_word_count(leaf):
     return len(leaf.vocabulary.entries)
 
 
+# each per-period query of the library, as a function of a tree and a period range
+PER_PERIOD_RESULTS = {
+    "exists": lambda tree, periods: exists(tree, "kanun", periods),
+    "frequency": lambda tree, periods: frequency(tree, "kanun", periods),
+    "words_matching": lambda tree, periods: words_matching(tree, "prefix", "ka", periods),
+    "morpheme_frequency": lambda tree, periods: morpheme_frequency(tree, "ler", periods),
+    "cofrequency": lambda tree, periods: cofrequency(tree, "kanun", "madde", periods),
+    **{
+        f"vocab_metrics.{key}": lambda tree, periods, key=key: vocab_metrics(tree, periods)[key]
+        for key in ("unique_word_count", "average_word_length", "ngram_count")
+    },
+    "survived_words": lambda tree, periods: survived_words(tree, min(periods), periods),
+    "ending_ratio": lambda tree, periods: ending_ratio(tree, "b-p", periods),
+    "ending_ratio_rows": lambda tree, periods: ending_ratio_rows(tree, "b-p", periods),
+    "circumflex_frequency": lambda tree, periods: circumflex_frequency(tree, periods),
+}
+# the results of several columns: (period, ...) rows, not (period, value) pairs
+ROW_RESULTS = {"ending_ratio_rows", "circumflex_frequency"}
+
+
 class TestPerPeriod:
     def test_series_equals_per_leaf_values(self, fixture_tree):
         series = per_period(fixture_tree, None, unique_word_count)
-        assert isinstance(series, TimeSeriesResult)
-        assert series.entries == [(l.period, unique_word_count(l)) for l in fixture_tree.leaves()]
+        assert isinstance(series, list)
+        assert series == [(l.period, unique_word_count(l)) for l in fixture_tree.leaves()]
 
     def test_reversed_periods_give_period_order(self, fixture_tree):
         series = per_period(fixture_tree, [PERIOD_1980, PERIOD_1930], unique_word_count)
-        assert series.periods() == [PERIOD_1930, PERIOD_1980]
+        assert [period for period, _ in series] == [PERIOD_1930, PERIOD_1980]
+
+    @pytest.mark.parametrize("name", sorted(PER_PERIOD_RESULTS))
+    def test_every_per_period_result_is_a_list_in_period_order(self, fixture_tree, name):
+        periods = [leaf.period for leaf in reversed(fixture_tree.leaves())]
+        result = PER_PERIOD_RESULTS[name](fixture_tree, periods)
+        assert isinstance(result, list)
+        assert [entry[0] for entry in result] == [
+            leaf.period for leaf in select_leaves(fixture_tree, periods)
+        ]
+        if name not in ROW_RESULTS:
+            assert all(len(entry) == 2 for entry in result)
+            for period, value in result:
+                assert dict(result)[period] == value
 
     @pytest.mark.parametrize(
         "periods,message",

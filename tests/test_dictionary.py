@@ -7,11 +7,11 @@ from diacorpus.dictionary import (
     crossover_period,
     load_dictionary,
     load_sample_dictionary,
-    replacement_series,
 )
 from diacorpus.errors import DictionaryError, ParameterError
+from diacorpus.lexicon import frequency
 
-from conftest import PERIOD_1930, PERIOD_1980
+from conftest import PERIOD_1930, PERIOD_1980, series_values
 
 
 class TestLoadDictionary:
@@ -70,25 +70,21 @@ class TestLoadDictionary:
 
 class TestReplacementSeries:
     def test_both_absent(self, fixture_tree):
-        modern, old = replacement_series(fixture_tree, "hiçbiri", "öbürü")
-        assert modern.values() == [0.0, 0.0]
-        assert old.values() == [0.0, 0.0]
+        modern = frequency(fixture_tree, "hiçbiri", normalize=True)
+        old = frequency(fixture_tree, "öbürü", normalize=True)
+        assert series_values(modern) == [0.0, 0.0]
+        assert series_values(old) == [0.0, 0.0]
 
     def test_fixture_pattern(self, fixture_tree):
-        modern, old = replacement_series(fixture_tree, "gerek", "mucip")
-        assert old.values()[0] > modern.values()[0]
-        assert modern.values()[1] > old.values()[1]
+        modern = frequency(fixture_tree, "gerek", normalize=True)
+        old = frequency(fixture_tree, "mucip", normalize=True)
+        assert series_values(old)[0] > series_values(modern)[0]
+        assert series_values(modern)[1] > series_values(old)[1]
 
     def test_values_bounded_by_one(self, fixture_tree):
         for word in ("gerek", "mucip", "yıl", "sene", "belge"):
-            modern, old = replacement_series(fixture_tree, word, word)
-            assert all(0.0 <= v <= 1.0 for v in modern.values())
-
-    def test_matches_lexicon_frequency_path(self, fixture_tree):
-        from diacorpus.lexicon import frequency
-
-        modern, _ = replacement_series(fixture_tree, "belge", "vesika")
-        assert modern.values() == frequency(fixture_tree, "belge", normalize=True).values()
+            modern = frequency(fixture_tree, word, normalize=True)
+            assert all(0.0 <= v <= 1.0 for v in series_values(modern))
 
 
 class TestCrossoverPeriod:
@@ -114,7 +110,8 @@ class TestCrossoverPeriod:
     def test_result_satisfies_own_postcondition(self, fixture_tree):
         for modern, old in (("gerek", "mucip"), ("yıl", "sene"), ("numara", "sayı")):
             period = crossover_period(fixture_tree, modern, old)
-            modern_series, old_series = replacement_series(fixture_tree, modern, old)
+            modern_series = frequency(fixture_tree, modern, normalize=True)
+            old_series = frequency(fixture_tree, old, normalize=True)
             assert period is not None
             started = False
             for (p, m_val), (_, o_val) in zip(modern_series, old_series):

@@ -193,7 +193,7 @@ class TestSurvivedWords:
 
     def test_periods_before_a_later_base_are_skipped(self, fixture_tree):
         series = survived_words(fixture_tree, PERIOD_1980)
-        assert series.entries == [(PERIOD_1980, len(fixture_tree.leaves()[1].vocabulary.entries))]
+        assert series == [(PERIOD_1980, len(fixture_tree.leaves()[1].vocabulary.entries))]
 
     def test_disjoint_later_vocab(self):
         from diacorpus.corpus import DiachronicCorpus, PeriodCorpus

@@ -18,7 +18,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, PERIOD_1930, PERIOD_1980
+from conftest import FIXTURES, PERIOD_1930, PERIOD_1980, series_values
 from diacorpus.alignment import procrustes_align, semantic_change
 from diacorpus.cli import main
 from diacorpus.corpus import DiachronicCorpus, PeriodCorpus
@@ -34,7 +34,6 @@ from diacorpus.embeddings import (
 )
 from diacorpus.errors import ParameterError
 from diacorpus.lexicon import frequency, morpheme_frequency, words_matching
-from diacorpus.orthography import VariantPair
 from diacorpus.preprocess import FilterConfig
 
 
@@ -106,7 +105,7 @@ class TestLexicon:
         # the alphabetic-only filter drops every token, so the period keeps none
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "1930 1931"}, FilterConfig())
         assert leaf.vocabulary.token_total == 0
-        assert frequency(DiachronicCorpus([leaf]), "1930", normalize=True).values() == [0.0]
+        assert series_values(frequency(DiachronicCorpus([leaf]), "1930", normalize=True)) == [0.0]
 
     def test_unknown_match_kind_is_parameter_error(self, fixture_tree):
         with pytest.raises(ParameterError, match="unknown match kind 'infix'"):
@@ -121,12 +120,6 @@ class TestCorpus:
     def test_corpus_of_no_leaves_is_parameter_error(self):
         with pytest.raises(ParameterError, match="needs at least one child"):
             DiachronicCorpus([])
-
-
-class TestOrthography:
-    def test_variant_pair_differing_before_its_last_letter_is_parameter_error(self):
-        with pytest.raises(ParameterError, match=r"\(kitab, kotap\) differs beyond the final letter"):
-            VariantPair("kitab", "kotap", "b-p")
 
 
 def test_help_after_the_config_flag_exits_zero(capsys):

@@ -31,8 +31,9 @@ from diacorpus.lexicon import (
     write_ngrams,
     write_vocabulary,
 )
+from diacorpus.preprocess import FilterConfig
 
-from conftest import FIXTURES, PERIOD_1930, PERIOD_1980
+from conftest import FIXTURES, PERIOD_1930, PERIOD_1980, series_values
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +204,15 @@ class TestNgrams:
 class TestExistsAndFrequency:
     def test_exists_over_fixture(self, fixture_tree):
         series = exists(fixture_tree, "televizyon")
-        assert series.values() == [False, True]
+        assert series_values(series) == [False, True]
 
     def test_absent_everywhere(self, fixture_tree):
         series = exists(fixture_tree, "yok")
-        assert series.values() == [False, False]
+        assert series_values(series) == [False, False]
 
     def test_absent_word_has_zero_frequency(self, fixture_tree):
         series = frequency(fixture_tree, "yok")
-        assert series.values() == [0, 0]
+        assert series_values(series) == [0, 0]
 
     def test_unknown_period_rejected(self, fixture_tree):
         with pytest.raises(ParameterError, match="1800-1809"):
@@ -220,25 +221,25 @@ class TestExistsAndFrequency:
     def test_normalized_by_hand(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "yıl yıl kış güz"})
         series = frequency(_tree_of(leaf), "yıl", normalize=True)
-        assert series.values() == [0.5]
+        assert series_values(series) == [0.5]
 
     def test_fixture_replacement_pair_crosses_over(self, fixture_tree):
-        gerek = frequency(fixture_tree, "gerek", normalize=True).values()
-        mucip = frequency(fixture_tree, "mucip", normalize=True).values()
+        gerek = series_values(frequency(fixture_tree, "gerek", normalize=True))
+        mucip = series_values(frequency(fixture_tree, "mucip", normalize=True))
         assert mucip[0] > gerek[0]
         assert gerek[1] > mucip[1]
         assert mucip[1] == 0.0
 
     def test_exists_iff_positive_frequency(self, fixture_tree):
         for word in ("gerek", "mucip", "televizyon", "yok", "kanun"):
-            e = exists(fixture_tree, word).values()
-            f = frequency(fixture_tree, word).values()
+            e = series_values(exists(fixture_tree, word))
+            f = series_values(frequency(fixture_tree, word))
             assert e == [v > 0 for v in f]
 
     def test_normalized_frequencies_sum_to_one(self, fixture_tree):
         for leaf in fixture_tree.leaves():
             total = sum(
-                frequency(_tree_of(leaf), w, normalize=True).values()[0]
+                series_values(frequency(_tree_of(leaf), w, normalize=True))[0]
                 for w in leaf.vocabulary.entries
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -292,14 +293,24 @@ class TestVocabMetrics:
     def test_average_word_length_by_hand(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
         metrics = vocab_metrics(_tree_of(leaf))
-        assert metrics["average_word_length"].values() == [2.5]
+        assert series_values(metrics["average_word_length"]) == [2.5]
+
+    def test_leaf_whose_filter_keeps_no_word_has_zero_average_length(self):
+        # a threshold divisor of 1 puts the frequency floor at the token count itself
+        leaf = PeriodCorpus.from_texts(
+            PERIOD_1930, {"d": "a b c"}, FilterConfig(threshold_divisor=1)
+        )
+        assert leaf.vocabulary.entries == {}
+        metrics = vocab_metrics(_tree_of(leaf))
+        assert series_values(metrics["unique_word_count"]) == [0]
+        assert series_values(metrics["average_word_length"]) == [0.0]
 
     def test_one_period_gives_one_entry_series(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
         metrics = vocab_metrics(_tree_of(leaf))
-        assert metrics["unique_word_count"].entries == [(PERIOD_1930, 2)]
-        assert metrics["average_word_length"].entries == [(PERIOD_1930, 2.5)]
-        assert metrics["ngram_count"].entries == [(PERIOD_1930, 3)]
+        assert metrics["unique_word_count"] == [(PERIOD_1930, 2)]
+        assert metrics["average_word_length"] == [(PERIOD_1930, 2.5)]
+        assert metrics["ngram_count"] == [(PERIOD_1930, 3)]
         assert metrics["common_words"] == {"ab", "abc"}
 
     def test_common_words_disjoint(self):
@@ -311,9 +322,9 @@ class TestVocabMetrics:
 
     def test_fixture_metrics_against_recount(self, fixture_tree):
         metrics = vocab_metrics(fixture_tree)
-        for leaf, count in zip(fixture_tree.leaves(), metrics["unique_word_count"].values()):
+        for leaf, count in zip(fixture_tree.leaves(), series_values(metrics["unique_word_count"])):
             assert count == len(leaf.vocabulary.entries)
-        for leaf, avg in zip(fixture_tree.leaves(), metrics["average_word_length"].values()):
+        for leaf, avg in zip(fixture_tree.leaves(), series_values(metrics["average_word_length"])):
             expected = sum(map(len, leaf.vocabulary.entries)) / len(leaf.vocabulary.entries)
             assert avg == pytest.approx(expected)
         expected_common = set(fixture_tree.leaves()[0].vocabulary.entries) & set(
@@ -326,11 +337,11 @@ class TestWordsMatchingAndMorphemes:
     def test_suffix_match(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "kitab kitap kitap"})
         series = words_matching(_tree_of(leaf), "suffix", "b")
-        assert series.values() == [{"kitab"}]
+        assert series_values(series) == [{"kitab"}]
 
     def test_prefix_tele_on_fixture(self, fixture_tree):
         series = words_matching(fixture_tree, "prefix", "tele")
-        assert series.values() == [set(), {"televizyon"}]
+        assert series_values(series) == [set(), {"televizyon"}]
 
     def test_empty_pattern_rejected(self, fixture_tree):
         with pytest.raises(ParameterError):
@@ -340,18 +351,18 @@ class TestWordsMatchingAndMorphemes:
         # one circumflex per lemma occurrence, frequency 2, in a 4-token corpus
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "kâğıt kâğıt kalem uç"})
         series = morpheme_frequency(_tree_of(leaf), "â")
-        assert series.values() == [pytest.approx(2 / 4 * 1_000_000)]
+        assert series_values(series) == [pytest.approx(2 / 4 * 1_000_000)]
 
 
 class TestCoFrequency:
     def test_single_pair(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb"})
         series = cofrequency(_tree_of(leaf), "aa", "bb")
-        assert series.values() == [1]
+        assert series_values(series) == [1]
 
     def test_symmetric(self, fixture_tree):
-        uv = cofrequency(fixture_tree, "kanun", "madde").values()
-        vu = cofrequency(fixture_tree, "madde", "kanun").values()
+        uv = series_values(cofrequency(fixture_tree, "kanun", "madde"))
+        vu = series_values(cofrequency(fixture_tree, "madde", "kanun"))
         assert uv == vu
         assert uv[0] > 0
 
@@ -366,19 +377,20 @@ class TestCoFrequency:
         for u in words:
             for v in words:
                 expected = [matrix.pair_count(u, v) for matrix in matrices]
-                assert cofrequency(fixture_tree, u, v, window=window).values() == expected, (u, v)
+                series = cofrequency(fixture_tree, u, v, window=window)
+                assert series_values(series) == expected, (u, v)
 
     def test_a_word_with_itself_counts_twice(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa aa bb", "d2": "aa"})
-        assert cofrequency(_tree_of(leaf), "aa", "aa", window=1).values() == [2]
-        assert cofrequency(_tree_of(leaf), "aa", "bb", window=1).values() == [1]
-        assert cofrequency(_tree_of(leaf), "aa", "aa", window=5).values() == [2]
+        assert series_values(cofrequency(_tree_of(leaf), "aa", "aa", window=1)) == [2]
+        assert series_values(cofrequency(_tree_of(leaf), "aa", "bb", window=1)) == [1]
+        assert series_values(cofrequency(_tree_of(leaf), "aa", "aa", window=5)) == [2]
 
     @pytest.mark.filterwarnings("error")
     def test_leaf_with_every_token_filtered_out(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "12 34 56 78"})
         assert leaf.vocabulary.entries == {}
-        assert cofrequency(_tree_of(leaf), "aa", "bb").values() == [0]
+        assert series_values(cofrequency(_tree_of(leaf), "aa", "bb")) == [0]
 
     @pytest.mark.parametrize("word", ["aa", "yokkelime"])
     def test_window_below_one_is_an_error(self, word):

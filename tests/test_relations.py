@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import PERIOD_1930, PERIOD_1980
+from conftest import PERIOD_1930, PERIOD_1980, series_values
 from diacorpus.alignment import aligned_most_similar, procrustes_align, semantic_change
 from diacorpus.embeddings import (
     _DENSE_SVD_LIMIT,
@@ -113,7 +113,7 @@ def _orthogonal(dim, seed):
 
 def _changes(words, earlier, later):
     step = procrustes_align(later, earlier)
-    return np.array([semantic_change(w, [earlier, later], [step]).values()[1] for w in words])
+    return np.array([series_values(semantic_change(w, [earlier, later], [step]))[1] for w in words])
 
 
 def _aligned_lists(words, earlier, later):
