@@ -19,8 +19,7 @@ _EXPORTS = {
     "corpus": "CorpusStats DiachronicCorpus DocumentRecord PeriodCorpus TimePeriod "
     "build_corpus_tree decade_bucket load_manifest",
     "dictionary": "DictionaryEntry crossover_period load_dictionary load_sample_dictionary",
-    "divergence": "ContributionRanking DivergenceMatrix jaccard_matrix jensen_shannon "
-    "jsd_contributions jsd_matrix survived_words",
+    "divergence": "jaccard_matrix jensen_shannon jsd_contributions jsd_matrix survived_words",
     "embeddings": "CooccurrenceMatrix EmbeddingSet PPMIMatrix build_ppmi collocations "
     "count_cooccurrences most_similar svd_embeddings",
     "errors": "ComputationUndefinedError DiacorpusError DictionaryError IngestError "

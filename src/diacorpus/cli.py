@@ -144,13 +144,12 @@ class RunConfig:
         bucketing = _parse_bucketing(raw.get("bucketing"))
         filter_cfg = _config_section(raw, "filter", FilterConfig)
         embedding = _config_section(raw, "embedding", EmbeddingConfig)
-        analyzer_tsv = raw.get("analyzer_tsv")  # absent, null or "": no analyzer
         return cls(
             corpus_root=_resolve("corpus_root"),
             output_dir=_resolve("output_dir"),
             bucketing=bucketing,
             filter=filter_cfg,
-            analyzer_tsv=None if analyzer_tsv in (None, "") else _resolve("analyzer_tsv"),
+            analyzer_tsv=None if raw.get("analyzer_tsv") is None else _resolve("analyzer_tsv"),
             ngram_orders=_parse_ngram_orders(raw.get("ngram_orders", [1, 2, 3])),
             embedding=embedding,
         )
@@ -190,6 +189,7 @@ def _parse_ngram_orders(value) -> tuple[int, ...]:
         raise ParameterError(
             f'config "ngram_orders" must be a list drawn from {list(lexicon_mod.NGRAM_ORDERS)}'
         )
+    require_distinct(value, 'config "ngram_orders" order')
     return tuple(value)
 
 
@@ -433,7 +433,7 @@ def _word_report_name(kind: str, word: str, *labels: str) -> str:
 
 
 def _parse_periods(periods: list[TimePeriod] | None) -> list[TimePeriod] | None:
-    """The periods of a ``--periods`` or ``--pair`` flag; no values means all (None).
+    """The periods of a ``--periods`` flag; no values means all (None).
     ``corpus.select_leaves`` rejects a period listed twice."""
     return periods or None
 
@@ -442,31 +442,28 @@ def cmd_divergence(config: RunConfig, args: argparse.Namespace) -> str:
     from . import divergence as divergence_mod
 
     reports = config.output_dir / "reports"
-    periods, pair = _parse_periods(args.periods), _parse_periods(args.pair)
+    periods, pair = _parse_periods(args.periods), args.pair
     tree = _load_vocab_artifacts(config)
     # compute everything first, so a bad --pair writes no report
-    matrices = (
-        divergence_mod.jaccard_matrix(tree, periods),
-        divergence_mod.jsd_matrix(tree, periods),
-    )
+    matrices = {
+        "jaccard": divergence_mod.jaccard_matrix(tree, periods),
+        "jsd": divergence_mod.jsd_matrix(tree, periods),
+    }
     if pair:
         ranking = divergence_mod.contributions_between(tree, *pair, args.top_k)
     written = []
-    for matrix in matrices:
-        name = matrix.metric
-        write_artifact(reports / f"{name}.csv", matrix.to_csv())
-        payload = {
-            "metric": matrix.metric,
-            "periods": [p.label for p in matrix.periods],
-            "values": [[float(v) for v in row] for row in matrix.values],
-        }
+    for name, rows in matrices.items():
+        labels = [period.label for period, _ in rows]
+        grid = ([period.label, *row] for period, row in rows)
+        write_artifact(reports / f"{name}.csv", csv_table(["period", *labels], grid))
+        payload = {"metric": name, "periods": labels, "values": [row for _, row in rows]}
         write_artifact(reports / f"{name}.json", to_json(payload))
         written += [f"{name}.csv", f"{name}.json"]
     if pair:
         name = f"jsd_contributions_{pair[0].label}_{pair[1].label}"
         records = [
-            {"lemma": lemma, "contribution": value, "side": ranking.side(value).label}
-            for lemma, value in ranking.pairs
+            {"lemma": lemma, "contribution": value, "side": period.label}
+            for lemma, value, period in ranking
         ]
         _write_report(reports, name, records, ("lemma", "contribution", "side"))
         written += [f"{name}.csv", f"{name}.json"]

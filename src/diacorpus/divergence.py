@@ -9,49 +9,20 @@ c(w) = 1/2 * (p(w) * log2(p(w)/m(w)) + q(w) * log2(q(w)/m(w)))
 signed negative when the word is relatively more frequent in the first
 period and positive when in the second.
 
-numpy is imported inside the array functions, so ``survived_words``, which
-compares word sets only, runs without it.
+numpy is imported inside the array functions, so ``survived_words`` and
+``jaccard_matrix``, which compare word sets only, run without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .corpus import DiachronicCorpus, TimePeriod, csv_table, select_leaves
+from .corpus import DiachronicCorpus, TimePeriod, select_leaves
 from .errors import ComputationUndefinedError, ParameterError
 from .lexicon import Vocabulary, create_vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
-
-
-@dataclass
-class DivergenceMatrix:
-    """Square period-by-period comparison matrix (jaccard or jsd)."""
-
-    periods: list[TimePeriod]
-    values: np.ndarray
-    metric: str
-
-    def to_csv(self) -> str:
-        labels = [p.label for p in self.periods]
-        return csv_table(
-            ["period", *labels], ([label, *row] for label, row in zip(labels, self.values))
-        )
-
-
-@dataclass
-class ContributionRanking:
-    """Top per-word JSD contributions between two periods, by magnitude."""
-
-    pairs: list[tuple[str, float]]
-    period_a: TimePeriod
-    period_b: TimePeriod
-
-    def side(self, value: float) -> TimePeriod:
-        """The period a signed contribution favors: negative values the first."""
-        return self.period_a if value < 0 else self.period_b
 
 
 def jaccard_similarity(vocab_a: Vocabulary, vocab_b: Vocabulary) -> float:
@@ -99,12 +70,13 @@ def jensen_shannon(vocab_a: Vocabulary, vocab_b: Vocabulary) -> float:
 
 def jsd_contributions(
     vocab_a: Vocabulary, vocab_b: Vocabulary, top_k: int
-) -> ContributionRanking:
+) -> list[tuple[str, float, TimePeriod]]:
     """Rank words by their individual share of the JSD between two periods.
 
     The magnitudes of all contributions sum to the total divergence; the
-    returned list keeps the ``top_k`` largest by magnitude, ties broken
-    lexicographically.
+    returned ``(lemma, contribution, favoured period)`` rows keep the ``top_k``
+    largest by magnitude, ties broken lexicographically. A negative value
+    favours ``vocab_a``'s period, any other ``vocab_b``'s.
     """
     import numpy as np
 
@@ -118,43 +90,39 @@ def jsd_contributions(
         zip(union, magnitude * signs),
         key=lambda kv: (-abs(kv[1]), kv[0]),
     )
-    pairs = [(w, float(v)) for w, v in items[:top_k]]
-    return ContributionRanking(pairs=pairs, period_a=vocab_a.period, period_b=vocab_b.period)
+    top = [(word, float(value)) for word, value in items[:top_k]]
+    return [(word, value, vocab_a.period if value < 0 else vocab_b.period) for word, value in top]
 
 
-def _pairwise_matrix(vocabularies: list[Vocabulary], metric: str) -> DivergenceMatrix:
-    import numpy as np
-
-    n = len(vocabularies)
-    values = np.zeros((n, n), dtype=np.float64)
-    fn = jaccard_similarity if metric == "jaccard" else jensen_shannon
-    for i in range(n):
-        for j in range(i, n):
-            cell = fn(vocabularies[i], vocabularies[j])
-            values[i, j] = cell
-            values[j, i] = cell
-    return DivergenceMatrix(
-        periods=[v.period for v in vocabularies], values=values, metric=metric
-    )
+def _pairwise_matrix(
+    vocabularies: list[Vocabulary], cell: Callable[[Vocabulary, Vocabulary], float]
+) -> list[tuple[TimePeriod, list[float]]]:
+    """One ``(period, row)`` pair per vocabulary; each cell is computed once, for
+    i <= j, and mirrored below the diagonal."""
+    rows = [[0.0] * len(vocabularies) for _ in vocabularies]
+    for i, vocab in enumerate(vocabularies):
+        for j in range(i, len(vocabularies)):
+            rows[i][j] = rows[j][i] = cell(vocab, vocabularies[j])
+    return [(vocab.period, row) for vocab, row in zip(vocabularies, rows)]
 
 
 def jaccard_matrix(
     node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None
-) -> DivergenceMatrix:
+) -> list[tuple[TimePeriod, list[float]]]:
     leaves = select_leaves(node, periods)
-    return _pairwise_matrix([create_vocabulary(l) for l in leaves], "jaccard")
+    return _pairwise_matrix([create_vocabulary(l) for l in leaves], jaccard_similarity)
 
 
 def jsd_matrix(
     node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None
-) -> DivergenceMatrix:
+) -> list[tuple[TimePeriod, list[float]]]:
     leaves = select_leaves(node, periods)
-    return _pairwise_matrix([create_vocabulary(l) for l in leaves], "jsd")
+    return _pairwise_matrix([create_vocabulary(l) for l in leaves], jensen_shannon)
 
 
 def contributions_between(
     node: DiachronicCorpus, period_a: TimePeriod, period_b: TimePeriod, top_k: int
-) -> ContributionRanking:
+) -> list[tuple[str, float, TimePeriod]]:
     """JSD contributions ranking ``period_a`` against ``period_b``, in that order."""
     leaves = {leaf.period: leaf for leaf in select_leaves(node, [period_a, period_b])}
     vocab_a, vocab_b = (create_vocabulary(leaves[p]) for p in (period_a, period_b))

@@ -39,6 +39,11 @@ def series_values(series) -> list:
     return [value for _, value in series]
 
 
+def matrix_values(rows) -> np.ndarray:
+    """The cells of a period-by-period result of ``(period, row)`` pairs, as an array."""
+    return np.array([row for _, row in rows])
+
+
 def stored_cells(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row ids, column ids and values of a compressed-row matrix's stored
     cells, in storage order, read from ``indptr``, ``indices`` and ``data`` alone."""

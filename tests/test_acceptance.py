@@ -16,6 +16,7 @@ from diacorpus.cbow import train_cbow
 from diacorpus.corpus import TimePeriod
 from diacorpus.divergence import (
     jaccard_matrix,
+    jaccard_similarity,
     jensen_shannon,
     jsd_contributions,
     jsd_matrix,
@@ -32,7 +33,7 @@ from diacorpus.lexicon import Vocabulary
 from diacorpus.orthography import ending_ratio
 from diacorpus.preprocess import frequency_threshold
 
-from conftest import FIXTURES, GOLDEN, PERIOD_1930, PERIOD_1980, series_values
+from conftest import FIXTURES, GOLDEN, PERIOD_1930, PERIOD_1980, matrix_values, series_values
 from e2e_flow import GOLDEN_FILES, run_flow
 from test_divergence import _random_vocab_pair
 from test_embeddings import oracle_dense_ppmi, random_leaf
@@ -83,7 +84,7 @@ def test_jsd_decomposition():
             vocab_a, vocab_b = _random_vocab_pair(rng)
             union = len(set(vocab_a.entries) | set(vocab_b.entries))
             ranking = jsd_contributions(vocab_a, vocab_b, top_k=union)
-            total = sum(abs(v) for _, v in ranking.pairs)
+            total = sum(abs(v) for _, v, _ in ranking)
             assert abs(total - jensen_shannon(vocab_a, vocab_b)) <= 1e-9
         same = Vocabulary(PERIOD_1930, {"a": 3, "b": 1})
         assert jensen_shannon(same, same) == 0.0
@@ -104,15 +105,14 @@ def test_divergence_matrix_structure(fixture_tree):
         from diacorpus.divergence import _pairwise_matrix
 
         matrices = [
-            jaccard_matrix(fixture_tree),
-            jsd_matrix(fixture_tree),
-            _pairwise_matrix(random_vocabs, "jaccard"),
-            _pairwise_matrix(random_vocabs, "jsd"),
+            (jaccard_matrix(fixture_tree), 1.0),
+            (jsd_matrix(fixture_tree), 0.0),
+            (_pairwise_matrix(random_vocabs, jaccard_similarity), 1.0),
+            (_pairwise_matrix(random_vocabs, jensen_shannon), 0.0),
         ]
-        for matrix in matrices:
-            values = matrix.values
+        for matrix, diagonal in matrices:
+            values = matrix_values(matrix)
             assert np.max(np.abs(values - values.T)) <= 1e-12
-            diagonal = 1.0 if matrix.metric == "jaccard" else 0.0
             assert np.allclose(np.diag(values), diagonal, atol=1e-12)
             assert np.all(values >= -1e-12) and np.all(values <= 1.0 + 1e-12)
 

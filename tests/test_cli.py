@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import diacorpus
 from diacorpus import cli, embeddings
 from diacorpus.alignment import read_transform
-from diacorpus.cli import _write_report, main, ranking_records, to_json
+from diacorpus.cli import RunConfig, _write_report, main, ranking_records, to_json
 from diacorpus.corpus import csv_table
 from diacorpus.embeddings import collocations, most_similar, read_embeddings, read_ppmi
 from diacorpus.lexicon import read_vocabulary
@@ -30,6 +30,7 @@ from conftest import (
     STORE_CORRUPTIONS,
     TRANSFORM_CORRUPTIONS,
     UNPICKLED,
+    matrix_values,
     savez_bytes,
     store_arrays,
     with_edge_token,
@@ -247,7 +248,10 @@ class TestAnalyze:
     def test_divergence_outputs_match_library(self, workspace, fixture_tree):
         from diacorpus.divergence import jaccard_matrix
 
-        expected = jaccard_matrix(fixture_tree).to_csv()
+        rows = jaccard_matrix(fixture_tree)
+        expected = csv_table(
+            ["period", *(p.label for p, _ in rows)], ([p.label, *row] for p, row in rows)
+        )
         actual = (workspace / "reports" / "jaccard.csv").read_text(encoding="utf-8")
         assert actual == expected
 
@@ -278,8 +282,8 @@ class TestAnalyze:
         payload = json.loads((workspace / "reports" / "jsd.json").read_text(encoding="utf-8"))
         expected = jsd_matrix(fixture_tree)
         assert payload["metric"] == "jsd"
-        assert payload["periods"] == [p.label for p in expected.periods]
-        assert payload["values"] == [[float(v) for v in row] for row in expected.values]
+        assert payload["periods"] == [p.label for p, _ in expected]
+        assert payload["values"] == [[float(v) for v in row] for row in matrix_values(expected)]
         ortho = json.loads(
             (workspace / "reports" / "ortho_ratio_b-p.json").read_text(encoding="utf-8")
         )
@@ -490,6 +494,10 @@ _USAGE_ERRORS = {
     ),
     "missing analyzer table": (
         lambda t: [*_corpus_config(t, analyzer_tsv="stems.tsv"), "ingest"], "stems.tsv"
+    ),
+    "n-gram order listed twice": (
+        lambda t: [*_corpus_config(t, ngram_orders=[2, 2]), "ingest"],
+        'config "ngram_orders" order 2 is listed twice',
     ),
     # the .vec format separates a word from its values by a space
     "analyzer stem with a space": (
@@ -1060,6 +1068,19 @@ class TestConfigErrors:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["message"] == f"config '{key}' must be a path string"
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    def test_empty_analyzer_path_is_the_config_directory(self, tmp_path, capsys):
+        """"" names the config's own directory, as for corpus_root and output_dir;
+        a directory is no analyzer table, so ingest stops before writing anything."""
+        argv = _corpus_config(tmp_path, analyzer_tsv="")
+        assert RunConfig.from_file(argv[1]).analyzer_tsv == tmp_path
+        code = main([*argv, "ingest"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        message = json.loads(captured.err)["message"]
+        assert message.startswith(f"cannot read analyzer table {tmp_path}: ")
+        assert not (tmp_path / "out" / "vocab").exists()
 
     def test_nul_in_output_dir_flag_is_usage_error_naming_the_flag(self, tmp_path, capsys):
         code = main(["--config", self._config(tmp_path), "--output-dir", "a\0b", "dict"])
@@ -1668,8 +1689,8 @@ _PACKAGE_EXPORTS = {
                "build_corpus_tree", "decade_bucket", "load_manifest"],
     "dictionary": ["DictionaryEntry", "crossover_period", "load_dictionary",
                    "load_sample_dictionary"],
-    "divergence": ["ContributionRanking", "DivergenceMatrix", "jaccard_matrix", "jensen_shannon",
-                   "jsd_contributions", "jsd_matrix", "survived_words"],
+    "divergence": ["jaccard_matrix", "jensen_shannon", "jsd_contributions", "jsd_matrix",
+                   "survived_words"],
     "embeddings": ["CooccurrenceMatrix", "EmbeddingSet", "PPMIMatrix", "build_ppmi",
                    "collocations", "count_cooccurrences", "most_similar", "svd_embeddings"],
     "errors": ["ComputationUndefinedError", "DiacorpusError", "DictionaryError", "IngestError",
@@ -1726,7 +1747,7 @@ class TestPackageExports:
 
         exported = sorted(name for names in _PACKAGE_EXPORTS.values() for name in names)
         assert diacorpus.__all__ == exported
-        assert len(exported) == 63
+        assert len(exported) == 61
         assert set(exported) <= set(dir(diacorpus))
 
 

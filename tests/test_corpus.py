@@ -53,7 +53,7 @@ from diacorpus.embeddings import (
     write_embeddings,
     write_ppmi,
 )
-from diacorpus.divergence import survived_words
+from diacorpus.divergence import jaccard_matrix, jsd_matrix, survived_words
 from diacorpus.lexicon import (
     NgramTable,
     Vocabulary,
@@ -231,9 +231,13 @@ PER_PERIOD_RESULTS = {
     "ending_ratio": lambda tree, periods: ending_ratio(tree, "b-p", periods),
     "ending_ratio_rows": lambda tree, periods: ending_ratio_rows(tree, "b-p", periods),
     "circumflex_frequency": lambda tree, periods: circumflex_frequency(tree, periods),
+    "jaccard_matrix": jaccard_matrix,
+    "jsd_matrix": jsd_matrix,
 }
 # the results of several columns: (period, ...) rows, not (period, value) pairs
 ROW_RESULTS = {"ending_ratio_rows", "circumflex_frequency"}
+# the period-by-period results: one (period, row) pair per period, a cell per period
+MATRIX_RESULTS = {"jaccard_matrix", "jsd_matrix"}
 
 
 class TestPerPeriod:
@@ -258,6 +262,8 @@ class TestPerPeriod:
             assert all(len(entry) == 2 for entry in result)
             for period, value in result:
                 assert dict(result)[period] == value
+        if name in MATRIX_RESULTS:
+            assert all(len(row) == len(periods) for _, row in result)
 
     @pytest.mark.parametrize(
         "periods,message",

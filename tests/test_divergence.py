@@ -17,7 +17,7 @@ from diacorpus.divergence import (
 from diacorpus.errors import ComputationUndefinedError, ParameterError
 from diacorpus.lexicon import Vocabulary
 
-from conftest import PERIOD_1930, PERIOD_1980
+from conftest import PERIOD_1930, PERIOD_1980, matrix_values
 
 
 def _vocab(entries, period=PERIOD_1930):
@@ -94,11 +94,11 @@ class TestJensenShannon:
 class TestContributions:
     def test_disjoint_singletons_split_evenly(self):
         ranking = jsd_contributions(_vocab({"a": 1}), _vocab({"b": 1}), top_k=2)
-        assert dict(ranking.pairs) == {"a": -0.5, "b": 0.5}
+        assert {w: v for w, v, _ in ranking} == {"a": -0.5, "b": 0.5}
 
     def test_identical_distributions_contribute_nothing(self):
         ranking = jsd_contributions(_vocab({"a": 1, "b": 1}), _vocab({"a": 2, "b": 2}), top_k=2)
-        assert all(v == 0.0 for _, v in ranking.pairs)
+        assert all(v == 0.0 for _, v, _ in ranking)
 
     def test_top_k_validation(self):
         with pytest.raises(ParameterError):
@@ -110,29 +110,31 @@ class TestContributions:
             a, b = _random_vocab_pair(rng)
             union = len(set(a.entries) | set(b.entries))
             ranking = jsd_contributions(a, b, top_k=union)
-            total = sum(abs(v) for _, v in ranking.pairs)
+            total = sum(abs(v) for _, v, _ in ranking)
             assert total == pytest.approx(jensen_shannon(a, b), abs=1e-9)
 
     def test_sign_tracks_relative_frequency(self):
         a = _vocab({"eski": 9, "ortak": 1})
         b = _vocab({"yeni": 9, "ortak": 1})
         ranking = jsd_contributions(a, b, top_k=3)
-        by_word = dict(ranking.pairs)
+        by_word = {w: v for w, v, _ in ranking}
         assert by_word["eski"] < 0 < by_word["yeni"]
 
     def test_fixture_sides(self, fixture_tree):
         ranking = contributions_between(fixture_tree, PERIOD_1930, PERIOD_1980, top_k=20)
-        by_word = dict(ranking.pairs)
+        by_word = {w: v for w, v, _ in ranking}
         assert by_word["sene"] < 0 < by_word["yıl"]
         assert by_word["mucip"] < 0 < by_word["gerek"]
 
     def test_reversed_pair_negates_values_and_keeps_sides(self, fixture_tree):
         forward = contributions_between(fixture_tree, PERIOD_1930, PERIOD_1980, top_k=20)
         reverse = contributions_between(fixture_tree, PERIOD_1980, PERIOD_1930, top_k=20)
-        assert (reverse.period_a, reverse.period_b) == (PERIOD_1980, PERIOD_1930)
-        assert all(value != 0 for _, value in forward.pairs)
-        assert [(w, -v, forward.side(v)) for w, v in forward.pairs] == [
-            (w, v, reverse.side(v)) for w, v in reverse.pairs
+        assert {(v < 0, side) for _, v, side in reverse} == {
+            (True, PERIOD_1980), (False, PERIOD_1930)
+        }
+        assert all(value != 0 for _, value, _ in forward)
+        assert [(w, -v, side) for w, v, side in forward] == [
+            (w, v, side) for w, v, side in reverse
         ]
 
 
@@ -141,7 +143,7 @@ class TestMatrices:
         jac = jaccard_matrix(fixture_tree)
         jsd = jsd_matrix(fixture_tree)
         for matrix, diag in ((jac, 1.0), (jsd, 0.0)):
-            values = matrix.values
+            values = matrix_values(matrix)
             assert np.allclose(values, values.T, atol=1e-12)
             assert np.allclose(np.diag(values), diag)
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
@@ -154,27 +156,21 @@ class TestMatrices:
             vocabs.append(Vocabulary(TimePeriod(1900 + 10 * i, 1909 + 10 * i), words))
         from diacorpus.divergence import _pairwise_matrix
 
-        for metric, diag in (("jaccard", 1.0), ("jsd", 0.0)):
-            matrix = _pairwise_matrix(vocabs, metric)
-            assert np.allclose(matrix.values, matrix.values.T, atol=1e-12)
-            assert np.allclose(np.diag(matrix.values), diag)
+        for cell, diag in ((jaccard_similarity, 1.0), (jensen_shannon, 0.0)):
+            values = matrix_values(_pairwise_matrix(vocabs, cell))
+            assert np.allclose(values, values.T, atol=1e-12)
+            assert np.allclose(np.diag(values), diag)
 
     def test_matrix_values_match_scalar_functions(self, fixture_tree):
         jac = jaccard_matrix(fixture_tree)
         leaves = fixture_tree.leaves()
         expected = jaccard_similarity(leaves[0].vocabulary, leaves[1].vocabulary)
-        assert jac.values[0, 1] == expected
+        assert matrix_values(jac)[0, 1] == expected
 
     def test_divergence_nondecreasing_from_base(self, fixture_tree):
         jsd = jsd_matrix(fixture_tree)
-        row = jsd.values[0]
+        row = matrix_values(jsd)[0]
         assert all(row[i] <= row[i + 1] + 1e-12 for i in range(len(row) - 1))
-
-    def test_csv_shape(self, fixture_tree):
-        text = jaccard_matrix(fixture_tree).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "period,1930-1939,1980-1989"
-        assert len(lines) == 3
 
 
 class TestSurvivedWords:

@@ -1,11 +1,14 @@
 """The README names only code that exists."""
 
 import importlib
+import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
-from diacorpus.cli import ARTIFACTS, build_parser
+from diacorpus.cli import ARTIFACTS, EmbeddingConfig, RunConfig, build_parser
+from diacorpus.preprocess import FilterConfig
 
 from conftest import FIXTURES, PERIOD_1930, PERIOD_1980
 
@@ -33,6 +36,21 @@ def test_readme_module_attributes_resolve():
         if not hasattr(importlib.import_module(f"diacorpus.{module}"), name)
     ]
     assert missing == []
+
+
+def test_readme_config_example_names_every_key(tmp_path):
+    section = README.read_text(encoding="utf-8").split("A run configuration is a single JSON", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(example)
+    for keys, cls in ((raw, RunConfig), (raw["filter"], FilterConfig),
+                      (raw["embedding"], EmbeddingConfig)):
+        assert sorted(keys) == sorted(f.name for f in fields(cls)), cls.__name__
+    path = tmp_path / "run.json"
+    path.write_text(example, encoding="utf-8")
+    config = RunConfig.from_file(path)
+    assert config.filter == FilterConfig(**raw["filter"])
+    assert config.embedding == EmbeddingConfig(**raw["embedding"])
+    assert config.ngram_orders == tuple(raw["ngram_orders"])
 
 
 def test_readme_cli_examples_parse():

@@ -1,8 +1,9 @@
 """Guards that the rest of the in-process suite never reaches, each driven through
 public input: a library call or ``cli.main``.
 
-``tools/unreached_lines.py`` lists the lines tier-1 leaves unrun. One guard
-stays unreached on purpose: the residual self-check of
+``tools/unreached_lines.py`` lists the lines tier-1 leaves unrun, and
+``tools/unreached_lines.json`` the ones that may stay so, each with its reason.
+One guard stays unreached on purpose: the residual self-check of
 ``alignment.procrustes_align``, which raises if the fitted rotation fits worse
 than the identity. ``u @ vt`` from the SVD of ``A.T @ B`` minimizes
 ``||A @ R - B||`` over all orthogonal R, the identity among them, so no input
@@ -13,7 +14,10 @@ below the check's 1e-9 relative slack. It guards the solver, not the input.
 from __future__ import annotations
 
 import io
+import json
 import zipfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,3 +129,15 @@ class TestCorpus:
 def test_help_after_the_config_flag_exits_zero(capsys):
     assert main(["--config", str(FIXTURES / "fixture_config.json"), "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: diacorpus")
+
+
+def test_every_listed_unreached_line_is_in_its_file():
+    """Each line of ``tools/unreached_lines.json`` is a line of its file, as often as it is
+    listed, under a reason; a renamed or deleted guard shows here, not only in a traced run."""
+    root = Path(__file__).resolve().parents[1]
+    listed = json.loads((root / "tools" / "unreached_lines.json").read_text(encoding="utf-8"))
+    assert all(entry["reason"] and entry["lines"] for entry in listed)
+    wanted = Counter((entry["file"], text) for entry in listed for text in entry["lines"])
+    for (name, text), count in wanted.items():
+        source = [line.strip() for line in (root / name).read_text(encoding="utf-8").splitlines()]
+        assert source.count(text) >= count, (name, text)
