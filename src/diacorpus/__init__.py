@@ -24,9 +24,9 @@ _EXPORTS = {
     "count_cooccurrences most_similar svd_embeddings",
     "errors": "ComputationUndefinedError DiacorpusError DictionaryError IngestError "
     "MissingArtifactError OutOfVocabularyError ParameterError",
-    "lexicon": "NgramTable Vocabulary cofrequency common_words create_ngrams create_vocabulary "
-    "exists frequency merge_vocabulary morpheme_frequency vocab_metrics words_matching",
-    "orthography": "circumflex_frequency detect_variant_pairs ending_ratio",
+    "lexicon": "NgramTable Vocabulary create_ngrams create_vocabulary frequency merge_vocabulary "
+    "morpheme_frequency words_matching",
+    "orthography": "circumflex_frequency detect_variant_pairs",
     "preprocess": "FilterConfig LookupAnalyzer filter_vocabulary frequency_threshold "
     "lemma_surfaces load_analyzer_tsv normalize_text token_surfaces turkish_lower",
 }

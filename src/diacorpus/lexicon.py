@@ -1,4 +1,4 @@
-"""Per-period vocabularies, n-gram tables, and count/frequency/pattern queries.
+"""Per-period vocabularies, n-gram tables, and frequency and pattern queries.
 
 The range queries read lemma-level vocabularies; a case-folded surface-level
 table is kept alongside for n-grams and the writing-convention analyses. A
@@ -197,13 +197,6 @@ def create_ngrams(leaf: PeriodCorpus, order: int, level: str = "lemma") -> Ngram
 # ---------------------------------------------------------------------------
 
 
-def exists(
-    node: DiachronicCorpus, word: str, periods: Sequence[TimePeriod] | None = None
-) -> list[tuple[TimePeriod, bool]]:
-    """Per-period membership of a word in the filtered vocabulary."""
-    return per_period(node, periods, lambda leaf: word in create_vocabulary(leaf))
-
-
 def frequency(
     node: DiachronicCorpus,
     word: str,
@@ -228,48 +221,6 @@ def merge_vocabulary(
     for leaf in leaves[1:]:
         merged = merged.merged_with(create_vocabulary(leaf, level))
     return merged
-
-
-def common_words(node: DiachronicCorpus, periods: Sequence[TimePeriod] | None = None) -> set[str]:
-    """Words present in every period of the range (set intersection)."""
-    leaves = select_leaves(node, periods)
-    sets = [set(create_vocabulary(leaf).entries) for leaf in leaves]
-    out = sets[0].copy()
-    for s in sets[1:]:
-        out &= s
-    return out
-
-
-def _average_word_length(vocab: Vocabulary) -> float:
-    """Mean character length over the unique words of a vocabulary (type-level)."""
-    if not vocab.entries:
-        return 0.0
-    return sum(len(w) for w in vocab.entries) / len(vocab.entries)
-
-
-def vocab_metrics(
-    node: DiachronicCorpus,
-    periods: Sequence[TimePeriod] | None = None,
-    ngram_order: int = 1,
-) -> dict:
-    """Bundle of per-period vocabulary metrics plus range-wide common words.
-
-    ``ngram_count`` is the total n-gram occurrences of each period, counted
-    from the leaf's token ids, so it needs leaves that hold them.
-    """
-    _check_ngram_order(ngram_order)
-    return {
-        "unique_word_count": per_period(
-            node, periods, lambda leaf: len(create_vocabulary(leaf).entries)
-        ),
-        "average_word_length": per_period(
-            node, periods, lambda leaf: _average_word_length(create_vocabulary(leaf))
-        ),
-        "ngram_count": per_period(
-            node, periods, lambda leaf: create_ngrams(leaf, ngram_order).total()
-        ),
-        "common_words": common_words(node, periods),
-    }
 
 
 def words_matching(
@@ -321,25 +272,6 @@ def morpheme_frequency(
         return occurrence_rate(create_vocabulary(leaf), lambda word: word.count(pattern))[1]
 
     return per_period(node, periods, rate)
-
-
-def cofrequency(
-    node: DiachronicCorpus,
-    word_u: str,
-    word_v: str,
-    periods: Sequence[TimePeriod] | None = None,
-    window: int = 2,
-) -> list[tuple[TimePeriod, int]]:
-    """Per-period co-occurrence count of a word pair under the window rule.
-
-    Each value is ``count_cooccurrences(leaf, window).pair_count(word_u, word_v)``,
-    so it needs leaves that hold token ids, and a word paired with itself counts twice.
-    """
-    from .embeddings import count_cooccurrences  # deferred: embeddings imports lexicon
-
-    return per_period(
-        node, periods, lambda leaf: count_cooccurrences(leaf, window).pair_count(word_u, word_v)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Loanwords may be spelled with a soft final consonant (-b, -d) or its hard
 counterpart (-p, -t). Pairs are detected in the merged all-period vocabulary
-so a form extinct in one period still pairs, and the per-period ratio of
-soft-form to hard-form token frequency tracks the spelling shift. The -c/-ç
-and -g/-k classes exist but are not part of the default analysis set because
-such endings are rare.
+so a form extinct in one period still pairs. ``ending_ratio_rows`` gives the
+per-period soft and hard token totals and their ratio, whose fall tracks the
+spelling shift. The -c/-ç and -g/-k classes exist but are not part of the
+default analysis set because such endings are rare.
 
 The ending analysis runs over surface forms, since stemming can canonicalize
 final consonants and mask exactly the variation being measured; the
@@ -85,13 +85,6 @@ def ending_ratio_rows(
         ratio = soft_total / hard_total if hard_total else None
         rows.append((leaf.period, soft_total, hard_total, ratio))
     return rows
-
-
-def ending_ratio(
-    node: DiachronicCorpus, pair_class: str, periods: Sequence[TimePeriod] | None = None
-) -> list[tuple[TimePeriod, float | None]]:
-    rows = ending_ratio_rows(node, pair_class, periods)
-    return [(period, ratio) for period, _, _, ratio in rows]
 
 
 def ending_ratio_csv(

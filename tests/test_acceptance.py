@@ -30,10 +30,10 @@ from diacorpus.embeddings import (
     svd_embeddings,
 )
 from diacorpus.lexicon import Vocabulary
-from diacorpus.orthography import ending_ratio
+from diacorpus.orthography import ending_ratio_rows
 from diacorpus.preprocess import frequency_threshold
 
-from conftest import FIXTURES, GOLDEN, PERIOD_1930, PERIOD_1980, matrix_values, series_values
+from conftest import FIXTURES, GOLDEN, PERIOD_1930, PERIOD_1980, matrix_values
 from e2e_flow import GOLDEN_FILES, run_flow
 from test_divergence import _random_vocab_pair
 from test_embeddings import oracle_dense_ppmi, random_leaf
@@ -258,7 +258,7 @@ def test_fixture_mirrors_of_planted_phenomena(fixture_tree, fresh_tree):
         ranking = aligned_most_similar("televizyon", 10, sets[PERIOD_1980], sets[PERIOD_1930])
         assert "radyo" in [w for w, _ in ranking]
         # soft-ending share declines monotonically
-        values = series_values(ending_ratio(fixture_tree, "b-p"))
+        values = [ratio for *_, ratio in ending_ratio_rows(fixture_tree, "b-p")]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 

@@ -57,18 +57,16 @@ from diacorpus.divergence import jaccard_matrix, jsd_matrix, survived_words
 from diacorpus.lexicon import (
     NgramTable,
     Vocabulary,
-    cofrequency,
-    exists,
+    create_ngrams,
     frequency,
     morpheme_frequency,
     read_ngrams,
     read_vocabulary,
-    vocab_metrics,
     words_matching,
     write_ngrams,
     write_vocabulary,
 )
-from diacorpus.orthography import circumflex_frequency, ending_ratio, ending_ratio_rows
+from diacorpus.orthography import circumflex_frequency, ending_ratio_rows
 
 from conftest import (
     BAD_ASSOCIATIONS,
@@ -218,17 +216,10 @@ def unique_word_count(leaf):
 
 # each per-period query of the library, as a function of a tree and a period range
 PER_PERIOD_RESULTS = {
-    "exists": lambda tree, periods: exists(tree, "kanun", periods),
     "frequency": lambda tree, periods: frequency(tree, "kanun", periods),
     "words_matching": lambda tree, periods: words_matching(tree, "prefix", "ka", periods),
     "morpheme_frequency": lambda tree, periods: morpheme_frequency(tree, "ler", periods),
-    "cofrequency": lambda tree, periods: cofrequency(tree, "kanun", "madde", periods),
-    **{
-        f"vocab_metrics.{key}": lambda tree, periods, key=key: vocab_metrics(tree, periods)[key]
-        for key in ("unique_word_count", "average_word_length", "ngram_count")
-    },
     "survived_words": lambda tree, periods: survived_words(tree, min(periods), periods),
-    "ending_ratio": lambda tree, periods: ending_ratio(tree, "b-p", periods),
     "ending_ratio_rows": lambda tree, periods: ending_ratio_rows(tree, "b-p", periods),
     "circumflex_frequency": lambda tree, periods: circumflex_frequency(tree, periods),
     "jaccard_matrix": jaccard_matrix,
@@ -302,6 +293,11 @@ class TestDeterminismAndStats:
             assert stats.avg_tokens_per_document == pytest.approx(
                 stats.token_count_raw / stats.document_count
             )
+
+    def test_filtered_stats_equal_recounts_of_the_vocabulary(self, fixture_tree):
+        for leaf in fixture_tree.leaves():
+            assert leaf.stats.unique_lemma_count_filtered == len(leaf.vocabulary.entries)
+            assert leaf.stats.token_count_filtered == create_ngrams(leaf, 1).total()
 
 
 # short runs of letters (with Turkish İ/I), of punctuation and symbols that split

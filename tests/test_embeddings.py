@@ -152,6 +152,22 @@ class TestCooccurrence:
         with pytest.raises(ParameterError):
             count_cooccurrences(leaf, window=0)
 
+    def test_word_outside_the_vocabulary_pairs_zero_times(self):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d": "aa bb"})
+        matrix = count_cooccurrences(leaf, window=2)
+        assert matrix.pair_count("aa", "yokkelime") == 0
+        assert matrix.pair_count("yokkelime", "aa") == 0
+        assert matrix.pair_count("yokkelime", "yokkelime") == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_period_whose_filter_keeps_no_token(self):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "12 34 56 78"})
+        assert leaf.vocabulary.entries == {}
+        matrix = count_cooccurrences(leaf, window=2)
+        assert matrix.counts.shape == (0, 0)
+        assert matrix.grand_total == 0
+        assert matrix.pair_count("aa", "bb") == 0
+
     def test_counting_stops_at_the_longest_document(self, fixture_tree, monkeypatch):
         import diacorpus.embeddings as embeddings_mod
         from diacorpus.lexicon import same_document

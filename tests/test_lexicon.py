@@ -16,22 +16,17 @@ from diacorpus.lexicon import (
     NgramTable,
     Vocabulary,
     _gram_keys,
-    cofrequency,
-    common_words,
     create_ngrams,
     create_vocabulary,
-    exists,
     frequency,
     merge_vocabulary,
     morpheme_frequency,
     read_ngrams,
     read_vocabulary,
-    vocab_metrics,
     words_matching,
     write_ngrams,
     write_vocabulary,
 )
-from diacorpus.preprocess import FilterConfig
 
 from conftest import FIXTURES, PERIOD_1930, PERIOD_1980, series_values
 
@@ -135,8 +130,6 @@ class TestCreateVocabulary:
             lambda: create_ngrams(leaf, 1),
             lambda: count_cooccurrences(leaf),
             lambda: train_cbow(leaf, dim=4),
-            lambda: cofrequency(_tree_of(leaf), "yıl", "sene"),
-            lambda: vocab_metrics(_tree_of(leaf)),
         ):
             with pytest.raises(MissingArtifactError) as info:
                 build()
@@ -201,22 +194,10 @@ class TestNgrams:
                 assert table.total() == vocab.token_total
 
 
-class TestExistsAndFrequency:
-    def test_exists_over_fixture(self, fixture_tree):
-        series = exists(fixture_tree, "televizyon")
-        assert series_values(series) == [False, True]
-
-    def test_absent_everywhere(self, fixture_tree):
-        series = exists(fixture_tree, "yok")
-        assert series_values(series) == [False, False]
-
+class TestFrequency:
     def test_absent_word_has_zero_frequency(self, fixture_tree):
         series = frequency(fixture_tree, "yok")
         assert series_values(series) == [0, 0]
-
-    def test_unknown_period_rejected(self, fixture_tree):
-        with pytest.raises(ParameterError, match="1800-1809"):
-            exists(fixture_tree, "kanun", [TimePeriod(1800, 1809)])
 
     def test_normalized_by_hand(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "yıl yıl kış güz"})
@@ -230,12 +211,6 @@ class TestExistsAndFrequency:
         assert gerek[1] > mucip[1]
         assert mucip[1] == 0.0
 
-    def test_exists_iff_positive_frequency(self, fixture_tree):
-        for word in ("gerek", "mucip", "televizyon", "yok", "kanun"):
-            e = series_values(exists(fixture_tree, word))
-            f = series_values(frequency(fixture_tree, word))
-            assert e == [v > 0 for v in f]
-
     def test_normalized_frequencies_sum_to_one(self, fixture_tree):
         for leaf in fixture_tree.leaves():
             total = sum(
@@ -243,6 +218,19 @@ class TestExistsAndFrequency:
                 for w in leaf.vocabulary.entries
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_period_rejected(self, fixture_tree):
+        with pytest.raises(ParameterError, match="1800-1809"):
+            frequency(fixture_tree, "kanun", [TimePeriod(1800, 1809)])
+
+    def test_positive_exactly_for_the_words_of_the_period(self, fixture_tree):
+        # every count ingest stores is at least 1, so a positive frequency is presence
+        merged = merge_vocabulary(fixture_tree)
+        assert min(merged.entries.values()) >= 1
+        for word in [*merged.entries, "yok"]:
+            present = [word in leaf.vocabulary for leaf in fixture_tree.leaves()]
+            assert [count > 0 for count in series_values(frequency(fixture_tree, word))] == present
+        assert ["televizyon" in leaf.vocabulary for leaf in fixture_tree.leaves()] == [False, True]
 
 
 class TestTokenTotal:
@@ -289,50 +277,6 @@ class TestMergeVocabulary:
         assert left.period == right.period
 
 
-class TestVocabMetrics:
-    def test_average_word_length_by_hand(self):
-        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
-        metrics = vocab_metrics(_tree_of(leaf))
-        assert series_values(metrics["average_word_length"]) == [2.5]
-
-    def test_leaf_whose_filter_keeps_no_word_has_zero_average_length(self):
-        # a threshold divisor of 1 puts the frequency floor at the token count itself
-        leaf = PeriodCorpus.from_texts(
-            PERIOD_1930, {"d": "a b c"}, FilterConfig(threshold_divisor=1)
-        )
-        assert leaf.vocabulary.entries == {}
-        metrics = vocab_metrics(_tree_of(leaf))
-        assert series_values(metrics["unique_word_count"]) == [0]
-        assert series_values(metrics["average_word_length"]) == [0.0]
-
-    def test_one_period_gives_one_entry_series(self):
-        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "ab abc abc"})
-        metrics = vocab_metrics(_tree_of(leaf))
-        assert metrics["unique_word_count"] == [(PERIOD_1930, 2)]
-        assert metrics["average_word_length"] == [(PERIOD_1930, 2.5)]
-        assert metrics["ngram_count"] == [(PERIOD_1930, 3)]
-        assert metrics["common_words"] == {"ab", "abc"}
-
-    def test_common_words_disjoint(self):
-        tree = _tree_of(
-            PeriodCorpus.from_texts(PERIOD_1930, {"d": "aa bb"}),
-            PeriodCorpus.from_texts(PERIOD_1980, {"d": "cc dd"}),
-        )
-        assert common_words(tree) == set()
-
-    def test_fixture_metrics_against_recount(self, fixture_tree):
-        metrics = vocab_metrics(fixture_tree)
-        for leaf, count in zip(fixture_tree.leaves(), series_values(metrics["unique_word_count"])):
-            assert count == len(leaf.vocabulary.entries)
-        for leaf, avg in zip(fixture_tree.leaves(), series_values(metrics["average_word_length"])):
-            expected = sum(map(len, leaf.vocabulary.entries)) / len(leaf.vocabulary.entries)
-            assert avg == pytest.approx(expected)
-        expected_common = set(fixture_tree.leaves()[0].vocabulary.entries) & set(
-            fixture_tree.leaves()[1].vocabulary.entries
-        )
-        assert metrics["common_words"] == expected_common
-
-
 class TestWordsMatchingAndMorphemes:
     def test_suffix_match(self):
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "kitab kitap kitap"})
@@ -343,60 +287,25 @@ class TestWordsMatchingAndMorphemes:
         series = words_matching(fixture_tree, "prefix", "tele")
         assert series_values(series) == [set(), {"televizyon"}]
 
+    def test_substring_match(self):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "kitab kitap kalem"})
+        series = words_matching(_tree_of(leaf), "substring", "ita")
+        assert series_values(series) == [{"kitab", "kitap"}]
+
     def test_empty_pattern_rejected(self, fixture_tree):
         with pytest.raises(ParameterError):
             words_matching(fixture_tree, "prefix", "")
+
+    def test_morpheme_rate_of_a_period_without_tokens_is_null(self):
+        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "12 34 56 78"})
+        assert leaf.vocabulary.token_total == 0
+        assert series_values(morpheme_frequency(_tree_of(leaf), "a")) == [None]
 
     def test_morpheme_rate_by_hand(self):
         # one circumflex per lemma occurrence, frequency 2, in a 4-token corpus
         leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "kâğıt kâğıt kalem uç"})
         series = morpheme_frequency(_tree_of(leaf), "â")
         assert series_values(series) == [pytest.approx(2 / 4 * 1_000_000)]
-
-
-class TestCoFrequency:
-    def test_single_pair(self):
-        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb"})
-        series = cofrequency(_tree_of(leaf), "aa", "bb")
-        assert series_values(series) == [1]
-
-    def test_symmetric(self, fixture_tree):
-        uv = series_values(cofrequency(fixture_tree, "kanun", "madde"))
-        vu = series_values(cofrequency(fixture_tree, "madde", "kanun"))
-        assert uv == vu
-        assert uv[0] > 0
-
-    @pytest.mark.parametrize("window", [1, 2, 3])
-    def test_equals_the_matrix_cell_for_every_pair(self, fixture_tree, window):
-        from diacorpus.embeddings import count_cooccurrences
-
-        matrices = [count_cooccurrences(leaf, window) for leaf in fixture_tree.leaves()]
-        words = sorted({w for leaf in fixture_tree.leaves() for w in leaf.vocabulary.entries})
-        words += ["yokkelime"]  # in no period's vocabulary
-        assert words[-1] not in words[:-1]
-        for u in words:
-            for v in words:
-                expected = [matrix.pair_count(u, v) for matrix in matrices]
-                series = cofrequency(fixture_tree, u, v, window=window)
-                assert series_values(series) == expected, (u, v)
-
-    def test_a_word_with_itself_counts_twice(self):
-        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa aa bb", "d2": "aa"})
-        assert series_values(cofrequency(_tree_of(leaf), "aa", "aa", window=1)) == [2]
-        assert series_values(cofrequency(_tree_of(leaf), "aa", "bb", window=1)) == [1]
-        assert series_values(cofrequency(_tree_of(leaf), "aa", "aa", window=5)) == [2]
-
-    @pytest.mark.filterwarnings("error")
-    def test_leaf_with_every_token_filtered_out(self):
-        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "12 34 56 78"})
-        assert leaf.vocabulary.entries == {}
-        assert series_values(cofrequency(_tree_of(leaf), "aa", "bb")) == [0]
-
-    @pytest.mark.parametrize("word", ["aa", "yokkelime"])
-    def test_window_below_one_is_an_error(self, word):
-        leaf = PeriodCorpus.from_texts(PERIOD_1930, {"d1": "aa bb"})
-        with pytest.raises(ParameterError, match="window must be at least 1"):
-            cofrequency(_tree_of(leaf), word, "bb", window=0)
 
 
 def test_queries_store_nothing_on_the_leaf():
@@ -411,9 +320,9 @@ def test_queries_store_nothing_on_the_leaf():
     before = state()
     create_ngrams(leaf, 2)
     build_ppmi(count_cooccurrences(leaf))
-    cofrequency(_tree_of(leaf), "aa", "bb")
+    words_matching(_tree_of(leaf), "prefix", "a")
     morpheme_frequency(_tree_of(leaf), "a")
-    vocab_metrics(_tree_of(leaf), ngram_order=2)
+    frequency(_tree_of(leaf), "aa")
     assert state() == before
 
 
